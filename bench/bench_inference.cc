@@ -44,6 +44,7 @@
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
 #include "core/precrec_corr.h"
+#include "support/pattern_oracles.h"
 #include "synth/generator.h"
 
 namespace fuser {

@@ -11,9 +11,9 @@
 //  1. round-trip latency: one connection, unpipelined single-Score
 //     request/response cycles (per-RTT p50/p99);
 //  2. in-process baseline: the same batched workload through the local
-//     FusionService — the denominator of qps_ratio, so the gated number
-//     is a same-machine same-process ratio (network-stack overhead), not
-//     an absolute timing;
+//     ShardedFusionService the server fronts — the denominator of
+//     qps_ratio, so the gated number is a same-machine same-process ratio
+//     (network-stack overhead), not an absolute timing;
 //  3. pipelined load: num_connections threads, each pushing its batches
 //     through PipelineScoreBatches in windows of 16.
 // Every networked response in phase 3 is asserted byte-identical to the
@@ -29,11 +29,10 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "core/engine.h"
 #include "net/fusion_client.h"
 #include "net/fusion_server.h"
-#include "net/scoring_backend.h"
-#include "serving/fusion_service.h"
+#include "shard/sharded_engine.h"
+#include "shard/sharded_service.h"
 #include "synth/generator.h"
 
 namespace fuser {
@@ -65,13 +64,15 @@ int Main(int argc, char** argv) {
   FUSER_CHECK(dataset_or.ok()) << dataset_or.status();
   Dataset dataset = std::move(*dataset_or);
 
-  FusionEngine engine(&dataset, EngineOptions{});
+  auto engine_or =
+      ShardedFusionEngine::Create(dataset, ShardingOptions{1}, EngineOptions{});
+  FUSER_CHECK(engine_or.ok()) << engine_or.status();
+  ShardedFusionEngine& engine = **engine_or;
   FUSER_CHECK(engine.Prepare(dataset.labeled_mask()).ok());
   const MethodSpec spec = *ParseMethodSpec("precrec-corr");
   auto published = engine.PublishSnapshot({spec});
   FUSER_CHECK(published.ok()) << published.status();
-  FusionService service(&engine);
-  ServiceBackend backend(&service);
+  ShardedFusionService service(&engine);
 
   // The reference every networked response must reproduce byte-for-byte.
   auto run = engine.Run(spec);
@@ -81,7 +82,7 @@ int Main(int argc, char** argv) {
 
   FusionServerOptions server_options;
   server_options.num_workers = 2;
-  FusionServer server(&backend, server_options);
+  FusionServer server(&service, server_options);
   FUSER_CHECK(server.Start().ok());
   const uint16_t port = server.port();
 

@@ -4,7 +4,7 @@
 //   fuser_cli <observations.tsv> <gold.tsv> <method> [options]
 //   fuser_cli <observations.tsv> <gold.tsv> --discover[=top_n] [--approx]
 //   fuser_cli --load=SNAPSHOT <method> [options]
-//   fuser_cli --load=SNAPSHOT --serve=PORT [--shards=K]
+//   fuser_cli --load=SNAPSHOT --serve=PORT
 //   fuser_cli --client=[HOST:]PORT [method]
 //     method:  any method registered in the MethodRegistry, or "runall"
 //              (score the full registry lineup over one shared model and
@@ -16,9 +16,10 @@
 //              --save=PATH (persist the trained state as a snapshot)
 //              --load=PATH (warm-start from a snapshot instead of TSVs;
 //                           model parameters come from the file)
-//              --shards=K (run K domain-hash engine shards behind the
-//                           router; scores stay byte-identical; applies to
-//                           train, score, --save and --load paths)
+//              --shards=K (train K domain-hash engine shards behind the
+//                           router, default 1 = one unpartitioned engine;
+//                           scores stay byte-identical; --save keeps the
+//                           layout, --load takes K from the snapshot)
 //              --discover[=N] (report the N strongest / most
 //                           anti-correlated source pairs instead of fusing)
 //              --approx[=K] (discover with the bottom-K correlation sketch
@@ -43,6 +44,7 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,9 +57,7 @@
 #include "model/split.h"
 #include "net/fusion_client.h"
 #include "net/fusion_server.h"
-#include "net/scoring_backend.h"
 #include "persist/snapshot_io.h"
-#include "serving/fusion_service.h"
 #include "shard/partition.h"
 #include "shard/sharded_dataset.h"
 #include "shard/sharded_engine.h"
@@ -88,7 +88,7 @@ void Usage(const char* argv0, std::FILE* out) {
       out,
       "usage: %s <observations.tsv> <gold.tsv> <method> [options]\n"
       "       %s --load=SNAPSHOT <method> [options]\n"
-      "       %s --load=SNAPSHOT --serve=PORT [--shards=K]\n"
+      "       %s --load=SNAPSHOT --serve=PORT\n"
       "       %s --client=[HOST:]PORT [method]\n"
       "  method: %s | runall\n"
       "options:\n"
@@ -108,10 +108,12 @@ void Usage(const char* argv0, std::FILE* out) {
       "                      incompatible with flags that would retrain the\n"
       "                      model (--alpha/--scopes/--cluster/...)\n"
       "  --shards=K          partition the corpus by domain hash into K\n"
-      "                      engine shards behind a scatter-gather router;\n"
-      "                      scores are byte-identical to K=1; rejects\n"
+      "                      engine shards behind a scatter-gather router\n"
+      "                      (default 1: one engine, no partition); scores\n"
+      "                      are byte-identical at every K; K>1 rejects\n"
       "                      methods that cannot run sharded (cosine,\n"
-      "                      3estimates, ltm, runall) and --discover\n"
+      "                      3estimates, ltm, runall) and --discover; with\n"
+      "                      --load, K comes from the snapshot\n"
       "  --discover[=N]      report the N (default 5) strongest and most\n"
       "                      anti-correlated source pairs instead of fusing\n"
       "                      (takes only <observations.tsv> <gold.tsv>)\n"
@@ -131,7 +133,7 @@ void Usage(const char* argv0, std::FILE* out) {
       "                      127.0.0.1 (binary wire protocol, src/net/);\n"
       "                      PORT 0 picks an ephemeral port, announced on\n"
       "                      stdout as \"listening on port N\"; requires\n"
-      "                      --load (with --shards=K the K shards serve\n"
+      "                      --load (a sharded snapshot's K shards serve\n"
       "                      behind the same port); SIGTERM/SIGINT drains\n"
       "                      in-flight requests and exits 0\n"
       "  --client=[HOST:]PORT probe a running --serve process: Stats, a\n"
@@ -185,9 +187,8 @@ std::string PairListJson(const fuser::Dataset& ds, bool on_true,
   return out + "]";
 }
 
-/// Reassembles the global-id-ordered dataset from a warm-started sharded
-/// corpus (the shards own the only copies), so the evaluation and --out
-/// paths work unchanged in sharded load mode.
+/// Reassembles the global-id-ordered dataset from a K>1 corpus (the shards
+/// own the only copies), for evaluation and --out.
 fuser::StatusOr<fuser::Dataset> MaterializeGlobal(
     const fuser::ShardedCorpus& corpus) {
   using namespace fuser;
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
   std::string client_addr;
   bool client_mode = false;
   std::string attach_flag;
-  size_t shards = 0;  // 0 = unsharded
+  size_t shards = 1;
   size_t discover_top_n = 5;
   bool use_approx = false;
   ApproxOptions approx;
@@ -290,6 +291,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad value in: %s\n", arg.c_str());
         return 2;
       }
+      training_flags.push_back("--shards");
     } else if (arg == "--discover") {
       discover = true;
     } else if (StartsWith(arg, "--discover=")) {
@@ -341,8 +343,8 @@ int main(int argc, char** argv) {
   const bool load_mode = !load_path.empty();
   if (load_mode && !training_flags.empty()) {
     std::fprintf(stderr,
-                 "%s cannot be combined with --load: model parameters come "
-                 "from the snapshot\n",
+                 "%s cannot be combined with --load: model parameters and "
+                 "the shard layout come from the snapshot\n",
                  training_flags.front().c_str());
     return 2;
   }
@@ -354,13 +356,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--attach requires --load (see --help)\n");
     return 2;
   }
-  if (stats_mode && (discover || shards > 0)) {
+  if (stats_mode && (discover || shards > 1)) {
     std::fprintf(stderr,
                  "--stats cannot be combined with --discover or --shards\n");
     return 2;
   }
   if (client_mode &&
-      (serve_mode || load_mode || discover || stats_mode || shards > 0)) {
+      (serve_mode || load_mode || discover || stats_mode || shards > 1)) {
     std::fprintf(stderr,
                  "--client probes a running server and takes no other "
                  "mode flags (see --help)\n");
@@ -385,19 +387,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (shards > 0) {
-    if (discover) {
-      std::fprintf(stderr,
-                   "--shards cannot be combined with --discover (see "
-                   "--help)\n");
-      return 2;
-    }
-    Status valid =
-        ValidateShardingOptions({static_cast<uint32_t>(shards)});
-    if (!valid.ok()) {
-      std::fprintf(stderr, "--shards: %s\n", valid.ToString().c_str());
-      return 2;
-    }
+  if (discover && shards > 1) {
+    std::fprintf(stderr,
+                 "--shards cannot be combined with --discover (see --help)\n");
+    return 2;
+  }
+  Status valid_sharding =
+      ValidateShardingOptions({static_cast<uint32_t>(shards)});
+  if (!valid_sharding.ok()) {
+    std::fprintf(stderr, "--shards: %s\n", valid_sharding.ToString().c_str());
+    return 2;
   }
 
   // ---- Client probe mode: exercise a running --serve process end to end.
@@ -661,78 +660,37 @@ int main(int argc, char** argv) {
       specs.push_back(spec);
     }
   }
-  if (shards > 0) {
-    // The full registry lineup contains methods that couple triples across
-    // the corpus; reject them (and --runall, which includes them) up front
-    // rather than failing mid-run.
-    for (const MethodSpec& spec : specs) {
-      const FusionMethod* registered = MethodRegistry::Global().Find(spec.kind);
-      if (registered != nullptr && !registered->shardable()) {
-        std::fprintf(stderr,
-                     "--shards cannot run %s: the method couples triples "
-                     "across the corpus%s\n",
-                     spec.Name().c_str(),
-                     runall ? " (drop --runall and name a shardable method)"
-                            : "");
-        return 2;
-      }
-    }
-  }
 
-  // ---- Materialize the dataset and a prepared (or warm-started) engine.
-  std::unique_ptr<Dataset> owned_dataset;
-  std::unique_ptr<FusionEngine> engine;
-  std::unique_ptr<ShardedFusionEngine> sharded_engine;
-  if (load_mode && shards > 0) {
-    auto warm = ShardedFusionEngine::WarmStart(load_path, options);
+  // ---- One engine for every path: warm-started from a snapshot (K from
+  // the file), or built from the TSVs (K=1 adopts the dataset whole) and
+  // prepared.
+  std::unique_ptr<ShardedFusionEngine> engine;
+  DynamicBitset eval;
+  if (load_mode) {
+    std::optional<LoadOptions> load;  // default: LoadSnapshot's own
+    if (!attach_flag.empty()) {
+      load.emplace();
+      if (attach_flag == "mmap") load->attach = AttachMode::kMmap;
+      if (attach_flag == "mmap-verify") load->attach = AttachMode::kMmapVerify;
+    }
+    auto warm = ShardedFusionEngine::WarmStart(load_path, options, load);
     if (!warm.ok()) {
       std::fprintf(stderr, "load failed: %s\n",
                    warm.status().ToString().c_str());
       return 1;
     }
-    sharded_engine = std::move(*warm);
-    if (sharded_engine->num_shards() != shards) {
-      std::fprintf(stderr,
-                   "--shards=%zu does not match the snapshot's %zu shards\n",
-                   shards, sharded_engine->num_shards());
-      return 2;
-    }
-    auto global = MaterializeGlobal(sharded_engine->corpus());
-    if (!global.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   global.status().ToString().c_str());
-      return 1;
-    }
-    owned_dataset = std::make_unique<Dataset>(std::move(*global));
-    std::printf(
-        "warm-started %zu shards from %s: %zu sources, %zu triples, "
-        "%zu labeled\n",
-        shards, load_path.c_str(), owned_dataset->num_sources(),
-        owned_dataset->num_triples(), owned_dataset->num_labeled());
-  } else if (load_mode) {
-    LoadOptions lopts;
-    if (attach_flag == "mmap") lopts.attach = AttachMode::kMmap;
-    if (attach_flag == "mmap-verify") lopts.attach = AttachMode::kMmapVerify;
-    auto loaded = attach_flag.empty() ? LoadSnapshot(load_path)
-                                      : LoadSnapshot(load_path, lopts);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    owned_dataset = std::move(loaded->dataset);
-    engine = std::make_unique<FusionEngine>(owned_dataset.get(), options);
-    Status warmed = engine->WarmStart(*loaded);
-    if (!warmed.ok()) {
-      std::fprintf(stderr, "%s\n", warmed.ToString().c_str());
-      return 1;
+    engine = std::move(*warm);
+    const ShardedCorpus& corpus = engine->corpus();
+    size_t labeled = 0;
+    for (size_t k = 0; k < corpus.num_shards(); ++k) {
+      labeled += corpus.shard(k).num_labeled();
     }
     std::printf(
         "warm-started from %s: %zu sources, %zu triples, %zu labeled, "
-        "%zu serving entries\n",
-        load_path.c_str(), owned_dataset->num_sources(),
-        owned_dataset->num_triples(), owned_dataset->num_labeled(),
-        loaded->snapshot->serving.size());
+        "%zu serving entries, %zu shards\n",
+        load_path.c_str(), corpus.num_sources(), corpus.num_triples(),
+        labeled, engine->CurrentSnapshot()->shards[0]->serving.size(),
+        corpus.num_shards());
   } else {
     auto dataset = LoadDataset(positionals[0], positionals[1]);
     if (!dataset.ok()) {
@@ -740,43 +698,63 @@ int main(int argc, char** argv) {
                    dataset.status().ToString().c_str());
       return 1;
     }
-    owned_dataset = std::make_unique<Dataset>(std::move(*dataset));
     std::printf("loaded: %zu sources, %zu triples, %zu labeled (%zu true)\n",
-                owned_dataset->num_sources(), owned_dataset->num_triples(),
-                owned_dataset->num_labeled(), owned_dataset->num_true());
+                dataset->num_sources(), dataset->num_triples(),
+                dataset->num_labeled(), dataset->num_true());
+    DynamicBitset train = dataset->labeled_mask();
+    eval = train;
+    if (train_fraction < 1.0) {
+      Rng rng(seed);
+      auto split = StratifiedSplit(*dataset, train_fraction, &rng);
+      if (!split.ok()) {
+        std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
+        return 1;
+      }
+      train = split->train;
+      eval = split->test;
+    }
+    auto corpus = ShardedCorpus::Partition(
+        std::make_unique<Dataset>(std::move(*dataset)),
+        {static_cast<uint32_t>(shards)});
+    if (!corpus.ok()) {
+      std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+      return 1;
+    }
+    auto created = ShardedFusionEngine::Create(std::move(*corpus), options);
+    if (!created.ok()) {
+      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+      return 1;
+    }
+    engine = std::move(*created);
+    Status prepared = engine->Prepare(train);
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "%s\n", prepared.ToString().c_str());
+      return 1;
+    }
   }
 
-  // ---- Serve mode: front the warm-started engine(s) with the TCP server
-  // and run until SIGTERM/SIGINT, then drain and report.
+  // ---- Serve mode: front the warm-started engine with the TCP server and
+  // run until SIGTERM/SIGINT, then drain and report.
   if (serve_mode) {
-    std::unique_ptr<FusionService> service;
-    std::unique_ptr<ShardedFusionService> sharded_service;
-    std::unique_ptr<net::ScoringBackend> backend;
-    if (sharded_engine != nullptr) {
-      sharded_service =
-          std::make_unique<ShardedFusionService>(sharded_engine.get());
-      backend = std::make_unique<net::ShardedServiceBackend>(
-          sharded_service.get(), sharded_engine->num_shards());
-    } else {
-      service = std::make_unique<FusionService>(engine.get());
-      backend = std::make_unique<net::ServiceBackend>(service.get());
-    }
+    ShardedFusionService service(engine.get());
     net::FusionServerOptions server_options;
     server_options.port = static_cast<uint16_t>(serve_port);
     if (options.num_threads > 0) {
       server_options.num_workers = options.num_threads;
     }
-    net::FusionServer server(backend.get(), server_options);
+    net::FusionServer server(&service, server_options);
     Status started = server.Start();
     if (!started.ok()) {
       std::fprintf(stderr, "serve failed: %s\n", started.ToString().c_str());
       return 1;
     }
+    // The handlers go in before the announcement: a supervisor may signal
+    // the moment it reads the port line, and must get a drained exit 0.
+    std::signal(SIGINT, HandleStopSignal);
+    std::signal(SIGTERM, HandleStopSignal);
     // Scripts wait for this line (and parse the ephemeral port from it).
     std::printf("listening on port %u\n", server.port());
     std::fflush(stdout);
-    std::signal(SIGINT, HandleStopSignal);
-    std::signal(SIGTERM, HandleStopSignal);
     while (g_stop_requested == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -786,81 +764,67 @@ int main(int argc, char** argv) {
         "{\"fuser_cli\": {\"serve\": true, \"port\": %u, \"shards\": %zu, "
         "\"connections_accepted\": %llu, \"requests_served\": %llu, "
         "\"errors_sent\": %llu}}\n",
-        server.port(), shards,
+        server.port(), engine->num_shards(),
         static_cast<unsigned long long>(counters.connections_accepted),
         static_cast<unsigned long long>(counters.requests_served),
         static_cast<unsigned long long>(counters.errors_sent));
     return 0;
   }
 
-  DynamicBitset eval = owned_dataset->labeled_mask();
+  if (engine->num_shards() > 1) {
+    // The full registry lineup contains methods that couple triples across
+    // the corpus; reject them (and --runall, which includes them) with a
+    // usage error rather than failing mid-run.
+    for (const MethodSpec& spec : specs) {
+      const FusionMethod* registered = MethodRegistry::Global().Find(spec.kind);
+      if (registered != nullptr && !registered->shardable()) {
+        std::fprintf(stderr,
+                     "%zu shards cannot run %s: the method couples triples "
+                     "across the corpus%s\n",
+                     engine->num_shards(), spec.Name().c_str(),
+                     runall ? " (drop --runall and name a shardable method)"
+                            : "");
+        return 2;
+      }
+    }
+  }
+
+  // Evaluation and --out read the corpus in global id order: at K=1 that
+  // is the one shard itself, at K>1 a copy reassembled from the shards.
+  std::unique_ptr<Dataset> reassembled;
+  if (engine->num_shards() > 1) {
+    auto global = MaterializeGlobal(engine->corpus());
+    if (!global.ok()) {
+      std::fprintf(stderr, "%s\n", global.status().ToString().c_str());
+      return 1;
+    }
+    reassembled = std::make_unique<Dataset>(std::move(*global));
+  }
+  const Dataset& dataset =
+      reassembled != nullptr ? *reassembled : engine->corpus().shard(0);
   if (load_mode) {
     // Respect the persisted split: when the snapshot was trained on a
     // strict subset of the labels, evaluate on the held-out rest (as the
     // saving run did), not on train-contaminated metrics.
-    const DynamicBitset& train =
-        shards > 0 ? sharded_engine->train_mask() : engine->train_mask();
-    if (!(train == eval)) {
-      eval.AndNotWith(train);
+    eval = dataset.labeled_mask();
+    if (!(engine->train_mask() == eval)) {
+      eval.AndNotWith(engine->train_mask());
       std::printf("evaluating on the %zu labeled triples held out of the "
                   "snapshot's training set\n",
                   eval.Count());
     }
   }
-  if (!load_mode) {
-    DynamicBitset train = owned_dataset->labeled_mask();
-    if (train_fraction < 1.0) {
-      Rng rng(seed);
-      auto split = StratifiedSplit(*owned_dataset, train_fraction, &rng);
-      if (!split.ok()) {
-        std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-        return 1;
-      }
-      train = split->train;
-      eval = split->test;
-    }
-    if (shards > 0) {
-      auto created = ShardedFusionEngine::Create(
-          *owned_dataset, {static_cast<uint32_t>(shards)}, options);
-      if (!created.ok()) {
-        std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-        return 1;
-      }
-      sharded_engine = std::move(*created);
-      Status prepared = sharded_engine->Prepare(train);
-      if (!prepared.ok()) {
-        std::fprintf(stderr, "%s\n", prepared.ToString().c_str());
-        return 1;
-      }
-    } else {
-      engine = std::make_unique<FusionEngine>(
-          static_cast<const Dataset*>(owned_dataset.get()), options);
-      Status prepared = engine->Prepare(train);
-      if (!prepared.ok()) {
-        std::fprintf(stderr, "%s\n", prepared.ToString().c_str());
-        return 1;
-      }
-    }
-  }
 
-  auto runs = sharded_engine != nullptr ? sharded_engine->RunAll(specs)
-                                        : engine->RunAll(specs);
+  auto runs = engine->RunAll(specs);
   if (!runs.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  runs.status().ToString().c_str());
     return 1;
   }
 
-  // Sharded runs are evaluated through an unprepared engine over the
-  // global-id-ordered dataset (Evaluate only reads scores and labels).
-  std::unique_ptr<FusionEngine> eval_engine;
-  if (sharded_engine != nullptr) {
-    eval_engine = std::make_unique<FusionEngine>(
-        static_cast<const Dataset*>(owned_dataset.get()), options);
-  }
-  const FusionEngine& evaluator =
-      sharded_engine != nullptr ? *eval_engine : *engine;
-
+  // Evaluate only reads scores and labels: an unprepared engine over the
+  // global-id-ordered dataset does it for every K.
+  const FusionEngine evaluator(&dataset, options);
   std::string json = "[";
   for (size_t i = 0; i < runs->size(); ++i) {
     const FusionRun& run = (*runs)[i];
@@ -891,8 +855,8 @@ int main(int argc, char** argv) {
     // single-method invocation is the interesting case for --out).
     const FusionRun& run = (*runs)[0];
     std::vector<CsvRow> rows;
-    for (TripleId t = 0; t < owned_dataset->num_triples(); ++t) {
-      const Triple& triple = owned_dataset->triple(t);
+    for (TripleId t = 0; t < dataset.num_triples(); ++t) {
+      const Triple& triple = dataset.triple(t);
       rows.push_back({triple.subject, triple.predicate, triple.object,
                       StrFormat("%.4f", run.scores[t])});
     }
@@ -907,46 +871,28 @@ int main(int argc, char** argv) {
 
   if (!save_path.empty()) {
     // Materialize serving state for the scored lineup, then persist the
-    // whole warm-start package (dataset + model + grouping + serving).
-    if (sharded_engine != nullptr) {
-      auto published = sharded_engine->PublishSnapshot(specs);
-      if (!published.ok()) {
-        std::fprintf(stderr, "publish failed: %s\n",
-                     published.status().ToString().c_str());
-        return 1;
-      }
-      Status saved = sharded_engine->SaveSnapshot(save_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
-        return 1;
-      }
-      std::printf("saved %zu shard snapshots + manifest to %s\n", shards,
-                  save_path.c_str());
-    } else {
-      auto published = engine->PublishSnapshot(specs);
-      if (!published.ok()) {
-        std::fprintf(stderr, "publish failed: %s\n",
-                     published.status().ToString().c_str());
-        return 1;
-      }
-      Status saved = engine->SaveSnapshot(save_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
-        return 1;
-      }
-      std::printf("saved snapshot to %s (%zu serving entries)\n",
-                  save_path.c_str(), (*published)->serving.size());
+    // whole warm-start package (dataset + model + grouping + serving): one
+    // snapshot file at K=1, shard files plus a manifest at K>1.
+    auto published = engine->PublishSnapshot(specs);
+    if (!published.ok()) {
+      std::fprintf(stderr, "publish failed: %s\n",
+                   published.status().ToString().c_str());
+      return 1;
     }
+    Status saved = engine->SaveSnapshot(save_path);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
+      return 1;
+    }
+    std::printf("saved %zu shard snapshot(s) to %s (%zu serving entries)\n",
+                engine->num_shards(), save_path.c_str(),
+                (*published)->shards[0]->serving.size());
   }
 
-  // Per-shard triple counts ([] when unsharded).
   std::string shard_json = "[";
-  if (sharded_engine != nullptr) {
-    for (size_t k = 0; k < sharded_engine->num_shards(); ++k) {
-      if (k > 0) shard_json += ", ";
-      shard_json += StrFormat(
-          "%zu", sharded_engine->corpus().shard(k).num_triples());
-    }
+  for (size_t k = 0; k < engine->num_shards(); ++k) {
+    if (k > 0) shard_json += ", ";
+    shard_json += StrFormat("%zu", engine->corpus().shard(k).num_triples());
   }
   shard_json += "]";
 
@@ -956,8 +902,8 @@ int main(int argc, char** argv) {
       "\"labeled\": %zu, \"threads\": %zu, \"shards\": %zu, "
       "\"shard_triples\": %s, \"train_fraction\": %s, "
       "\"warm_start\": %s, \"methods\": %s}}\n",
-      owned_dataset->num_sources(), owned_dataset->num_triples(),
-      owned_dataset->num_labeled(), options.num_threads, shards,
+      dataset.num_sources(), dataset.num_triples(), dataset.num_labeled(),
+      options.num_threads, engine->num_shards(),
       shard_json.c_str(), JsonNum(train_fraction).c_str(),
       load_mode ? "true" : "false", json.c_str());
   return 0;

@@ -3,9 +3,10 @@
 # the real binaries — synthesize TSVs, train and --save a snapshot, start
 # `fuser_cli --serve` as a background process on an ephemeral port, probe
 # it with `fuser_cli --client` (Stats + ScoreBatch + Score cross-check),
-# re-probe the same snapshot served across --shards, verify the CLI's
-# flag-misuse exit codes, then SIGTERM the servers and assert they drain
-# to exit 0 with the JSON-last-line contract intact.
+# re-probe the same data trained and saved across --shards=2, verify the
+# CLI's flag-misuse exit codes, then SIGTERM the servers and assert they
+# drain to exit 0 with the JSON-last-line contract intact — including a
+# SIGTERM sent the instant the port line appears.
 #
 #   scripts/net_smoke.sh [build_dir] [out_dir]
 #
@@ -97,10 +98,48 @@ tail -n 1 "$OUT_DIR/client.log" | grep -q '"score_matches_batch": true' || {
   echo "client probe JSON missing score_matches_batch" >&2
   exit 1
 }
+# Unsharded is K=1: one engine shard behind the server.
+tail -n 1 "$OUT_DIR/client.log" | grep -q '"shards": 1' || {
+  echo "unsharded probe did not report 1 shard" >&2
+  exit 1
+}
 stop_and_check "$SERVER_PID" "$OUT_DIR/server.log"
 
+echo "== SIGTERM the instant the port line appears"
+# The stop handlers are installed before the announcement, so a supervisor
+# that signals on reading the port line gets a drained exit 0, never a
+# default-action kill. The line is read straight off a FIFO with the shell
+# builtin, so the signal follows the announcement within microseconds.
+QUICK_FIFO="$OUT_DIR/server_quick.fifo"
+for i in $(seq 1 20); do
+  rm -f "$QUICK_FIFO"
+  mkfifo "$QUICK_FIFO"
+  "$BUILD_DIR/fuser_cli" --load="$OUT_DIR/snap.fsn" --serve=0 \
+    > "$QUICK_FIFO" 2> "$OUT_DIR/server_quick.err" &
+  SERVER_PID=$!
+  exec 3< "$QUICK_FIFO"
+  while IFS= read -r line <&3; do
+    case "$line" in
+      "listening on port "*) kill -TERM "$SERVER_PID"; break ;;
+    esac
+  done
+  cat <&3 > "$OUT_DIR/server_quick.log"  # the drained server's summary
+  exec 3<&-
+  rc=0
+  wait "$SERVER_PID" || rc=$?
+  SERVER_PID=""
+  if [ "$rc" -ne 0 ] ||
+     ! tail -n 1 "$OUT_DIR/server_quick.log" | grep -q '"serve": true'; then
+    echo "immediate SIGTERM #$i: exit $rc, not a drained exit 0" >&2
+    cat "$OUT_DIR/server_quick.err" "$OUT_DIR/server_quick.log" >&2
+    exit 1
+  fi
+done
+rm -f "$QUICK_FIFO"
+
 echo "== serve the sharded snapshot behind the same wire"
-"$BUILD_DIR/fuser_cli" --load="$OUT_DIR/snap2" --shards=2 --serve=0 \
+# --load takes the shard count from the snapshot's manifest.
+"$BUILD_DIR/fuser_cli" --load="$OUT_DIR/snap2" --serve=0 \
   > "$OUT_DIR/server_sharded.log" 2>&1 &
 SERVER_PID=$!
 PORT=$(wait_for_port "$OUT_DIR/server_sharded.log")
@@ -129,6 +168,9 @@ expect_exit2 "--serve with --discover" --load="$OUT_DIR/snap.fsn" --serve=0 --di
 expect_exit2 "--serve with --stats" --load="$OUT_DIR/snap.fsn" --serve=0 --stats
 expect_exit2 "--serve with --save" --load="$OUT_DIR/snap.fsn" --serve=0 --save=x
 expect_exit2 "--serve with a bad port" --load="$OUT_DIR/snap.fsn" --serve=99999
+expect_exit2 "--load with --shards" --load="$OUT_DIR/snap2" --shards=2 --serve=0
+expect_exit2 "--shards with a non-shardable method" \
+  "$OUT_DIR/obs.tsv" "$OUT_DIR/gold.tsv" cosine --shards=2
 expect_exit2 "--client with another mode" --client=7001 --discover
 expect_exit2 "--client with a bad port" --client=not-a-port
 # --client against a closed port is a runtime failure (1), not misuse (2).

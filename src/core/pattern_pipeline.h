@@ -89,18 +89,12 @@ struct PatternGrouping {
 /// `num_threads` workers (0 = hardware concurrency; `pool` optionally
 /// supplies persistent workers), with per-worker local pattern indexes
 /// merged in block order — the output (including the order of `distinct`)
-/// is byte-identical to BuildPatternGroupingScalar at every thread count.
+/// is byte-identical to the scalar reference at every thread count (see
+/// tests/support/pattern_oracles.h).
 StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
                                                const CorrelationModel& model,
                                                size_t num_threads = 1,
                                                ThreadPool* pool = nullptr);
-
-/// The retained scalar reference implementation: one GetClusterObservation
-/// + hash-emplace per (cluster, triple). Kept as the oracle for the
-/// word-parallel path (property tests assert byte-identical output) and as
-/// the pre-optimization baseline for bench_inference.
-StatusOr<PatternGrouping> BuildPatternGroupingScalar(
-    const Dataset& dataset, const CorrelationModel& model);
 
 /// Fingerprint of the parts of `model` the grouping depends on (cluster
 /// memberships and the scope setting). Groupings carry the fingerprint of
@@ -286,20 +280,12 @@ std::vector<double> GatherPatternScores(const PatternGrouping& grouping,
 /// the per-triple loop is an add-only gather parallelized across
 /// `num_threads` workers (with one cluster it collapses further: one
 /// posterior per distinct pattern, then a table gather). Output is
-/// byte-identical to CombinePatternScoresReference at every thread count.
+/// byte-identical to the serial reference at every thread count (see
+/// tests/support/pattern_oracles.h).
 std::vector<double> CombinePatternScores(
     const PatternGrouping& grouping,
     const std::vector<std::vector<PatternLikelihood>>& likelihood,
     double alpha, size_t num_threads = 1, ThreadPool* pool = nullptr);
-
-/// The retained reference implementation of CombinePatternScores: the
-/// serial per-triple loop with 2 x num_clusters std::log calls per triple.
-/// Oracle for byte-identity tests and the pre-optimization baseline for
-/// bench_inference.
-std::vector<double> CombinePatternScoresReference(
-    const PatternGrouping& grouping,
-    const std::vector<std::vector<PatternLikelihood>>& likelihood,
-    double alpha);
 
 }  // namespace fuser
 

@@ -328,127 +328,86 @@ class FusionServer::Worker {
     }
   }
 
+  /// The one request path: decode -> resolve the method -> pin one
+  /// snapshot -> score -> encode. Any failure answers a non-fatal kError
+  /// carrying the request id (the first payload field of every request).
   void Dispatch(const WireFrame& frame, Connection& conn) {
+    MessageType reply_type = MessageType::kError;
+    StatusOr<std::string> reply = Answer(frame, &reply_type);
+    if (reply.ok()) {
+      SendReply(conn, reply_type, *reply);
+    } else {
+      SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
+                                             reply.status(),
+                                             /*fatal=*/false));
+    }
+  }
+
+  StatusOr<std::string> Answer(const WireFrame& frame,
+                               MessageType* reply_type) const {
+    const ShardedFusionService& service = *server_->service_;
     switch (frame.type) {
       case MessageType::kScore: {
         ScoreRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        auto scored = server_->backend_->Score(*spec, req.triple);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.score = scored->score;
-        SendReply(conn, MessageType::kScoreReply, reply.Encode());
-        return;
+        FUSER_RETURN_IF_ERROR(req.Decode(frame.payload));
+        FUSER_ASSIGN_OR_RETURN(const MethodSpec spec,
+                               ParseMethodSpec(req.method));
+        FUSER_ASSIGN_OR_RETURN(const auto snapshot, service.Acquire());
+        ScoreReply reply{req.request_id, snapshot->id};
+        FUSER_ASSIGN_OR_RETURN(reply.score,
+                               service.Score(*snapshot, spec, req.triple));
+        *reply_type = MessageType::kScoreReply;
+        return reply.Encode();
       }
       case MessageType::kScoreBatch: {
         ScoreBatchRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        auto scored = server_->backend_->ScoreBatch(*spec, req.triples);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreBatchReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.scores = std::move(scored->scores);
-        SendReply(conn, MessageType::kScoreBatchReply, reply.Encode());
-        return;
+        FUSER_RETURN_IF_ERROR(req.Decode(frame.payload));
+        FUSER_ASSIGN_OR_RETURN(const MethodSpec spec,
+                               ParseMethodSpec(req.method));
+        FUSER_ASSIGN_OR_RETURN(const auto snapshot, service.Acquire());
+        ScoreBatchReply reply{req.request_id, snapshot->id};
+        FUSER_ASSIGN_OR_RETURN(
+            reply.scores, service.ScoreBatch(*snapshot, spec, req.triples));
+        *reply_type = MessageType::kScoreBatchReply;
+        return reply.Encode();
       }
       case MessageType::kScoreObservation: {
         ScoreObservationRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        AdHocObservation observation;
-        observation.providers = std::move(req.providers);
-        observation.in_scope = std::move(req.in_scope);
-        auto scored = server_->backend_->ScoreObservation(*spec, observation);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.score = scored->score;
-        SendReply(conn, MessageType::kScoreObservationReply, reply.Encode());
-        return;
+        FUSER_RETURN_IF_ERROR(req.Decode(frame.payload));
+        FUSER_ASSIGN_OR_RETURN(const MethodSpec spec,
+                               ParseMethodSpec(req.method));
+        FUSER_ASSIGN_OR_RETURN(const auto snapshot, service.Acquire());
+        const AdHocObservation observation{std::move(req.providers),
+                                           std::move(req.in_scope)};
+        ScoreReply reply{req.request_id, snapshot->id};
+        FUSER_ASSIGN_OR_RETURN(
+            reply.score,
+            service.ScoreObservation(*snapshot, spec, observation));
+        *reply_type = MessageType::kScoreObservationReply;
+        return reply.Encode();
       }
       case MessageType::kStats: {
         StatsRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto info = server_->backend_->Info();
-        if (!info.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 info.status(), false));
-          return;
-        }
+        FUSER_RETURN_IF_ERROR(req.Decode(frame.payload));
+        FUSER_ASSIGN_OR_RETURN(const auto snapshot, service.Acquire());
         StatsReply reply;
         reply.request_id = req.request_id;
-        reply.snapshot_id = info->snapshot_id;
-        reply.dataset_version = info->dataset_version;
-        reply.num_triples = info->num_triples;
-        reply.num_sources = info->num_sources;
-        reply.num_shards = info->num_shards;
+        reply.snapshot_id = snapshot->id;
+        // Shards publish in lockstep under the router; shard 0's dataset
+        // version stands in for the corpus.
+        reply.dataset_version = snapshot->shards[0]->dataset_version;
+        reply.num_triples = snapshot->num_triples;
+        reply.num_sources = snapshot->num_sources;
+        reply.num_shards = snapshot->shards.size();
         reply.requests_served =
             server_->requests_served_.load(std::memory_order_relaxed);
-        SendReply(conn, MessageType::kStatsReply, reply.Encode());
-        return;
+        *reply_type = MessageType::kStatsReply;
+        return reply.Encode();
       }
       default:
-        SendError(conn,
-                  ErrorReply::FromStatus(
-                      PeekRequestId(frame.payload),
-                      Status::InvalidArgument(StrFormat(
-                          "unknown message type %u",
-                          static_cast<uint32_t>(frame.type))),
-                      /*fatal=*/false));
-        return;
+        return Status::InvalidArgument(
+            StrFormat("unknown message type %u",
+                      static_cast<uint32_t>(frame.type)));
     }
   }
 
@@ -561,9 +520,9 @@ class FusionServer::Worker {
 // FusionServer
 // ---------------------------------------------------------------------------
 
-FusionServer::FusionServer(const ScoringBackend* backend,
+FusionServer::FusionServer(const ShardedFusionService* service,
                            FusionServerOptions options)
-    : backend_(backend), options_(options) {
+    : service_(service), options_(options) {
   if (options_.num_workers == 0) options_.num_workers = 1;
 }
 

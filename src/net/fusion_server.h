@@ -1,4 +1,8 @@
-// FusionServer: the TCP front end over a ScoringBackend.
+// FusionServer: the TCP front end over a ShardedFusionService (K >= 1
+// shards; K=1 is the unsharded engine). Every request pins one published
+// snapshot and its reply names that snapshot's id, so a response can be
+// traced to the exact state that produced it while a streaming writer
+// keeps publishing.
 //
 // Architecture: one acceptor thread plus N event-loop worker threads.
 // Accepted connections are handed round-robin to workers; each worker owns
@@ -24,7 +28,7 @@
 // — requests already received in full are answered and pending write
 // buffers flushed (bounded by drain_timeout_ms) — so a client that
 // pipelined a batch right before shutdown still gets its responses. The
-// backend stays valid the whole time; a streaming writer may keep calling
+// service stays valid the whole time; a streaming writer may keep calling
 // Update/PublishSnapshot on the engine behind it throughout.
 #ifndef FUSER_NET_FUSION_SERVER_H_
 #define FUSER_NET_FUSION_SERVER_H_
@@ -36,8 +40,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "net/scoring_backend.h"
 #include "net/wire.h"
+#include "shard/sharded_service.h"
 
 namespace fuser {
 namespace net {
@@ -68,8 +72,10 @@ struct ServerCounters {
 
 class FusionServer {
  public:
-  /// `backend` must outlive the server.
-  FusionServer(const ScoringBackend* backend, FusionServerOptions options);
+  /// `service` must outlive the server. Its methods are const and
+  /// thread-safe: every worker thread calls them concurrently.
+  FusionServer(const ShardedFusionService* service,
+               FusionServerOptions options);
   ~FusionServer();  // Stop() if still running
 
   FusionServer(const FusionServer&) = delete;
@@ -96,7 +102,7 @@ class FusionServer {
 
   void AcceptLoop();
 
-  const ScoringBackend* backend_;
+  const ShardedFusionService* service_;
   FusionServerOptions options_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;

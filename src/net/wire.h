@@ -141,9 +141,9 @@ struct StatsRequest {
 };
 
 /// Reply to kScore and kScoreObservation. `snapshot_id` names the
-/// published FusionSnapshot the answer was read from, so a client (and the
-/// reader-storm stress test) can pin-point exactly which state produced
-/// the score even while a writer keeps publishing.
+/// published snapshot (ShardedSnapshot::id) the answer was read from, so
+/// a client (and the reader-storm stress test) can pin-point exactly which
+/// state produced the score even while a writer keeps publishing.
 struct ScoreReply {
   uint64_t request_id = 0;
   uint64_t snapshot_id = 0;
@@ -168,7 +168,7 @@ struct StatsReply {
   uint64_t dataset_version = 0;
   uint64_t num_triples = 0;
   uint64_t num_sources = 0;
-  uint64_t num_shards = 0;  // 0 = unsharded backend
+  uint64_t num_shards = 0;  // K >= 1 engine shards behind the server
   uint64_t requests_served = 0;
 
   std::string Encode() const;

@@ -91,6 +91,22 @@ StatusOr<ShardedCorpus> ShardedCorpus::Partition(
   return corpus;
 }
 
+StatusOr<ShardedCorpus> ShardedCorpus::Partition(
+    std::unique_ptr<Dataset> full, const ShardingOptions& options) {
+  if (full == nullptr) {
+    return Status::InvalidArgument("Partition requires a dataset");
+  }
+  if (options.num_shards != 1) return Partition(*full, options);
+  if (!full->finalized()) {
+    return Status::FailedPrecondition("Partition requires a finalized dataset");
+  }
+  ShardedCorpus corpus;
+  corpus.options_ = options;
+  corpus.shards_.push_back(std::move(full));
+  corpus.IndexSources();
+  return corpus;
+}
+
 StatusOr<ShardedCorpus> ShardedCorpus::FromShards(
     std::vector<std::unique_ptr<Dataset>> shards,
     const std::vector<std::vector<TripleId>>& local_to_global,
@@ -129,8 +145,17 @@ StatusOr<ShardedCorpus> ShardedCorpus::FromShards(
       }
     }
   }
-  for (SourceId s = 0; s < first.num_sources(); ++s) {
-    corpus.source_index_.emplace(first.source_name(s), s);
+  corpus.IndexSources();
+
+  if (corpus.single()) {
+    // The identity partition: the only valid map is 0..n-1.
+    for (TripleId local = 0; local < local_to_global[0].size(); ++local) {
+      if (local_to_global[0][local] != local) {
+        return Status::InvalidArgument(
+            "shard id maps do not form a bijection onto the global ids");
+      }
+    }
+    return corpus;
   }
 
   // Invert the per-shard maps into global order, checking bijectivity.
@@ -166,6 +191,13 @@ StatusOr<ShardedCorpus> ShardedCorpus::FromShards(
   return corpus;
 }
 
+void ShardedCorpus::IndexSources() {
+  const Dataset& first = *shards_[0];
+  for (SourceId s = 0; s < first.num_sources(); ++s) {
+    source_index_.emplace(first.source_name(s), s);
+  }
+}
+
 SourceId ShardedCorpus::AddSource(std::string_view name) {
   const SourceId id = static_cast<SourceId>(source_index_.size());
   for (auto& shard : shards_) {
@@ -189,6 +221,7 @@ TripleId ShardedCorpus::InternGlobal(std::string_view key, uint32_t shard,
 
 TripleId ShardedCorpus::AddTriple(const TripleView& triple,
                                   std::string_view domain) {
+  if (single()) return shards_[0]->AddTriple(triple, domain);
   std::string key;
   EncodeTripleKey(triple, &key);
   auto it = index_.find(key);
@@ -199,12 +232,12 @@ TripleId ShardedCorpus::AddTriple(const TripleView& triple,
 }
 
 void ShardedCorpus::Provide(SourceId source, TripleId global) {
-  const ShardLocation loc = map_.Get(global);
+  const ShardLocation loc = Locate(global);
   shards_[loc.shard]->Provide(source, loc.local);
 }
 
 void ShardedCorpus::SetLabel(TripleId global, bool is_true) {
-  const ShardLocation loc = map_.Get(global);
+  const ShardLocation loc = Locate(global);
   shards_[loc.shard]->SetLabel(loc.local, is_true);
 }
 
@@ -212,7 +245,7 @@ Status ShardedCorpus::Finalize() {
   if (source_index_.empty()) {
     return Status::InvalidArgument("dataset has no sources");
   }
-  if (map_.size() == 0) {
+  if (num_triples() == 0) {
     return Status::InvalidArgument("dataset has no triples");
   }
   for (auto& shard : shards_) {
@@ -222,6 +255,7 @@ Status ShardedCorpus::Finalize() {
 }
 
 TripleId ShardedCorpus::Find(const TripleView& triple) const {
+  if (single()) return shards_[0]->FindTriple(triple);
   std::string key;
   EncodeTripleKey(triple, &key);
   auto it = index_.find(key);
@@ -230,6 +264,10 @@ TripleId ShardedCorpus::Find(const TripleView& triple) const {
 
 StatusOr<RoutedBatch> ShardedCorpus::RouteBatch(
     const ObservationBatch& batch) const {
+  if (single()) {
+    return Status::FailedPrecondition(
+        "a single-shard corpus streams through its engine, not the router");
+  }
   const size_t num_shards = shards_.size();
   RoutedBatch routed;
   routed.per_shard.resize(num_shards);

@@ -21,6 +21,12 @@
 // triple will get; after the shards applied their slices, CommitRoute
 // extends the index and the map and validates the predictions against the
 // per-shard deltas.
+//
+// K=1 is the identity partition: the one shard *is* the corpus, global ids
+// equal its local ids, and none of the global bookkeeping above exists —
+// no key index, no id map (lookups go straight to Dataset::FindTriple).
+// The single-shard engine streams through FusionEngine::Update directly,
+// so RouteBatch/CommitRoute are never needed there.
 #ifndef FUSER_SHARD_SHARDED_DATASET_H_
 #define FUSER_SHARD_SHARDED_DATASET_H_
 
@@ -132,6 +138,11 @@ class ShardedCorpus {
   static StatusOr<ShardedCorpus> Partition(const Dataset& full,
                                            const ShardingOptions& options);
 
+  /// Same, taking ownership: at K=1 the corpus adopts `full` as its one
+  /// shard with no copy; at K>1 it partitions and drops `full`.
+  static StatusOr<ShardedCorpus> Partition(std::unique_ptr<Dataset> full,
+                                           const ShardingOptions& options);
+
   /// Reassembles a corpus from already-built shard datasets plus their
   /// local -> global id maps (warm start from a manifest). Validates that
   /// the maps form a bijection onto [0, total) and that every shard's
@@ -152,38 +163,42 @@ class ShardedCorpus {
   // ---- Topology ----
 
   size_t num_shards() const { return shards_.size(); }
-  size_t num_triples() const { return map_.size(); }
+  size_t num_triples() const {
+    return single() ? shards_[0]->num_triples() : map_.size();
+  }
   size_t num_sources() const { return source_index_.size(); }
   const ShardingOptions& options() const { return options_; }
   Dataset* mutable_shard(size_t k) { return shards_[k].get(); }
   const Dataset& shard(size_t k) const { return *shards_[k]; }
 
-  ShardLocation Locate(TripleId global) const { return map_.Get(global); }
+  ShardLocation Locate(TripleId global) const {
+    return single() ? ShardLocation{0, global} : map_.Get(global);
+  }
 
   /// Global id of shard k's triple `local` (inverse of Locate).
   TripleId GlobalOf(size_t k, TripleId local) const {
-    return local_to_global_[k][local];
+    return single() ? local : local_to_global_[k][local];
   }
 
   /// Global id of `triple`, or kInvalidTriple.
   TripleId Find(const TripleView& triple) const;
 
-  /// Immutable map view for a published snapshot.
+  /// Immutable map view for a published snapshot; null at K=1 (identity).
   std::shared_ptr<const ShardMap> SnapshotMap() const {
-    return map_.Snapshot();
+    return single() ? nullptr : map_.Snapshot();
   }
 
-  /// Per-shard local -> global id arrays (manifest persistence).
+  /// Per-shard local -> global id arrays (manifest persistence; K>1).
   const std::vector<std::vector<TripleId>>& LocalToGlobal() const {
     return local_to_global_;
   }
 
   // ---- Streaming (route/commit around per-shard ApplyBatch) ----
 
-  /// Splits `batch` into per-shard slices without mutating the corpus.
-  /// Labels of globally unknown triples are dropped (ApplyBatch would skip
-  /// them); labels of triples the batch itself introduces follow the
-  /// triple to its shard.
+  /// Splits `batch` into per-shard slices without mutating the corpus
+  /// (K>1 only; FailedPrecondition at K=1). Labels of globally unknown
+  /// triples are dropped (ApplyBatch would skip them); labels of triples
+  /// the batch itself introduces follow the triple to its shard.
   StatusOr<RoutedBatch> RouteBatch(const ObservationBatch& batch) const;
 
   /// Extends the global index, the shard map, and the source table for a
@@ -194,15 +209,18 @@ class ShardedCorpus {
                      const std::vector<const DatasetDelta*>& deltas);
 
  private:
+  bool single() const { return shards_.size() == 1; }
   TripleId InternGlobal(std::string_view key, uint32_t shard, TripleId local);
+  /// Registers shard 0's sources in source_index_.
+  void IndexSources();
 
   ShardingOptions options_;
   std::vector<std::unique_ptr<Dataset>> shards_;
   StringArena arena_;
-  /// Encoded triple key (arena-backed) -> global id.
+  /// Encoded triple key (arena-backed) -> global id. Empty at K=1.
   std::unordered_map<std::string_view, TripleId> index_;
-  ShardMapBuilder map_;
-  /// Inverse of map_: local_to_global_[k][local] = global id.
+  ShardMapBuilder map_;  // empty at K=1
+  /// Inverse of map_: local_to_global_[k][local] = global id. Empty at K=1.
   std::vector<std::vector<TripleId>> local_to_global_;
   std::unordered_map<std::string, SourceId> source_index_;
 };

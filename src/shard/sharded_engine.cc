@@ -8,7 +8,6 @@
 #include "core/correlation.h"
 #include "core/joint_stats.h"
 #include "core/quality.h"
-#include "persist/snapshot_io.h"
 #include "shard/sharded_persist.h"
 
 namespace fuser {
@@ -23,7 +22,11 @@ ShardedFusionEngine::ShardedFusionEngine(ShardedCorpus corpus,
   const size_t num_shards = corpus_.num_shards();
   const size_t budget = ResolveNumThreads(options_.num_threads);
   EngineOptions shard_options = options_;
-  shard_options.num_threads = std::max<size_t>(1, budget / num_shards);
+  // K>1 splits the budget; the one shard of K=1 keeps the caller's value
+  // as given, so it also saves byte-identical snapshot files.
+  if (num_shards > 1) {
+    shard_options.num_threads = std::max<size_t>(1, budget / num_shards);
+  }
   engines_.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
     engines_.push_back(
@@ -86,6 +89,11 @@ Status ShardedFusionEngine::Prepare(const DynamicBitset& train_mask) {
     return Status::InvalidArgument(
         "train mask size does not match the corpus");
   }
+  if (single()) {
+    FUSER_RETURN_IF_ERROR(engines_[0]->Prepare(train_mask));
+    SyncSingle();
+    return Status::OK();
+  }
   const size_t num_shards = engines_.size();
   std::vector<DynamicBitset> shard_masks;
   shard_masks.reserve(num_shards);
@@ -120,6 +128,13 @@ Status ShardedFusionEngine::Prepare(const DynamicBitset& train_mask) {
 Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare before Update");
+  }
+  if (single()) {
+    FUSER_RETURN_IF_ERROR(engines_[0]->Update(batch));
+    ++updates_applied_;
+    full_invalidations_ = engines_[0]->full_invalidations();
+    SyncSingle();
+    return Status::OK();
   }
   FUSER_ASSIGN_OR_RETURN(RoutedBatch routed, corpus_.RouteBatch(batch));
   const size_t num_shards = engines_.size();
@@ -337,16 +352,20 @@ Status ShardedFusionEngine::CheckSpecs(const std::vector<MethodSpec>& specs,
   return Status::OK();
 }
 
+Status ShardedFusionEngine::PrepareSpecs(const std::vector<MethodSpec>& specs) {
+  if (single()) return Status::OK();
+  bool needs_model = false;
+  FUSER_RETURN_IF_ERROR(CheckSpecs(specs, &needs_model));
+  return needs_model ? EnsureGlobalModel() : Status::OK();
+}
+
 StatusOr<std::vector<FusionRun>> ShardedFusionEngine::RunAll(
     const std::vector<MethodSpec>& specs) {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare before Run");
   }
-  bool needs_model = false;
-  FUSER_RETURN_IF_ERROR(CheckSpecs(specs, &needs_model));
-  if (needs_model) {
-    FUSER_RETURN_IF_ERROR(EnsureGlobalModel());
-  }
+  if (single()) return engines_[0]->RunAll(specs);
+  FUSER_RETURN_IF_ERROR(PrepareSpecs(specs));
 
   const size_t num_shards = engines_.size();
   std::vector<std::vector<FusionRun>> shard_runs(num_shards);
@@ -394,11 +413,7 @@ ShardedFusionEngine::PublishSnapshot(const std::vector<MethodSpec>& specs) {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare before PublishSnapshot");
   }
-  bool needs_model = false;
-  FUSER_RETURN_IF_ERROR(CheckSpecs(specs, &needs_model));
-  if (needs_model) {
-    FUSER_RETURN_IF_ERROR(EnsureGlobalModel());
-  }
+  FUSER_RETURN_IF_ERROR(PrepareSpecs(specs));
 
   const size_t num_shards = engines_.size();
   std::vector<std::shared_ptr<const FusionSnapshot>> shards(num_shards);
@@ -430,6 +445,13 @@ std::shared_ptr<const ShardedSnapshot> ShardedFusionEngine::StoreSnapshot(
   return snapshot;
 }
 
+void ShardedFusionEngine::SyncSingle() {
+  quality_ = engines_[0]->source_quality();
+  train_mask_ = engines_[0]->train_mask();
+  prepared_ = true;
+  PublishCurrent();
+}
+
 void ShardedFusionEngine::PublishCurrent() {
   std::vector<std::shared_ptr<const FusionSnapshot>> shards;
   shards.reserve(engines_.size());
@@ -452,6 +474,7 @@ ShardedFusionEngine::CurrentServableSnapshot() const {
 }
 
 Status ShardedFusionEngine::SaveSnapshot(const std::string& path) const {
+  if (single()) return engines_[0]->SaveSnapshot(path);
   for (size_t k = 0; k < engines_.size(); ++k) {
     FUSER_RETURN_IF_ERROR(engines_[k]->SaveSnapshot(ShardSnapshotPath(path, k)));
   }
@@ -465,34 +488,46 @@ Status ShardedFusionEngine::SaveSnapshot(const std::string& path) const {
 }
 
 StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
-    const std::string& path, const EngineOptions& options) {
-  FUSER_ASSIGN_OR_RETURN(ShardManifest manifest, ReadShardManifest(path));
-  const size_t num_shards = manifest.sharding.num_shards;
-
+    const std::string& path, const EngineOptions& options,
+    const std::optional<LoadOptions>& load) {
+  auto load_file = [&load](const std::string& file) {
+    return load.has_value() ? LoadSnapshot(file, *load) : LoadSnapshot(file);
+  };
+  // The corpus owns the datasets; each shard engine's WarmStart skips its
+  // pointer-identity check for a moved-out dataset (the object itself is
+  // unmoved, so the snapshot's internal pointers stay valid).
   std::vector<LoadedSnapshot> loaded;
-  loaded.reserve(num_shards);
-  std::vector<std::unique_ptr<Dataset>> datasets;
-  datasets.reserve(num_shards);
-  for (size_t k = 0; k < num_shards; ++k) {
-    FUSER_ASSIGN_OR_RETURN(LoadedSnapshot shard,
-                           LoadSnapshot(ShardSnapshotPath(path, k)));
-    // The corpus owns the dataset; the shard engine's WarmStart skips its
-    // pointer-identity check for a moved-out dataset (the object itself is
-    // unmoved, so the snapshot's internal pointers stay valid).
-    datasets.push_back(std::move(shard.dataset));
-    loaded.push_back(std::move(shard));
+  ShardedCorpus corpus;
+  if (!IsShardManifest(path)) {
+    FUSER_ASSIGN_OR_RETURN(LoadedSnapshot whole, load_file(path));
+    FUSER_ASSIGN_OR_RETURN(
+        corpus, ShardedCorpus::Partition(std::move(whole.dataset),
+                                         ShardingOptions{1}));
+    loaded.push_back(std::move(whole));
+  } else {
+    FUSER_ASSIGN_OR_RETURN(ShardManifest manifest, ReadShardManifest(path));
+    const size_t num_shards = manifest.sharding.num_shards;
+    loaded.reserve(num_shards);
+    std::vector<std::unique_ptr<Dataset>> datasets;
+    datasets.reserve(num_shards);
+    for (size_t k = 0; k < num_shards; ++k) {
+      FUSER_ASSIGN_OR_RETURN(LoadedSnapshot shard,
+                             load_file(ShardSnapshotPath(path, k)));
+      datasets.push_back(std::move(shard.dataset));
+      loaded.push_back(std::move(shard));
+    }
+    FUSER_ASSIGN_OR_RETURN(
+        corpus, ShardedCorpus::FromShards(std::move(datasets),
+                                          manifest.local_to_global,
+                                          manifest.sharding));
+    if (corpus.num_triples() != manifest.num_triples ||
+        corpus.num_sources() != manifest.num_sources) {
+      return Status::InvalidArgument(
+          "shard manifest totals do not match the shard snapshots: " + path);
+    }
   }
 
-  FUSER_ASSIGN_OR_RETURN(
-      ShardedCorpus corpus,
-      ShardedCorpus::FromShards(std::move(datasets), manifest.local_to_global,
-                                manifest.sharding));
-  if (corpus.num_triples() != manifest.num_triples ||
-      corpus.num_sources() != manifest.num_sources) {
-    return Status::InvalidArgument(
-        "shard manifest totals do not match the shard snapshots: " + path);
-  }
-
+  const size_t num_shards = corpus.num_shards();
   std::unique_ptr<ShardedFusionEngine> engine(
       new ShardedFusionEngine(std::move(corpus), options));
   for (size_t k = 0; k < num_shards; ++k) {
@@ -504,24 +539,30 @@ StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
   engine->options_ = engine->engines_[0]->options();
   engine->options_.num_threads = options.num_threads;
 
-  engine->train_mask_ = DynamicBitset(engine->corpus_.num_triples());
-  for (size_t k = 0; k < num_shards; ++k) {
-    const size_t shard = k;
-    engine->engines_[k]->train_mask().ForEach([&](size_t local) {
-      engine->train_mask_.Set(engine->corpus_.GlobalOf(
-          shard, static_cast<TripleId>(local)));
-    });
-    FUSER_ASSIGN_OR_RETURN(
-        engine->shard_quality_[k],
-        EstimateSourceQuality(engine->corpus_.shard(k),
-                              engine->engines_[k]->train_mask(),
-                              engine->options_.model.ToQualityOptions()));
-  }
-  FUSER_RETURN_IF_ERROR(engine->MergeQuality());
+  if (engine->single()) {
+    // The one shard's saved quality and model are already the global ones.
+    engine->quality_ = engine->engines_[0]->source_quality();
+    engine->train_mask_ = engine->engines_[0]->train_mask();
+  } else {
+    engine->train_mask_ = DynamicBitset(engine->corpus_.num_triples());
+    for (size_t k = 0; k < num_shards; ++k) {
+      const size_t shard = k;
+      engine->engines_[k]->train_mask().ForEach([&](size_t local) {
+        engine->train_mask_.Set(engine->corpus_.GlobalOf(
+            shard, static_cast<TripleId>(local)));
+      });
+      FUSER_ASSIGN_OR_RETURN(
+          engine->shard_quality_[k],
+          EstimateSourceQuality(engine->corpus_.shard(k),
+                                engine->engines_[k]->train_mask(),
+                                engine->options_.model.ToQualityOptions()));
+    }
+    FUSER_RETURN_IF_ERROR(engine->MergeQuality());
 
-  // Every shard saved the same adopted global parameters; shard 0's model
-  // object becomes the router's (values are identical across shards).
-  engine->model_ = engine->engines_[0]->CurrentSnapshot()->model;
+    // Every shard saved the same adopted global parameters; shard 0's model
+    // object becomes the router's (values are identical across shards).
+    engine->model_ = engine->engines_[0]->CurrentSnapshot()->model;
+  }
   engine->prepared_ = true;
 
   std::vector<std::shared_ptr<const FusionSnapshot>> current;

@@ -22,7 +22,14 @@
 //
 // Methods whose scores couple triples across the corpus (cosine,
 // 3-estimates, LTM — iterative fixed points) cannot be stitched this way
-// and return Unimplemented (FusionMethod::shardable).
+// and return Unimplemented at K>1 (FusionMethod::shardable).
+//
+// K=1 is the unsharded engine, not a special case of the router: the one
+// shard engine owns the whole corpus (ShardedCorpus adopts its Dataset
+// with no copy and no global index, so global ids are its ids), and
+// Prepare/Update/Run/PublishSnapshot go straight to it with no projection,
+// merge or gather. Every registered method runs, exact by construction,
+// and SaveSnapshot/WarmStart use the plain single-file snapshot format.
 //
 // Streaming Update routes each micro-batch to the shards that own its
 // domains; untouched shards pay one near-free AdoptParameters (a quality
@@ -39,11 +46,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/engine.h"
+#include "persist/snapshot_io.h"
 #include "shard/sharded_dataset.h"
 
 namespace fuser {
@@ -56,10 +65,12 @@ struct ShardedSnapshot {
   uint64_t id = 0;
   size_t num_triples = 0;
   size_t num_sources = 0;
-  std::shared_ptr<const ShardMap> map;
+  std::shared_ptr<const ShardMap> map;  // null at K=1 (identity)
   std::vector<std::shared_ptr<const FusionSnapshot>> shards;
 
-  ShardLocation Locate(TripleId global) const { return map->Get(global); }
+  ShardLocation Locate(TripleId global) const {
+    return map != nullptr ? map->Get(global) : ShardLocation{0, global};
+  }
 };
 
 class ShardedFusionEngine {
@@ -90,8 +101,8 @@ class ShardedFusionEngine {
   /// global quality.
   Status Update(const ObservationBatch& batch);
 
-  /// Runs one shardable method on every shard and stitches the per-shard
-  /// scores into global id order. Unimplemented for methods that are not
+  /// Runs one method on every shard and stitches the per-shard scores into
+  /// global id order. At K>1, Unimplemented for methods that are not
   /// shardable and for sketch-based clustering.
   StatusOr<FusionRun> Run(const MethodSpec& spec);
   StatusOr<std::vector<FusionRun>> RunAll(const std::vector<MethodSpec>& specs);
@@ -106,19 +117,25 @@ class ShardedFusionEngine {
   std::shared_ptr<const ShardedSnapshot> CurrentSnapshot() const;
   std::shared_ptr<const ShardedSnapshot> CurrentServableSnapshot() const;
 
-  /// Persists one snapshot file per shard (`<path>.shard<k>`) plus a
-  /// checksummed manifest at `path` recording the partition plan and the
-  /// per-shard local -> global id maps (see shard/sharded_persist.h).
+  /// K=1: writes one plain snapshot file at `path` (persist::SaveSnapshot,
+  /// loadable by LoadSnapshot). K>1: one snapshot file per shard
+  /// (`<path>.shard<k>`) plus a checksummed manifest at `path` recording
+  /// the partition plan and the per-shard local -> global id maps (see
+  /// shard/sharded_persist.h).
   Status SaveSnapshot(const std::string& path) const;
 
-  /// Rebuilds a sharded engine from SaveSnapshot output: validates the
-  /// manifest (magic, versions, checksum), loads every shard snapshot
-  /// (a missing shard file or a shard saved under a different snapshot
-  /// format version fails the whole warm start), reassembles the global id
-  /// maps, and warm-starts each shard engine. `options.num_threads` is the
-  /// host budget; every other option comes from the saved state.
+  /// Rebuilds an engine from SaveSnapshot output, picking the format from
+  /// the file magic. A plain snapshot file (FusionEngine::SaveSnapshot or
+  /// K=1 output) warm-starts K=1. A manifest (any K) is validated (magic,
+  /// versions, checksum), every shard snapshot is loaded (a missing shard
+  /// file or a shard saved under a different snapshot format version fails
+  /// the whole warm start), the global id maps are reassembled, and each
+  /// shard engine warm-starts. `options.num_threads` is the host budget;
+  /// every other option comes from the saved state. Snapshot files load
+  /// with LoadSnapshot(path), or with `load` when given.
   static StatusOr<std::unique_ptr<ShardedFusionEngine>> WarmStart(
-      const std::string& path, const EngineOptions& options);
+      const std::string& path, const EngineOptions& options,
+      const std::optional<LoadOptions>& load = std::nullopt);
 
   // ---- Introspection ----
 
@@ -138,6 +155,13 @@ class ShardedFusionEngine {
  private:
   ShardedFusionEngine(ShardedCorpus corpus, const EngineOptions& options);
 
+  bool single() const { return engines_.size() == 1; }
+  /// K>1: rejects specs the router cannot serve exactly and builds the
+  /// global model when one of them needs it. K=1: nothing to do.
+  Status PrepareSpecs(const std::vector<MethodSpec>& specs);
+  /// K=1: mirrors the shard engine's quality and train mask after it
+  /// changed, and publishes.
+  void SyncSingle();
   /// Builds the global model from merged per-shard counts and adopts it
   /// (with the merged quality) into every shard. No-op when already built.
   Status EnsureGlobalModel();

@@ -40,6 +40,13 @@ std::string ShardSnapshotPath(const std::string& path, size_t shard) {
   return path + ".shard" + std::to_string(shard);
 }
 
+bool IsShardManifest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[sizeof(kMagic)] = {};
+  return in.read(magic, sizeof(magic)) &&
+         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
+}
+
 Status WriteShardManifest(const std::string& path,
                           const ShardManifest& manifest) {
   if (manifest.local_to_global.size() != manifest.sharding.num_shards) {

@@ -1,11 +1,11 @@
 // Manifest persistence for the sharded engine.
 //
-// ShardedFusionEngine::SaveSnapshot writes one ordinary snapshot file per
-// shard (`<path>.shard<k>`, the full src/persist/ format: dataset, train
-// mask, model, grouping, serving) plus a manifest at `path` tying them
-// together. The manifest records everything the shard files cannot: the
-// partition plan (shard count and domain-hash seed — loading under a
-// different plan would silently misroute reads) and the per-shard
+// At K>1, ShardedFusionEngine::SaveSnapshot writes one ordinary snapshot
+// file per shard (`<path>.shard<k>`, the full src/persist/ format:
+// dataset, train mask, model, grouping, serving) plus a manifest at `path`
+// tying them together. The manifest records everything the shard files
+// cannot: the partition plan (shard count and domain-hash seed — loading
+// under a different plan would silently misroute reads) and the per-shard
 // local -> global triple id maps that let the router reassemble the global
 // id space in its original order.
 //
@@ -16,6 +16,10 @@
 //   u32 num_shards | u64 hash_seed | u64 num_triples | u64 num_sources
 //   per shard: u64 count | count x u32 global ids (local id order)
 //   u64 checksum
+//
+// At K=1 the engine saves one plain snapshot file instead, and
+// ShardedFusionEngine::WarmStart tells the two apart by their magic
+// (IsShardManifest); 1-shard manifests written before that still load.
 //
 // ReadShardManifest refuses a bad magic, an unknown manifest version, a
 // snapshot format version other than the library's own (mixed-version
@@ -50,6 +54,10 @@ std::string ShardSnapshotPath(const std::string& path, size_t shard);
 /// Writes the manifest atomically (tmp + rename).
 Status WriteShardManifest(const std::string& path,
                           const ShardManifest& manifest);
+
+/// Whether the file at `path` starts with the manifest magic (false for a
+/// plain snapshot file, and for an unreadable one).
+bool IsShardManifest(const std::string& path);
 
 /// Reads and fully validates a manifest.
 StatusOr<ShardManifest> ReadShardManifest(const std::string& path);

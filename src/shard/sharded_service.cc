@@ -52,6 +52,11 @@ StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
     const ShardedSnapshot& snapshot, const MethodSpec& spec,
     const std::vector<TripleId>& triples) const {
   const size_t num_shards = snapshot.shards.size();
+  if (num_shards == 1) {
+    // K=1: global ids are shard 0's ids; no scatter, no gather.
+    FUSER_RETURN_IF_ERROR(CheckShardSnapshot(snapshot, 0));
+    return services_[0].ScoreBatch(*snapshot.shards[0], spec, triples);
+  }
   // Scatter: per-shard local ids plus each query's position in the request.
   std::vector<std::vector<TripleId>> locals(num_shards);
   std::vector<std::vector<size_t>> positions(num_shards);

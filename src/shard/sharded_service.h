@@ -10,7 +10,8 @@
 //
 // Queries fan out through per-shard FusionService facades and merge in
 // request order; over the same data the answers are byte-identical to an
-// unsharded FusionService at every K and thread count. Ad-hoc observations
+// unsharded FusionService at every K and thread count. At K=1 every query
+// goes straight to the one shard's facade. Ad-hoc observations
 // (global SourceIds) are scored by shard 0 — every shard holds the same
 // router-merged global parameters, so any shard gives the same answer.
 #ifndef FUSER_SHARD_SHARDED_SERVICE_H_

@@ -1,6 +1,7 @@
 // FusionServer end-to-end tests over real loopback sockets: networked
-// answers must be byte-identical to the in-process FusionService (and
-// ShardedFusionService) on the same snapshot; malformed streams must come
+// answers must be byte-identical to the in-process ShardedFusionService on
+// the same snapshot and to an unsharded FusionService on the same data, at
+// K=1 (the unsharded topology) and K=4 shards; malformed streams must come
 // back as clean error frames (fatal only when stream integrity is lost);
 // a slow-loris peer dripping one byte at a time must neither wedge the
 // event loop nor corrupt framing; clients must be able to reconnect after
@@ -27,7 +28,6 @@
 #include "gtest/gtest.h"
 #include "model/dataset.h"
 #include "net/fusion_client.h"
-#include "net/scoring_backend.h"
 #include "serving/fusion_service.h"
 #include "shard/sharded_engine.h"
 #include "shard/sharded_service.h"
@@ -64,27 +64,38 @@ Dataset MakeServingDataset(uint64_t seed) {
   return std::move(*dataset);
 }
 
-/// Engine + service + backend + running server, on an ephemeral port.
+/// A K-shard engine + service + running server on an ephemeral port, plus
+/// an unsharded FusionEngine over the same data as the reference.
 struct ServerHarness {
   Dataset dataset;
-  std::unique_ptr<FusionEngine> engine;
-  std::shared_ptr<const FusionSnapshot> snapshot;
-  std::unique_ptr<FusionService> service;
-  std::unique_ptr<ServiceBackend> backend;
+  std::unique_ptr<ShardedFusionEngine> engine;
+  std::shared_ptr<const ShardedSnapshot> snapshot;
+  std::unique_ptr<ShardedFusionService> service;
   std::unique_ptr<FusionServer> server;
+  std::unique_ptr<FusionEngine> reference;
+  std::unique_ptr<FusionService> reference_service;
 
-  explicit ServerHarness(FusionServerOptions options = {},
+  explicit ServerHarness(uint32_t num_shards = 1,
+                         FusionServerOptions options = {},
                          uint64_t seed = 311)
       : dataset(MakeServingDataset(seed)) {
-    engine = std::make_unique<FusionEngine>(&dataset, EngineOptions{});
+    auto created = ShardedFusionEngine::Create(
+        dataset, ShardingOptions{num_shards}, EngineOptions{});
+    EXPECT_TRUE(created.ok()) << created.status();
+    engine = std::move(*created);
     EXPECT_TRUE(engine->Prepare(dataset.labeled_mask()).ok());
     auto published = engine->PublishSnapshot(ServingLineup());
     EXPECT_TRUE(published.ok()) << published.status();
     snapshot = *published;
-    service = std::make_unique<FusionService>(engine.get());
-    backend = std::make_unique<ServiceBackend>(service.get());
-    server = std::make_unique<FusionServer>(backend.get(), options);
+    service = std::make_unique<ShardedFusionService>(engine.get());
+    server = std::make_unique<FusionServer>(service.get(), options);
     EXPECT_TRUE(server->Start().ok());
+
+    reference = std::make_unique<FusionEngine>(
+        static_cast<const Dataset*>(&dataset), EngineOptions{});
+    EXPECT_TRUE(reference->Prepare(dataset.labeled_mask()).ok());
+    EXPECT_TRUE(reference->PublishSnapshot(ServingLineup()).ok());
+    reference_service = std::make_unique<FusionService>(reference.get());
   }
 };
 
@@ -155,7 +166,8 @@ bool WaitForEof(int fd) {
 }
 
 /// The shared identity check: every networked answer equals the local
-/// FusionService answer on the pinned snapshot, byte for byte.
+/// service's answer on the pinned snapshot and the unsharded reference
+/// service's answer, byte for byte.
 void ExpectNetworkMatchesLocal(const ServerHarness& harness,
                                FusionClient* client) {
   const std::vector<MethodSpec> specs = ServingLineup();
@@ -164,6 +176,9 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
   for (const MethodSpec& spec : specs) {
     auto local = harness.service->ScoreBatch(*harness.snapshot, spec, all);
     ASSERT_TRUE(local.ok()) << local.status();
+    auto unsharded = harness.reference_service->ScoreBatch(spec, all);
+    ASSERT_TRUE(unsharded.ok()) << unsharded.status();
+    ASSERT_EQ(*local, *unsharded) << spec.Name();
     auto remote = client->ScoreBatch(spec.Name(), all);
     ASSERT_TRUE(remote.ok()) << remote.status();
     EXPECT_EQ(remote->snapshot_id, harness.snapshot->id);
@@ -185,14 +200,25 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
   auto local = harness.service->ScoreObservation(*harness.snapshot, specs[0],
                                                  observation);
   ASSERT_TRUE(local.ok()) << local.status();
+  auto unsharded =
+      harness.reference_service->ScoreObservation(specs[0], observation);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status();
+  EXPECT_EQ(*local, *unsharded);
   auto remote = client->ScoreObservation(specs[0].Name(),
                                          observation.providers, {});
   ASSERT_TRUE(remote.ok()) << remote.status();
   EXPECT_EQ(remote->score, *local);
 }
 
-TEST(FusionServerTest, NetworkedScoresAreByteIdenticalToLocalService) {
-  ServerHarness harness;
+/// The serving behaviours that must hold for every topology, run at K=1
+/// (the unsharded engine) and K=4 behind the same wire.
+class FusionServerTopologyTest : public testing::TestWithParam<uint32_t> {
+ protected:
+  uint32_t num_shards() const { return GetParam(); }
+};
+
+TEST_P(FusionServerTopologyTest, NetworkedScoresAreByteIdenticalToLocal) {
+  ServerHarness harness(num_shards());
   FusionClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
   ExpectNetworkMatchesLocal(harness, &client);
@@ -202,7 +228,7 @@ TEST(FusionServerTest, NetworkedScoresAreByteIdenticalToLocalService) {
   EXPECT_EQ(stats->snapshot_id, harness.snapshot->id);
   EXPECT_EQ(stats->num_triples, harness.dataset.num_triples());
   EXPECT_EQ(stats->num_sources, harness.dataset.num_sources());
-  EXPECT_EQ(stats->num_shards, 0u);  // unsharded backend
+  EXPECT_EQ(stats->num_shards, num_shards());
   EXPECT_GT(stats->requests_served, 0u);
 
   const ServerCounters counters = harness.server->counters();
@@ -211,8 +237,8 @@ TEST(FusionServerTest, NetworkedScoresAreByteIdenticalToLocalService) {
   EXPECT_EQ(counters.errors_sent, 0u);
 }
 
-TEST(FusionServerTest, PipelinedBatchesComeBackInOrderAndIdentical) {
-  ServerHarness harness;
+TEST_P(FusionServerTopologyTest, PipelinedBatchesComeBackInOrderAndIdentical) {
+  ServerHarness harness(num_shards());
   FusionClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
   const MethodSpec spec = ServingLineup()[0];
@@ -235,41 +261,6 @@ TEST(FusionServerTest, PipelinedBatchesComeBackInOrderAndIdentical) {
       ASSERT_EQ((*replies)[b].scores[i], (*local)[i]) << "batch " << b;
     }
   }
-}
-
-TEST(FusionServerTest, ShardedBackendServesIdenticallyBehindTheSameWire) {
-  Dataset dataset = MakeServingDataset(/*seed=*/947);
-  auto sharded = ShardedFusionEngine::Create(dataset, ShardingOptions{4},
-                                             EngineOptions{});
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ASSERT_TRUE((*sharded)->Prepare(dataset.labeled_mask()).ok());
-  const std::vector<MethodSpec> specs = ServingLineup();
-  auto published = (*sharded)->PublishSnapshot(specs);
-  ASSERT_TRUE(published.ok()) << published.status();
-  ShardedFusionService service(sharded->get());
-  ShardedServiceBackend backend(&service, (*sharded)->num_shards());
-  FusionServer server(&backend, {});
-  ASSERT_TRUE(server.Start().ok());
-
-  FusionClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  const std::vector<TripleId> all = AllTriples(dataset.num_triples());
-  for (const MethodSpec& spec : specs) {
-    auto local = service.ScoreBatch(**published, spec, all);
-    ASSERT_TRUE(local.ok()) << local.status();
-    auto remote = client.ScoreBatch(spec.Name(), all);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_EQ(remote->snapshot_id, (*published)->id);
-    ASSERT_EQ(remote->scores.size(), local->size());
-    for (size_t t = 0; t < all.size(); ++t) {
-      ASSERT_EQ(remote->scores[t], (*local)[t])
-          << spec.Name() << " triple " << t;
-    }
-  }
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->num_shards, 4u);
-  server.Stop();
 }
 
 TEST(FusionServerTest, RequestLevelErrorsKeepTheConnectionServing) {
@@ -364,7 +355,7 @@ TEST(FusionServerTest, StreamCorruptionGetsOneFatalErrorThenClose) {
   {
     FusionServerOptions options;
     options.max_payload_bytes = 4096;
-    ServerHarness small(options, /*seed=*/313);
+    ServerHarness small(/*num_shards=*/1, options, /*seed=*/313);
     const int fd = RawConnect(small.server->port());
     RawWriteAll(fd, EncodeFrame(MessageType::kScoreBatch,
                                 std::string(8192, 'a')));
@@ -412,7 +403,7 @@ TEST(FusionServerTest, SlowLorisSingleByteWritesStillGetAnswered) {
 TEST(FusionServerTest, IdleConnectionsAreReaped) {
   FusionServerOptions options;
   options.idle_timeout_ms = 100;
-  ServerHarness harness(options);
+  ServerHarness harness(/*num_shards=*/1, options);
   const int fd = RawConnect(harness.server->port());
   // Write nothing; the sweep must close us without affecting the server.
   EXPECT_TRUE(WaitForEof(fd));
@@ -436,7 +427,7 @@ TEST(FusionServerTest, ClientReconnectsAfterServerRestart) {
   EXPECT_FALSE(client.Score("precrec", 0).ok());
 
   // Restart on the same port (SO_REUSEADDR) and reconnect with retries.
-  FusionServer second(harness.backend.get(), [port] {
+  FusionServer second(harness.service.get(), [port] {
     FusionServerOptions options;
     options.port = port;
     return options;
@@ -452,10 +443,10 @@ TEST(FusionServerTest, ClientReconnectsAfterServerRestart) {
   second.Stop();
 }
 
-TEST(FusionServerTest, StopDrainsPipelinedRequestsAlreadyReceived) {
+TEST_P(FusionServerTopologyTest, StopDrainsPipelinedRequestsAlreadyReceived) {
   FusionServerOptions options;
   options.num_workers = 1;
-  ServerHarness harness(options);
+  ServerHarness harness(num_shards(), options);
   const int fd = RawConnect(harness.server->port());
   constexpr uint64_t kPipelined = 30;
   std::string wire;
@@ -488,10 +479,10 @@ TEST(FusionServerTest, StopDrainsPipelinedRequestsAlreadyReceived) {
   close(fd);
 }
 
-TEST(FusionServerTest, ManyConcurrentClientsAllGetIdenticalAnswers) {
+TEST_P(FusionServerTopologyTest, ManyConcurrentClientsAllGetIdenticalAnswers) {
   FusionServerOptions options;
   options.num_workers = 3;
-  ServerHarness harness(options);
+  ServerHarness harness(num_shards(), options);
   auto local = harness.service->ScoreBatch(
       *harness.snapshot, ServingLineup()[0],
       AllTriples(harness.dataset.num_triples()));
@@ -537,10 +528,16 @@ TEST(FusionServerTest, ManyConcurrentClientsAllGetIdenticalAnswers) {
   EXPECT_EQ(harness.server->counters().connections_accepted, kClients);
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    OneAndFourShards, FusionServerTopologyTest, testing::Values(1u, 4u),
+    [](const testing::TestParamInfo<uint32_t>& info) {
+      return "K" + std::to_string(info.param);
+    });
+
 TEST(FusionServerForcePollTest, PollEventLoopServesIdentically) {
   FusionServerOptions options;
   options.force_poll = true;
-  ServerHarness harness(options);
+  ServerHarness harness(/*num_shards=*/1, options);
   FusionClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
   ExpectNetworkMatchesLocal(harness, &client);

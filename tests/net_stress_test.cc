@@ -1,11 +1,12 @@
 // Network reader storm racing a streaming writer (the TSan centerpiece of
 // the net stack, mirroring tests/serving_stress_test.cc one layer up):
 // client threads hammer FusionServer over real loopback sockets while the
-// writer thread keeps calling FusionEngine::Update and republishing
-// snapshots behind the live server. Every networked reply names the
-// snapshot it was answered from, and must match that snapshot's reference
-// scores byte for byte — no torn responses, no answer from a state that
-// was never published, even across the publish boundary.
+// writer thread keeps calling ShardedFusionEngine::Update (K=1, the
+// unsharded topology) and republishing snapshots behind the live server.
+// Every networked reply names the snapshot it was answered from, and must
+// match that snapshot's reference scores byte for byte — no torn
+// responses, no answer from a state that was never published, even across
+// the publish boundary.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -17,12 +18,11 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/engine.h"
 #include "gtest/gtest.h"
 #include "net/fusion_client.h"
 #include "net/fusion_server.h"
-#include "net/scoring_backend.h"
-#include "serving/fusion_service.h"
+#include "shard/sharded_engine.h"
+#include "shard/sharded_service.h"
 #include "synth/generator.h"
 #include "synth/stream_replay.h"
 
@@ -50,10 +50,11 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
   const TripleId prefix = total - total / 4;
   auto prefix_or = PrefixDataset(final, prefix);
   ASSERT_TRUE(prefix_or.ok());
-  Dataset ds = std::move(*prefix_or);
-
-  FusionEngine engine(&ds, {});
-  ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
+  auto engine_or =
+      ShardedFusionEngine::Create(*prefix_or, ShardingOptions{1}, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  ShardedFusionEngine& engine = **engine_or;
+  ASSERT_TRUE(engine.Prepare(prefix_or->labeled_mask()).ok());
   const std::vector<MethodSpec> specs = {*ParseMethodSpec("precrec-corr"),
                                          *ParseMethodSpec("precrec")};
 
@@ -73,11 +74,10 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
   };
   publish_and_record();
 
-  FusionService service(&engine);
-  ServiceBackend backend(&service);
+  ShardedFusionService service(&engine);
   FusionServerOptions server_options;
   server_options.num_workers = 2;
-  FusionServer server(&backend, server_options);
+  FusionServer server(&service, server_options);
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};

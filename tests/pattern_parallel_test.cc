@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
+#include "support/pattern_oracles.h"
 #include "core/precrec_corr.h"
 #include "gtest/gtest.h"
 #include "synth/generator.h"

@@ -3,10 +3,13 @@
 // produces byte-identical scores to a single unsharded FusionEngine on the
 // same data — at every shard count, every thread count, with scoped and
 // clustered configs, through streaming updates, through the serving
-// facade, and across a save/warm-start round trip.
+// facade, and across a save/warm-start round trip. K=1 is the unsharded
+// engine itself: every registered method, plain single-file snapshots in
+// and out, and 1-shard manifests from older saves still load.
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -368,19 +371,181 @@ TEST(ShardedPersistTest, RefusesCorruptMissingAndMixedVersionManifests) {
   EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedEngineTest, NonShardableMethodsAreRejected) {
+TEST(ShardedEngineTest, NonShardableMethodsAreRejectedAboveOneShard) {
   Dataset ds = MakeDataset(Variant::kPlain, /*seed=*/2001);
-  auto engine =
-      ShardedFusionEngine::Create(ds, ShardingOptions{2}, EngineOptions{});
+  for (uint32_t num_shards : {2u, 4u}) {
+    auto engine = ShardedFusionEngine::Create(
+        ds, ShardingOptions{num_shards}, EngineOptions{});
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+    for (const char* name : {"cosine", "3estimates", "ltm"}) {
+      auto spec = ParseMethodSpec(name);
+      ASSERT_TRUE(spec.ok()) << name;
+      EXPECT_EQ((*engine)->Run(*spec).status().code(),
+                StatusCode::kUnimplemented)
+          << name << " at K=" << num_shards;
+      EXPECT_EQ((*engine)->PublishSnapshot({*spec}).status().code(),
+                StatusCode::kUnimplemented)
+          << name << " at K=" << num_shards;
+    }
+  }
+}
+
+/// The full registry lineup with default parameters, the couplers
+/// (cosine, 3-estimates, LTM) included.
+std::vector<MethodSpec> RegistryLineup() {
+  std::vector<MethodSpec> specs;
+  for (const FusionMethod* method : MethodRegistry::Global().All()) {
+    MethodSpec spec;
+    spec.kind = method->kind();
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+TEST(SingleShardTest, RunAllOverTheFullRegistryMatchesFusionEngine) {
+  for (Variant variant :
+       {Variant::kPlain, Variant::kScoped, Variant::kClustered}) {
+    Dataset ds = MakeDataset(variant, /*seed=*/2301);
+    const EngineOptions options = MakeOptions(variant);
+    FusionEngine reference(static_cast<const Dataset*>(&ds), options);
+    ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
+    auto expected = reference.RunAll(RegistryLineup());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+
+    auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{1}, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+    auto runs = (*engine)->RunAll(RegistryLineup());
+    ASSERT_TRUE(runs.ok()) << runs.status();
+    ExpectRunsIdentical(*runs, *expected);
+  }
+}
+
+/// Publishes `specs` on a K=1 engine warm-started from `path` and checks
+/// that it serves exactly what `reference` (the engine that saved the
+/// file) serves.
+void ExpectWarmSingleShardServesLike(
+    const std::unique_ptr<ShardedFusionEngine>& warm, FusionEngine* reference,
+    const std::vector<MethodSpec>& specs) {
+  ASSERT_EQ(warm->num_shards(), 1u);
+  ASSERT_EQ(warm->num_triples(), reference->dataset()->num_triples());
+  auto runs = warm->RunAll(specs);
+  ASSERT_TRUE(runs.ok()) << runs.status();
+  auto expected = reference->RunAll(specs);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ExpectRunsIdentical(*runs, *expected);
+
+  // Immediately servable: the saved serving entries are adopted as-is.
+  ShardedFusionService service(warm.get());
+  FusionService reference_service(reference);
+  std::vector<TripleId> all(warm->num_triples());
+  std::iota(all.begin(), all.end(), TripleId{0});
+  for (const MethodSpec& spec : specs) {
+    auto served = service.ScoreBatch(spec, all);
+    ASSERT_TRUE(served.ok()) << served.status();
+    auto expected_scores = reference_service.ScoreBatch(spec, all);
+    ASSERT_TRUE(expected_scores.ok()) << expected_scores.status();
+    ASSERT_EQ(*served, *expected_scores) << spec.Name();
+  }
+  AdHocObservation observation;
+  observation.providers = {0, 2};
+  observation.in_scope = {0, 1, 2, 3};
+  auto served = service.ScoreObservation(specs.back(), observation);
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto expected_obs =
+      reference_service.ScoreObservation(specs.back(), observation);
+  ASSERT_TRUE(expected_obs.ok()) << expected_obs.status();
+  EXPECT_EQ(*served, *expected_obs);
+}
+
+TEST(SingleShardTest, FusionEngineSnapshotWarmStartsOneShard) {
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/2401);
+  FusionEngine reference(static_cast<const Dataset*>(&ds),
+                         MakeOptions(Variant::kScoped));
+  ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
+  const std::vector<MethodSpec> specs = ShardableLineup();
+  ASSERT_TRUE(reference.PublishSnapshot(specs).ok());
+  const std::string path = TempPath("single_from_engine.snap");
+  ASSERT_TRUE(reference.SaveSnapshot(path).ok());
+
+  EngineOptions warm_options;  // everything but num_threads comes from disk
+  warm_options.num_threads = 2;
+  auto warm = ShardedFusionEngine::WarmStart(path, warm_options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE((*warm)->options().model.use_scopes);
+  ExpectWarmSingleShardServesLike(*warm, &reference, specs);
+
+  // The caller's LoadOptions reach the snapshot load: zero-copy attach.
+  LoadOptions attach;
+  attach.attach = AttachMode::kMmap;
+  auto attached = ShardedFusionEngine::WarmStart(path, warm_options, attach);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_GT((*attached)->corpus().shard(0).MemoryStats().mapped_bytes, 0u);
+  ExpectWarmSingleShardServesLike(*attached, &reference, specs);
+}
+
+TEST(SingleShardTest, SaveWritesOnePlainSnapshotFile) {
+  Dataset ds = MakeDataset(Variant::kClustered, /*seed=*/2501);
+  const EngineOptions options = MakeOptions(Variant::kClustered);
+  auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{1}, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
-  for (const char* name : {"cosine", "3estimates", "ltm"}) {
-    auto spec = ParseMethodSpec(name);
-    ASSERT_TRUE(spec.ok()) << name;
-    EXPECT_EQ((*engine)->Run(*spec).status().code(),
-              StatusCode::kUnimplemented)
-        << name;
-  }
+  const std::vector<MethodSpec> specs = ShardableLineup();
+  ASSERT_TRUE((*engine)->PublishSnapshot(specs).ok());
+  auto expected = (*engine)->RunAll(specs);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  const std::string path = TempPath("single_plain.snap");
+  ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+
+  // No manifest and no shard files: one file in the plain format.
+  EXPECT_FALSE(IsShardManifest(path));
+  EXPECT_FALSE(std::ifstream(ShardSnapshotPath(path, 0)).good());
+  auto loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->dataset->num_triples(), ds.num_triples());
+  EXPECT_EQ(loaded->snapshot->serving.size(), specs.size());
+
+  FusionEngine plain(loaded->dataset.get(), EngineOptions{});
+  ASSERT_TRUE(plain.WarmStart(*loaded).ok());
+  auto runs = plain.RunAll(specs);
+  ASSERT_TRUE(runs.ok()) << runs.status();
+  ExpectRunsIdentical(*runs, *expected);
+}
+
+TEST(SingleShardTest, OneShardManifestFromEarlierSavesStillWarmStarts) {
+  // Earlier releases saved K=1 like any K: `<path>.shard0` plus a FUSRMANI
+  // manifest with the identity id map. Write exactly that layout.
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/2601);
+  FusionEngine reference(static_cast<const Dataset*>(&ds),
+                         MakeOptions(Variant::kScoped));
+  ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
+  const std::vector<MethodSpec> specs = ShardableLineup();
+  ASSERT_TRUE(reference.PublishSnapshot(specs).ok());
+  const std::string path = TempPath("single_manifest.snap");
+  ASSERT_TRUE(reference.SaveSnapshot(ShardSnapshotPath(path, 0)).ok());
+  ShardManifest manifest;
+  manifest.snapshot_format_version = kSnapshotFormatVersion;
+  manifest.sharding = ShardingOptions{1};
+  manifest.num_triples = ds.num_triples();
+  manifest.num_sources = ds.num_sources();
+  manifest.local_to_global.emplace_back(ds.num_triples());
+  std::iota(manifest.local_to_global[0].begin(),
+            manifest.local_to_global[0].end(), TripleId{0});
+  ASSERT_TRUE(WriteShardManifest(path, manifest).ok());
+  ASSERT_TRUE(IsShardManifest(path));
+
+  auto warm = ShardedFusionEngine::WarmStart(path, EngineOptions{});
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ExpectWarmSingleShardServesLike(*warm, &reference, specs);
+
+  // A 1-shard manifest whose id map is not the identity is refused.
+  std::swap(manifest.local_to_global[0][0], manifest.local_to_global[0][1]);
+  ASSERT_TRUE(WriteShardManifest(path, manifest).ok());
+  EXPECT_EQ(ShardedFusionEngine::WarmStart(path, EngineOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedEngineTest, SketchClusteringIsRejected) {

@@ -1,0 +1,32 @@
+// Reference implementations of the pattern pipeline's hot paths, kept out
+// of the production library: the oracles the optimized paths in
+// core/pattern_pipeline.h are asserted byte-identical against
+// (tests/pattern_parallel_test.cc), and the pre-optimization baselines of
+// bench/bench_inference.cc. Built as the fuser_test_support library.
+#ifndef FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
+#define FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
+
+#include <vector>
+
+#include "common/status.h"
+#include "core/correlation_model.h"
+#include "core/pattern_pipeline.h"
+#include "model/dataset.h"
+
+namespace fuser {
+
+/// The scalar reference of BuildPatternGrouping: one GetClusterObservation
+/// + hash-emplace per (cluster, triple).
+StatusOr<PatternGrouping> BuildPatternGroupingScalar(
+    const Dataset& dataset, const CorrelationModel& model);
+
+/// The reference of CombinePatternScores: the serial per-triple loop with
+/// 2 x num_clusters std::log calls per triple.
+std::vector<double> CombinePatternScoresReference(
+    const PatternGrouping& grouping,
+    const std::vector<std::vector<PatternLikelihood>>& likelihood,
+    double alpha);
+
+}  // namespace fuser
+
+#endif  // FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
