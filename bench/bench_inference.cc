@@ -184,8 +184,10 @@ int Main(int argc, char** argv) {
   }
   std::vector<double> table(4096);
   for (double& v : table) v = rng.NextDouble() * 2.0 - 1.0;
-  std::vector<size_t> idx(size_t{1} << 16);
-  for (size_t& i : idx) i = rng.NextBounded(table.size());
+  std::vector<uint32_t> idx(size_t{1} << 16);
+  for (uint32_t& i : idx) {
+    i = static_cast<uint32_t>(rng.NextBounded(table.size()));
+  }
 
   // Byte-identity of every kernel before timing anything.
   bool kernels_identical =

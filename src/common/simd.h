@@ -6,8 +6,8 @@
 //    (the joint-count loops in pairwise correlation discovery and the
 //    sketch estimator);
 //  * transpose_bit_columns: the 64x64 bit-matrix transpose behind the
-//    word-parallel pattern grouping (k source bitset words in, 64
-//    per-triple provider masks out);
+//    word-parallel pattern grouping and independent-source scoring (k
+//    source bitset words in, 64 per-triple provider masks out);
 //  * gather_doubles: the pattern-posterior table gather in
 //    CombinePatternScores (scores[t] = table[pattern_of[t]]).
 //
@@ -66,8 +66,9 @@ struct Kernels {
   /// the scalar implementation.
   void (*transpose_bit_columns)(const uint64_t* rows, size_t k,
                                 uint64_t* cols);
-  /// out[i] = table[idx[i]] for i in [0, n). Indices must be in range.
-  void (*gather_doubles)(const double* table, const size_t* idx, size_t n,
+  /// out[i] = table[idx[i]] for i in [0, n). Indices must be in range;
+  /// they are unsigned, so the full 32-bit range is valid.
+  void (*gather_doubles)(const double* table, const uint32_t* idx, size_t n,
                          double* out);
 };
 
@@ -95,8 +96,8 @@ inline void TransposeBitColumns(const uint64_t* rows, size_t k,
   ActiveKernels().transpose_bit_columns(rows, k, cols);
 }
 
-inline void GatherDoubles(const double* table, const size_t* idx, size_t n,
-                          double* out) {
+inline void GatherDoubles(const double* table, const uint32_t* idx,
+                          size_t n, double* out) {
   ActiveKernels().gather_doubles(table, idx, n, out);
 }
 

@@ -6,11 +6,14 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "core/correlation.h"
+#include "core/precrec.h"
 
 namespace fuser {
 
 StatusOr<std::vector<double>> AggressiveScores(const Dataset& dataset,
-                                               const CorrelationModel& model) {
+                                               const CorrelationModel& model,
+                                               size_t num_threads,
+                                               ThreadPool* pool) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }
@@ -43,26 +46,9 @@ StatusOr<std::vector<double>> AggressiveScores(const Dataset& dataset,
     }
   }
 
-  double total_silent = 0.0;
-  for (size_t s = 0; s < n; ++s) total_silent += log_silent[s];
-
-  std::vector<double> scores(dataset.num_triples());
-  for (TripleId t = 0; t < dataset.num_triples(); ++t) {
-    double log_mu;
-    if (!model.use_scopes) {
-      log_mu = total_silent;
-      for (SourceId s : dataset.providers(t)) {
-        log_mu += log_provide[s] - log_silent[s];
-      }
-    } else {
-      log_mu = 0.0;
-      for (SourceId s : dataset.in_scope_sources(t)) {
-        log_mu += dataset.provides(s, t) ? log_provide[s] : log_silent[s];
-      }
-    }
-    scores[t] = PosteriorFromLogMu(log_mu, model.alpha);
-  }
-  return scores;
+  return IndependentSourceScores(dataset, log_provide, log_silent,
+                                 model.use_scopes, model.alpha, num_threads,
+                                 pool);
 }
 
 }  // namespace fuser

@@ -23,10 +23,17 @@
 
 namespace fuser {
 
+class ThreadPool;
+
 /// Scores every triple with the aggressive approximation of its correctness
-/// probability.
+/// probability: the adjusted per-source rates run through the
+/// independent-sources scorer (IndependentSourceScores, core/precrec.h)
+/// across `num_threads` workers (0 = one per hardware thread), optionally
+/// on `pool`.
 StatusOr<std::vector<double>> AggressiveScores(const Dataset& dataset,
-                                               const CorrelationModel& model);
+                                               const CorrelationModel& model,
+                                               size_t num_threads = 1,
+                                               ThreadPool* pool = nullptr);
 
 }  // namespace fuser
 

@@ -18,6 +18,7 @@ class PrecRecMethod : public FusionMethod {
  public:
   MethodKind kind() const override { return MethodKind::kPrecRec; }
   const char* id() const override { return "precrec"; }
+  bool supports_threads() const override { return true; }
   bool shardable() const override { return true; }
 
   std::optional<StatusOr<MethodSpec>> TryParse(
@@ -36,7 +37,8 @@ class PrecRecMethod : public FusionMethod {
     PrecRecOptions options;
     options.alpha = context.options->model.alpha;
     options.use_scopes = context.options->model.use_scopes;
-    return PrecRecScores(*context.dataset, *context.quality, options);
+    return PrecRecScores(*context.dataset, *context.quality, options,
+                         context.num_threads, context.pool);
   }
 };
 
@@ -83,6 +85,7 @@ class AggressiveMethod : public FusionMethod {
   MethodKind kind() const override { return MethodKind::kAggressive; }
   const char* id() const override { return "aggressive"; }
   bool needs_model() const override { return true; }
+  bool supports_threads() const override { return true; }
   bool shardable() const override { return true; }
 
   std::optional<StatusOr<MethodSpec>> TryParse(
@@ -98,7 +101,8 @@ class AggressiveMethod : public FusionMethod {
   StatusOr<std::vector<double>> Score(const MethodContext& context,
                                       const MethodSpec& spec) const override {
     (void)spec;
-    return AggressiveScores(*context.dataset, *context.model);
+    return AggressiveScores(*context.dataset, *context.model,
+                            context.num_threads, context.pool);
   }
 };
 

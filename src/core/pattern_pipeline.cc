@@ -26,14 +26,21 @@ Status CheckGroupingInputs(const Dataset& dataset,
   return Status::OK();
 }
 
+/// Direct-mapped pattern tables hold at most this many slots; larger
+/// clusters (wide ones, or many distinct scopes) hash their pattern keys.
+constexpr size_t kMaxDirectSlots = size_t{1} << 16;
+
 /// Per-cluster inputs of the word-parallel mask extraction: the provider
-/// bitset word span of every cluster source, plus one precomputed scope
-/// mask per domain (scope is a property of (source, domain), so a triple's
-/// scope mask is a single array lookup keyed by its domain).
+/// bitset word span of every cluster source, and the cluster's distinct
+/// scope masks with the id of each domain's mask (scope is a property of
+/// (source, domain), so a triple's scope is a lookup keyed by its domain).
+/// A triple's pattern is a function of (scope id, provider mask), so it
+/// has the direct-mapped slot (scope_id << k) | providers.
 struct ClusterMaskContext {
   std::vector<const uint64_t*> provider_words;
-  std::vector<Mask> domain_scope;  // empty unless scopes are enabled
-  Mask full = 0;
+  std::vector<Mask> scopes;               // distinct scope masks, by id
+  std::vector<uint32_t> scope_of_domain;  // empty when scope-free (id 0)
+  size_t slots = 0;  // direct-mapped table size; 0 = hash the keys
 };
 
 ClusterMaskContext MakeClusterMaskContext(const Dataset& dataset,
@@ -41,36 +48,46 @@ ClusterMaskContext MakeClusterMaskContext(const Dataset& dataset,
                                           size_t cluster_index) {
   const std::vector<SourceId>& cluster =
       model.clustering.clusters[cluster_index];
+  const size_t k = cluster.size();
   ClusterMaskContext ctx;
-  ctx.full = cluster.empty() ? Mask{0}
-                             : FullMask(static_cast<int>(cluster.size()));
-  ctx.provider_words.reserve(cluster.size());
+  ctx.provider_words.reserve(k);
   for (SourceId s : cluster) {
     ctx.provider_words.push_back(dataset.output(s).words());
   }
-  if (model.use_scopes) {
-    ctx.domain_scope.assign(dataset.num_domains(), 0);
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      for (DomainId d = 0; d < dataset.num_domains(); ++d) {
+  if (model.use_scopes && dataset.num_domains() > 0) {
+    std::unordered_map<Mask, uint32_t> id_of;
+    ctx.scope_of_domain.reserve(dataset.num_domains());
+    for (DomainId d = 0; d < dataset.num_domains(); ++d) {
+      Mask scope = 0;
+      for (size_t i = 0; i < k; ++i) {
         if (dataset.covers_domain(cluster[i], d)) {
-          ctx.domain_scope[d] = WithBit(ctx.domain_scope[d],
-                                        static_cast<int>(i));
+          scope = WithBit(scope, static_cast<int>(i));
         }
       }
+      auto [it, inserted] =
+          id_of.emplace(scope, static_cast<uint32_t>(ctx.scopes.size()));
+      if (inserted) ctx.scopes.push_back(scope);
+      ctx.scope_of_domain.push_back(it->second);
     }
+  } else {
+    ctx.scopes.push_back(k == 0 ? Mask{0} : FullMask(static_cast<int>(k)));
+  }
+  if (k < 32 && (ctx.scopes.size() << k) <= kMaxDirectSlots) {
+    ctx.slots = ctx.scopes.size() << k;
   }
   return ctx;
 }
 
-/// Writes the observation PatternKey of every triple in [begin, end) to
-/// out[0 .. end-begin): reads each source's provider bitset one 64-triple
-/// word at a time, transposes the k words into per-triple provider masks,
-/// and intersects with the domain's scope mask. Equivalent to (but ~k bit
-/// tests per triple cheaper than) GetClusterObservation per triple.
-void ExtractPatternKeys(const Dataset& dataset, const ClusterMaskContext& ctx,
-                        TripleId begin, TripleId end, PatternKey* out) {
+/// Calls fn(t, scope_id, providers) for every triple t in [begin, end):
+/// reads each source's provider bitset one 64-triple word at a time and
+/// turns the k words into per-triple provider masks, intersected with the
+/// triple's scope. Equivalent to (but ~k bit tests per triple cheaper
+/// than) GetClusterObservation per triple.
+template <typename Fn>
+void ForEachTripleMask(const Dataset& dataset, const ClusterMaskContext& ctx,
+                       size_t begin, size_t end, Fn&& fn) {
   const size_t k = ctx.provider_words.size();
-  const bool scoped = !ctx.domain_scope.empty();
+  const bool scoped = !ctx.scope_of_domain.empty();
   uint64_t rows[64];
   uint64_t cols[64];
   size_t t = begin;
@@ -81,15 +98,26 @@ void ExtractPatternKeys(const Dataset& dataset, const ClusterMaskContext& ctx,
     for (size_t i = 0; i < k; ++i) rows[i] = ctx.provider_words[i][wi];
     simd::TransposeBitColumns(rows, k, cols);
     for (; t < block_end; ++t) {
-      const Mask scope = scoped ? ctx.domain_scope[dataset.domain(
-                                      static_cast<TripleId>(t))]
-                                : ctx.full;
+      const uint32_t sid =
+          scoped ? ctx.scope_of_domain[dataset.domain(
+                       static_cast<TripleId>(t))]
+                 : 0;
       // Providers are a subset of scope by construction (a provider covers
       // the triple's domain); the intersection mirrors the scalar path.
-      const Mask providers = cols[t - block_begin] & scope;
-      out[t - begin] = PatternKey{providers, scope & ~providers};
+      fn(t, sid, cols[t - block_begin] & ctx.scopes[sid]);
     }
   }
+}
+
+/// Writes the observation PatternKey of every triple in [begin, end) to
+/// out[0 .. end-begin).
+void ExtractPatternKeys(const Dataset& dataset, const ClusterMaskContext& ctx,
+                        size_t begin, size_t end, PatternKey* out) {
+  ForEachTripleMask(dataset, ctx, begin, end,
+                    [&](size_t t, uint32_t sid, Mask providers) {
+                      out[t - begin] = PatternKey{
+                          providers, ctx.scopes[sid] & ~providers};
+                    });
 }
 
 /// Assigns pattern ids for keys[0 .. count) against a local index,
@@ -118,6 +146,29 @@ void AssignLocalIds(const PatternKey* keys, size_t count,
   }
 }
 
+/// The direct-mapped counterpart of ExtractPatternKeys + AssignLocalIds
+/// over [begin, end): same keys, same first-occurrence numbering, with
+/// `table` (ctx.slots entries, unseen ones UINT32_MAX) in place of the
+/// hash index.
+void AssignDirectIds(const Dataset& dataset, const ClusterMaskContext& ctx,
+                     size_t begin, size_t end, uint32_t* table,
+                     std::vector<PatternKey>* distinct, uint32_t* ids) {
+  const size_t k = ctx.provider_words.size();
+  ForEachTripleMask(
+      dataset, ctx, begin, end, [&](size_t t, uint32_t sid, Mask providers) {
+        uint32_t& slot = table[(static_cast<size_t>(sid) << k) | providers];
+        if (slot == UINT32_MAX) {
+          slot = static_cast<uint32_t>(distinct->size());
+          distinct->push_back(
+              PatternKey{providers, ctx.scopes[sid] & ~providers});
+        }
+        ids[t - begin] = slot;
+      });
+}
+
+/// Triples per sub-block of a grouping chunk (64 bitset words).
+constexpr size_t kSubBlockTriples = 4096;
+
 }  // namespace
 
 StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
@@ -133,108 +184,103 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
   grouping.dataset = &dataset;
   grouping.model_fingerprint = ModelGroupingFingerprint(model);
   grouping.distinct.resize(num_clusters);
-  grouping.pattern_of.assign(num_clusters, std::vector<size_t>(m, 0));
+  grouping.pattern_of.resize(num_clusters);
   grouping.index.resize(num_clusters);
   if (m == 0 || num_clusters == 0) return grouping;
 
-  std::vector<ClusterMaskContext> contexts;
-  contexts.reserve(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    contexts.push_back(MakeClusterMaskContext(dataset, model, c));
-  }
-
-  // Partition the triple range into word-aligned chunks. Workers build a
-  // local pattern index per chunk; the merge below walks chunks in triple
-  // order, so the global result cannot depend on scheduling.
   const size_t num_words = (m + 63) / 64;
   const size_t workers = std::min(ResolveNumThreads(num_threads), num_words);
+  const ParallelForOptions on_pool{pool, nullptr};
+
+  std::vector<ClusterMaskContext> contexts(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    contexts[c] = MakeClusterMaskContext(dataset, model, c);
+  }
+  // The id arrays are sized in parallel, so their first-touch page faults
+  // are spread over the workers.
+  ParallelFor(
+      num_clusters, workers,
+      [&](size_t c) { grouping.pattern_of[c].resize(m); }, on_pool);
+
+  // Partition the triple range into word-aligned chunks. Workers number
+  // each chunk's patterns locally, writing the local ids straight into
+  // pattern_of; the merge below walks chunks in triple order, so the
+  // global result cannot depend on scheduling.
   size_t num_chunks = workers <= 1 ? 1 : std::min(num_words, workers * 4);
   const size_t words_per_chunk = (num_words + num_chunks - 1) / num_chunks;
   num_chunks = (num_words + words_per_chunk - 1) / words_per_chunk;
-
-  struct ChunkLocal {
-    std::vector<std::vector<PatternKey>> distinct;   // per cluster
-    std::vector<std::vector<uint32_t>> local_of;     // per cluster
-  };
-  std::vector<ChunkLocal> chunks(num_chunks);
   auto chunk_range = [&](size_t ci) {
     const size_t begin = ci * words_per_chunk * 64;
     const size_t end = std::min(m, begin + words_per_chunk * 64);
     return std::make_pair(begin, end);
   };
 
+  // local_distinct[ci][c]: chunk ci's patterns of cluster c, in
+  // first-occurrence order.
+  std::vector<std::vector<std::vector<PatternKey>>> local_distinct(
+      num_chunks, std::vector<std::vector<PatternKey>>(num_clusters));
   ParallelFor(
       num_chunks, workers,
       [&](size_t ci) {
         const auto [begin, end] = chunk_range(ci);
-        ChunkLocal& local = chunks[ci];
-        local.distinct.resize(num_clusters);
-        local.local_of.resize(num_clusters);
-        std::vector<PatternKey> keys(end - begin);
-        std::unordered_map<PatternKey, uint32_t, PatternKeyHash> index;
+        // Every cluster's local numbering state lives for the whole chunk,
+        // so the chunk can be walked in sub-blocks small enough for their
+        // domain ids to stay in cache across all clusters. A chunk numbers
+        // at most one pattern per triple, so a table with more slots than
+        // the chunk has triples hashes instead: that bounds each chunk's
+        // tables, and their fill, by its triple count per cluster.
+        std::vector<std::vector<uint32_t>> tables(num_clusters);
+        std::vector<std::unordered_map<PatternKey, uint32_t, PatternKeyHash>>
+            indexes(num_clusters);
         for (size_t c = 0; c < num_clusters; ++c) {
-          const ClusterMaskContext& ctx = contexts[c];
-          const size_t k = ctx.provider_words.size();
-          local.local_of[c].resize(end - begin);
-          uint32_t* ids = local.local_of[c].data();
-          auto& distinct = local.distinct[c];
-          if (ctx.domain_scope.empty() && k <= 16) {
-            // Scope-free cluster with a small mask space: the pattern is a
-            // pure function of the provider mask, so a direct-mapped table
-            // replaces the per-triple hash — the transpose output indexes
-            // the table straight away.
-            std::vector<uint32_t> table(size_t{1} << k, UINT32_MAX);
-            uint64_t rows[64];
-            uint64_t cols[64];
-            size_t t = begin;
-            while (t < end) {
-              const size_t wi = t >> 6;
-              const size_t block_begin = wi << 6;
-              const size_t block_end = std::min<size_t>(block_begin + 64, end);
-              for (size_t i = 0; i < k; ++i) {
-                rows[i] = ctx.provider_words[i][wi];
-              }
-              simd::TransposeBitColumns(rows, k, cols);
-              for (; t < block_end; ++t) {
-                const Mask prov = cols[t - block_begin];
-                uint32_t& slot = table[prov];
-                if (slot == UINT32_MAX) {
-                  slot = static_cast<uint32_t>(distinct.size());
-                  distinct.push_back(PatternKey{prov, ctx.full & ~prov});
-                }
-                ids[t - begin] = slot;
-              }
+          if (contexts[c].slots <= end - begin) {
+            tables[c].assign(contexts[c].slots, UINT32_MAX);
+          }
+        }
+        std::vector<PatternKey> keys;
+        for (size_t sub = begin; sub < end; sub += kSubBlockTriples) {
+          const size_t sub_end = std::min(end, sub + kSubBlockTriples);
+          for (size_t c = 0; c < num_clusters; ++c) {
+            uint32_t* ids = grouping.pattern_of[c].data() + sub;
+            auto& distinct = local_distinct[ci][c];
+            if (tables[c].empty()) {
+              keys.resize(sub_end - sub);
+              ExtractPatternKeys(dataset, contexts[c], sub, sub_end,
+                                 keys.data());
+              AssignLocalIds(keys.data(), keys.size(), &indexes[c], &distinct,
+                             ids);
+            } else {
+              AssignDirectIds(dataset, contexts[c], sub, sub_end,
+                              tables[c].data(), &distinct, ids);
             }
-          } else {
-            ExtractPatternKeys(dataset, ctx, static_cast<TripleId>(begin),
-                               static_cast<TripleId>(end), keys.data());
-            index.clear();
-            AssignLocalIds(keys.data(), keys.size(), &index, &distinct, ids);
           }
         }
       },
-      ParallelForOptions{pool, nullptr});
+      on_pool);
 
   // Deterministic merge: chunks are walked in triple order, and each
   // chunk's local distinct list is in first-occurrence order, so global
   // insertion order reproduces exactly the scalar builder's
   // first-occurrence-by-triple order — byte-identical `distinct` at every
-  // thread count.
-  std::vector<std::vector<std::vector<uint32_t>>> remap(num_chunks);
-  for (size_t ci = 0; ci < num_chunks; ++ci) remap[ci].resize(num_clusters);
+  // thread count. Chunk ids whose remap is the identity (always chunk 0)
+  // are already global.
+  std::vector<std::vector<std::vector<uint32_t>>> remap(
+      num_chunks, std::vector<std::vector<uint32_t>>(num_clusters));
   for (size_t c = 0; c < num_clusters; ++c) {
     auto& index = grouping.index[c];
     auto& distinct = grouping.distinct[c];
     for (size_t ci = 0; ci < num_chunks; ++ci) {
-      const auto& local_distinct = chunks[ci].distinct[c];
-      auto& local_remap = remap[ci][c];
-      local_remap.resize(local_distinct.size());
-      for (size_t i = 0; i < local_distinct.size(); ++i) {
-        auto [it, inserted] = index.emplace(local_distinct[i],
+      const auto& chunk_distinct = local_distinct[ci][c];
+      std::vector<uint32_t> chunk_remap(chunk_distinct.size());
+      bool identity = true;
+      for (size_t i = 0; i < chunk_distinct.size(); ++i) {
+        auto [it, inserted] = index.emplace(chunk_distinct[i],
                                             distinct.size());
-        if (inserted) distinct.push_back(local_distinct[i]);
-        local_remap[i] = static_cast<uint32_t>(it->second);
+        if (inserted) distinct.push_back(chunk_distinct[i]);
+        chunk_remap[i] = static_cast<uint32_t>(it->second);
+        identity = identity && it->second == i;
       }
+      if (!identity) remap[ci][c] = std::move(chunk_remap);
     }
   }
 
@@ -243,15 +289,13 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
       [&](size_t ci) {
         const auto [begin, end] = chunk_range(ci);
         for (size_t c = 0; c < num_clusters; ++c) {
-          const auto& local_of = chunks[ci].local_of[c];
-          const auto& local_remap = remap[ci][c];
-          auto& pattern_of = grouping.pattern_of[c];
-          for (size_t j = 0; j < end - begin; ++j) {
-            pattern_of[begin + j] = local_remap[local_of[j]];
-          }
+          const std::vector<uint32_t>& chunk_remap = remap[ci][c];
+          if (chunk_remap.empty()) continue;
+          uint32_t* ids = grouping.pattern_of[c].data();
+          for (size_t t = begin; t < end; ++t) ids[t] = chunk_remap[ids[t]];
         }
       },
-      ParallelForOptions{pool, nullptr});
+      on_pool);
   return grouping;
 }
 
@@ -286,7 +330,7 @@ Status UpdatePatternGrouping(const Dataset& dataset,
     auto assign_key = [&](TripleId t, const PatternKey& key) {
       auto [it, inserted] = index.emplace(key, distinct.size());
       if (inserted) distinct.push_back(key);
-      pattern_of[t] = it->second;
+      pattern_of[t] = static_cast<uint32_t>(it->second);
     };
     auto assign = [&](TripleId t) {
       ClusterObservation obs = GetClusterObservation(dataset, model, c, t);
@@ -295,8 +339,7 @@ Status UpdatePatternGrouping(const Dataset& dataset,
     if (word_tail) {
       const ClusterMaskContext ctx = MakeClusterMaskContext(dataset, model, c);
       tail_keys.resize(tail);
-      ExtractPatternKeys(dataset, ctx, static_cast<TripleId>(old_m),
-                         static_cast<TripleId>(m), tail_keys.data());
+      ExtractPatternKeys(dataset, ctx, old_m, m, tail_keys.data());
       for (size_t j = 0; j < tail; ++j) {
         assign_key(static_cast<TripleId>(old_m + j), tail_keys[j]);
       }
@@ -518,7 +561,7 @@ std::vector<double> GatherPatternScores(const PatternGrouping& grouping,
     // reads), so run the dispatched gather kernel over blocks instead of
     // a lambda per triple. An exact copy either way — byte-identical to
     // the per-triple path at every thread count and dispatch level.
-    const std::vector<size_t>& pattern_of = grouping.pattern_of[0];
+    const std::vector<uint32_t>& pattern_of = grouping.pattern_of[0];
     constexpr size_t kBlock = 8192;
     const size_t num_blocks = (grouping.num_triples + kBlock - 1) / kBlock;
     ParallelFor(

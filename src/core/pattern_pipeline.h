@@ -18,6 +18,7 @@
 #define FUSER_CORE_PATTERN_PIPELINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -60,8 +61,9 @@ struct PatternGrouping {
   uint64_t model_fingerprint = 0;
   /// distinct[c] lists every pattern of cluster c exactly once.
   std::vector<std::vector<PatternKey>> distinct;
-  /// pattern_of[c][t] indexes triple t's pattern within distinct[c].
-  std::vector<std::vector<size_t>> pattern_of;
+  /// pattern_of[c][t] indexes triple t's pattern within distinct[c]
+  /// (32 bits: a cluster has at most one pattern per TripleId).
+  std::vector<std::vector<uint32_t>> pattern_of;
   /// index[c] maps a pattern key to its position in distinct[c]; kept after
   /// the build so UpdatePatternGrouping can assign streamed triples to
   /// existing patterns in O(1).
@@ -85,12 +87,17 @@ struct PatternGrouping {
 /// Word-parallel: each cluster source's provider bitset is read 64 triples
 /// at a time and turned into per-triple provider masks by a bit-matrix
 /// transpose (Transpose64x64); scope masks come from one per-domain mask
-/// lookup. The triple range is processed in blocks parallelized across
-/// `num_threads` workers (0 = hardware concurrency; `pool` optionally
-/// supplies persistent workers), with per-worker local pattern indexes
-/// merged in block order — the output (including the order of `distinct`)
-/// is byte-identical to the scalar reference at every thread count (see
-/// tests/support/pattern_oracles.h).
+/// lookup. Patterns are numbered through a direct-mapped table slot
+/// (scope id << k) | providers, where scope ids number the cluster's
+/// distinct per-domain scope masks (one id when scope-free); only clusters
+/// whose table would be too large (wide clusters, many distinct scopes, or
+/// more slots than a worker's chunk has triples) hash the pattern key
+/// instead. The triple range is processed in blocks
+/// parallelized across `num_threads` workers (0 = hardware concurrency;
+/// `pool` optionally supplies persistent workers), with per-worker local
+/// pattern numberings merged in block order — the output (including the
+/// order of `distinct`) is byte-identical to the scalar reference at every
+/// thread count (see tests/support/pattern_oracles.h).
 StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
                                                const CorrelationModel& model,
                                                size_t num_threads = 1,

@@ -1,7 +1,11 @@
 #include "core/precrec.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 
 namespace fuser {
 
@@ -14,9 +18,97 @@ double SourceLogContribution(const SourceQuality& quality, bool provides) {
   return std::log(1.0 - r) - std::log(1.0 - q);
 }
 
+std::vector<double> IndependentSourceScores(
+    const Dataset& dataset, const std::vector<double>& log_provide,
+    const std::vector<double>& log_silent, bool use_scopes, double alpha,
+    size_t num_threads, ThreadPool* pool) {
+  const size_t n = dataset.num_sources();
+  const size_t m = dataset.num_triples();
+  FUSER_CHECK_EQ(log_provide.size(), n);
+  FUSER_CHECK_EQ(log_silent.size(), n);
+  std::vector<double> swap_in(n);
+  // contrib[2 * s + provides]: a branch-free pick per in-scope source.
+  std::vector<double> contrib(2 * n);
+  std::vector<const uint64_t*> words(n);
+  double total_silent = 0.0;
+  for (size_t s = 0; s < n; ++s) {
+    swap_in[s] = log_provide[s] - log_silent[s];
+    contrib[2 * s] = log_silent[s];
+    contrib[2 * s + 1] = log_provide[s];
+    total_silent += log_silent[s];
+    words[s] = dataset.output(s).words();
+  }
+
+  // Blocks of 64 bitset words (4096 triples) run across the workers. Each
+  // triple's sum runs in the order of the per-triple definition (providers
+  // ascending, or in_scope_sources(t) order), which keeps every score
+  // byte-identical to it at any thread count.
+  const size_t num_groups = (n + 63) / 64;
+  constexpr size_t kWordsPerBlock = 64;
+  const size_t num_words = (m + 63) / 64;
+  const size_t num_blocks = (num_words + kWordsPerBlock - 1) / kWordsPerBlock;
+  std::vector<double> scores(m);
+  ParallelFor(
+      num_blocks, num_threads,
+      [&](size_t b) {
+        const size_t t_begin = b * kWordsPerBlock * 64;
+        const size_t t_end = std::min(m, t_begin + kWordsPerBlock * 64);
+        if (!use_scopes) {
+          // All sources have an opinion: start from everyone-silent and
+          // swap in the providers (O(|St|) per triple).
+          for (size_t t = t_begin; t < t_end; ++t) {
+            double log_mu = total_silent;
+            for (SourceId s : dataset.providers(static_cast<TripleId>(t))) {
+              log_mu += swap_in[s];
+            }
+            scores[t] = PosteriorFromLogMu(log_mu, alpha);
+          }
+          return;
+        }
+        // Scoped: every in-scope source needs its provides bit. Sources
+        // are read in groups of 64: one transpose per group turns the
+        // group's bitset words into 64 per-triple provider masks, so a bit
+        // is a register test instead of a random bitset probe. Groups with
+        // no provider in the word skip the transpose (on wide, sparse data
+        // that is a fifth of the scorer's time).
+        // masks[g * 64 + j]: providers of triple 64 * w + j in group g.
+        std::vector<uint64_t> masks(num_groups * 64);
+        uint64_t rows[64];
+        for (size_t w = t_begin / 64; w * 64 < t_end; ++w) {
+          for (size_t g = 0; g < num_groups; ++g) {
+            const size_t first = g * 64;
+            const size_t k = std::min<size_t>(64, n - first);
+            uint64_t any = 0;
+            for (size_t i = 0; i < k; ++i) {
+              rows[i] = words[first + i][w];
+              any |= rows[i];
+            }
+            if (any != 0) {
+              simd::TransposeBitColumns(rows, k, &masks[g * 64]);
+            } else {
+              std::fill_n(&masks[g * 64], 64, uint64_t{0});
+            }
+          }
+          const size_t word_end = std::min(t_end, (w + 1) * 64);
+          for (size_t t = w * 64; t < word_end; ++t) {
+            const size_t j = t - w * 64;
+            double log_mu = 0.0;
+            for (SourceId s :
+                 dataset.in_scope_sources(static_cast<TripleId>(t))) {
+              const uint64_t mask = masks[(s >> 6) * 64 + j];
+              log_mu += contrib[2 * s + ((mask >> (s & 63)) & 1)];
+            }
+            scores[t] = PosteriorFromLogMu(log_mu, alpha);
+          }
+        }
+      },
+      ParallelForOptions{pool, nullptr});
+  return scores;
+}
+
 StatusOr<std::vector<double>> PrecRecScores(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options) {
+    const PrecRecOptions& options, size_t num_threads, ThreadPool* pool) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }
@@ -30,32 +122,13 @@ StatusOr<std::vector<double>> PrecRecScores(
   const size_t n = dataset.num_sources();
   std::vector<double> log_provide(n);
   std::vector<double> log_silent(n);
-  double total_silent = 0.0;
   for (size_t s = 0; s < n; ++s) {
     log_provide[s] = SourceLogContribution(quality[s], /*provides=*/true);
     log_silent[s] = SourceLogContribution(quality[s], /*provides=*/false);
-    total_silent += log_silent[s];
   }
-
-  std::vector<double> scores(dataset.num_triples());
-  for (TripleId t = 0; t < dataset.num_triples(); ++t) {
-    double log_mu;
-    if (!options.use_scopes) {
-      // All sources have an opinion: start from everyone-silent and swap in
-      // the providers (O(|St|) per triple).
-      log_mu = total_silent;
-      for (SourceId s : dataset.providers(t)) {
-        log_mu += log_provide[s] - log_silent[s];
-      }
-    } else {
-      log_mu = 0.0;
-      for (SourceId s : dataset.in_scope_sources(t)) {
-        log_mu += dataset.provides(s, t) ? log_provide[s] : log_silent[s];
-      }
-    }
-    scores[t] = PosteriorFromLogMu(log_mu, options.alpha);
-  }
-  return scores;
+  return IndependentSourceScores(dataset, log_provide, log_silent,
+                                 options.use_scopes, options.alpha,
+                                 num_threads, pool);
 }
 
 }  // namespace fuser

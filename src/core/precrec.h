@@ -16,16 +16,44 @@
 
 namespace fuser {
 
+class ThreadPool;
+
 struct PrecRecOptions {
   double alpha = 0.5;
   bool use_scopes = false;
 };
 
 /// Scores every triple of `dataset` with its correctness probability under
-/// the independence assumption. `quality` is indexed by SourceId.
+/// the independence assumption. `quality` is indexed by SourceId. Triples
+/// are scored across `num_threads` workers (0 = one per hardware thread),
+/// optionally on `pool` (IndependentSourceScores).
 StatusOr<std::vector<double>> PrecRecScores(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options);
+    const PrecRecOptions& options, size_t num_threads = 1,
+    ThreadPool* pool = nullptr);
+
+/// The independent-sources product shared by PrecRec and the aggressive
+/// approximation, from per-source log contributions (indexed by SourceId):
+///   log mu(t) = sum_{s provides t} log_provide[s]
+///             + sum_{s silent on t} log_silent[s],
+/// over every source, or with `use_scopes` over the sources in scope for t
+/// only; scores[t] = PosteriorFromLogMu(log mu(t), alpha).
+///
+/// Threaded: blocks of triples run across `num_threads` workers (0 = one
+/// per hardware thread), optionally on `pool`. Without scopes a triple's
+/// sum walks providers(t). With scopes each 64-triple word of every
+/// source's provider bitset is transposed (64 sources at a time) into
+/// per-triple provider masks, so an in-scope source's bit is a register
+/// test; that reads n/64 words per triple for n sources whatever the
+/// triple's scope. Each triple's sum runs in a fixed order — the all-silent
+/// total plus the providers ascending, or the sources of
+/// in_scope_sources(t) in order — so scores are byte-identical at every
+/// thread count to the per-triple loop over providers(t) /
+/// in_scope_sources(t) (tests/support/pattern_oracles.h).
+std::vector<double> IndependentSourceScores(
+    const Dataset& dataset, const std::vector<double>& log_provide,
+    const std::vector<double>& log_silent, bool use_scopes, double alpha,
+    size_t num_threads, ThreadPool* pool);
 
 /// The log of a single source's contribution to mu: log(r/q) when the
 /// source provides the triple, log((1-r)/(1-q)) when it is silent (with r

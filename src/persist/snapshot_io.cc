@@ -638,9 +638,7 @@ std::string EncodeGroupingSection(const PatternGrouping& grouping) {
       sink.WriteU64(key.providers);
       sink.WriteU64(key.nonproviders);
     }
-    for (size_t id : grouping.pattern_of[c]) {
-      sink.WriteU32(static_cast<uint32_t>(id));
-    }
+    for (uint32_t id : grouping.pattern_of[c]) sink.WriteU32(id);
   }
   return sink.data();
 }
@@ -678,15 +676,13 @@ StatusOr<std::shared_ptr<const PatternGrouping>> DecodeGroupingSection(
         return Corrupt("duplicate distinct pattern");
       }
     }
-    std::vector<uint32_t> raw_ids(grouping->num_triples);
-    FUSER_RETURN_IF_ERROR(
-        src.ReadU32Array(raw_ids.data(), raw_ids.size()));
-    grouping->pattern_of[c].resize(grouping->num_triples);
-    for (size_t t = 0; t < raw_ids.size(); ++t) {
-      if (raw_ids[t] >= num_distinct) {
+    std::vector<uint32_t>& ids = grouping->pattern_of[c];
+    ids.resize(grouping->num_triples);
+    FUSER_RETURN_IF_ERROR(src.ReadU32Array(ids.data(), ids.size()));
+    for (uint32_t id : ids) {
+      if (id >= num_distinct) {
         return Corrupt("pattern id out of range");
       }
-      grouping->pattern_of[c][t] = raw_ids[t];
     }
   }
   FUSER_RETURN_IF_ERROR(ExpectExhausted(src, "grouping"));

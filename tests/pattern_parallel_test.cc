@@ -2,23 +2,29 @@
 // transpose primitive, chunked ParallelFor dispatch (+ cancellation +
 // pool execution), byte-identity of the word-parallel BuildPatternGrouping
 // against the retained scalar reference across ragged triple counts,
-// scopes, clustering, and thread counts, byte-identity of the batched
-// ScoreAllPatterns path against per-query likelihood calls, and
-// byte-identity of end-to-end RunAll scores against the legacy
-// (per-pattern scorer + reference combine) pipeline.
+// scopes, clustering, thread counts and both numbering paths (direct map
+// and hash), byte-identity of the threaded independent-source scorer
+// (precrec, aggressive) against the per-triple reference loop,
+// byte-identity of the batched ScoreAllPatterns path against per-query
+// likelihood calls, and byte-identity of end-to-end RunAll scores against
+// the legacy (per-pattern scorer + reference combine) pipeline.
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/aggressive.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
-#include "support/pattern_oracles.h"
+#include "core/precrec.h"
 #include "core/precrec_corr.h"
+#include "core/quality.h"
 #include "gtest/gtest.h"
+#include "support/pattern_oracles.h"
 #include "synth/generator.h"
 
 namespace fuser {
@@ -56,7 +62,8 @@ TEST(TransposeTest, TransposeIsAnInvolution) {
 
 TEST(TransposeTest, BitColumnsHandlesPartialRowCounts) {
   Rng rng(13);
-  for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{8}, size_t{64}}) {
+  for (size_t k :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{8}, size_t{64}}) {
     std::vector<uint64_t> rows(k);
     for (auto& w : rows) w = rng.NextUint64();
     uint64_t cols[64];
@@ -222,6 +229,170 @@ TEST(WordParallelGroupingTest, HandlesEmptyAndSilentClusters) {
     ASSERT_TRUE(word.ok()) << word.status();
     ExpectGroupingsIdentical(*word, *scalar);
   }
+}
+
+/// Asserts BuildPatternGrouping matches the scalar reference at 1, 2 and 8
+/// threads, with and without a persistent pool.
+void ExpectWordParallelMatchesScalar(const Dataset& dataset,
+                                     const CorrelationModel& model) {
+  ThreadPool pool(8);
+  auto scalar = BuildPatternGroupingScalar(dataset, model);
+  ASSERT_TRUE(scalar.ok()) << scalar.status();
+  for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto word = BuildPatternGrouping(dataset, model, num_threads, p);
+      ASSERT_TRUE(word.ok()) << word.status();
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << num_threads << " pool=" << (p != nullptr));
+      ExpectGroupingsIdentical(*word, *scalar);
+    }
+  }
+}
+
+TEST(WordParallelGroupingTest, WideScopedClusterTakesTheHashPath) {
+  // One scoped 20-source cluster: 2^20 provider masks per scope is past
+  // the direct-mapped table's size, so its patterns are hashed.
+  Dataset dataset = MakeDataset(/*num_sources=*/20, /*num_triples=*/5000,
+                                /*num_domains=*/13, /*seed=*/5);
+  CorrelationModel model;
+  model.alpha = 0.5;
+  model.use_scopes = true;
+  std::vector<SourceId> all(20);
+  for (SourceId s = 0; s < 20; ++s) {
+    all[s] = s;
+    model.clustering.index_in_cluster.push_back(static_cast<int>(s));
+  }
+  model.clustering.clusters = {all};
+  model.clustering.cluster_of.assign(20, 0);
+  model.cluster_stats.push_back(std::make_unique<ExplicitJointStats>(
+      std::vector<JointQuality>(20, JointQuality{0.7, 0.5, 0.1}), 0.5));
+  ExpectWordParallelMatchesScalar(dataset, model);
+}
+
+/// Six sources over twelve domains whose scopes repeat with period 3, so
+/// the domains share three distinct scope masks; triples interleave the
+/// domains, and every domain's first triple is provided by its whole scope.
+Dataset MakeSharedScopeDataset(size_t num_triples, uint64_t seed) {
+  const std::vector<std::vector<SourceId>> scopes = {
+      {0, 1, 2, 3}, {2, 3, 4, 5}, {0, 5}};
+  constexpr size_t kDomains = 12;
+  Dataset dataset;
+  for (int s = 0; s < 6; ++s) dataset.AddSource("s" + std::to_string(s));
+  Rng rng(seed);
+  for (size_t i = 0; i < num_triples; ++i) {
+    const size_t domain = (i * 7) % kDomains;
+    const std::vector<SourceId>& scope = scopes[domain % scopes.size()];
+    const std::string subject = "e" + std::to_string(i);
+    const TripleId t = dataset.AddTriple({subject, "p", "o"},
+                                         "d" + std::to_string(domain));
+    bool provided = false;
+    for (SourceId s : scope) {
+      if (i < kDomains || rng.NextBounded(2) == 0) {
+        dataset.Provide(s, t);
+        provided = true;
+      }
+    }
+    if (!provided) dataset.Provide(scope[0], t);
+    if (i % 4 == 0) dataset.SetLabel(t, rng.NextBounded(2) == 0);
+  }
+  EXPECT_TRUE(dataset.Finalize().ok());
+  return dataset;
+}
+
+TEST(WordParallelGroupingTest, DomainsSharingScopeMasksMatchScalar) {
+  for (size_t num_triples : {size_t{100}, size_t{5000}}) {
+    Dataset dataset = MakeSharedScopeDataset(num_triples, /*seed=*/9);
+    for (bool clustering : {false, true}) {
+      ModelOptions options;
+      options.use_scopes = true;
+      options.enable_clustering = clustering;
+      auto model =
+          BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+      ASSERT_TRUE(model.ok()) << model.status();
+      SCOPED_TRACE(::testing::Message() << "m=" << num_triples
+                                        << " clustering=" << clustering);
+      ExpectWordParallelMatchesScalar(dataset, *model);
+    }
+  }
+}
+
+// ---------- Independent-source scorer vs the per-triple loop ----------
+
+TEST(IndependentSourceScoresTest, PrecRecAndAggressiveMatchReferenceLoop) {
+  ThreadPool pool(8);
+  // 70 sources use a second 64-source group; no triple count is a multiple
+  // of 64, and 5000 spans more than one scoring block.
+  for (size_t num_sources : {size_t{9}, size_t{70}}) {
+    for (size_t num_triples : {size_t{130}, size_t{5000}}) {
+      for (bool use_scopes : {false, true}) {
+        Dataset dataset = MakeDataset(num_sources, num_triples,
+                                      /*num_domains=*/use_scopes ? 13 : 0,
+                                      /*seed=*/num_sources + num_triples);
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << num_sources << " m=" << num_triples
+                     << " scopes=" << use_scopes);
+        QualityOptions quality_options;
+        quality_options.use_scopes = use_scopes;
+        auto quality = EstimateSourceQuality(dataset, dataset.labeled_mask(),
+                                             quality_options);
+        ASSERT_TRUE(quality.ok()) << quality.status();
+        ModelOptions model_options;
+        model_options.use_scopes = use_scopes;
+        model_options.enable_clustering = true;
+        auto model = BuildCorrelationModel(dataset, dataset.labeled_mask(),
+                                           model_options);
+        ASSERT_TRUE(model.ok()) << model.status();
+
+        PrecRecOptions options;
+        options.use_scopes = use_scopes;
+        auto want_precrec = PrecRecScoresReference(dataset, *quality, options);
+        ASSERT_TRUE(want_precrec.ok()) << want_precrec.status();
+        auto want_aggressive = AggressiveScoresReference(dataset, *model);
+        ASSERT_TRUE(want_aggressive.ok()) << want_aggressive.status();
+
+        for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            SCOPED_TRACE(::testing::Message() << "threads=" << num_threads
+                                              << " pool=" << (p != nullptr));
+            auto precrec =
+                PrecRecScores(dataset, *quality, options, num_threads, p);
+            ASSERT_TRUE(precrec.ok()) << precrec.status();
+            ASSERT_EQ(*precrec, *want_precrec);
+            auto aggressive =
+                AggressiveScores(dataset, *model, num_threads, p);
+            ASSERT_TRUE(aggressive.ok()) << aggressive.status();
+            ASSERT_EQ(*aggressive, *want_aggressive);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IndependentSourceScoresTest, EngineRunsBothMethodsThreaded) {
+  for (MethodKind kind : {MethodKind::kPrecRec, MethodKind::kAggressive}) {
+    const FusionMethod* method = MethodRegistry::Global().Find(kind);
+    ASSERT_NE(method, nullptr);
+    EXPECT_TRUE(method->supports_threads()) << method->id();
+  }
+  Dataset dataset = MakeDataset(/*num_sources=*/9, /*num_triples=*/3000,
+                                /*num_domains=*/7, /*seed=*/61);
+  std::vector<std::vector<double>> scores;
+  for (size_t num_threads : {size_t{1}, size_t{8}}) {
+    EngineOptions options;
+    options.model.use_scopes = true;
+    options.model.enable_clustering = true;
+    options.num_threads = num_threads;
+    FusionEngine engine(&dataset, options);
+    ASSERT_TRUE(engine.Prepare(dataset.labeled_mask()).ok());
+    auto runs =
+        engine.RunAll({{MethodKind::kPrecRec}, {MethodKind::kAggressive}});
+    ASSERT_TRUE(runs.ok()) << runs.status();
+    scores.push_back((*runs)[0].scores);
+    scores.push_back((*runs)[1].scores);
+  }
+  EXPECT_EQ(scores[0], scores[2]);
+  EXPECT_EQ(scores[1], scores[3]);
 }
 
 // ---------- Batched likelihoods vs per-query ----------

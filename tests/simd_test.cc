@@ -116,8 +116,10 @@ TEST(SimdTest, GatherMatchesScalarAtEveryLevel) {
   for (double& v : table) v = rng.NextDouble() * 2.0 - 1.0;
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
                    size_t{7}, size_t{8}, size_t{64}, size_t{1000}}) {
-    std::vector<size_t> idx(n);
-    for (size_t& i : idx) i = rng.NextBounded(table.size());
+    std::vector<uint32_t> idx(n);
+    for (uint32_t& i : idx) {
+      i = static_cast<uint32_t>(rng.NextBounded(table.size()));
+    }
     std::vector<double> expected(n);
     for (size_t i = 0; i < n; ++i) expected[i] = table[idx[i]];
     for (simd::Level level : SupportedLevels()) {

@@ -1,8 +1,10 @@
 #include "support/pattern_oracles.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/math_util.h"
+#include "core/correlation.h"
 
 namespace fuser {
 
@@ -22,7 +24,7 @@ StatusOr<PatternGrouping> BuildPatternGroupingScalar(
   grouping.dataset = &dataset;
   grouping.model_fingerprint = ModelGroupingFingerprint(model);
   grouping.distinct.resize(num_clusters);
-  grouping.pattern_of.assign(num_clusters, std::vector<size_t>(m, 0));
+  grouping.pattern_of.assign(num_clusters, std::vector<uint32_t>(m, 0));
   grouping.index.resize(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
     auto& index = grouping.index[c];
@@ -31,7 +33,7 @@ StatusOr<PatternGrouping> BuildPatternGroupingScalar(
       PatternKey key{obs.providers, obs.in_scope & ~obs.providers};
       auto [it, inserted] = index.emplace(key, grouping.distinct[c].size());
       if (inserted) grouping.distinct[c].push_back(key);
-      grouping.pattern_of[c][t] = it->second;
+      grouping.pattern_of[c][t] = static_cast<uint32_t>(it->second);
     }
   }
   return grouping;
@@ -72,6 +74,90 @@ std::vector<double> CombinePatternScoresReference(
     }
   }
   return scores;
+}
+
+namespace {
+
+std::vector<double> IndependentScoresLoop(const Dataset& dataset,
+                                          const std::vector<double>& log_provide,
+                                          const std::vector<double>& log_silent,
+                                          bool use_scopes, double alpha) {
+  double total_silent = 0.0;
+  for (size_t s = 0; s < dataset.num_sources(); ++s) {
+    total_silent += log_silent[s];
+  }
+  std::vector<double> scores(dataset.num_triples());
+  for (TripleId t = 0; t < dataset.num_triples(); ++t) {
+    double log_mu;
+    if (!use_scopes) {
+      // All sources have an opinion: start from everyone-silent and swap in
+      // the providers (O(|St|) per triple).
+      log_mu = total_silent;
+      for (SourceId s : dataset.providers(t)) {
+        log_mu += log_provide[s] - log_silent[s];
+      }
+    } else {
+      log_mu = 0.0;
+      for (SourceId s : dataset.in_scope_sources(t)) {
+        log_mu += dataset.provides(s, t) ? log_provide[s] : log_silent[s];
+      }
+    }
+    scores[t] = PosteriorFromLogMu(log_mu, alpha);
+  }
+  return scores;
+}
+
+}  // namespace
+
+StatusOr<std::vector<double>> PrecRecScoresReference(
+    const Dataset& dataset, const std::vector<SourceQuality>& quality,
+    const PrecRecOptions& options) {
+  if (!dataset.finalized()) {
+    return Status::FailedPrecondition("dataset not finalized");
+  }
+  if (quality.size() != dataset.num_sources()) {
+    return Status::InvalidArgument("quality size != num_sources");
+  }
+  const size_t n = dataset.num_sources();
+  std::vector<double> log_provide(n);
+  std::vector<double> log_silent(n);
+  for (size_t s = 0; s < n; ++s) {
+    log_provide[s] = SourceLogContribution(quality[s], /*provides=*/true);
+    log_silent[s] = SourceLogContribution(quality[s], /*provides=*/false);
+  }
+  return IndependentScoresLoop(dataset, log_provide, log_silent,
+                               options.use_scopes, options.alpha);
+}
+
+StatusOr<std::vector<double>> AggressiveScoresReference(
+    const Dataset& dataset, const CorrelationModel& model) {
+  if (!dataset.finalized()) {
+    return Status::FailedPrecondition("dataset not finalized");
+  }
+  const size_t num_clusters = model.clustering.clusters.size();
+  if (model.cluster_stats.size() != num_clusters) {
+    return Status::InvalidArgument("model cluster_stats/clusters mismatch");
+  }
+  const size_t n = dataset.num_sources();
+  std::vector<double> log_provide(n, 0.0);
+  std::vector<double> log_silent(n, 0.0);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    const JointStatsProvider& stats = *model.cluster_stats[c];
+    AggressiveFactors factors = ComputeAggressiveFactors(stats);
+    const std::vector<SourceId>& cluster = model.clustering.clusters[c];
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      JointQuality single = stats.Get(Mask{1} << static_cast<int>(i));
+      double x = factors.c_plus[i] * single.recall;
+      double y = factors.c_minus[i] * single.fpr;
+      SourceId s = cluster[i];
+      log_provide[s] = std::log(std::max(x, kProbEpsilon)) -
+                       std::log(std::max(y, kProbEpsilon));
+      log_silent[s] = std::log(std::max(1.0 - x, kProbEpsilon)) -
+                      std::log(std::max(1.0 - y, kProbEpsilon));
+    }
+  }
+  return IndependentScoresLoop(dataset, log_provide, log_silent,
+                               model.use_scopes, model.alpha);
 }
 
 }  // namespace fuser

@@ -1,8 +1,9 @@
-// Reference implementations of the pattern pipeline's hot paths, kept out
-// of the production library: the oracles the optimized paths in
-// core/pattern_pipeline.h are asserted byte-identical against
-// (tests/pattern_parallel_test.cc), and the pre-optimization baselines of
-// bench/bench_inference.cc. Built as the fuser_test_support library.
+// Reference implementations of the scoring hot paths, kept out of the
+// production library: the oracles the optimized paths in
+// core/pattern_pipeline.h and core/precrec.h are asserted byte-identical
+// against (tests/pattern_parallel_test.cc), and the pre-optimization
+// baselines of bench/bench_inference.cc. Built as the fuser_test_support
+// library.
 #ifndef FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
 #define FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
 
@@ -11,6 +12,7 @@
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "core/pattern_pipeline.h"
+#include "core/precrec.h"
 #include "model/dataset.h"
 
 namespace fuser {
@@ -26,6 +28,16 @@ std::vector<double> CombinePatternScoresReference(
     const PatternGrouping& grouping,
     const std::vector<std::vector<PatternLikelihood>>& likelihood,
     double alpha);
+
+/// The references of PrecRecScores and AggressiveScores: the per-triple
+/// loop both shared before IndependentSourceScores (core/precrec.h) —
+/// everyone-silent plus one providers(t) swap per provider, or with scopes
+/// one provides(s, t) bit test per source of in_scope_sources(t).
+StatusOr<std::vector<double>> PrecRecScoresReference(
+    const Dataset& dataset, const std::vector<SourceQuality>& quality,
+    const PrecRecOptions& options);
+StatusOr<std::vector<double>> AggressiveScoresReference(
+    const Dataset& dataset, const CorrelationModel& model);
 
 }  // namespace fuser
 
