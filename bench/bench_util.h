@@ -4,7 +4,7 @@
 // stdout first, then runs google-benchmark timings for the relevant code
 // paths. Absolute numbers differ from the paper (different hardware and
 // simulated datasets); the *shape* - who wins, by roughly what factor,
-// where crossovers fall - is the reproduction target. See EXPERIMENTS.md.
+// where crossovers fall - is the reproduction target.
 #ifndef FUSER_BENCH_BENCH_UTIL_H_
 #define FUSER_BENCH_BENCH_UTIL_H_
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """CI perf-regression gate over the checked-in bench baselines.
 
-Every standalone bench (bench_streaming, bench_inference, bench_serving,
-bench_persist) prints one JSON object; the repo checks in baselines as
+Every gated bench (bench_streaming, bench_inference, bench_serving,
+bench_persist, bench_correlation, bench_sharding, bench_memory,
+bench_network) prints one JSON object; the repo checks in baselines as
 BENCH_<name>.json. This script compares a fresh run against those baselines
 and fails the build when a tracked metric regresses beyond the tolerance.
 
@@ -12,7 +13,10 @@ measured in the same process) are gated, and only with a tolerance
 noisy absolute timings but keep intra-process ratios fairly stable.
 Deterministic *ceiling* metrics (bytes_per_triple: a pure function of the
 layout, not of machine speed) fail when the current run exceeds the
-baseline by more than their factor. Boolean correctness gates
+baseline by more than their factor. Deterministic *exact* metrics
+(bench_streaming's grouping_builds and full_invalidations: how often the
+incremental path fell back to a rebuild) must equal the baseline. Boolean
+correctness gates
 (scores_identical, kernels_identical, attach_ms_bound_ok, the sketch's
 error_within_bound_* flags) must hold exactly. Absolute timings and qps
 are reported for the uploaded artifacts but never gated.
@@ -62,6 +66,13 @@ RATIO_METRICS = {
 # when metric > baseline * factor.
 CEILING_METRICS = {
     "memory": {"bytes_per_triple": 1.1},
+}
+
+# bench name -> metrics that must equal the baseline exactly. These are
+# deterministic counters (not timings): streaming keeps one grouping and
+# never invalidates the model at any scale.
+EXACT_METRICS = {
+    "streaming": ["grouping_builds", "full_invalidations"],
 }
 
 # bench name -> boolean metrics that must be true in the current run
@@ -142,6 +153,15 @@ def check_file(baseline_path, current_path, tolerance):
                      f"{name}.{metric}: current {cur:.2f} vs baseline "
                      f"{base:.2f} (ceiling {ceiling:.2f} at {factor}x "
                      f"growth)"))
+
+    for metric in EXACT_METRICS.get(name, []):
+        if metric not in baseline:
+            rows.append((False, f"{name}.{metric}: missing from baseline"))
+            continue
+        ok = current.get(metric) == baseline[metric]
+        rows.append((ok,
+                     f"{name}.{metric}: current {current.get(metric)} vs "
+                     f"baseline {baseline[metric]} (must be equal)"))
 
     for metric in BOOL_METRICS.get(name, []):
         if baseline.get(metric) is True:

@@ -1,5 +1,8 @@
 #include "core/correlation_model.h"
 
+#include <memory>
+#include <utility>
+
 #include "common/logging.h"
 
 namespace fuser {
@@ -57,6 +60,39 @@ StatusOr<CorrelationModel> CloneCorrelationModel(
     clone.cluster_stats.push_back(std::move(copy));
   }
   return clone;
+}
+
+bool BatchInvalidatesModel(const ModelOptions& options, bool new_sources,
+                           bool training_changed) {
+  return new_sources || (options.enable_clustering && training_changed);
+}
+
+StatusOr<ModelAdvance> AdvanceCorrelationModel(
+    const CorrelationModel* model, const std::vector<SourceQuality>& quality,
+    const ModelOptions& options, bool new_sources, bool training_changed,
+    const std::vector<const ClusterDeltas*>& deltas) {
+  ModelAdvance next;
+  if (model == nullptr) return next;
+  next.invalidated = true;
+  if (BatchInvalidatesModel(options, new_sources, training_changed)) {
+    return next;
+  }
+  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model);
+  if (cloned.status().code() == StatusCode::kUnimplemented) return next;
+  FUSER_RETURN_IF_ERROR(cloned.status());
+  cloned->source_quality = quality;
+  for (const ClusterDeltas* batch : deltas) {
+    for (size_t c = 0; c < batch->size(); ++c) {
+      if ((*batch)[c].empty()) continue;
+      const Status applied =
+          cloned->cluster_stats[c]->ApplyPatternDeltas((*batch)[c]);
+      if (applied.code() == StatusCode::kUnimplemented) return next;
+      FUSER_RETURN_IF_ERROR(applied);
+    }
+  }
+  next.model = std::make_shared<const CorrelationModel>(std::move(*cloned));
+  next.invalidated = false;
+  return next;
 }
 
 ClusterObservation GetClusterObservation(const Dataset& dataset,

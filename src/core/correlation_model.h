@@ -62,11 +62,42 @@ StatusOr<CorrelationModel> BuildCorrelationModel(const Dataset& dataset,
 /// Deep copy of a model: quality/clustering/alpha are copied and every
 /// cluster's statistics cloned via JointStatsProvider::Clone, so mutating
 /// the copy (ApplyPatternDeltas) leaves the original byte-identical. This
-/// is FusionEngine::Update's copy-on-write step — published snapshots keep
-/// the original while the engine streams deltas into the clone. Returns
+/// is AdvanceCorrelationModel's copy-on-write step — published snapshots
+/// keep the original while deltas stream into the clone. Returns
 /// Unimplemented when any provider lacks a clone (the caller falls back to
 /// a full rebuild).
 StatusOr<CorrelationModel> CloneCorrelationModel(const CorrelationModel& model);
+
+/// Exact per-cluster pattern-count deltas of one streamed batch, parallel
+/// to the clustering they were computed against.
+using ClusterDeltas = std::vector<std::vector<JointPatternDelta>>;
+
+/// The streaming invalidation rule: a batch cannot be folded into a model
+/// when it brings new sources (the cluster partition changes) or, with
+/// clustering enabled, when it changes the training set (any such change
+/// can re-cluster).
+bool BatchInvalidatesModel(const ModelOptions& options, bool new_sources,
+                           bool training_changed);
+
+/// A model advanced past one streamed batch.
+struct ModelAdvance {
+  /// The next model; null means rebuild lazily on the next use.
+  std::shared_ptr<const CorrelationModel> model;
+  /// An existing model could not absorb the batch (a full invalidation).
+  bool invalidated = false;
+};
+
+/// The one streaming-update step for the model, used by FusionEngine::Update
+/// and by the sharded router alike. A null `model` (nothing built yet)
+/// stays null. Otherwise the result is either a clone carrying `quality`
+/// with every entry of `deltas` folded in, in order (copy-on-write: snapshots
+/// holding `model` never see the change), or null and invalidated when
+/// BatchInvalidatesModel holds or a provider has no Clone or
+/// ApplyPatternDeltas (Unimplemented). Any other error is returned.
+StatusOr<ModelAdvance> AdvanceCorrelationModel(
+    const CorrelationModel* model, const std::vector<SourceQuality>& quality,
+    const ModelOptions& options, bool new_sources, bool training_changed,
+    const std::vector<const ClusterDeltas*>& deltas);
 
 /// The observation of triple t restricted to one cluster: which cluster
 /// members provide it and which are in scope.

@@ -228,7 +228,7 @@ std::vector<TripleId> FusionEngine::CollectChangedExisting(
   return changed;
 }
 
-std::vector<std::vector<JointPatternDelta>> FusionEngine::ComputeClusterDeltas(
+ClusterDeltas FusionEngine::ComputeClusterDeltas(
     const DatasetDelta& delta, const DynamicBitset& old_train,
     const std::vector<TripleId>& changed_existing,
     const SourceClustering& clustering) const {
@@ -266,8 +266,7 @@ std::vector<std::vector<JointPatternDelta>> FusionEngine::ComputeClusterDeltas(
   new_labeled.erase(std::unique(new_labeled.begin(), new_labeled.end()),
                     new_labeled.end());
 
-  std::vector<std::vector<JointPatternDelta>> result(
-      clustering.clusters.size());
+  ClusterDeltas result(clustering.clusters.size());
   for (size_t c = 0; c < clustering.clusters.size(); ++c) {
     const std::vector<SourceId>& cluster = clustering.clusters[c];
     const Mask full = FullMask(static_cast<int>(cluster.size()));
@@ -351,156 +350,35 @@ std::vector<std::vector<JointPatternDelta>> FusionEngine::ComputeClusterDeltas(
   return result;
 }
 
-Status FusionEngine::UpdateClusterStats(
-    const DatasetDelta& delta, const DynamicBitset& old_train,
-    const std::vector<TripleId>& changed_existing, CorrelationModel* model) {
-  const std::vector<std::vector<JointPatternDelta>> deltas =
-      ComputeClusterDeltas(delta, old_train, changed_existing,
-                           model->clustering);
-  for (size_t c = 0; c < deltas.size(); ++c) {
-    if (deltas[c].empty()) continue;
-    FUSER_RETURN_IF_ERROR(
-        model->cluster_stats[c]->ApplyPatternDeltas(deltas[c]));
-  }
-  return Status::OK();
-}
-
 Status FusionEngine::Update(const ObservationBatch& batch) {
-  if (mutable_dataset_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Update requires an engine constructed with a mutable Dataset*");
+  FUSER_ASSIGN_OR_RETURN(ShardUpdateResult result,
+                         ApplyShardBatch(batch, model_.get()));
+  // Unsharded, this engine's own quality estimate is the final one.
+  StatusOr<ModelAdvance> next = AdvanceCorrelationModel(
+      model_.get(), result.shard_quality, options_.model,
+      !result.delta.new_sources.empty(), result.training_changed,
+      {&result.cluster_deltas});
+  std::shared_ptr<const CorrelationModel> model;
+  if (next.ok()) {
+    if (next->invalidated) ++full_invalidations_;
+    model = std::move(next->model);
   }
-  if (!prepared_) {
-    return Status::FailedPrecondition("call Prepare before Update");
-  }
-  FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
-
-  DatasetDelta delta;
-  FUSER_RETURN_IF_ERROR(mutable_dataset_->ApplyBatch(batch, &delta));
-  dataset_version_ = dataset_->version();
-  ++updates_applied_;
-
-  const size_t old_m = delta.old_num_triples;
-  const bool use_scopes = options_.model.use_scopes;
-
-  // The training set grows with the stream: newly labeled triples join it
-  // (previously labeled triples keep their train/test assignment).
-  DynamicBitset old_train = train_mask_;
-  train_mask_.Resize(dataset_->num_triples());
-  for (const auto& [t, old_label] : delta.label_changes) {
-    if (old_label == Label::kUnknown) train_mask_.Set(t);
-  }
-
-  // Source quality is one cheap bitset pass; recomputing it is exact.
-  FUSER_ASSIGN_OR_RETURN(
-      quality_, EstimateSourceQuality(*dataset_, train_mask_,
-                                      options_.model.ToQualityOptions()));
-
-  if (model_ == nullptr) {
-    // Shared inputs not built yet: the next Run builds them from the
-    // updated dataset.
-    grouping_ = nullptr;
-    Publish({});
-    return Status::OK();
-  }
-
-  bool training_changed = !delta.label_changes.empty();
-  if (!training_changed) {
-    for (const auto& [s, t] : delta.new_provides) {
-      (void)s;
-      if (t < old_m && old_train.Test(t)) {
-        training_changed = true;
-        break;
-      }
-    }
-  }
-  if (!training_changed && use_scopes && !delta.scope_gains.empty()) {
-    training_changed = true;  // scope denominators shift with coverage
-  }
-
-  if (!delta.new_sources.empty() ||
-      (options_.model.enable_clustering && training_changed)) {
-    // No incremental story: new sources change the cluster partition, and
-    // with clustering enabled any training change can re-cluster. The model
-    // and grouping rebuild lazily on the next Run.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-
-  // Copy-on-write: snapshots pinned by readers keep the pre-batch model;
-  // the deltas land in a private clone that becomes the new current model
-  // only once fully updated.
-  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model_);
-  if (cloned.status().code() == StatusCode::kUnimplemented) {
-    // Caller-supplied stats without a clone: rebuild lazily.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-  if (!cloned.ok()) {
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return cloned.status();
-  }
-  auto next_model = std::make_shared<CorrelationModel>(std::move(*cloned));
-  next_model->source_quality = quality_;
-
-  const std::vector<TripleId> changed_existing =
-      CollectChangedExisting(delta, use_scopes);
-
-  Status stats_status =
-      UpdateClusterStats(delta, old_train, changed_existing,
-                         next_model.get());
-  if (stats_status.code() == StatusCode::kUnimplemented) {
-    // Caller-supplied stats without an incremental path: rebuild lazily.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-  if (!stats_status.ok()) {
-    // The clone may be partially updated; drop the shared inputs rather
-    // than serve a corrupt model (pinned snapshots are unaffected).
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return stats_status;
-  }
-  model_ = std::move(next_model);
-
-  if (grouping_ != nullptr) {
-    // Same copy-on-write for the grouping: append/remap in a copy so the
-    // published grouping (shared with pinned snapshots) never moves.
-    auto next_grouping = std::make_shared<PatternGrouping>(*grouping_);
-    Status grouping_status = UpdatePatternGrouping(
-        *dataset_, *model_, changed_existing, next_grouping.get());
-    if (grouping_status.ok()) {
-      grouping_ = std::move(next_grouping);
-    } else {
-      grouping_ = nullptr;  // degrade to a lazy rebuild
-      ++full_invalidations_;
-    }
-  }
-  Publish({});
-  return Status::OK();
+  // On error the model is dropped rather than served half-updated (pinned
+  // snapshots are unaffected) and the error is returned after publishing.
+  InstallParameters(std::move(result.shard_quality), std::move(model),
+                    result.changed_existing);
+  return next.status();
 }
 
 StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
     const ObservationBatch& batch, const CorrelationModel* model) {
   if (mutable_dataset_ == nullptr) {
     return Status::FailedPrecondition(
-        "ApplyShardBatch requires an engine constructed with a mutable "
+        "streaming updates require an engine constructed with a mutable "
         "Dataset*");
   }
   if (!prepared_) {
-    return Status::FailedPrecondition("call Prepare before ApplyShardBatch");
+    return Status::FailedPrecondition("call Prepare before Update");
   }
   FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
 
@@ -513,13 +391,15 @@ StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
   const size_t old_m = delta.old_num_triples;
   const bool use_scopes = options_.model.use_scopes;
 
-  // Same training-set growth rule as Update.
+  // The training set grows with the stream: newly labeled triples join it
+  // (previously labeled triples keep their train/test assignment).
   DynamicBitset old_train = train_mask_;
   train_mask_.Resize(dataset_->num_triples());
   for (const auto& [t, old_label] : delta.label_changes) {
     if (old_label == Label::kUnknown) train_mask_.Set(t);
   }
 
+  // Source quality is one cheap bitset pass; recomputing it is exact.
   FUSER_ASSIGN_OR_RETURN(
       result.shard_quality,
       EstimateSourceQuality(*dataset_, train_mask_,
@@ -536,11 +416,15 @@ StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
     }
   }
   if (!result.training_changed && use_scopes && !delta.scope_gains.empty()) {
-    result.training_changed = true;
+    result.training_changed = true;  // scope denominators shift with coverage
   }
 
-  result.changed_existing = CollectChangedExisting(delta, use_scopes);
-  if (model != nullptr) {
+  // The fold inputs are only needed when the batch can be folded into
+  // `model`; a batch that invalidates it skips them.
+  if (model != nullptr &&
+      !BatchInvalidatesModel(options_.model, !delta.new_sources.empty(),
+                             result.training_changed)) {
+    result.changed_existing = CollectChangedExisting(delta, use_scopes);
     result.cluster_deltas = ComputeClusterDeltas(
         delta, old_train, result.changed_existing, model->clustering);
   }
@@ -555,22 +439,27 @@ Status FusionEngine::AdoptParameters(
     return Status::FailedPrecondition("call Prepare before AdoptParameters");
   }
   external_parameters_ = true;
+  InstallParameters(std::move(quality), std::move(model), changed_existing);
+  return Status::OK();
+}
+
+void FusionEngine::InstallParameters(
+    std::vector<SourceQuality> quality,
+    std::shared_ptr<const CorrelationModel> model,
+    const std::vector<TripleId>& changed_existing) {
   dataset_version_ = dataset_->version();
   quality_ = std::move(quality);
-  if (model == nullptr) {
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return Status::OK();
-  }
   model_ = std::move(model);
-  if (grouping_ != nullptr) {
+  if (model_ == nullptr) {
+    grouping_ = nullptr;
+  } else if (grouping_ != nullptr) {
     const bool untouched =
         grouping_->num_triples == dataset_->num_triples() &&
         changed_existing.empty() &&
         grouping_->model_fingerprint == ModelGroupingFingerprint(*model_);
     if (!untouched) {
-      // Copy-on-write like Update: pinned snapshots keep the old grouping.
+      // Copy-on-write: append/remap in a copy so the published grouping
+      // (shared with pinned snapshots) never moves.
       auto next_grouping = std::make_shared<PatternGrouping>(*grouping_);
       Status grouping_status = UpdatePatternGrouping(
           *dataset_, *model_, changed_existing, next_grouping.get());
@@ -583,7 +472,6 @@ Status FusionEngine::AdoptParameters(
     }
   }
   Publish({});
-  return Status::OK();
 }
 
 Status FusionEngine::EnsureModel() {

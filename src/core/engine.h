@@ -62,21 +62,24 @@ struct FusionRun {
   double seconds = 0.0;
 };
 
-/// Result of the shard half of a router-coordinated streaming update
-/// (see shard/sharded_engine.h): everything the router needs to merge
-/// global parameters across shards. ApplyShardBatch produces it without
-/// publishing and without recomputing this engine's own parameters;
-/// AdoptParameters finishes the update once the router has merged.
+/// Result of the first half of a streaming update: the batch applied to
+/// this engine's dataset, plus the integer statistics needed to advance the
+/// model (see AdvanceCorrelationModel). ApplyShardBatch produces it without
+/// publishing and without touching this engine's parameters; the update
+/// finishes by installing the advanced parameters — directly in Update, or
+/// through AdoptParameters once the sharded router has merged every shard.
 struct ShardUpdateResult {
   DatasetDelta delta;
   /// The batch changed this shard's training contribution (label changes,
   /// new provides on training triples, or scope gains under use_scopes).
   bool training_changed = false;
-  /// Existing triples whose provider/scope masks changed.
+  /// Existing triples whose provider/scope masks changed, and the exact
+  /// per-cluster pattern-count deltas against the clustering of the model
+  /// passed to ApplyShardBatch. Both are left empty when no model was
+  /// passed or when the batch invalidates it (BatchInvalidatesModel): the
+  /// model is then rebuilt, not folded.
   std::vector<TripleId> changed_existing;
-  /// Exact per-cluster pattern-count deltas against the clustering of the
-  /// model passed to ApplyShardBatch (empty when no model was passed).
-  std::vector<std::vector<JointPatternDelta>> cluster_deltas;
+  ClusterDeltas cluster_deltas;
   /// Post-batch per-source quality of this shard's partition. Only the raw
   /// counts are meaningful globally: merge across shards with
   /// MergeQualityCounts and finalize with FinalizeQualityFromCounts.
@@ -120,6 +123,10 @@ class FusionEngine {
   /// maintains every shared input instead of rebuilding it. After any
   /// sequence of Update calls, Run/RunAll scores are byte-identical to a
   /// fresh engine prepared on the resulting dataset with train_mask().
+  /// Update is ApplyShardBatch, then AdvanceCorrelationModel (which holds
+  /// the invalidate-or-fold rule, core/correlation_model.h), then the
+  /// install step AdoptParameters shares — the same three steps the
+  /// sharded router runs across K>1 shards.
   ///
   ///  * Triples newly labeled by the batch join the training set; source
   ///    quality is re-estimated (one cheap bitset pass).
@@ -131,9 +138,8 @@ class FusionEngine {
   ///    patterns (scored lazily on the next Run) — it is not rebuilt, see
   ///    pattern_grouping_builds().
   ///  * Changes with no incremental story invalidate the affected caches,
-  ///    which rebuild lazily: new sources change the cluster partition, and
-  ///    with enable_clustering any training change can re-cluster (see
-  ///    full_invalidations()).
+  ///    which rebuild lazily (BatchInvalidatesModel: new sources, or any
+  ///    training change under enable_clustering; see full_invalidations()).
   ///
   /// Requires the mutable constructor and a prior Prepare.
   Status Update(const ObservationBatch& batch);
@@ -144,23 +150,18 @@ class FusionEngine {
   /// per-shard datasets).
   const Dataset* dataset() const { return dataset_; }
 
-  /// The shard half of Update: applies the batch to this shard's dataset,
-  /// extends the train mask, and returns the per-shard integer statistics
-  /// the router merges globally — without touching this engine's
-  /// quality/model/grouping and without publishing. `model` (may be null)
-  /// supplies the clustering the per-cluster pattern deltas are computed
-  /// against; the router applies them to its own clone. Must be followed
-  /// by AdoptParameters before this engine serves again.
+  /// The first half of Update: applies the batch to this engine's dataset,
+  /// extends the train mask, and returns the integer statistics the model
+  /// advances by — without touching this engine's quality/model/grouping
+  /// and without publishing. `model` (may be null) supplies the clustering
+  /// the per-cluster pattern deltas are computed against. The sharded
+  /// router calls it per shard and must follow with AdoptParameters before
+  /// this engine serves again.
   StatusOr<ShardUpdateResult> ApplyShardBatch(const ObservationBatch& batch,
                                               const CorrelationModel* model);
 
-  /// Installs router-merged global parameters: per-source quality and
-  /// (optionally) the correlation model shared by every shard. A null
-  /// model drops the cached model/grouping (the router rebuilds lazily).
-  /// With a model, the cached grouping is maintained incrementally against
-  /// `changed_existing` (triples whose masks changed) or kept as-is when
-  /// nothing relevant changed — the near-free path for shards a batch did
-  /// not touch. Publishes the new state. Marks the engine router-managed:
+  /// Installs router-merged global parameters (the install step Update
+  /// ends with; see InstallParameters). Marks the engine router-managed:
   /// EnsureModel no longer builds from the shard-local dataset (which
   /// would be globally wrong) but fails until the next adoption.
   Status AdoptParameters(std::vector<SourceQuality> quality,
@@ -308,19 +309,21 @@ class FusionEngine {
   /// Existing triples whose provider or scope masks changed in `delta`.
   std::vector<TripleId> CollectChangedExisting(const DatasetDelta& delta,
                                                bool use_scopes) const;
-  /// Exact per-cluster pattern-count deltas for a just-applied batch (the
-  /// delta-computation half of UpdateClusterStats, shared with
-  /// ApplyShardBatch). Reads the post-batch dataset and train_mask_.
-  std::vector<std::vector<JointPatternDelta>> ComputeClusterDeltas(
+  /// Exact per-cluster pattern-count deltas for a just-applied batch.
+  /// Reads the post-batch dataset and train_mask_.
+  ClusterDeltas ComputeClusterDeltas(
       const DatasetDelta& delta, const DynamicBitset& old_train,
       const std::vector<TripleId>& changed_existing,
       const SourceClustering& clustering) const;
-  /// Folds exact pattern-count deltas into `model`'s per-cluster joint
-  /// stats (the writer's private clone, never a published model).
-  Status UpdateClusterStats(const DatasetDelta& delta,
-                            const DynamicBitset& old_train,
-                            const std::vector<TripleId>& changed_existing,
-                            CorrelationModel* model);
+  /// Sets per-source quality and the correlation model and publishes. A
+  /// null model drops the cached model/grouping (rebuilt lazily). With a
+  /// model, the cached grouping is maintained copy-on-write against
+  /// `changed_existing` (triples whose masks changed), or kept as-is when
+  /// nothing relevant changed — the near-free path for shards a batch did
+  /// not touch.
+  void InstallParameters(std::vector<SourceQuality> quality,
+                         std::shared_ptr<const CorrelationModel> model,
+                         const std::vector<TripleId>& changed_existing);
 
   const Dataset* dataset_;
   Dataset* mutable_dataset_ = nullptr;  // non-null iff streaming-capable

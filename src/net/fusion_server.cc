@@ -56,8 +56,9 @@ struct PollerEvent {
 class Poller {
  public:
   virtual ~Poller() = default;
-  virtual Status Add(int fd, bool want_write) = 0;
-  virtual Status Update(int fd, bool want_write) = 0;
+  /// Registers `fd` for readability only.
+  virtual Status Add(int fd) = 0;
+  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
   virtual void Remove(int fd) = 0;
   virtual Status Wait(int timeout_ms, std::vector<PollerEvent>* events) = 0;
 };
@@ -72,11 +73,11 @@ class EpollPoller : public Poller {
   }
   ~EpollPoller() override { close(epoll_fd_); }
 
-  Status Add(int fd, bool want_write) override {
-    return Control(EPOLL_CTL_ADD, fd, want_write);
+  Status Add(int fd) override {
+    return Control(EPOLL_CTL_ADD, fd, /*want_read=*/true, /*want_write=*/false);
   }
-  Status Update(int fd, bool want_write) override {
-    return Control(EPOLL_CTL_MOD, fd, want_write);
+  Status Update(int fd, bool want_read, bool want_write) override {
+    return Control(EPOLL_CTL_MOD, fd, want_read, want_write);
   }
   void Remove(int fd) override {
     epoll_event ev{};
@@ -102,9 +103,9 @@ class EpollPoller : public Poller {
 
  private:
   explicit EpollPoller(int fd) : epoll_fd_(fd) {}
-  Status Control(int op, int fd, bool want_write) {
+  Status Control(int op, int fd, bool want_read, bool want_write) {
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     if (epoll_ctl(epoll_fd_, op, fd, &ev) < 0) return Errno("epoll_ctl");
     return Status::OK();
@@ -115,22 +116,22 @@ class EpollPoller : public Poller {
 
 class PollPoller : public Poller {
  public:
-  Status Add(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return Status::OK();
+  Status Add(int fd) override {
+    return Update(fd, /*want_read=*/true, /*want_write=*/false);
   }
-  Status Update(int fd, bool want_write) override {
-    interest_[fd] = want_write;
+  Status Update(int fd, bool want_read, bool want_write) override {
+    interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
+                                       (want_write ? POLLOUT : 0));
     return Status::OK();
   }
   void Remove(int fd) override { interest_.erase(fd); }
   Status Wait(int timeout_ms, std::vector<PollerEvent>* events) override {
     std::vector<pollfd> fds;
     fds.reserve(interest_.size());
-    for (const auto& [fd, want_write] : interest_) {
+    for (const auto& [fd, events] : interest_) {
       pollfd p{};
       p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
+      p.events = events;
       fds.push_back(p);
     }
     const int n = poll(fds.data(), fds.size(), timeout_ms);
@@ -151,17 +152,17 @@ class PollPoller : public Poller {
   }
 
  private:
-  std::unordered_map<int, bool> interest_;  // fd -> want_write
+  std::unordered_map<int, short> interest_;  // fd -> poll events
 };
 
-StatusOr<std::unique_ptr<Poller>> MakePoller(bool force_poll) {
+/// epoll where available, unless FUSER_NET_FORCE_POLL=1 asks for poll().
+StatusOr<std::unique_ptr<Poller>> MakePoller() {
   const char* env = std::getenv("FUSER_NET_FORCE_POLL");
-  const bool env_poll = env != nullptr && env[0] == '1';
+  const bool force_poll = env != nullptr && env[0] == '1';
 #if FUSER_NET_HAVE_EPOLL
-  if (!force_poll && !env_poll) return EpollPoller::Create();
+  if (!force_poll) return EpollPoller::Create();
 #else
   (void)force_poll;
-  (void)env_poll;
 #endif
   return std::unique_ptr<Poller>(new PollPoller());
 }
@@ -192,12 +193,11 @@ class FusionServer::Worker {
   }
 
   Status Start() {
-    FUSER_ASSIGN_OR_RETURN(poller_,
-                           MakePoller(server_->options_.force_poll));
+    FUSER_ASSIGN_OR_RETURN(poller_, MakePoller());
     if (pipe(wake_pipe_) < 0) return Errno("pipe");
     FUSER_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[0]));
     FUSER_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[1]));
-    FUSER_RETURN_IF_ERROR(poller_->Add(wake_pipe_[0], /*want_write=*/false));
+    FUSER_RETURN_IF_ERROR(poller_->Add(wake_pipe_[0]));
     thread_ = std::thread([this] { Loop(); });
     return Status::OK();
   }
@@ -227,6 +227,9 @@ class FusionServer::Worker {
     size_t wpos = 0;
     Clock::time_point last_active;
     bool close_after_flush = false;
+    /// Unsent replies passed kMaxPendingReplyBytes: no reads, no dispatch.
+    bool paused = false;
+    bool want_read = true;  // interest registered with the poller
     bool want_write = false;
 
     explicit Connection(size_t max_payload)
@@ -282,7 +285,7 @@ class FusionServer::Worker {
     }
     for (int fd : fresh) {
       if (!SetNonBlocking(fd).ok() ||
-          !poller_->Add(fd, /*want_write=*/false).ok()) {
+          !poller_->Add(fd).ok()) {
         close(fd);
         continue;
       }
@@ -290,15 +293,17 @@ class FusionServer::Worker {
     }
   }
 
-  /// Reads everything available; returns false when the connection died.
+  /// Reads and answers what is available until EAGAIN or a backlog pause
+  /// (the rest stays in the socket); returns false when the connection
+  /// died.
   bool HandleReadable(int fd, Connection& conn) {
     char buf[64 * 1024];
-    bool got_bytes = false;
-    while (true) {
+    while (!conn.paused) {
       const ssize_t n = read(fd, buf, sizeof(buf));
       if (n > 0) {
         conn.reader.Append(buf, static_cast<size_t>(n));
-        got_bytes = true;
+        conn.last_active = Clock::now();
+        ProcessFrames(conn);
         continue;
       }
       if (n == 0) return false;  // peer closed
@@ -306,15 +311,19 @@ class FusionServer::Worker {
       if (errno == EINTR) continue;
       return false;
     }
-    if (got_bytes) conn.last_active = Clock::now();
-    ProcessFrames(conn);
     return FlushWrites(fd, conn);
   }
 
-  /// Pulls complete frames out of the read buffer and appends responses.
+  /// Pulls complete frames out of the read buffer and appends responses,
+  /// pausing the connection once its unsent replies pass the bound.
   void ProcessFrames(Connection& conn) {
     WireFrame frame;
     while (!conn.close_after_flush) {
+      if (conn.pending_bytes() > kMaxPendingReplyBytes) {
+        conn.paused = true;
+        server_->backlog_pauses_.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
       auto next = conn.reader.Next(&frame);
       if (!next.ok()) {
         // Stream integrity lost: one fatal error frame, then close.
@@ -422,32 +431,46 @@ class FusionServer::Worker {
     server_->errors_sent_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Writes as much of the pending buffer as the socket accepts; returns
-  /// false when the connection died or finished a close-after-flush.
+  /// Writes as much of the pending buffer as the socket accepts, resuming
+  /// a paused connection (answering its already-buffered requests) once
+  /// the backlog drains under the bound; returns false when the connection
+  /// died or finished a close-after-flush.
   bool FlushWrites(int fd, Connection& conn) {
-    while (conn.pending_bytes() > 0) {
-      const ssize_t n = write(fd, conn.wbuf.data() + conn.wpos,
-                              conn.pending_bytes());
-      if (n > 0) {
-        conn.wpos += static_cast<size_t>(n);
-        conn.last_active = Clock::now();
-        continue;
+    while (true) {
+      while (conn.pending_bytes() > 0) {
+        const ssize_t n = write(fd, conn.wbuf.data() + conn.wpos,
+                                conn.pending_bytes());
+        if (n > 0) {
+          conn.wpos += static_cast<size_t>(n);
+          conn.last_active = Clock::now();
+          continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (n < 0 && errno == EINTR) continue;
+        return false;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      return false;
+      if (conn.pending_bytes() == 0) {
+        conn.wbuf.clear();
+        conn.wpos = 0;
+      } else if (conn.wpos > kMaxPendingReplyBytes) {
+        // A peer that reads slowly but never catches up must not grow the
+        // buffer with sent bytes either.
+        conn.wbuf.erase(0, conn.wpos);
+        conn.wpos = 0;
+      }
+      if (!conn.paused || conn.pending_bytes() > kMaxPendingReplyBytes) break;
+      conn.paused = false;
+      ProcessFrames(conn);
     }
-    if (conn.pending_bytes() == 0) {
-      conn.wbuf.clear();
-      conn.wpos = 0;
-      if (conn.close_after_flush) return false;
-      if (conn.want_write) {
-        conn.want_write = false;
-        (void)poller_->Update(fd, /*want_write=*/false);
-      }
-    } else if (!conn.want_write) {
-      conn.want_write = true;
-      (void)poller_->Update(fd, /*want_write=*/true);
+    if (conn.pending_bytes() == 0 && conn.close_after_flush) return false;
+    // Level-triggered readiness: a paused connection drops read interest so
+    // its unread requests do not spin the loop.
+    const bool want_read = !conn.paused;
+    const bool want_write = conn.pending_bytes() > 0;
+    if (want_read != conn.want_read || want_write != conn.want_write) {
+      conn.want_read = want_read;
+      conn.want_write = want_write;
+      (void)poller_->Update(fd, want_read, want_write);
     }
     return true;
   }
@@ -646,6 +669,7 @@ ServerCounters FusionServer::counters() const {
   counters.requests_served =
       requests_served_.load(std::memory_order_relaxed);
   counters.errors_sent = errors_sent_.load(std::memory_order_relaxed);
+  counters.backlog_pauses = backlog_pauses_.load(std::memory_order_relaxed);
   return counters;
 }
 

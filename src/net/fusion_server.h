@@ -8,11 +8,11 @@
 // Accepted connections are handed round-robin to workers; each worker owns
 // its connections outright (per-connection read/write buffers, idle
 // clock) and multiplexes them through a non-blocking epoll loop (poll
-// fallback on non-Linux hosts, or when FUSER_NET_FORCE_POLL=1 — CI runs
-// the suite both ways). Requests are parsed with net::FrameReader, so
-// arbitrarily fragmented frames (slow-loris writers, single-byte drips)
-// assemble correctly, and responses are written with partial-write
-// handling under EPOLLOUT.
+// fallback on non-Linux hosts, or when FUSER_NET_FORCE_POLL=1 is set at
+// Start() — CI runs the suite both ways). Requests are parsed with
+// net::FrameReader, so arbitrarily fragmented frames (slow-loris writers,
+// single-byte drips) assemble correctly, and responses are written with
+// partial-write handling under EPOLLOUT.
 //
 // Error containment, matching the wire contract (net/wire.h):
 //  * stream-integrity violations (bad magic/version, oversized length
@@ -22,18 +22,25 @@
 //    unknown method, out-of-range triple) answer kError and keep serving
 //    the connection;
 //  * a wedged peer cannot wedge the server: reads and writes never block,
-//    and connections idle beyond the timeout are closed.
+//    and connections idle beyond the timeout are closed;
+//  * a peer that pipelines requests without reading the replies cannot
+//    grow server memory: once a connection's unsent replies pass
+//    kMaxPendingReplyBytes the server stops reading and answering it until
+//    the peer drains them (ServerCounters::backlog_pauses).
 //
 // Stop() is graceful: the listener closes first, then every worker drains
 // — requests already received in full are answered and pending write
 // buffers flushed (bounded by drain_timeout_ms) — so a client that
-// pipelined a batch right before shutdown still gets its responses. The
+// pipelined a batch right before shutdown still gets its responses (a
+// connection paused on its reply backlog is answered up to what the
+// server had read). The
 // service stays valid the whole time; a streaming writer may keep calling
 // Update/PublishSnapshot on the engine behind it throughout.
 #ifndef FUSER_NET_FUSION_SERVER_H_
 #define FUSER_NET_FUSION_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -45,6 +52,11 @@
 
 namespace fuser {
 namespace net {
+
+/// A connection whose unsent reply bytes exceed this is paused — no reads,
+/// no dispatch — until its peer drains the backlog back under it. A
+/// connection's buffered replies are thus bounded by this plus one reply.
+inline constexpr size_t kMaxPendingReplyBytes = 1u << 20;
 
 struct FusionServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
@@ -59,8 +71,6 @@ struct FusionServerOptions {
   /// Bound on the graceful-drain phase of Stop().
   int drain_timeout_ms = 5000;
   int listen_backlog = 128;
-  /// Force the poll() event loop even where epoll is available.
-  bool force_poll = false;
 };
 
 /// Monotonic counters, readable while the server runs.
@@ -68,6 +78,8 @@ struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t requests_served = 0;
   uint64_t errors_sent = 0;
+  /// Times a connection was paused on its reply backlog.
+  uint64_t backlog_pauses = 0;
 };
 
 class FusionServer {
@@ -112,6 +124,7 @@ class FusionServer {
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> errors_sent_{0};
+  std::atomic<uint64_t> backlog_pauses_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
 };

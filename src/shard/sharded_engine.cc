@@ -141,7 +141,7 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
 
   // New sources are not covered by the current clustering, so pattern
   // deltas against it would be meaningless (and their provider masks
-  // unrepresentable) — the model is invalidated below anyway.
+  // unrepresentable) — AdvanceCorrelationModel invalidates it anyway.
   const CorrelationModel* delta_model =
       routed.new_sources.empty() ? model_.get() : nullptr;
 
@@ -171,6 +171,7 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
   // Extend the global training mask exactly as the shards extended theirs.
   train_mask_.Resize(corpus_.num_triples());
   bool training_changed = false;
+  std::vector<const ClusterDeltas*> cluster_deltas;
   for (size_t k = 0; k < num_shards; ++k) {
     if (!applied[k]) continue;
     training_changed |= results[k].training_changed;
@@ -180,81 +181,28 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
       }
     }
     shard_quality_[k] = std::move(results[k].shard_quality);
+    cluster_deltas.push_back(&results[k].cluster_deltas);
   }
   FUSER_RETURN_IF_ERROR(MergeQuality());
 
-  // Adopts the merged quality with no model into every shard; the model is
-  // rebuilt lazily by the next caller that needs it.
-  auto adopt_no_model = [&]() -> Status {
-    model_ = nullptr;
-    for (size_t k = 0; k < num_shards; ++k) {
-      FUSER_RETURN_IF_ERROR(
-          engines_[k]->AdoptParameters(quality_, nullptr, kNoChangedExisting));
-    }
-    return Status::OK();
-  };
-
-  if (model_ == nullptr) {
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return Status::OK();
+  // Fold every dirty shard's deltas into one clone of the global model (or
+  // invalidate it) and adopt the result everywhere; on error the model is
+  // dropped and the error returned after adoption.
+  StatusOr<ModelAdvance> next = AdvanceCorrelationModel(
+      model_.get(), quality_, options_.model, !routed.new_sources.empty(),
+      training_changed, cluster_deltas);
+  model_ = nullptr;
+  if (next.ok()) {
+    if (next->invalidated) ++full_invalidations_;
+    model_ = std::move(next->model);
   }
-
-  // Same invalidation conditions as FusionEngine::Update: the cluster
-  // partition can change with new sources, and with clustering enabled any
-  // training change can re-cluster.
-  if (!routed.new_sources.empty() ||
-      (options_.model.enable_clustering && training_changed)) {
-    ++full_invalidations_;
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return Status::OK();
-  }
-
-  // Incremental path: clone the global model once, fold every dirty
-  // shard's exact pattern-count deltas into the clone, adopt everywhere.
-  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model_);
-  if (!cloned.ok()) {
-    if (cloned.status().code() == StatusCode::kUnimplemented) {
-      ++full_invalidations_;
-      FUSER_RETURN_IF_ERROR(adopt_no_model());
-      PublishCurrent();
-      return Status::OK();
-    }
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return cloned.status();
-  }
-  auto next = std::make_shared<CorrelationModel>(std::move(cloned).value());
-  next->source_quality = quality_;
-  Status stats_status = Status::OK();
-  for (size_t k = 0; k < num_shards && stats_status.ok(); ++k) {
-    if (!applied[k]) continue;
-    const auto& cluster_deltas = results[k].cluster_deltas;
-    for (size_t c = 0; c < cluster_deltas.size() && stats_status.ok(); ++c) {
-      if (cluster_deltas[c].empty()) continue;
-      stats_status = next->cluster_stats[c]->ApplyPatternDeltas(cluster_deltas[c]);
-    }
-  }
-  if (!stats_status.ok()) {
-    if (stats_status.code() == StatusCode::kUnimplemented) {
-      ++full_invalidations_;
-      FUSER_RETURN_IF_ERROR(adopt_no_model());
-      PublishCurrent();
-      return Status::OK();
-    }
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return stats_status;
-  }
-  model_ = std::move(next);
   for (size_t k = 0; k < num_shards; ++k) {
     FUSER_RETURN_IF_ERROR(engines_[k]->AdoptParameters(
         quality_, model_,
         applied[k] ? results[k].changed_existing : kNoChangedExisting));
   }
   PublishCurrent();
-  return Status::OK();
+  return next.status();
 }
 
 Status ShardedFusionEngine::EnsureGlobalModel() {

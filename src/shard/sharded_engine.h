@@ -93,12 +93,11 @@ class ShardedFusionEngine {
 
   /// Streaming ingestion, byte-identical to FusionEngine::Update on the
   /// unsharded corpus: routes the batch to the owning shards, merges their
-  /// per-shard statistics, and either maintains the global model
-  /// incrementally (cloned once, per-shard pattern deltas folded in) or
-  /// invalidates it for a lazy rebuild under exactly the unsharded
-  /// engine's conditions (new sources; any training change when clustering
-  /// is enabled). Shards the batch does not touch only adopt the refreshed
-  /// global quality.
+  /// per-shard statistics, and advances the global model through the same
+  /// AdvanceCorrelationModel step FusionEngine::Update uses (cloned once
+  /// with every dirty shard's pattern deltas folded in, or invalidated for
+  /// a lazy rebuild). Shards the batch does not touch only adopt the
+  /// refreshed global quality.
   Status Update(const ObservationBatch& batch);
 
   /// Runs one method on every shard and stitches the per-shard scores into

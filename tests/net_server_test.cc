@@ -6,11 +6,14 @@
 // a slow-loris peer dripping one byte at a time must neither wedge the
 // event loop nor corrupt framing; clients must be able to reconnect after
 // a server restart; idle connections must be reaped; and Stop() must
-// drain pipelined requests that already reached the server. Runs under
+// drain pipelined requests that already reached the server; a client that
+// pipelines without reading is paused at the reply-backlog bound while
+// others are still served. Runs under
 // ASan/UBSan and TSan in CI, and the whole file repeats under the poll()
 // event loop via the ForcePoll suite.
 #include "net/fusion_server.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -19,6 +22,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -534,10 +538,71 @@ INSTANTIATE_TEST_SUITE_P(
       return "K" + std::to_string(info.param);
     });
 
-TEST(FusionServerForcePollTest, PollEventLoopServesIdentically) {
+TEST(FusionServerBacklogTest, NonReadingClientIsPausedOthersAreServed) {
   FusionServerOptions options;
-  options.force_poll = true;
+  options.num_workers = 1;  // both clients share one event loop
   ServerHarness harness(/*num_shards=*/1, options);
+  const int greedy = RawConnect(harness.server->port());
+  ASSERT_EQ(fcntl(greedy, F_SETFL, fcntl(greedy, F_GETFL, 0) | O_NONBLOCK),
+            0);
+
+  // Pipelines large ScoreBatch requests (each reply ~256 KB) and never
+  // reads a reply. Without the bound the server would buffer every reply.
+  ScoreBatchRequest request;
+  request.method = "precrec-corr";
+  const auto total = static_cast<TripleId>(harness.dataset.num_triples());
+  for (TripleId i = 0; i < 32768; ++i) request.triples.push_back(i % total);
+  auto paused = [&] { return harness.server->counters().backlog_pauses > 0; };
+  std::string pending;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  // A server that never pauses would buffer all of these (~64 MB); the
+  // bound stalls the client after a few dozen.
+  constexpr uint64_t kMaxRequests = 256;
+  bool stalled = false;
+  while (!stalled && request.request_id <= kMaxRequests &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (pending.empty()) {
+      ++request.request_id;
+      pending = EncodeFrame(MessageType::kScoreBatch, request.Encode());
+    }
+    const ssize_t n = write(greedy, pending.data(), pending.size());
+    if (n > 0) {
+      pending.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << strerror(errno);
+    // The socket is full. Once the server has paused this connection it
+    // stops reading, so the stall is permanent: no room frees up.
+    pollfd p{};
+    p.fd = greedy;
+    p.events = POLLOUT;
+    stalled = poll(&p, 1, 300) == 0 && paused();
+  }
+  ASSERT_TRUE(stalled) << "server kept reading a non-reading client";
+  // Replies stop at the bound (plus the one that crossed it and what the
+  // kernel buffers hold), far short of what was asked for.
+  EXPECT_LT(harness.server->counters().requests_served, request.request_id);
+
+  // The paused connection does not wedge the shared event loop.
+  FusionClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
+  ExpectNetworkMatchesLocal(harness, &client);
+  close(greedy);
+}
+
+TEST(FusionServerForcePollTest, PollEventLoopServesIdentically) {
+  // The poll() loop is chosen where the workers are created: in Start(),
+  // which the harness constructor runs.
+  const char* previous = std::getenv("FUSER_NET_FORCE_POLL");
+  const std::string saved = previous != nullptr ? previous : "";
+  setenv("FUSER_NET_FORCE_POLL", "1", /*overwrite=*/1);
+  ServerHarness harness(/*num_shards=*/1);
+  if (previous != nullptr) {
+    setenv("FUSER_NET_FORCE_POLL", saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("FUSER_NET_FORCE_POLL");
+  }
   FusionClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
   ExpectNetworkMatchesLocal(harness, &client);

@@ -108,8 +108,8 @@ TEST_F(PaperExampleTest, Example23CorrelationDirections) {
   // The paper also states C!23 = 0.5, but that value is not derivable from
   // the Figure 1 grid with the paper's own Theorem 3.5 derivation:
   // q23 = #false provided by both / #true = 1/6, q2*q3 = (4/6)(1/6), giving
-  // C!23 = 1.5 (a likely digit transposition in the paper; see
-  // EXPERIMENTS.md). We assert the self-consistent value.
+  // C!23 = 1.5 (a likely digit transposition in the paper). We assert the
+  // self-consistent value.
   EXPECT_NEAR(c23.on_false, 1.5, 0.01);
 }
 

@@ -132,12 +132,27 @@ INSTANTIATE_TEST_SUITE_P(
                                      Variant::kClustered),
                      testing::Values(1u, 2u, 4u, 8u)));
 
+/// Both engines apply one streaming policy: the same batches are absorbed
+/// and the same ones invalidate the model.
+void ExpectSameUpdatePolicy(const ShardedFusionEngine& sharded,
+                            const FusionEngine& unsharded) {
+  EXPECT_EQ(sharded.updates_applied(), unsharded.updates_applied());
+  EXPECT_EQ(sharded.full_invalidations(), unsharded.full_invalidations());
+}
+
 /// Streams the suffix of a dataset through both the sharded router and an
 /// unsharded engine, batch by batch, and demands byte-identical scores
-/// after every batch — including batches that add new sources, new
-/// domains, and relabel existing triples.
-void StreamingEquivalence(Variant variant, uint32_t num_shards,
-                          size_t num_threads) {
+/// and identical update counters after every batch — including batches
+/// that add new sources, new domains, and relabel existing triples.
+class ShardedStreamingTest
+    : public testing::TestWithParam<std::tuple<Variant, uint32_t>> {};
+
+TEST_P(ShardedStreamingTest, MatchesUnsharded) {
+  const Variant variant = std::get<0>(GetParam());
+  const uint32_t num_shards = std::get<1>(GetParam());
+  const size_t num_threads = variant == Variant::kPlain    ? 1
+                             : variant == Variant::kScoped ? 2
+                                                           : 8;
   Dataset final_ds = MakeDataset(variant, /*seed=*/1501 + num_shards);
   const TripleId total = static_cast<TripleId>(final_ds.num_triples());
   const TripleId prefix = total / 2;
@@ -166,6 +181,7 @@ void StreamingEquivalence(Variant variant, uint32_t num_shards,
     ASSERT_TRUE(unsharded.Update(batch).ok());
     Status updated = (*sharded)->Update(batch);
     ASSERT_TRUE(updated.ok()) << updated;
+    ExpectSameUpdatePolicy(**sharded, unsharded);
 
     auto streamed = (*sharded)->RunAll(ShardableLineup());
     ASSERT_TRUE(streamed.ok()) << streamed.status();
@@ -196,9 +212,13 @@ void StreamingEquivalence(Variant variant, uint32_t num_shards,
   if (unlabeled != kInvalidTriple) {
     batch.labels.push_back({final_ds.triple(unlabeled), false});
   }
+  const size_t invalidations = unsharded.full_invalidations();
   ASSERT_TRUE(unsharded.Update(batch).ok());
   Status updated = (*sharded)->Update(batch);
   ASSERT_TRUE(updated.ok()) << updated;
+  // The new source invalidates the model on both paths.
+  EXPECT_EQ(unsharded.full_invalidations(), invalidations + 1);
+  ExpectSameUpdatePolicy(**sharded, unsharded);
   auto streamed = (*sharded)->RunAll(ShardableLineup());
   ASSERT_TRUE(streamed.ok()) << streamed.status();
   auto expected = unsharded.RunAll(ShardableLineup());
@@ -206,25 +226,18 @@ void StreamingEquivalence(Variant variant, uint32_t num_shards,
   ExpectRunsIdentical(*streamed, *expected);
 }
 
-TEST(ShardedStreamingTest, PlainMatchesUnsharded) {
-  StreamingEquivalence(Variant::kPlain, 4, /*num_threads=*/1);
-}
-
-TEST(ShardedStreamingTest, ScopedMatchesUnsharded) {
-  StreamingEquivalence(Variant::kScoped, 4, /*num_threads=*/2);
-}
-
-TEST(ShardedStreamingTest, ClusteredMatchesUnsharded) {
-  StreamingEquivalence(Variant::kClustered, 2, /*num_threads=*/8);
-}
-
-TEST(ShardedStreamingTest, SingleShardMatchesUnsharded) {
-  StreamingEquivalence(Variant::kScoped, 1, /*num_threads=*/1);
-}
-
-TEST(ShardedStreamingTest, EightShardsMatchUnsharded) {
-  StreamingEquivalence(Variant::kScoped, 8, /*num_threads=*/2);
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllVariantsAndShardCounts, ShardedStreamingTest,
+    testing::Combine(testing::Values(Variant::kPlain, Variant::kScoped,
+                                     Variant::kClustered),
+                     testing::Values(1u, 2u, 4u, 8u)),
+    [](const testing::TestParamInfo<std::tuple<Variant, uint32_t>>& info) {
+      const Variant variant = std::get<0>(info.param);
+      return std::string(variant == Variant::kPlain    ? "Plain"
+                         : variant == Variant::kScoped ? "Scoped"
+                                                       : "Clustered") +
+             "K" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1701);
