@@ -2,9 +2,9 @@
 // the sketch estimator (stats/correlation_sketch.h) on synthetic datasets
 // of 64 / 256 / 1024 sources with planted correlated groups.
 //
-// Standalone binary (no google-benchmark dependency); prints a single
-// JSON object on the last stdout line so CI and scripts/check_bench.py
-// can track the speedups and the estimation-error contract:
+// Prints a single JSON object (bench_util.h) on the last stdout line so
+// CI and scripts/check_bench.py can track the speedups and the
+// estimation-error contract:
 //
 //   ./bench_correlation [universe] [sketch_size] [reps] [scales_csv]
 //
@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/simd.h"
 #include "common/timer.h"
@@ -284,36 +285,27 @@ int Main(int argc, char** argv) {
         RunScale(scale, universe, sketch_size, reps, error_bound));
   }
 
-  std::string json = "{\"bench\": \"correlation\"";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                ", \"universe\": %zu, \"sketch_size\": %zu, "
-                "\"error_bound\": %.6f, \"simd_level\": \"%s\"",
-                universe, sketch_size, error_bound,
-                simd::LevelName(simd::ActiveLevel()));
-  json += buf;
+  bench::JsonLine json("correlation");
+  json.Int("universe", universe)
+      .Int("sketch_size", sketch_size)
+      .Num("error_bound", error_bound)
+      .Str("simd_level", simd::LevelName(simd::ActiveLevel()));
   bool all_within_bound = true;
   for (const ScaleResult& r : results) {
-    std::snprintf(
-        buf, sizeof(buf),
-        ", \"num_triples_%zu\": %zu, \"exact_seconds_%zu\": %.6f, "
-        "\"sketch_seconds_%zu\": %.6f, \"sketch_speedup_%zu\": %.2f",
-        r.num_sources, r.num_triples, r.num_sources, r.exact_seconds,
-        r.num_sources, r.sketch_seconds, r.num_sources, r.speedup);
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        ", \"err_p50_%zu\": %.6f, \"err_p95_%zu\": %.6f, "
-        "\"err_max_%zu\": %.6f, \"error_within_bound_%zu\": %s, "
-        "\"topk_agreement_%zu\": %.4f, \"planted_recall_%zu\": %.4f",
-        r.num_sources, r.err_p50, r.num_sources, r.err_p95, r.num_sources,
-        r.err_max, r.num_sources, r.error_within_bound ? "true" : "false",
-        r.num_sources, r.topk_agreement, r.num_sources, r.planted_recall);
-    json += buf;
+    const std::string n = "_" + std::to_string(r.num_sources);
+    json.Int("num_triples" + n, r.num_triples)
+        .Num("exact_seconds" + n, r.exact_seconds)
+        .Num("sketch_seconds" + n, r.sketch_seconds)
+        .Num("sketch_speedup" + n, r.speedup, 2)
+        .Num("err_p50" + n, r.err_p50)
+        .Num("err_p95" + n, r.err_p95)
+        .Num("err_max" + n, r.err_max)
+        .Bool("error_within_bound" + n, r.error_within_bound)
+        .Num("topk_agreement" + n, r.topk_agreement, 4)
+        .Num("planted_recall" + n, r.planted_recall, 4);
     all_within_bound = all_within_bound && r.error_within_bound;
   }
-  json += "}";
-  std::printf("%s\n", json.c_str());
+  json.Print();
   FUSER_CHECK(all_within_bound)
       << "sketch estimation error exceeded the configured bound";
   return 0;

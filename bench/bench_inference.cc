@@ -21,8 +21,8 @@
 //               table, with a byte-identity check; on machines without
 //               AVX2 both tables are the scalar one and the ratios are ~1.
 //
-// Standalone binary (no google-benchmark dependency), prints one JSON
-// object so CI and scripts can track the speedup. Every measurement is the
+// Prints one JSON object (bench_util.h) so CI and scripts can track the
+// speedup. Every measurement is the
 // minimum over `reps` runs (steady state; warm memo caches favor the
 // legacy side, so the reported speedups are conservative):
 //
@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/bitset.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -268,42 +269,41 @@ int Main(int argc, char** argv) {
                                     ? runall_before_seconds /
                                           runall_after_seconds
                                     : 0.0;
-  std::printf(
-      "{\"bench\": \"inference\", \"num_triples\": %zu, "
-      "\"num_sources\": %zu, \"num_threads\": %zu, "
-      "\"distinct_patterns\": %zu, "
-      "\"grouping_scalar_seconds\": %.6f, "
-      "\"grouping_word_seconds\": %.6f, \"grouping_speedup\": %.2f, "
-      "\"methods\": {",
-      dataset.num_triples(), dataset.num_sources(), num_threads,
-      word_grouping->TotalDistinct(), grouping_scalar_seconds,
-      grouping_word_seconds, grouping_speedup);
+  bench::JsonLine json("inference");
+  json.Int("num_triples", dataset.num_triples())
+      .Int("num_sources", dataset.num_sources())
+      .Int("num_threads", num_threads)
+      .Int("distinct_patterns", word_grouping->TotalDistinct())
+      .Num("grouping_scalar_seconds", grouping_scalar_seconds)
+      .Num("grouping_word_seconds", grouping_word_seconds)
+      .Num("grouping_speedup", grouping_speedup, 2)
+      .Object("methods");
   for (size_t i = 0; i < lineup.size(); ++i) {
-    std::printf("%s\"%s\": {\"before_seconds\": %.6f, "
-                "\"after_seconds\": %.6f, \"speedup\": %.2f}",
-                i == 0 ? "" : ", ", lineup[i].Name().c_str(),
-                before_seconds[i], after_seconds[i],
-                after_seconds[i] > 0.0
-                    ? before_seconds[i] / after_seconds[i]
-                    : 0.0);
+    json.Object(lineup[i].Name())
+        .Num("before_seconds", before_seconds[i])
+        .Num("after_seconds", after_seconds[i])
+        .Num("speedup", ratio(before_seconds[i], after_seconds[i]), 2)
+        .End();
   }
-  std::printf(
-      "}, \"runall_before_seconds\": %.6f, \"runall_after_seconds\": %.6f, "
-      "\"runall_speedup\": %.2f, \"simd_level\": \"%s\", \"kernels\": "
-      "{\"and_count_scalar_seconds\": %.6f, "
-      "\"and_count_active_seconds\": %.6f, \"and_count_speedup\": %.2f, "
-      "\"transpose_scalar_seconds\": %.6f, "
-      "\"transpose_active_seconds\": %.6f, \"transpose_speedup\": %.2f, "
-      "\"gather_scalar_seconds\": %.6f, \"gather_active_seconds\": %.6f, "
-      "\"gather_speedup\": %.2f}, \"kernels_identical\": %s, "
-      "\"scores_identical\": %s}\n",
-      runall_before_seconds, runall_after_seconds, runall_speedup,
-      simd::LevelName(simd::ActiveLevel()), and_scalar, and_active,
-      ratio(and_scalar, and_active), transpose_scalar, transpose_active,
-      ratio(transpose_scalar, transpose_active), gather_scalar,
-      gather_active, ratio(gather_scalar, gather_active),
-      kernels_identical ? "true" : "false",
-      scores_identical ? "true" : "false");
+  json.End()
+      .Num("runall_before_seconds", runall_before_seconds)
+      .Num("runall_after_seconds", runall_after_seconds)
+      .Num("runall_speedup", runall_speedup, 2)
+      .Str("simd_level", simd::LevelName(simd::ActiveLevel()))
+      .Object("kernels")
+      .Num("and_count_scalar_seconds", and_scalar)
+      .Num("and_count_active_seconds", and_active)
+      .Num("and_count_speedup", ratio(and_scalar, and_active), 2)
+      .Num("transpose_scalar_seconds", transpose_scalar)
+      .Num("transpose_active_seconds", transpose_active)
+      .Num("transpose_speedup", ratio(transpose_scalar, transpose_active), 2)
+      .Num("gather_scalar_seconds", gather_scalar)
+      .Num("gather_active_seconds", gather_active)
+      .Num("gather_speedup", ratio(gather_scalar, gather_active), 2)
+      .End()
+      .Bool("kernels_identical", kernels_identical)
+      .Bool("scores_identical", scores_identical)
+      .Print();
   FUSER_CHECK(scores_identical)
       << "optimized scores diverged from the reference path";
   FUSER_CHECK(kernels_identical)

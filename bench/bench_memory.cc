@@ -1,8 +1,8 @@
 // Memory-layout benchmark for the columnar arena-backed Dataset and the
 // zero-copy mmap snapshot attach path.
 //
-// Standalone binary (no google-benchmark dependency); prints one JSON
-// object so CI and scripts/check_bench.py can gate the layout:
+// Prints one JSON object (bench_util.h) so CI and scripts/check_bench.py
+// can gate the layout:
 //
 //   ./bench_memory [full_triples] [attach_triples]
 //
@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -353,20 +354,24 @@ int Main(int argc, char** argv) {
   }
   const bool attach_ms_bound_ok = attach_ms_at_scale <= 10.0;
 
-  std::printf(
-      "{\"bench\": \"memory\", \"num_triples\": %zu, \"num_sources\": %zu, "
-      "\"bytes_per_triple\": %.1f, \"legacy_bytes_per_triple\": %.1f, "
-      "\"memory_reduction\": %.2f, \"arena_bytes\": %zu, "
-      "\"csr_bytes\": %zu, \"finalize_seconds\": %.6f, "
-      "\"copy_load_seconds\": %.6f, \"mmap_attach_seconds\": %.6f, "
-      "\"attach_speedup\": %.1f, \"attach_triples\": %zu, "
-      "\"attach_ms_at_scale\": %.3f, \"attach_ms_bound_ok\": %s, "
-      "\"peak_rss_bytes\": %zu, \"scores_identical\": %s}\n",
-      m, ds.num_sources(), bytes_per_triple, legacy_bytes_per_triple,
-      memory_reduction, stats.arena_bytes, stats.csr_bytes, finalize_seconds,
-      copy_load_seconds, mmap_attach_seconds, attach_speedup, attach_realized,
-      attach_ms_at_scale, attach_ms_bound_ok ? "true" : "false",
-      PeakRssBytes(), identical ? "true" : "false");
+  bench::JsonLine("memory")
+      .Int("num_triples", m)
+      .Int("num_sources", ds.num_sources())
+      .Num("bytes_per_triple", bytes_per_triple, 1)
+      .Num("legacy_bytes_per_triple", legacy_bytes_per_triple, 1)
+      .Num("memory_reduction", memory_reduction, 2)
+      .Int("arena_bytes", stats.arena_bytes)
+      .Int("csr_bytes", stats.csr_bytes)
+      .Num("finalize_seconds", finalize_seconds)
+      .Num("copy_load_seconds", copy_load_seconds)
+      .Num("mmap_attach_seconds", mmap_attach_seconds)
+      .Num("attach_speedup", attach_speedup, 1)
+      .Int("attach_triples", attach_realized)
+      .Num("attach_ms_at_scale", attach_ms_at_scale, 3)
+      .Bool("attach_ms_bound_ok", attach_ms_bound_ok)
+      .Int("peak_rss_bytes", PeakRssBytes())
+      .Bool("scores_identical", identical)
+      .Print();
   FUSER_CHECK(identical) << "attached scores diverged from owned scores";
   return 0;
 }

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -201,19 +202,19 @@ int Main(int argc, char** argv) {
   const ServerCounters counters = server.counters();
   server.Stop();
 
-  std::printf(
-      "{\"bench\": \"network\", \"num_triples\": %zu, "
-      "\"num_connections\": %zu, \"batches_per_connection\": %zu, "
-      "\"batch_size\": %zu, "
-      "\"rtt_p50_us\": %.3f, \"rtt_p99_us\": %.3f, "
-      "\"network_qps\": %.0f, \"inprocess_qps\": %.0f, "
-      "\"qps_ratio\": %.4f, "
-      "\"requests_served\": %llu, "
-      "\"responses_identical\": %s}\n",
-      realized, num_connections, batches_per_conn, batch_size, rtt_p50,
-      rtt_p99, network_qps, inprocess_qps, qps_ratio,
-      static_cast<unsigned long long>(counters.requests_served),
-      identical ? "true" : "false");
+  bench::JsonLine("network")
+      .Int("num_triples", realized)
+      .Int("num_connections", num_connections)
+      .Int("batches_per_connection", batches_per_conn)
+      .Int("batch_size", batch_size)
+      .Num("rtt_p50_us", rtt_p50, 3)
+      .Num("rtt_p99_us", rtt_p99, 3)
+      .Num("network_qps", network_qps, 0)
+      .Num("inprocess_qps", inprocess_qps, 0)
+      .Num("qps_ratio", qps_ratio, 4)
+      .Int("requests_served", counters.requests_served)
+      .Bool("responses_identical", identical)
+      .Print();
   FUSER_CHECK(identical) << total_mismatches
                          << " networked scores diverged from the engine";
   return 0;

@@ -2,8 +2,8 @@
 // snapshot vs. the cold path (Prepare + model + grouping + serving-state
 // publish) it replaces, on a synthetic dataset, default ~100k triples.
 //
-// Standalone binary (no google-benchmark dependency); prints a single JSON
-// object so CI and scripts/check_bench.py can track the speedup:
+// Prints a single JSON object (bench_util.h) so CI and
+// scripts/check_bench.py can track the speedup:
 //
 //   ./bench_persist [num_triples] [reps]
 //
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -155,15 +156,17 @@ int Main(int argc, char** argv) {
 
   const double speedup =
       warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0;
-  std::printf(
-      "{\"bench\": \"persist\", \"num_triples\": %zu, \"num_sources\": %zu, "
-      "\"file_bytes\": %zu, \"cold_prepare_seconds\": %.6f, "
-      "\"save_seconds\": %.6f, \"warm_start_seconds\": %.6f, "
-      "\"load_snapshot_seconds\": %.6f, \"warmstart_speedup\": %.2f, "
-      "\"scores_identical\": %s}\n",
-      ds.num_triples(), ds.num_sources(), file_bytes, cold_seconds,
-      save_seconds, warm_seconds, load_seconds, speedup,
-      identical ? "true" : "false");
+  bench::JsonLine("persist")
+      .Int("num_triples", ds.num_triples())
+      .Int("num_sources", ds.num_sources())
+      .Int("file_bytes", file_bytes)
+      .Num("cold_prepare_seconds", cold_seconds)
+      .Num("save_seconds", save_seconds)
+      .Num("warm_start_seconds", warm_seconds)
+      .Num("load_snapshot_seconds", load_seconds)
+      .Num("warmstart_speedup", speedup, 2)
+      .Bool("scores_identical", identical)
+      .Print();
   FUSER_CHECK(identical) << "warm-started scores diverged from original";
   return 0;
 }

@@ -1,9 +1,8 @@
 // Serving-layer benchmark: point-query latency and reader throughput
 // through FusionService, with and without a concurrent streaming writer.
 //
-// Like bench_streaming/bench_inference this is a standalone binary (no
-// google-benchmark dependency) printing one JSON object, so CI and scripts
-// can track the serving numbers:
+// Prints one JSON object (bench_util.h), so CI and scripts can track the
+// serving numbers:
 //
 //   ./bench_serving [num_triples] [num_sources] [num_readers] [queries_per_reader]
 //
@@ -25,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -212,19 +212,20 @@ int Main(int argc, char** argv) {
   FUSER_CHECK(run.ok()) << run.status();
   const bool identical = *batch == run->scores;
 
-  std::printf(
-      "{\"bench\": \"serving\", \"num_triples\": %zu, \"num_sources\": %zu, "
-      "\"num_readers\": %zu, \"queries_per_reader\": %zu, "
-      "\"idle_p50_us\": %.3f, \"idle_p99_us\": %.3f, "
-      "\"idle_qps\": %.0f, "
-      "\"updates_applied\": %zu, "
-      "\"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
-      "\"update_qps\": %.0f, "
-      "\"scores_identical\": %s}\n",
-      static_cast<size_t>(total), num_sources, num_readers, queries_each,
-      idle_p50, idle_p99, idle_qps,
-      updates_applied.load(std::memory_order_relaxed), update_p50,
-      update_p99, update_qps, identical ? "true" : "false");
+  bench::JsonLine("serving")
+      .Int("num_triples", total)
+      .Int("num_sources", num_sources)
+      .Int("num_readers", num_readers)
+      .Int("queries_per_reader", queries_each)
+      .Num("idle_p50_us", idle_p50, 3)
+      .Num("idle_p99_us", idle_p99, 3)
+      .Num("idle_qps", idle_qps, 0)
+      .Int("updates_applied", updates_applied.load(std::memory_order_relaxed))
+      .Num("update_p50_us", update_p50, 3)
+      .Num("update_p99_us", update_p99, 3)
+      .Num("update_qps", update_qps, 0)
+      .Bool("scores_identical", identical)
+      .Print();
   FUSER_CHECK(identical) << "serving scores diverged from Run";
   return 0;
 }

@@ -10,8 +10,8 @@
 // reduction, not parallelism, is the scaling claim: the curve holds at
 // num_threads = 1 on a single core.
 //
-// Standalone binary (no google-benchmark), single-line JSON on stdout so
-// scripts/check_bench.py can gate ingest_speedup_4 and scores_identical:
+// Prints one JSON line (bench_util.h) so scripts/check_bench.py can gate
+// ingest_speedup_4 and scores_identical:
 //
 //   ./bench_sharding [num_triples] [stream_fraction] [batches_per_bucket]
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -156,22 +157,24 @@ int Main(int argc, char** argv) {
       ingest_seconds[2] > 0.0
           ? static_cast<double>(observations_streamed) / ingest_seconds[2]
           : 0.0;
-  std::printf(
-      "{\"bench\": \"sharding\", \"num_triples\": %zu, "
-      "\"observations_streamed\": %zu, \"num_batches\": %zu, "
-      "\"ingest_seconds_1\": %.6f, \"ingest_seconds_2\": %.6f, "
-      "\"ingest_seconds_4\": %.6f, \"ingest_seconds_8\": %.6f, "
-      "\"ingest_speedup_2\": %.2f, \"ingest_speedup_4\": %.2f, "
-      "\"ingest_speedup_8\": %.2f, "
-      "\"update_throughput_obs_per_sec_4\": %.0f, "
-      "\"query_seconds_1\": %.6f, \"query_seconds_2\": %.6f, "
-      "\"query_seconds_4\": %.6f, \"query_seconds_8\": %.6f, "
-      "\"scores_identical\": %s}\n",
-      static_cast<size_t>(total), observations_streamed, batches.size(),
-      ingest_seconds[0], ingest_seconds[1], ingest_seconds[2],
-      ingest_seconds[3], speedup(1), speedup(2), speedup(3), throughput_4,
-      query_seconds[0], query_seconds[1], query_seconds[2], query_seconds[3],
-      identical ? "true" : "false");
+  bench::JsonLine json("sharding");
+  json.Int("num_triples", total)
+      .Int("observations_streamed", observations_streamed)
+      .Int("num_batches", batches.size());
+  for (size_t ki = 0; ki < 4; ++ki) {
+    json.Num("ingest_seconds_" + std::to_string(kShardCounts[ki]),
+             ingest_seconds[ki]);
+  }
+  for (size_t ki = 1; ki < 4; ++ki) {
+    json.Num("ingest_speedup_" + std::to_string(kShardCounts[ki]),
+             speedup(ki), 2);
+  }
+  json.Num("update_throughput_obs_per_sec_4", throughput_4, 0);
+  for (size_t ki = 0; ki < 4; ++ki) {
+    json.Num("query_seconds_" + std::to_string(kShardCounts[ki]),
+             query_seconds[ki]);
+  }
+  json.Bool("scores_identical", identical).Print();
   FUSER_CHECK(identical) << "sharded scores diverged across shard counts";
   return 0;
 }

@@ -2,9 +2,8 @@
 // full-rebuild baseline (fresh Prepare + model + grouping after every
 // batch) on a synthetic dataset, default 100k triples.
 //
-// Unlike the figure benches this is a standalone binary (no
-// google-benchmark dependency) and prints a single JSON object so CI and
-// scripts can track the speedup:
+// Prints a single JSON object (bench_util.h) so CI and scripts can track
+// the speedup:
 //
 //   ./bench_streaming [num_triples] [num_batches] [stream_fraction]
 //
@@ -16,6 +15,7 @@
 #include <string>
 #include <utility>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -102,19 +102,19 @@ int Main(int argc, char** argv) {
       incremental_seconds > 0.0
           ? static_cast<double>(observations_streamed) / incremental_seconds
           : 0.0;
-  std::printf(
-      "{\"bench\": \"streaming\", \"num_triples\": %zu, "
-      "\"streamed_triples\": %zu, \"num_batches\": %zu, "
-      "\"observations_streamed\": %zu, "
-      "\"incremental_seconds\": %.6f, \"rebuild_seconds\": %.6f, "
-      "\"speedup\": %.2f, \"throughput_obs_per_sec\": %.0f, "
-      "\"grouping_builds\": %zu, \"full_invalidations\": %zu, "
-      "\"scores_identical\": %s}\n",
-      static_cast<size_t>(total), static_cast<size_t>(total - prefix),
-      batches_run, observations_streamed, incremental_seconds,
-      rebuild_seconds, speedup, throughput,
-      streaming.pattern_grouping_builds(), streaming.full_invalidations(),
-      identical ? "true" : "false");
+  bench::JsonLine("streaming")
+      .Int("num_triples", total)
+      .Int("streamed_triples", total - prefix)
+      .Int("num_batches", batches_run)
+      .Int("observations_streamed", observations_streamed)
+      .Num("incremental_seconds", incremental_seconds)
+      .Num("rebuild_seconds", rebuild_seconds)
+      .Num("speedup", speedup, 2)
+      .Num("throughput_obs_per_sec", throughput, 0)
+      .Int("grouping_builds", streaming.pattern_grouping_builds())
+      .Int("full_invalidations", streaming.full_invalidations())
+      .Bool("scores_identical", identical)
+      .Print();
   FUSER_CHECK(identical) << "incremental scores diverged from rebuild";
   return 0;
 }

@@ -763,12 +763,14 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"fuser_cli\": {\"serve\": true, \"port\": %u, \"shards\": %zu, "
         "\"connections_accepted\": %llu, \"requests_served\": %llu, "
-        "\"errors_sent\": %llu, \"backlog_pauses\": %llu}}\n",
+        "\"errors_sent\": %llu, \"backlog_pauses\": %llu, "
+        "\"connections_refused\": %llu}}\n",
         server.port(), engine->num_shards(),
         static_cast<unsigned long long>(counters.connections_accepted),
         static_cast<unsigned long long>(counters.requests_served),
         static_cast<unsigned long long>(counters.errors_sent),
-        static_cast<unsigned long long>(counters.backlog_pauses));
+        static_cast<unsigned long long>(counters.backlog_pauses),
+        static_cast<unsigned long long>(counters.connections_refused));
     return 0;
   }
 

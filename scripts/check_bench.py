@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate over the checked-in bench baselines.
+"""CI regression gate over the checked-in bench baselines.
 
-Every gated bench (bench_streaming, bench_inference, bench_serving,
-bench_persist, bench_correlation, bench_sharding, bench_memory,
-bench_network) prints one JSON object; the repo checks in baselines as
-BENCH_<name>.json. This script compares a fresh run against those baselines
-and fails the build when a tracked metric regresses beyond the tolerance.
+Every gated bench (bench_paper, bench_streaming, bench_inference,
+bench_serving, bench_persist, bench_correlation, bench_sharding,
+bench_memory, bench_network) prints one JSON object as its last line
+(bench/bench_util.h); the repo checks in baselines as BENCH_<name>.json.
+This script compares a fresh run against those baselines and fails the
+build when a tracked metric regresses beyond the tolerance.
 
 Only *ratio-style* metrics (speedups: optimized-vs-baseline wall time
 measured in the same process) are gated, and only with a tolerance
@@ -21,6 +22,16 @@ correctness gates
 error_within_bound_* flags) must hold exactly. Absolute timings and qps
 are reported for the uploaded artifacts but never gated.
 
+bench_paper reproduces the paper's experiments from seeded inputs, and
+scores are thread-invariant, so its quality values are deterministic:
+every F-measure and AUC (keys ending in _f1, _auc_pr, _auc_roc) must match
+the baseline to an absolute 1e-9, every count (_clusters, _largest,
+_train_size) exactly, and every claim_* boolean (one "paper shape"
+sentence each) that holds in the baseline must still hold. A claim that is
+false in the baseline is not gated; neither are the timings and the
+timing_claim_* shapes. A metric name with a '*' is a glob over the
+baseline's keys and must match at least one.
+
 Usage:
   check_bench.py --baseline-dir . --current-dir bench-out [--tolerance 2.0]
 
@@ -31,6 +42,7 @@ not running is itself a regression).
 """
 
 import argparse
+import fnmatch
 import glob
 import json
 import os
@@ -73,6 +85,14 @@ CEILING_METRICS = {
 # never invalidates the model at any scale.
 EXACT_METRICS = {
     "streaming": ["grouping_builds", "full_invalidations"],
+    "paper": ["*_clusters", "*_largest", "*_train_size"],
+}
+
+# bench name -> {metric: absolute tolerance}. Deterministic values that are
+# not integers: the current run fails when |current - baseline| exceeds the
+# tolerance.
+ABSOLUTE_METRICS = {
+    "paper": {"*_f1": 1e-9, "*_auc_pr": 1e-9, "*_auc_roc": 1e-9},
 }
 
 # bench name -> boolean metrics that must be true in the current run
@@ -92,7 +112,26 @@ BOOL_METRICS = {
     "memory": ["scores_identical", "attach_ms_bound_ok"],
     # Every networked response byte-identical to the in-process engine.
     "network": ["responses_identical"],
+    "paper": ["claim_*"],
 }
+
+
+def expand(metrics, baseline):
+    """Yields (metric, matched) per metric, globs expanded over `baseline`.
+
+    A plain name yields itself even when the baseline lacks it, so the
+    caller reports it missing; a glob that matches nothing yields
+    (pattern, False).
+    """
+    for metric in metrics:
+        if "*" not in metric:
+            yield metric, True
+            continue
+        keys = sorted(fnmatch.filter(baseline.keys(), metric))
+        if not keys:
+            yield metric, False
+        for key in keys:
+            yield key, True
 
 
 def load_bench_json(path):
@@ -154,8 +193,8 @@ def check_file(baseline_path, current_path, tolerance):
                      f"{base:.2f} (ceiling {ceiling:.2f} at {factor}x "
                      f"growth)"))
 
-    for metric in EXACT_METRICS.get(name, []):
-        if metric not in baseline:
+    for metric, matched in expand(EXACT_METRICS.get(name, []), baseline):
+        if not matched or metric not in baseline:
             rows.append((False, f"{name}.{metric}: missing from baseline"))
             continue
         ok = current.get(metric) == baseline[metric]
@@ -163,8 +202,24 @@ def check_file(baseline_path, current_path, tolerance):
                      f"{name}.{metric}: current {current.get(metric)} vs "
                      f"baseline {baseline[metric]} (must be equal)"))
 
-    for metric in BOOL_METRICS.get(name, []):
-        if baseline.get(metric) is True:
+    for pattern, tolerance in ABSOLUTE_METRICS.get(name, {}).items():
+        for metric, matched in expand([pattern], baseline):
+            if not matched or metric not in baseline:
+                rows.append((False, f"{name}.{metric}: missing from baseline"))
+                continue
+            base, cur = baseline[metric], current.get(metric)
+            if base is None or cur is None:  # non-finite values print null
+                ok = base is None and cur is None
+            else:
+                ok = abs(float(cur) - float(base)) <= tolerance
+            rows.append((ok,
+                         f"{name}.{metric}: current {cur} vs baseline "
+                         f"{base} (within {tolerance:g})"))
+
+    for metric, matched in expand(BOOL_METRICS.get(name, []), baseline):
+        if not matched:
+            rows.append((False, f"{name}.{metric}: missing from baseline"))
+        elif baseline.get(metric) is True:
             ok = current.get(metric) is True
             rows.append((ok, f"{name}.{metric}: {current.get(metric)}"))
     return rows

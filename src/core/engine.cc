@@ -604,7 +604,6 @@ StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
     return run;
   }
 
-  FUSER_RETURN_IF_ERROR(method->Prepare(context));
   WallTimer timer;
   FUSER_ASSIGN_OR_RETURN(run.scores, method->Score(context, spec));
   run.seconds = timer.ElapsedSeconds();

@@ -162,13 +162,6 @@ class FusionMethod {
 
   // -- Execution ------------------------------------------------------------
 
-  /// Untimed per-method setup (parameter estimation beyond what the engine
-  /// shares). Runs before Score, outside the scoring wall clock.
-  virtual Status Prepare(const MethodContext& context) const {
-    (void)context;
-    return Status::OK();
-  }
-
   /// Scores every triple of context.dataset with a value in [0, 1].
   virtual StatusOr<std::vector<double>> Score(
       const MethodContext& context, const MethodSpec& spec) const = 0;

@@ -16,7 +16,6 @@ StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
   auto serving = std::make_shared<MethodServing>();
   serving->spec = spec;
   serving->threshold = method.DefaultThreshold(spec, *context.options);
-  FUSER_RETURN_IF_ERROR(method.Prepare(context));
   if (method.supports_pattern_serving() && context.grouping != nullptr) {
     FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
                            method.MakeScoringPlan(context, spec));

@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,6 +31,20 @@ namespace net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// How long the acceptor waits before retrying accept() once the process
+/// is out of descriptors or kernel memory.
+constexpr int kAcceptBackoffMs = 20;
+
+/// The open-connection cap: RLIMIT_NOFILE minus kReservedFds, at least 1.
+size_t ConnectionCap() {
+  rlimit limit{};
+  if (getrlimit(RLIMIT_NOFILE, &limit) != 0 ||
+      limit.rlim_cur == RLIM_INFINITY) {
+    return SIZE_MAX;
+  }
+  return limit.rlim_cur > kReservedFds ? limit.rlim_cur - kReservedFds : 1;
+}
 
 Status Errno(const char* what) {
   return Status::IoError(StrFormat("%s: %s", what, strerror(errno)));
@@ -187,7 +202,7 @@ class FusionServer::Worker {
 
   ~Worker() {
     Join();
-    for (auto& [fd, conn] : connections_) close(fd);
+    for (auto& [fd, conn] : connections_) Release(fd);
     if (wake_pipe_[0] >= 0) close(wake_pipe_[0]);
     if (wake_pipe_[1] >= 0) close(wake_pipe_[1]);
   }
@@ -286,7 +301,7 @@ class FusionServer::Worker {
     for (int fd : fresh) {
       if (!SetNonBlocking(fd).ok() ||
           !poller_->Add(fd).ok()) {
-        close(fd);
+        Release(fd);
         continue;
       }
       connections_.emplace(fd, Connection(max_payload_bytes_));
@@ -524,8 +539,14 @@ class FusionServer::Worker {
 
   void CloseConnection(int fd) {
     poller_->Remove(fd);
-    close(fd);
+    Release(fd);
     connections_.erase(fd);
+  }
+
+  /// Closes an accepted connection's fd and frees its slot under the cap.
+  void Release(int fd) {
+    close(fd);
+    server_->open_connections_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   FusionServer* server_;
@@ -594,6 +615,8 @@ Status FusionServer::Start() {
   }
 
   stopping_.store(false, std::memory_order_release);
+  max_connections_ = ConnectionCap();
+  open_connections_.store(0, std::memory_order_relaxed);
   workers_.clear();
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.push_back(
@@ -634,7 +657,29 @@ void FusionServer::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     while (true) {
       const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN (or a transient error): back to poll
+      if (fd < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          // The pending connection stays queued, so the listener stays
+          // readable: polling it again at once would spin. Wait for a
+          // descriptor to free up, or for Stop().
+          pollfd stop{};
+          stop.fd = stop_pipe_[0];
+          stop.events = POLLIN;
+          (void)poll(&stop, 1, kAcceptBackoffMs);
+        }
+        break;  // EAGAIN or backed off: back to poll
+      }
+      // Only this thread adds connections, so the count cannot pass the
+      // cap between the check and the increment.
+      if (open_connections_.load(std::memory_order_relaxed) >=
+          max_connections_) {
+        connections_refused_.fetch_add(1, std::memory_order_relaxed);
+        close(fd);
+        continue;
+      }
+      open_connections_.fetch_add(1, std::memory_order_relaxed);
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -670,6 +715,8 @@ ServerCounters FusionServer::counters() const {
       requests_served_.load(std::memory_order_relaxed);
   counters.errors_sent = errors_sent_.load(std::memory_order_relaxed);
   counters.backlog_pauses = backlog_pauses_.load(std::memory_order_relaxed);
+  counters.connections_refused =
+      connections_refused_.load(std::memory_order_relaxed);
   return counters;
 }
 

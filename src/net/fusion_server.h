@@ -26,7 +26,13 @@
 //  * a peer that pipelines requests without reading the replies cannot
 //    grow server memory: once a connection's unsent replies pass
 //    kMaxPendingReplyBytes the server stops reading and answering it until
-//    the peer drains them (ServerCounters::backlog_pauses).
+//    the peer drains them (ServerCounters::backlog_pauses);
+//  * clients cannot exhaust the process's descriptors: open connections
+//    are capped at RLIMIT_NOFILE minus kReservedFds (read at Start()), and
+//    a connection past the cap is accepted and closed at once
+//    (ServerCounters::connections_refused). Should accept() still run out
+//    of descriptors, the acceptor backs off instead of spinning on the
+//    still-readable listener.
 //
 // Stop() is graceful: the listener closes first, then every worker drains
 // — requests already received in full are answered and pending write
@@ -58,6 +64,11 @@ namespace net {
 /// connection's buffered replies are thus bounded by this plus one reply.
 inline constexpr size_t kMaxPendingReplyBytes = 1u << 20;
 
+/// Descriptors kept out of the connection cap for everything else the
+/// process opens: stdio, the listener, the stop pipe, each worker's poller
+/// and wake pipe, snapshot files.
+inline constexpr size_t kReservedFds = 64;
+
 struct FusionServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// via port()).
@@ -80,6 +91,8 @@ struct ServerCounters {
   uint64_t errors_sent = 0;
   /// Times a connection was paused on its reply backlog.
   uint64_t backlog_pauses = 0;
+  /// Connections closed on accept because the connection cap was reached.
+  uint64_t connections_refused = 0;
 };
 
 class FusionServer {
@@ -125,6 +138,11 @@ class FusionServer {
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> errors_sent_{0};
   std::atomic<uint64_t> backlog_pauses_{0};
+  std::atomic<uint64_t> connections_refused_{0};
+  /// Open connections: incremented by the acceptor, decremented by the
+  /// worker that closes one. Refusals keep it at or below max_connections_.
+  std::atomic<size_t> open_connections_{0};
+  size_t max_connections_ = 0;  // set by Start() from RLIMIT_NOFILE
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
 };

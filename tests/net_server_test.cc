@@ -8,7 +8,9 @@
 // a server restart; idle connections must be reaped; and Stop() must
 // drain pipelined requests that already reached the server; a client that
 // pipelines without reading is paused at the reply-backlog bound while
-// others are still served. Runs under
+// others are still served; connections past the descriptor cap are refused
+// and counted while the ones under it keep being served, and an acceptor
+// out of descriptors backs off instead of spinning. Runs under
 // ASan/UBSan and TSan in CI, and the whole file repeats under the poll()
 // event loop via the ForcePoll suite.
 #include "net/fusion_server.h"
@@ -18,6 +20,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -589,6 +592,108 @@ TEST(FusionServerBacklogTest, NonReadingClientIsPausedOthersAreServed) {
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
   ExpectNetworkMatchesLocal(harness, &client);
   close(greedy);
+}
+
+/// Lowers the soft RLIMIT_NOFILE for its lifetime.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved_), 0) << strerror(errno);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0) << strerror(errno);
+  }
+  ~ScopedFdLimit() {
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &saved_), 0) << strerror(errno);
+  }
+
+ private:
+  rlimit saved_{};
+};
+
+TEST(FusionServerCapTest, ConnectionsPastTheDescriptorCapAreRefused) {
+  constexpr size_t kCap = 4;
+  constexpr size_t kExtra = 3;
+  std::unique_ptr<ServerHarness> harness;
+  {
+    // Start() derives the cap from the limit; the clients below run under
+    // the restored one.
+    ScopedFdLimit limit(kReservedFds + kCap);
+    harness = std::make_unique<ServerHarness>();
+  }
+  const uint16_t port = harness->server->port();
+  std::vector<std::unique_ptr<FusionClient>> clients;
+  for (size_t c = 0; c < kCap; ++c) {
+    clients.push_back(std::make_unique<FusionClient>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", port).ok());
+  }
+  // The listener accepts in arrival order, so these are past the cap.
+  for (size_t c = 0; c < kExtra; ++c) {
+    const int fd = RawConnect(port);
+    EXPECT_TRUE(WaitForEof(fd)) << "connection " << kCap + c << " was kept";
+    close(fd);
+  }
+  const ServerCounters counters = harness->server->counters();
+  EXPECT_EQ(counters.connections_refused, kExtra);
+  EXPECT_EQ(counters.connections_accepted, kCap);
+  for (auto& client : clients) {
+    ExpectNetworkMatchesLocal(*harness, client.get());
+  }
+
+  // A closed connection frees its slot once its worker notices the EOF.
+  clients.pop_back();
+  bool served = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!served && std::chrono::steady_clock::now() < deadline) {
+    FusionClient client;
+    served = client.Connect("127.0.0.1", port).ok() && client.Stats().ok();
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served) << "a freed slot was never reused";
+}
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  EXPECT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(FusionServerCapTest, AcceptorBacksOffWhenOutOfDescriptors) {
+  ServerHarness harness;
+  // The socket exists before the limit drops: connect() needs no new
+  // descriptor, the server's accept() does.
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(harness.server->port());
+  double cpu_seconds = 0.0;
+  {
+    ScopedFdLimit limit(3);  // stdio only: every new descriptor fails
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0)
+        << strerror(errno);
+    const double before = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    cpu_seconds = ProcessCpuSeconds() - before;
+  }
+  // An acceptor re-polling its still-readable listener burns a whole core
+  // for the window; backing off costs next to nothing.
+  EXPECT_LT(cpu_seconds, 0.25);
+  // With descriptors back, the queued connection is accepted.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (harness.server->counters().connections_accepted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(harness.server->counters().connections_accepted, 1u);
+  close(fd);
 }
 
 TEST(FusionServerForcePollTest, PollEventLoopServesIdentically) {
