@@ -10,8 +10,9 @@
 //               GetClusterObservation + hash emplace per cluster x triple);
 //  * methods:   per-method scoring through the engine (batched
 //               ScoreAllPatterns + precomputed-log combine + persistent
-//               pool) vs the legacy composition (per-pattern likelihood
-//               calls through the memo mutexes + serial reference combine);
+//               pool) vs the legacy composition (one per-pattern
+//               likelihood call per distinct pattern, each a rescan of the
+//               training patterns, + serial reference combine);
 //  * runall:    the sums of the above across the method lineup — the
 //               paper's many-methods workload (Fig. 4/6/7). Grouping is
 //               excluded from both sides, exactly as FusionRun.seconds
@@ -22,9 +23,8 @@
 //               AVX2 both tables are the scalar one and the ratios are ~1.
 //
 // Prints one JSON object (bench_util.h) so CI and scripts can track the
-// speedup. Every measurement is the
-// minimum over `reps` runs (steady state; warm memo caches favor the
-// legacy side, so the reported speedups are conservative):
+// speedup. Every measurement is the minimum over `reps` runs (steady
+// state):
 //
 //   ./bench_inference [num_triples] [num_threads] [reps]
 #include <algorithm>
@@ -52,9 +52,9 @@ namespace fuser {
 namespace {
 
 /// The pre-optimization scoring path for one pattern method, composed from
-/// the retained reference pieces: per-pattern likelihood scoring (memo
-/// mutex round-trips, O(#patterns) rescans per distinct-pattern query) and
-/// the serial 2-logs-per-(cluster,triple) combine. Grouping is passed in,
+/// the retained reference pieces: per-pattern likelihood scoring (one
+/// DirectPatternLikelihood call, an O(#patterns) rescan, per distinct
+/// pattern) and the serial 2-logs-per-(cluster,triple) combine. Grouping is passed in,
 /// mirroring how FusionRun.seconds excludes the shared inputs.
 std::vector<double> LegacyScores(const CorrelationModel& model,
                                  const PatternGrouping& grouping,
@@ -64,8 +64,9 @@ std::vector<double> LegacyScores(const CorrelationModel& model,
   if (spec.kind == MethodKind::kPrecRecCorr) {
     scorer = [&model](size_t c, const PatternKey& key, double* given_true,
                       double* given_false) -> Status {
-      return model.cluster_stats[c]->CalibratedPatternLikelihood(
-          key.providers, key.nonproviders, given_true, given_false);
+      return model.cluster_stats[c]->DirectPatternLikelihood(
+          key.providers, key.nonproviders, /*calibrated=*/true, given_true,
+          given_false);
     };
     alpha = model.cluster_stats[0]->EmpiricalPriorTrue();
   } else {

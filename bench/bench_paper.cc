@@ -232,7 +232,9 @@ void PrintFigure1() {
   std::printf("\n(paper: C+ = 1, 1, 0.75, 1.5, 1.5; C- = 2, 1, 1, 3, 3)\n");
 
   auto indep = PrecRecScores(dataset, MakeExampleSourceQuality(), {});
-  auto exact = PrecRecCorrScores(dataset, model, {});
+  auto exact_plan = MakePrecRecCorrPlan(model, {});
+  FUSER_CHECK(exact_plan.ok());
+  auto exact = ScorePlan(dataset, model, *exact_plan);
   auto aggressive = AggressiveScores(dataset, model);
   FUSER_CHECK(indep.ok());
   FUSER_CHECK(exact.ok());

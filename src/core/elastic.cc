@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -71,8 +72,8 @@ Status ElasticClusterLikelihood(const JointStatsProvider& stats,
 }
 
 StatusOr<PatternScoringPlan> MakeElasticPlan(const CorrelationModel& model,
-                                             const ElasticOptions& options) {
-  if (options.level < 0) {
+                                             int level) {
+  if (level < 0) {
     return Status::InvalidArgument("level must be >= 0");
   }
   if (model.cluster_stats.size() != model.clustering.clusters.size()) {
@@ -80,7 +81,6 @@ StatusOr<PatternScoringPlan> MakeElasticPlan(const CorrelationModel& model,
   }
   PatternScoringPlan plan;
   const CorrelationModel* model_ptr = &model;
-  const int level = options.level;
   plan.scorer = [model_ptr, level](size_t c, const PatternKey& key,
                                    double* given_true,
                                    double* given_false) -> Status {
@@ -90,28 +90,6 @@ StatusOr<PatternScoringPlan> MakeElasticPlan(const CorrelationModel& model,
   };
   plan.alpha = model.alpha;
   return plan;
-}
-
-StatusOr<std::vector<double>> ElasticScores(const Dataset& dataset,
-                                            const CorrelationModel& model,
-                                            const ElasticOptions& options,
-                                            const PatternGrouping* grouping,
-                                            ThreadPool* pool) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
-  }
-  FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
-                         MakeElasticPlan(model, options));
-  PatternGrouping local;
-  FUSER_ASSIGN_OR_RETURN(
-      grouping, GetOrBuildGrouping(dataset, model, grouping, &local,
-                                   options.num_threads, pool));
-  FUSER_ASSIGN_OR_RETURN(
-      std::vector<std::vector<PatternLikelihood>> likelihood,
-      ScorePatterns(*grouping, options.num_threads, plan.scorer,
-                    /*batch=*/nullptr, pool));
-  return CombinePatternScores(*grouping, likelihood, plan.alpha,
-                              options.num_threads, pool);
 }
 
 }  // namespace fuser

@@ -17,40 +17,21 @@
 #ifndef FUSER_CORE_ELASTIC_H_
 #define FUSER_CORE_ELASTIC_H_
 
-#include <vector>
-
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "core/pattern_pipeline.h"
-#include "model/dataset.h"
 
 namespace fuser {
 
-struct ElasticOptions {
-  /// Adjustment level lambda >= 0. Level 0 is the (already level-adjusted)
-  /// starting point of Algorithm 1; higher levels refine toward the exact
-  /// solution.
-  int level = 3;
-  /// Worker threads for scoring distinct patterns; 0 = one per hardware
-  /// thread.
-  size_t num_threads = 0;
-};
-
-/// Scores every triple with the elastic approximation at the configured
-/// level. `grouping` optionally supplies a prebuilt pattern grouping and
-/// `pool` persistent worker threads — see PrecRecCorrScores.
-StatusOr<std::vector<double>> ElasticScores(
-    const Dataset& dataset, const CorrelationModel& model,
-    const ElasticOptions& options, const PatternGrouping* grouping = nullptr,
-    ThreadPool* pool = nullptr);
-
-/// Elastic's pattern-scoring plan over `model` at `options.level`: the
+/// Elastic's pattern-scoring plan over `model` at adjustment level
+/// `level` >= 0 (level 0 is the already level-adjusted starting point of
+/// Algorithm 1; higher levels refine toward the exact solution): the
 /// per-pattern scorer plus the combine prior (model.alpha). Captures
 /// `model` by pointer — it must outlive the plan (snapshots share
-/// ownership of it); safe to invoke from any reader thread. ElasticScores
-/// is exactly this plan run through ScorePatterns + CombinePatternScores.
+/// ownership of it); safe to invoke from any reader thread. ScorePlan
+/// (core/pattern_pipeline.h) runs it over a whole dataset.
 StatusOr<PatternScoringPlan> MakeElasticPlan(const CorrelationModel& model,
-                                             const ElasticOptions& options);
+                                             int level);
 
 /// Per-cluster elastic numerator/denominator for observation (P, N);
 /// exposed for tests against the paper's Example 4.10.

@@ -33,6 +33,7 @@ Status FusionEngine::Prepare(const DynamicBitset& train_mask) {
   if (train_mask.size() != dataset_->num_triples()) {
     return Status::InvalidArgument("train_mask size != num_triples");
   }
+  FUSER_RETURN_IF_ERROR(ValidateEngineOptions(options_));
   train_mask_ = train_mask;
   FUSER_ASSIGN_OR_RETURN(
       quality_, EstimateSourceQuality(*dataset_, train_mask_,
@@ -554,7 +555,7 @@ StatusOr<const FusionMethod*> FusionEngine::ResolveAndPrepareContext(
     FUSER_RETURN_IF_ERROR(EnsureModel());
     context->model = model_.get();
   }
-  if (method->uses_pattern_pipeline()) {
+  if (method->pattern_based()) {
     FUSER_RETURN_IF_ERROR(EnsureGrouping());
     context->grouping = grouping_.get();
   }
@@ -571,7 +572,7 @@ StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
   run.threshold = method->DefaultThreshold(spec, options_);
   run.dataset_version = dataset_->version();
 
-  if (method->supports_pattern_serving() && context.grouping != nullptr) {
+  if (method->pattern_based()) {
     // Batch scoring is the dense expansion of the serving state: build (or
     // reuse) the per-pattern posterior table a published snapshot carries
     // and gather it over every triple, so FusionService::ScoreBatch and

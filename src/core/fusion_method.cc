@@ -1,6 +1,8 @@
 #include "core/fusion_method.h"
 
+#include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "baselines/method_adapters.h"
@@ -47,17 +49,14 @@ class PrecRecCorrMethod : public FusionMethod {
   MethodKind kind() const override { return MethodKind::kPrecRecCorr; }
   const char* id() const override { return "precrec-corr"; }
   bool needs_model() const override { return true; }
-  bool uses_pattern_pipeline() const override { return true; }
+  bool pattern_based() const override { return true; }
   bool supports_threads() const override { return true; }
-  bool supports_pattern_serving() const override { return true; }
   bool shardable() const override { return true; }
 
   StatusOr<PatternScoringPlan> MakeScoringPlan(
       const MethodContext& context, const MethodSpec& spec) const override {
     (void)spec;
-    PrecRecCorrOptions options = context.options->corr;
-    options.num_threads = context.num_threads;
-    return MakePrecRecCorrPlan(*context.model, options);
+    return MakePrecRecCorrPlan(*context.model, context.options->corr);
   }
 
   std::optional<StatusOr<MethodSpec>> TryParse(
@@ -68,15 +67,6 @@ class PrecRecCorrMethod : public FusionMethod {
     MethodSpec spec;
     spec.kind = kind();
     return spec;
-  }
-
-  StatusOr<std::vector<double>> Score(const MethodContext& context,
-                                      const MethodSpec& spec) const override {
-    (void)spec;
-    PrecRecCorrOptions options = context.options->corr;
-    options.num_threads = context.num_threads;
-    return PrecRecCorrScores(*context.dataset, *context.model, options,
-                             context.grouping, context.pool);
   }
 };
 
@@ -112,17 +102,13 @@ class ElasticMethod : public FusionMethod {
   const char* id() const override { return "elastic"; }
   const char* usage() const override { return "elastic-L"; }
   bool needs_model() const override { return true; }
-  bool uses_pattern_pipeline() const override { return true; }
+  bool pattern_based() const override { return true; }
   bool supports_threads() const override { return true; }
-  bool supports_pattern_serving() const override { return true; }
   bool shardable() const override { return true; }
 
   StatusOr<PatternScoringPlan> MakeScoringPlan(
       const MethodContext& context, const MethodSpec& spec) const override {
-    ElasticOptions options;
-    options.level = spec.elastic_level;
-    options.num_threads = context.num_threads;
-    return MakeElasticPlan(*context.model, options);
+    return MakeElasticPlan(*context.model, spec.elastic_level);
   }
 
   std::optional<StatusOr<MethodSpec>> TryParse(
@@ -145,15 +131,6 @@ class ElasticMethod : public FusionMethod {
   std::string SpecName(const MethodSpec& spec) const override {
     return StrFormat("elastic-%d", spec.elastic_level);
   }
-
-  StatusOr<std::vector<double>> Score(const MethodContext& context,
-                                      const MethodSpec& spec) const override {
-    ElasticOptions options;
-    options.level = spec.elastic_level;
-    options.num_threads = context.num_threads;
-    return ElasticScores(*context.dataset, *context.model, options,
-                         context.grouping, context.pool);
-  }
 };
 
 Status RegisterCoreFusionMethods(MethodRegistry* registry) {
@@ -167,6 +144,28 @@ Status RegisterCoreFusionMethods(MethodRegistry* registry) {
 }
 
 }  // namespace
+
+Status ValidateEngineOptions(const EngineOptions& options) {
+  const double alpha = options.model.alpha;
+  if (!(alpha > 0.0 && alpha < 1.0)) {
+    return Status::InvalidArgument("alpha must be in (0,1)");
+  }
+  const double smoothing = options.model.smoothing;
+  if (!std::isfinite(smoothing) || smoothing < 0.0) {
+    return Status::InvalidArgument("smoothing must be finite and >= 0");
+  }
+  const double threshold = options.decision_threshold;
+  if (!(threshold >= 0.0 && threshold <= 1.0)) {
+    return Status::InvalidArgument("decision_threshold must be in [0,1]");
+  }
+  const int budget = options.corr.max_exact_nonproviders;
+  if (budget < 0 || budget > kMaxTermSummationNonproviders) {
+    return Status::InvalidArgument(
+        "corr.max_exact_nonproviders must be in [0, " +
+        std::to_string(kMaxTermSummationNonproviders) + "]");
+  }
+  return Status::OK();
+}
 
 std::string MethodSpec::Name() const {
   const FusionMethod* method = MethodRegistry::Global().Find(kind);

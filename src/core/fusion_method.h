@@ -10,9 +10,10 @@
 // over an enum, so new methods plug in without touching the engine.
 //
 // Capability flags tell the engine what shared inputs a method needs: the
-// correlation model (built once per Prepare) and the distinct-pattern
-// grouping (built once and shared by every pattern-based method, see
-// core/pattern_pipeline.h).
+// correlation model (built once per Prepare) and, for pattern-based
+// methods, the distinct-pattern grouping (built once and shared by every
+// such method, see core/pattern_pipeline.h). A pattern-based method is
+// exactly its PatternScoringPlan: it has no Score of its own.
 #ifndef FUSER_CORE_FUSION_METHOD_H_
 #define FUSER_CORE_FUSION_METHOD_H_
 
@@ -74,10 +75,18 @@ struct EngineOptions {
   PrecRecCorrOptions corr;
 };
 
+/// Rejects options no engine may run under: alpha outside (0, 1), a
+/// negative or non-finite smoothing, a decision threshold outside [0, 1],
+/// or a term-summation budget (corr.max_exact_nonproviders) outside
+/// [0, kMaxTermSummationNonproviders]. FusionEngine::Prepare and the
+/// snapshot decoder both apply it, so an engine never saves a file it
+/// cannot load and a file cannot set an unbounded per-query budget.
+Status ValidateEngineOptions(const EngineOptions& options);
+
 /// Everything a method may need to score a dataset. The engine populates
 /// the shared fields once and reuses them across methods: `model` is set
-/// iff the method declares needs_model(), `grouping` iff it declares
-/// uses_pattern_pipeline().
+/// iff the method declares needs_model(), `grouping` iff it is
+/// pattern_based().
 struct MethodContext {
   const Dataset* dataset = nullptr;
   const EngineOptions* options = nullptr;
@@ -114,22 +123,20 @@ class FusionMethod {
   /// The method consumes the correlation model (Section 4 methods).
   virtual bool needs_model() const { return false; }
 
-  /// The method scores distinct observation patterns and can share the
-  /// engine's cached PatternGrouping.
-  virtual bool uses_pattern_pipeline() const { return false; }
+  /// The method scores distinct observation patterns: it is exactly its
+  /// PatternScoringPlan (MakeScoringPlan — per-pattern likelihoods plus
+  /// the combine prior). The engine shares its cached PatternGrouping with
+  /// the plan, Run gathers the plan's per-pattern posterior table, and a
+  /// FusionSnapshot keeps that table to serve point queries — including
+  /// ad-hoc observations the dataset has never seen — with the exact
+  /// arithmetic of a full Run. Such a method does not implement Score.
+  /// Implies needs_model().
+  virtual bool pattern_based() const { return false; }
 
   /// The method parallelizes across MethodContext::num_threads workers.
   /// The engine resolves the configured thread count only for methods that
   /// declare this; others receive num_threads = 1.
   virtual bool supports_threads() const { return false; }
-
-  /// The method's scores factor through the shared pattern pipeline: it
-  /// can hand out a PatternScoringPlan (per-pattern likelihoods + combine
-  /// prior), which lets a FusionSnapshot keep a per-pattern posterior
-  /// table and serve point queries — including ad-hoc observations the
-  /// dataset has never seen — with the exact arithmetic of a full Run.
-  /// Implies uses_pattern_pipeline().
-  virtual bool supports_pattern_serving() const { return false; }
 
   /// Each triple's score depends only on its own observation pattern and
   /// globally-mergeable parameters (quality / correlation model), so a
@@ -162,16 +169,20 @@ class FusionMethod {
 
   // -- Execution ------------------------------------------------------------
 
-  /// Scores every triple of context.dataset with a value in [0, 1].
-  virtual StatusOr<std::vector<double>> Score(
-      const MethodContext& context, const MethodSpec& spec) const = 0;
+  /// Scores every triple of context.dataset with a value in [0, 1]. Every
+  /// method that is not pattern_based() implements it.
+  virtual StatusOr<std::vector<double>> Score(const MethodContext& context,
+                                              const MethodSpec& spec) const {
+    (void)context;
+    (void)spec;
+    return Status::Unimplemented(
+        "pattern-based methods score through MakeScoringPlan");
+  }
 
-  /// The pattern-scoring plan for (context, spec); only meaningful when
-  /// supports_pattern_serving(). The returned closures capture
-  /// context.model by pointer — callers (the engine's snapshot publisher)
-  /// must keep the model alive for the plan's lifetime. Scoring the plan
-  /// over the shared grouping and combining with its alpha is
-  /// byte-identical to Score(context, spec).
+  /// The pattern-scoring plan for (context, spec); implemented exactly
+  /// when pattern_based(). The returned closures capture context.model by
+  /// pointer — callers (the engine's snapshot publisher) must keep the
+  /// model alive for the plan's lifetime.
   virtual StatusOr<PatternScoringPlan> MakeScoringPlan(
       const MethodContext& context, const MethodSpec& spec) const {
     (void)context;

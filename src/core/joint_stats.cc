@@ -1,6 +1,7 @@
 #include "core/joint_stats.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -29,13 +30,8 @@ Status JointStatsProvider::ScoreAllPatterns(
   for (size_t i = 0; i < queries.size(); ++i) {
     double pt = 0.0;
     double pf = 0.0;
-    Status s = calibrated
-                   ? CalibratedPatternLikelihood(queries[i].providers,
-                                                 queries[i].nonproviders, &pt,
-                                                 &pf)
-                   : ExactPatternLikelihood(queries[i].providers,
-                                            queries[i].nonproviders, &pt, &pf);
-    if (!s.ok()) return s;
+    FUSER_RETURN_IF_ERROR(DirectPatternLikelihood(
+        queries[i].providers, queries[i].nonproviders, calibrated, &pt, &pf));
     (*out)[i] = {pt, pf};
   }
   return Status::OK();
@@ -163,7 +159,6 @@ void EmpiricalJointStats::AddToTables(const Pattern& pattern, bool is_true,
 
 Status EmpiricalJointStats::ApplyPatternDeltas(
     const std::vector<JointPatternDelta>& deltas) {
-  std::lock_guard<std::mutex> lock(mu_);
   const Mask full = FullMask(k_);
   // Masks are validated before any mutation. (Count underflow can only be
   // detected mid-apply; that path clears the memos and the caller must
@@ -205,7 +200,7 @@ Status EmpiricalJointStats::ApplyPatternDeltas(
         static_cast<int64_t>(pattern.count) + d.count_delta;
     const int64_t new_total = static_cast<int64_t>(total) + d.count_delta;
     if (count < 0 || new_total < 0) {
-      // Counts already partially mutated: drop the memos so the provider
+      // Counts already partially mutated: drop the memo so the provider
       // cannot serve answers inconsistent with its state.
       ClearMemos();
       return Status::Internal("pattern count underflow in ApplyPatternDeltas");
@@ -215,7 +210,7 @@ Status EmpiricalJointStats::ApplyPatternDeltas(
     if (incremental_tables) AddToTables(pattern, d.is_true, d.count_delta);
   }
   if (has_tables_ && !incremental_tables) BuildTables();
-  // Every memoized lookup may now be stale.
+  // Every memoized subset count may now be stale.
   ClearMemos();
   return Status::OK();
 }
@@ -402,14 +397,10 @@ const EmpiricalJointStats::Counts& EmpiricalJointStats::CachedCounts(
 }
 
 void EmpiricalJointStats::ClearMemos() {
-  // Likelihood memos are guarded by mu_, which every caller of this helper
-  // (ApplyPatternDeltas) already holds.
   for (CountShard& shard : count_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.memo.clear();
   }
-  exact_memo_.clear();
-  calibrated_memo_.clear();
 }
 
 JointQuality EmpiricalJointStats::Get(Mask subset) const {
@@ -445,156 +436,75 @@ size_t EmpiricalJointStats::CountFalseSuperset(Mask subset) const {
                      : CachedCounts(subset).num_false;
 }
 
-Status EmpiricalJointStats::ExactPatternLikelihood(
-    Mask providers, Mask nonproviders, double* pr_given_true,
-    double* pr_given_false) const {
-  if (!SupportsExactLikelihood()) {
+Status EmpiricalJointStats::CheckDirectQuery(bool calibrated) const {
+  if (!SupportsDirectLikelihood()) {
     return Status::FailedPrecondition(
-        "exact likelihood requires smoothing == 0");
+        "direct likelihood requires smoothing == 0");
   }
-  if ((providers & nonproviders) != 0) {
-    return Status::InvalidArgument("providers and nonproviders overlap");
-  }
-  if (total_true_ == 0) {
+  if (!calibrated && total_true_ == 0) {
     return Status::FailedPrecondition("no true training triples");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = exact_memo_.find({providers, nonproviders});
-    if (it != exact_memo_.end()) {
-      *pr_given_true = it->second.first;
-      *pr_given_false = it->second.second;
-      return Status::OK();
-    }
+  return Status::OK();
+}
+
+std::pair<double, double> EmpiricalJointStats::DirectLikelihood(
+    Mask providers, const PatternCounts& counts, bool calibrated) const {
+  if (calibrated) {
+    // Laplace-smoothed natural conditionals; +0.5/+1 keeps both likelihoods
+    // strictly positive and tempers one-count patterns.
+    return {(static_cast<double>(counts.cnt_true) + 0.5) /
+                (static_cast<double>(counts.den_true) + 1.0),
+            (static_cast<double>(counts.cnt_false) + 0.5) /
+                (static_cast<double>(counts.den_false) + 1.0)};
+  }
+  if (counts.den_true == 0) {
+    // No training triple with this scope: the cluster is uninformative.
+    return {1.0, 1.0};
+  }
+  const double alpha_odds = options_.alpha / (1.0 - options_.alpha);
+  const double tt = static_cast<double>(counts.den_true);
+  const double pt = static_cast<double>(counts.cnt_true) / tt;
+  double pf = alpha_odds * static_cast<double>(counts.cnt_false) / tt;
+  if (providers == 0) {
+    // The S* = empty term uses q of the empty set (== 1), not the
+    // count-derived value; add the difference (can make pf leave [0,1]
+    // when the derived q parameters are inconsistent; callers clamp).
+    pf += 1.0 - alpha_odds * static_cast<double>(counts.den_false) / tt;
+  }
+  return {pt, pf};
+}
+
+Status EmpiricalJointStats::DirectPatternLikelihood(
+    Mask providers, Mask nonproviders, bool calibrated, double* pr_given_true,
+    double* pr_given_false) const {
+  FUSER_RETURN_IF_ERROR(CheckDirectQuery(calibrated));
+  if ((providers & nonproviders) != 0) {
+    return Status::InvalidArgument("providers and nonproviders overlap");
   }
   // Scope-aware: the likelihoods condition on the observed scope - counts
   // run over training triples whose scope covers every source with an
   // opinion (P union N), so the denominators are consistent.
   const Mask observed = providers | nonproviders;
-  size_t cnt_true = 0;
-  size_t cnt_false = 0;
-  size_t den_true = 0;
-  size_t den_false = 0;
-  auto matches_scope = [&](const Pattern& p) {
-    return !options_.use_scopes || (p.scope & observed) == observed;
+  PatternCounts counts;
+  auto scan = [&](const std::vector<Pattern>& patterns, size_t* cnt,
+                  size_t* den) {
+    for (const Pattern& p : patterns) {
+      if (options_.use_scopes && (p.scope & observed) != observed) continue;
+      *den += p.count;
+      if ((p.providers & observed) == providers) *cnt += p.count;
+    }
   };
-  for (const Pattern& p : true_patterns_) {
-    if (!matches_scope(p)) continue;
-    den_true += p.count;
-    if ((p.providers & providers) == providers &&
-        (p.providers & nonproviders) == 0) {
-      cnt_true += p.count;
-    }
-  }
-  for (const Pattern& p : false_patterns_) {
-    if (!matches_scope(p)) continue;
-    den_false += p.count;
-    if ((p.providers & providers) == providers &&
-        (p.providers & nonproviders) == 0) {
-      cnt_false += p.count;
-    }
-  }
-  const double alpha_odds = options_.alpha / (1.0 - options_.alpha);
-  double pt;
-  double pf;
-  if (den_true == 0) {
-    // No training triple with this scope: the cluster is uninformative.
-    pt = 1.0;
-    pf = 1.0;
-  } else {
-    const double tt = static_cast<double>(den_true);
-    pt = static_cast<double>(cnt_true) / tt;
-    pf = alpha_odds * static_cast<double>(cnt_false) / tt;
-    if (providers == 0) {
-      // The S* = empty term uses q of the empty set (== 1), not the
-      // count-derived value; add the difference (can make pf leave [0,1]
-      // when the derived q parameters are inconsistent; callers clamp).
-      pf += 1.0 - alpha_odds * static_cast<double>(den_false) / tt;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    exact_memo_.emplace(std::make_pair(providers, nonproviders),
-                        std::make_pair(pt, pf));
-  }
-  *pr_given_true = pt;
-  *pr_given_false = pf;
-  return Status::OK();
-}
-
-Status EmpiricalJointStats::CalibratedPatternLikelihood(
-    Mask providers, Mask nonproviders, double* pr_given_true,
-    double* pr_given_false) const {
-  if (!SupportsCalibratedLikelihood()) {
-    return Status::FailedPrecondition(
-        "calibrated likelihood requires smoothing == 0");
-  }
-  if ((providers & nonproviders) != 0) {
-    return Status::InvalidArgument("providers and nonproviders overlap");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = calibrated_memo_.find({providers, nonproviders});
-    if (it != calibrated_memo_.end()) {
-      *pr_given_true = it->second.first;
-      *pr_given_false = it->second.second;
-      return Status::OK();
-    }
-  }
-  const Mask observed = providers | nonproviders;
-  size_t cnt_true = 0;
-  size_t cnt_false = 0;
-  size_t den_true = 0;
-  size_t den_false = 0;
-  auto matches_scope = [&](const Pattern& p) {
-    return !options_.use_scopes || (p.scope & observed) == observed;
-  };
-  auto matches_pattern = [&](const Pattern& p) {
-    return (p.providers & providers) == providers &&
-           (p.providers & nonproviders) == 0;
-  };
-  for (const Pattern& p : true_patterns_) {
-    if (!matches_scope(p)) continue;
-    den_true += p.count;
-    if (matches_pattern(p)) cnt_true += p.count;
-  }
-  for (const Pattern& p : false_patterns_) {
-    if (!matches_scope(p)) continue;
-    den_false += p.count;
-    if (matches_pattern(p)) cnt_false += p.count;
-  }
-  // Laplace-smoothed natural conditionals; +0.5/+1 keeps both likelihoods
-  // strictly positive and tempers one-count patterns.
-  double pt = (static_cast<double>(cnt_true) + 0.5) /
-              (static_cast<double>(den_true) + 1.0);
-  double pf = (static_cast<double>(cnt_false) + 0.5) /
-              (static_cast<double>(den_false) + 1.0);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    calibrated_memo_.emplace(std::make_pair(providers, nonproviders),
-                             std::make_pair(pt, pf));
-  }
-  *pr_given_true = pt;
-  *pr_given_false = pf;
+  scan(true_patterns_, &counts.cnt_true, &counts.den_true);
+  scan(false_patterns_, &counts.cnt_false, &counts.den_false);
+  std::tie(*pr_given_true, *pr_given_false) =
+      DirectLikelihood(providers, counts, calibrated);
   return Status::OK();
 }
 
 Status EmpiricalJointStats::ScoreAllPatterns(
     const std::vector<PatternQuery>& queries, bool calibrated,
     std::vector<std::pair<double, double>>* out) const {
-  if (calibrated && !SupportsCalibratedLikelihood()) {
-    return Status::FailedPrecondition(
-        "calibrated likelihood requires smoothing == 0");
-  }
-  if (!calibrated) {
-    if (!SupportsExactLikelihood()) {
-      return Status::FailedPrecondition(
-          "exact likelihood requires smoothing == 0");
-    }
-    if (total_true_ == 0) {
-      return Status::FailedPrecondition("no true training triples");
-    }
-  }
+  FUSER_RETURN_IF_ERROR(CheckDirectQuery(calibrated));
   for (const PatternQuery& q : queries) {
     if ((q.providers & q.nonproviders) != 0) {
       return Status::InvalidArgument("providers and nonproviders overlap");
@@ -615,50 +525,28 @@ Status EmpiricalJointStats::ScoreAllPatterns(
     groups[queries[i].providers | queries[i].nonproviders].push_back(
         static_cast<uint32_t>(i));
   }
-  const double alpha_odds = options_.alpha / (1.0 - options_.alpha);
   std::unordered_map<Mask, std::pair<size_t, size_t>> counts;
   for (const auto& [observed, group] : groups) {
-    size_t den_true = 0;
-    size_t den_false = 0;
+    PatternCounts query;
     counts.clear();
     for (const Pattern& p : true_patterns_) {
       if (options_.use_scopes && (p.scope & observed) != observed) continue;
-      den_true += p.count;
+      query.den_true += p.count;
       counts[p.providers & observed].first += p.count;
     }
     for (const Pattern& p : false_patterns_) {
       if (options_.use_scopes && (p.scope & observed) != observed) continue;
-      den_false += p.count;
+      query.den_false += p.count;
       counts[p.providers & observed].second += p.count;
     }
     for (uint32_t i : group) {
-      size_t cnt_true = 0;
-      size_t cnt_false = 0;
+      query.cnt_true = 0;
+      query.cnt_false = 0;
       if (auto it = counts.find(queries[i].providers); it != counts.end()) {
-        cnt_true = it->second.first;
-        cnt_false = it->second.second;
+        query.cnt_true = it->second.first;
+        query.cnt_false = it->second.second;
       }
-      double pt;
-      double pf;
-      if (calibrated) {
-        pt = (static_cast<double>(cnt_true) + 0.5) /
-             (static_cast<double>(den_true) + 1.0);
-        pf = (static_cast<double>(cnt_false) + 0.5) /
-             (static_cast<double>(den_false) + 1.0);
-      } else if (den_true == 0) {
-        // No training triple with this scope: the cluster is uninformative.
-        pt = 1.0;
-        pf = 1.0;
-      } else {
-        const double tt = static_cast<double>(den_true);
-        pt = static_cast<double>(cnt_true) / tt;
-        pf = alpha_odds * static_cast<double>(cnt_false) / tt;
-        if (queries[i].providers == 0) {
-          // Mirror ExactPatternLikelihood's S* = empty correction.
-          pf += 1.0 - alpha_odds * static_cast<double>(den_false) / tt;
-        }
-      }
-      (*out)[i] = {pt, pf};
+      (*out)[i] = DirectLikelihood(queries[i].providers, query, calibrated);
     }
   }
   return Status::OK();

@@ -12,9 +12,11 @@
 // represented as bit masks over cluster-local indices.
 //
 // Two implementations:
-//  * EmpiricalJointStats - counts from training data; memoized, with an
-//    optional sum-over-supersets table for O(1) lookups, and a direct
-//    "exact pattern" likelihood used by the exact PrecRecCorr fast path.
+//  * EmpiricalJointStats - counts from training data. Subset lookups use a
+//    sum-over-supersets table on small clusters (O(1)) and memoized
+//    pattern scans on wider ones; the direct pattern likelihood of the
+//    PrecRecCorr fast path is one linear scan of the training pattern
+//    lists per query, with no memo.
 //  * ExplicitJointStats - parameters supplied by the caller (used by tests
 //    reproducing the paper's worked examples, and available to users who
 //    know their correlation structure).
@@ -79,38 +81,29 @@ class JointStatsProvider {
   /// trivially provides every triple); Get(0) returns that convention.
   virtual JointQuality Get(Mask subset) const = 0;
 
-  /// True when ExactPatternLikelihood is available (empirical stats with no
-  /// smoothing).
-  virtual bool SupportsExactLikelihood() const { return false; }
+  /// True when DirectPatternLikelihood is available (empirical stats with
+  /// no smoothing).
+  virtual bool SupportsDirectLikelihood() const { return false; }
 
   /// Direct computation of Pr(Ot | t) and Pr(Ot | !t) for the observation
-  /// "all of `providers` provide t, none of `nonproviders` does", via the
-  /// inclusion-exclusion identity (Eqs. 10-11 collapse to exact pattern
-  /// counts when all parameters share denominators).
-  virtual Status ExactPatternLikelihood(Mask /*providers*/,
-                                        Mask /*nonproviders*/,
-                                        double* /*pr_given_true*/,
-                                        double* /*pr_given_false*/) const {
-    return Status::Unimplemented("exact likelihood not supported");
-  }
-
-  /// True when CalibratedPatternLikelihood is available.
-  virtual bool SupportsCalibratedLikelihood() const { return false; }
-
-  /// Calibrated variant of the exact likelihood: natural class-conditional
-  /// frequencies Pr(obs | true) and Pr(obs | false) with Laplace smoothing
-  /// (+0.5 / +1), instead of the paper's alpha-scaled q parameterization.
-  /// The paper-literal form (Theorem 3.5 scaling plus the q_empty = 1
-  /// convention) is faithful for a single cluster but is not a consistent
-  /// probability measure: with many clusters and imbalanced classes its
-  /// q-side sums can go negative (observed on BOOK-scale data). The
-  /// calibrated form is plain naive Bayes over cluster observation
-  /// patterns and is the default for empirical models.
-  virtual Status CalibratedPatternLikelihood(Mask /*providers*/,
-                                             Mask /*nonproviders*/,
-                                             double* /*pr_given_true*/,
-                                             double* /*pr_given_false*/) const {
-    return Status::Unimplemented("calibrated likelihood not supported");
+  /// "all of `providers` provide t, none of `nonproviders` does": the
+  /// inclusion-exclusion sum of Eqs. 10-11 collapses to an exact pattern
+  /// count when all parameters share denominators. Two forms:
+  ///  * literal (`calibrated` false): the paper's alpha-scaled q
+  ///    parameterization (Theorem 3.5 scaling plus the q_empty = 1
+  ///    convention). Faithful for a single cluster, but not a consistent
+  ///    probability measure: with many clusters and imbalanced classes its
+  ///    q-side sums can go negative (observed on BOOK-scale data);
+  ///  * calibrated: natural class-conditional frequencies Pr(obs | true)
+  ///    and Pr(obs | false) with Laplace smoothing (+0.5 / +1) — plain
+  ///    naive Bayes over cluster observation patterns, the default for
+  ///    empirical models.
+  virtual Status DirectPatternLikelihood(Mask /*providers*/,
+                                         Mask /*nonproviders*/,
+                                         bool /*calibrated*/,
+                                         double* /*pr_given_true*/,
+                                         double* /*pr_given_false*/) const {
+    return Status::Unimplemented("direct likelihood not supported");
   }
 
   /// The empirical prior Pr(t) observed in the training data, used as the
@@ -119,14 +112,13 @@ class JointStatsProvider {
   /// the calibrated form must supply it explicitly).
   virtual double EmpiricalPriorTrue() const { return alpha(); }
 
-  /// Batched form of {Exact,Calibrated}PatternLikelihood: computes the
-  /// likelihood pair of every query and writes them to `out` (resized to
-  /// queries.size(), pair = {pr_given_true, pr_given_false}). Results are
-  /// byte-identical to per-query calls. The base implementation loops over
-  /// the per-query virtuals; EmpiricalJointStats overrides it with a
-  /// single-pass scan that groups queries by observed-scope mask so each
-  /// scope's denominators are computed once and no memo mutex is touched.
-  /// Must be safe to call concurrently.
+  /// Batched form of DirectPatternLikelihood: computes the likelihood pair
+  /// of every query and writes them to `out` (resized to queries.size(),
+  /// pair = {pr_given_true, pr_given_false}). Results are byte-identical to
+  /// per-query calls. The base implementation loops over the per-query
+  /// virtual; EmpiricalJointStats overrides it with a single-pass scan that
+  /// groups queries by observed-scope mask so each scope's denominators are
+  /// computed once. Must be safe to call concurrently.
   virtual Status ScoreAllPatterns(const std::vector<PatternQuery>& queries,
                                   bool calibrated,
                                   std::vector<std::pair<double, double>>* out)
@@ -206,18 +198,12 @@ class EmpiricalJointStats : public JointStatsProvider {
   int num_sources() const override { return k_; }
   double alpha() const override { return options_.alpha; }
   JointQuality Get(Mask subset) const override;
-  bool SupportsExactLikelihood() const override {
+  bool SupportsDirectLikelihood() const override {
     return options_.smoothing == 0.0;
   }
-  Status ExactPatternLikelihood(Mask providers, Mask nonproviders,
-                                double* pr_given_true,
-                                double* pr_given_false) const override;
-  bool SupportsCalibratedLikelihood() const override {
-    return options_.smoothing == 0.0;
-  }
-  Status CalibratedPatternLikelihood(Mask providers, Mask nonproviders,
-                                     double* pr_given_true,
-                                     double* pr_given_false) const override;
+  Status DirectPatternLikelihood(Mask providers, Mask nonproviders,
+                                 bool calibrated, double* pr_given_true,
+                                 double* pr_given_false) const override;
   double EmpiricalPriorTrue() const override {
     return (static_cast<double>(total_true_) + 0.5) /
            (static_cast<double>(total_true_ + total_false_) + 1.0);
@@ -258,6 +244,15 @@ class EmpiricalJointStats : public JointStatsProvider {
     size_t num_false = 0;
     size_t den_true = 0;  // scope-restricted true-count denominator
   };
+  /// Training counts behind one direct-likelihood query (P, N): cnt_* sum
+  /// the patterns whose providers restricted to P | N are exactly P, den_*
+  /// every pattern whose scope covers P | N (all of them without scopes).
+  struct PatternCounts {
+    size_t cnt_true = 0;
+    size_t cnt_false = 0;
+    size_t den_true = 0;
+    size_t den_false = 0;
+  };
 
   struct MaskPairHash {
     size_t operator()(const std::pair<Mask, Mask>& p) const {
@@ -267,9 +262,9 @@ class EmpiricalJointStats : public JointStatsProvider {
 
   EmpiricalJointStats() = default;
   /// Clone's copy: duplicates the counts, pattern lists, and SoS tables;
-  /// memo caches start empty and mutexes fresh. Reading only the
-  /// writer-owned fields keeps this safe against concurrent readers (they
-  /// mutate nothing but the memos).
+  /// the subset-counts memo starts empty and its mutexes fresh. Reading
+  /// only the writer-owned fields keeps this safe against concurrent
+  /// readers (they mutate nothing but the memo).
   EmpiricalJointStats(const EmpiricalJointStats& other)
       : k_(other.k_),
         options_(other.options_),
@@ -285,6 +280,14 @@ class EmpiricalJointStats : public JointStatsProvider {
         sup_scope_true_(other.sup_scope_true_) {}
 
   Counts ComputeCounts(Mask subset) const;
+  /// Checks a batch or single direct query against this provider's state.
+  Status CheckDirectQuery(bool calibrated) const;
+  /// The count-to-likelihood step of both direct paths: the literal
+  /// alpha-scaled form (with the S* = empty correction when `providers` is
+  /// empty) or the calibrated +0.5 / +1 form.
+  std::pair<double, double> DirectLikelihood(Mask providers,
+                                             const PatternCounts& counts,
+                                             bool calibrated) const;
   const Counts& CachedCounts(Mask subset) const;
   /// (Re)builds the sum-over-supersets tables from the pattern lists.
   void BuildTables();
@@ -322,13 +325,6 @@ class EmpiricalJointStats : public JointStatsProvider {
   void ClearMemos();
 
   mutable std::array<CountShard, kCountShards> count_shards_;
-  mutable std::mutex mu_;  // guards the likelihood memos under parallel scoring
-  mutable std::unordered_map<std::pair<Mask, Mask>, std::pair<double, double>,
-                             MaskPairHash>
-      exact_memo_;
-  mutable std::unordered_map<std::pair<Mask, Mask>, std::pair<double, double>,
-                             MaskPairHash>
-      calibrated_memo_;
 };
 
 /// Joint statistics supplied directly by the caller. Missing subsets fall

@@ -370,24 +370,6 @@ uint64_t ModelGroupingFingerprint(const CorrelationModel& model) {
   return h;
 }
 
-StatusOr<const PatternGrouping*> GetOrBuildGrouping(
-    const Dataset& dataset, const CorrelationModel& model,
-    const PatternGrouping* provided, PatternGrouping* local,
-    size_t num_threads, ThreadPool* pool) {
-  if (provided == nullptr) {
-    FUSER_ASSIGN_OR_RETURN(
-        *local, BuildPatternGrouping(dataset, model, num_threads, pool));
-    return static_cast<const PatternGrouping*>(local);
-  }
-  if (provided->dataset != &dataset ||
-      provided->num_triples != dataset.num_triples() ||
-      provided->model_fingerprint != ModelGroupingFingerprint(model)) {
-    return Status::InvalidArgument(
-        "pattern grouping does not match dataset/model");
-  }
-  return provided;
-}
-
 StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
     const PatternGrouping& grouping, size_t num_threads,
     const PatternScorer& scorer, const ClusterBatchScorer& batch,
@@ -589,6 +571,32 @@ std::vector<double> CombinePatternScores(
     double alpha, size_t num_threads, ThreadPool* pool) {
   PatternPosteriorTable table = BuildPatternPosteriorTable(likelihood, alpha);
   return GatherPatternScores(grouping, table, num_threads, pool);
+}
+
+StatusOr<std::vector<double>> ScorePlan(const Dataset& dataset,
+                                        const CorrelationModel& model,
+                                        const PatternScoringPlan& plan,
+                                        const PatternGrouping* grouping,
+                                        size_t num_threads, ThreadPool* pool) {
+  if (!dataset.finalized()) {
+    return Status::FailedPrecondition("dataset not finalized");
+  }
+  PatternGrouping local;
+  if (grouping == nullptr) {
+    FUSER_ASSIGN_OR_RETURN(
+        local, BuildPatternGrouping(dataset, model, num_threads, pool));
+    grouping = &local;
+  } else if (grouping->dataset != &dataset ||
+             grouping->num_triples != dataset.num_triples() ||
+             grouping->model_fingerprint != ModelGroupingFingerprint(model)) {
+    return Status::InvalidArgument(
+        "pattern grouping does not match dataset/model");
+  }
+  FUSER_ASSIGN_OR_RETURN(
+      std::vector<std::vector<PatternLikelihood>> likelihood,
+      ScorePatterns(*grouping, num_threads, plan.scorer, plan.batch, pool));
+  return CombinePatternScores(*grouping, likelihood, plan.alpha, num_threads,
+                              pool);
 }
 
 }  // namespace fuser

@@ -9,11 +9,12 @@
 // likelihood pairs into a per-triple posterior (clusters are mutually
 // independent, so likelihoods multiply).
 //
-// This file factors that machinery out so every pattern-based method reuses
-// one grouping: the engine builds a PatternGrouping once per prepared model
-// and hands it to each method, which is what makes RunAll (the paper's
+// This file factors that machinery out so a pattern-based method is just
+// its PatternScoringPlan and every such method reuses one grouping: the
+// engine builds a PatternGrouping once per prepared model and scores each
+// method's plan over it, which is what makes RunAll (the paper's
 // Fig. 4/6/7 many-methods workload) score all methods over a single pass
-// of the grouping work.
+// of the grouping work. ScorePlan runs a plan outside an engine.
 #ifndef FUSER_CORE_PATTERN_PIPELINE_H_
 #define FUSER_CORE_PATTERN_PIPELINE_H_
 
@@ -56,8 +57,8 @@ struct PatternGrouping {
   /// dereferenced — compared only, so a stale pointer cannot be misused).
   const Dataset* dataset = nullptr;
   /// Fingerprint of the clustering + scope structure the grouping was
-  /// built from (see ModelGroupingFingerprint); lets GetOrBuildGrouping
-  /// reject a grouping that belongs to a different model.
+  /// built from (see ModelGroupingFingerprint); lets ScorePlan reject a
+  /// grouping that belongs to a different model.
   uint64_t model_fingerprint = 0;
   /// distinct[c] lists every pattern of cluster c exactly once.
   std::vector<std::vector<PatternKey>> distinct;
@@ -123,19 +124,6 @@ Status UpdatePatternGrouping(const Dataset& dataset,
                              const CorrelationModel& model,
                              const std::vector<TripleId>& changed_existing,
                              PatternGrouping* grouping);
-
-/// Common method preamble: returns `provided` after validating its triple
-/// count and model fingerprint, or — when `provided` is nullptr — builds
-/// the grouping into `*local` (across `num_threads` workers, optionally on
-/// `pool`) and returns that. Callers own `*local` only so the result can
-/// outlive this call. A non-null `provided` must come from
-/// BuildPatternGrouping over this same dataset and model (the engine's
-/// cache does); a grouping from a different clustering or scope setting is
-/// rejected with InvalidArgument.
-StatusOr<const PatternGrouping*> GetOrBuildGrouping(
-    const Dataset& dataset, const CorrelationModel& model,
-    const PatternGrouping* provided, PatternGrouping* local,
-    size_t num_threads = 1, ThreadPool* pool = nullptr);
 
 /// Per-pattern likelihood pair: Pr(pattern | triple true) and
 /// Pr(pattern | triple false) — or a method's approximation thereof.
@@ -293,6 +281,19 @@ std::vector<double> CombinePatternScores(
     const PatternGrouping& grouping,
     const std::vector<std::vector<PatternLikelihood>>& likelihood,
     double alpha, size_t num_threads = 1, ThreadPool* pool = nullptr);
+
+/// Scores every triple of `dataset` with a method's `plan` over `model`:
+/// ScorePatterns, then CombinePatternScores with plan.alpha — the scores
+/// FusionEngine::Run returns for that method. `grouping` optionally
+/// supplies a prebuilt grouping, which must come from BuildPatternGrouping
+/// over this same dataset and model (one from a different dataset,
+/// clustering or scope setting is rejected with InvalidArgument); with
+/// nullptr it is built locally. Work runs across `num_threads` workers,
+/// optionally on `pool`.
+StatusOr<std::vector<double>> ScorePlan(
+    const Dataset& dataset, const CorrelationModel& model,
+    const PatternScoringPlan& plan, const PatternGrouping* grouping = nullptr,
+    size_t num_threads = 1, ThreadPool* pool = nullptr);
 
 }  // namespace fuser
 

@@ -1,7 +1,7 @@
 #include "core/precrec_corr.h"
 
-#include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -37,56 +37,47 @@ StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
 
   // Pick the evaluation strategy per cluster, once; the closures capture
   // the decisions by value and the model by pointer.
-  std::vector<char> use_calibrated(num_clusters, 0);
   std::vector<char> use_direct(num_clusters, 0);
   for (size_t c = 0; c < num_clusters; ++c) {
-    const JointStatsProvider& stats = *model.cluster_stats[c];
-    use_calibrated[c] = stats.SupportsCalibratedLikelihood() &&
-                        options.calibrated_likelihood &&
-                        !options.force_term_summation;
-    use_direct[c] =
-        stats.SupportsExactLikelihood() && !options.force_term_summation;
+    use_direct[c] = model.cluster_stats[c]->SupportsDirectLikelihood() &&
+                    !options.force_term_summation;
   }
+  const bool calibrated = options.calibrated_likelihood;
 
   PatternScoringPlan plan;
   const CorrelationModel* model_ptr = &model;
-  // Clusters on a direct strategy score all their distinct patterns in one
-  // batched pass (no per-query memo mutexes, no repeated training-pattern
-  // rescans); the per-pattern scorer remains for term summation.
-  plan.batch = [model_ptr, use_calibrated, use_direct](
+  // Direct clusters score all their distinct patterns in one batched pass
+  // (no repeated training-pattern rescans); term summation stays
+  // per-pattern.
+  plan.batch = [model_ptr, use_direct, calibrated](
                    size_t c, const std::vector<PatternKey>& keys,
                    std::vector<PatternLikelihood>* out) -> StatusOr<bool> {
-    if (!use_calibrated[c] && !use_direct[c]) return false;
+    if (!use_direct[c]) return false;
     std::vector<PatternQuery> queries(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       queries[i] = {keys[i].providers, keys[i].nonproviders};
     }
     std::vector<std::pair<double, double>> pairs;
     FUSER_RETURN_IF_ERROR(model_ptr->cluster_stats[c]->ScoreAllPatterns(
-        queries, /*calibrated=*/use_calibrated[c] != 0, &pairs));
+        queries, calibrated, &pairs));
     for (size_t i = 0; i < keys.size(); ++i) {
       (*out)[i].given_true = pairs[i].first;
       (*out)[i].given_false = pairs[i].second;
     }
     return true;
   };
-  // Per-pattern path: direct strategies answer one pattern at a time (the
-  // serving layer's ad-hoc observations), with term summation as the
+  // Per-pattern path: the direct strategy answers one pattern at a time
+  // (the serving layer's ad-hoc observations), with term summation as the
   // fallback for explicit or smoothed statistics.
   const int max_exact_nonproviders = options.max_exact_nonproviders;
-  plan.scorer = [model_ptr, use_calibrated, use_direct,
-                 max_exact_nonproviders](size_t c, const PatternKey& key,
-                                         double* given_true,
-                                         double* given_false) -> Status {
+  plan.scorer = [model_ptr, use_direct, calibrated, max_exact_nonproviders](
+                    size_t c, const PatternKey& key, double* given_true,
+                    double* given_false) -> Status {
     const JointStatsProvider& stats = *model_ptr->cluster_stats[c];
-    if (use_calibrated[c]) {
-      return stats.CalibratedPatternLikelihood(key.providers,
-                                               key.nonproviders, given_true,
-                                               given_false);
-    }
     if (use_direct[c]) {
-      return stats.ExactPatternLikelihood(key.providers, key.nonproviders,
-                                          given_true, given_false);
+      return stats.DirectPatternLikelihood(key.providers, key.nonproviders,
+                                           calibrated, given_true,
+                                           given_false);
     }
     if (PopCount(key.nonproviders) > max_exact_nonproviders) {
       return Status::FailedPrecondition(
@@ -103,34 +94,13 @@ StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
   // instead bakes the class ratio into its q values and pairs with the
   // configured alpha.
   plan.alpha = model.alpha;
-  for (size_t c = 0; c < num_clusters; ++c) {
-    if (use_calibrated[c]) {
+  for (size_t c = 0; calibrated && c < num_clusters; ++c) {
+    if (use_direct[c]) {
       plan.alpha = model.cluster_stats[c]->EmpiricalPriorTrue();
       break;
     }
   }
   return plan;
-}
-
-StatusOr<std::vector<double>> PrecRecCorrScores(
-    const Dataset& dataset, const CorrelationModel& model,
-    const PrecRecCorrOptions& options, const PatternGrouping* grouping,
-    ThreadPool* pool) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
-  }
-  FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
-                         MakePrecRecCorrPlan(model, options));
-  PatternGrouping local;
-  FUSER_ASSIGN_OR_RETURN(
-      grouping, GetOrBuildGrouping(dataset, model, grouping, &local,
-                                   options.num_threads, pool));
-  FUSER_ASSIGN_OR_RETURN(
-      std::vector<std::vector<PatternLikelihood>> likelihood,
-      ScorePatterns(*grouping, options.num_threads, plan.scorer, plan.batch,
-                    pool));
-  return CombinePatternScores(*grouping, likelihood, plan.alpha,
-                              options.num_threads, pool);
 }
 
 }  // namespace fuser

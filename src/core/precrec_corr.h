@@ -13,7 +13,8 @@
 //  * direct: when the joint statistics are unsmoothed empirical counts with
 //    shared denominators, the alternating sum telescopes to an exact
 //    pattern count (O(#distinct patterns) per lookup, no 2^|N| blowup and
-//    no catastrophic cancellation);
+//    no catastrophic cancellation), in the paper's literal form or the
+//    calibrated one (JointStatsProvider::DirectPatternLikelihood);
 //  * term summation: the literal alternating sum, used for explicit
 //    (user-supplied) parameters, smoothed counts, or scope-restricted
 //    denominators. Exponential in |N|; guarded by max_exact_nonproviders.
@@ -22,61 +23,52 @@
 #ifndef FUSER_CORE_PRECREC_CORR_H_
 #define FUSER_CORE_PRECREC_CORR_H_
 
-#include <vector>
-
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "core/pattern_pipeline.h"
-#include "model/dataset.h"
 
 namespace fuser {
 
-class ThreadPool;
+/// The largest PrecRecCorrOptions::max_exact_nonproviders an engine
+/// accepts: ValidateEngineOptions (core/fusion_method.h) holds every
+/// FusionEngine::Prepare and every loaded snapshot file to it. One
+/// term-summation query costs 2^|N| joint lookups, so 30 caps a single
+/// ad-hoc observation at ~10^9 lookups (seconds on one core) where the
+/// 64-source cluster cap would allow 2^63; it leaves headroom above the
+/// default of 24.
+inline constexpr int kMaxTermSummationNonproviders = 30;
 
 struct PrecRecCorrOptions {
   /// Refuse term summation beyond this many non-providers in one cluster
-  /// (2^|N| terms). The direct strategy has no such limit.
+  /// (2^|N| terms; at most kMaxTermSummationNonproviders). The direct
+  /// strategy has no such limit.
   int max_exact_nonproviders = 24;
   /// Force the literal alternating sum even when the direct strategy is
   /// available (used by tests to check the two agree).
   bool force_term_summation = false;
-  /// Use natural class-conditional likelihoods (naive Bayes over cluster
-  /// patterns) instead of the paper's alpha-scaled q parameterization when
-  /// the joint-stats provider supports it. The paper-literal form is
-  /// faithful per cluster but not a consistent measure across many
-  /// clusters (see JointStatsProvider::CalibratedPatternLikelihood);
-  /// defaults to calibrated. Ignored when force_term_summation is set or
-  /// for explicit (user-supplied) statistics.
+  /// Use the calibrated direct likelihood (naive Bayes over cluster
+  /// patterns) instead of the paper's literal alpha-scaled q form when the
+  /// joint-stats provider supports the direct strategy. The literal form
+  /// is faithful per cluster but not a consistent measure across many
+  /// clusters (see JointStatsProvider::DirectPatternLikelihood); defaults
+  /// to calibrated. Ignored when force_term_summation is set or for
+  /// explicit (user-supplied) statistics.
   bool calibrated_likelihood = true;
-  /// Worker threads for scoring distinct patterns; 0 = one per hardware
-  /// thread.
-  size_t num_threads = 0;
 };
-
-/// Scores every triple with its correctness probability under the full
-/// correlation model. `grouping` optionally supplies a prebuilt pattern
-/// grouping for (dataset, model) — the engine passes its cached one so
-/// many methods share a single grouping pass; with nullptr the grouping is
-/// built locally. `pool` optionally supplies persistent worker threads
-/// (the engine passes its own so repeated runs skip thread creation).
-///
-/// Clusters whose statistics support the direct strategies are scored
-/// through the batched JointStatsProvider::ScoreAllPatterns path — all of
-/// a cluster's distinct patterns in one pass over the training patterns —
-/// with per-pattern scoring (and its term-summation fallback) kept for
-/// explicit or smoothed statistics.
-StatusOr<std::vector<double>> PrecRecCorrScores(
-    const Dataset& dataset, const CorrelationModel& model,
-    const PrecRecCorrOptions& options,
-    const PatternGrouping* grouping = nullptr, ThreadPool* pool = nullptr);
 
 /// PrecRecCorr's pattern-scoring plan over `model`: the per-pattern scorer
 /// (with the batched whole-cluster path) plus the combine prior. The plan
 /// captures `model` by pointer and every per-cluster strategy decision by
 /// value, so it can be stored in a FusionSnapshot and invoked from any
 /// reader thread — `model` must outlive the plan (snapshots share
-/// ownership of it). PrecRecCorrScores is exactly this plan run through
-/// ScorePatterns + CombinePatternScores.
+/// ownership of it). ScorePlan (core/pattern_pipeline.h) runs it over a
+/// whole dataset.
+///
+/// Clusters whose statistics support the direct strategy are scored
+/// through the batched JointStatsProvider::ScoreAllPatterns path — all of
+/// a cluster's distinct patterns in one pass over the training patterns —
+/// and answer single patterns with DirectPatternLikelihood; explicit or
+/// smoothed statistics fall back to term summation.
 StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
     const CorrelationModel& model, const PrecRecCorrOptions& options);
 

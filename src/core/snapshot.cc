@@ -16,7 +16,7 @@ StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
   auto serving = std::make_shared<MethodServing>();
   serving->spec = spec;
   serving->threshold = method.DefaultThreshold(spec, *context.options);
-  if (method.supports_pattern_serving() && context.grouping != nullptr) {
+  if (method.pattern_based()) {
     FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
                            method.MakeScoringPlan(context, spec));
     FUSER_ASSIGN_OR_RETURN(

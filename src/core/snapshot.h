@@ -12,7 +12,7 @@
 // are stable across any number of subsequent Prepare/Update calls.
 //
 // Per-method serving state (MethodServing) is what lets FusionService
-// answer point queries in O(pattern lookup): pattern-serving methods
+// answer point queries in O(pattern lookup): pattern-based methods
 // (precrec-corr, elastic) keep a PatternPosteriorTable plus the
 // per-pattern scorer for ad-hoc observations; every other method keeps its
 // dense score vector. Both forms are byte-identical to a full
@@ -36,7 +36,7 @@ namespace fuser {
 
 /// Serving state of one method spec inside a snapshot. Exactly one of the
 /// two representations is populated:
-///  * pattern-serving methods: `table` (per-pattern posteriors promoted
+///  * pattern-based methods: `table` (per-pattern posteriors promoted
 ///    out of CombinePatternScores) plus `adhoc_scorer` and `alpha` for
 ///    observations whose pattern the grouping has never seen;
 ///  * everything else: `dense`, the method's full score vector.
@@ -82,9 +82,9 @@ struct FusionSnapshot {
 };
 
 /// Builds the serving state of (method, spec) from a fully prepared
-/// context: pattern-serving methods score every distinct pattern of
-/// context.grouping through their plan and keep the posterior table;
-/// others run Score and keep the dense vector. Deterministic — repeated
+/// context: pattern-based methods score every distinct pattern of
+/// context.grouping (which must be set) through their plan and keep the
+/// posterior table; others run Score and keep the dense vector. Deterministic — repeated
 /// builds over the same inputs are byte-identical at every thread count —
 /// which is what makes FusionService answers equal to FusionEngine::Run.
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(

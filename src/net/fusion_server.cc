@@ -389,7 +389,7 @@ class FusionServer::Worker {
         FUSER_ASSIGN_OR_RETURN(const MethodSpec spec,
                                ParseMethodSpec(req.method));
         FUSER_ASSIGN_OR_RETURN(const auto snapshot, service.Acquire());
-        ScoreBatchReply reply{req.request_id, snapshot->id};
+        ScoreBatchReply reply{req.request_id, snapshot->id, {}};
         FUSER_ASSIGN_OR_RETURN(
             reply.scores, service.ScoreBatch(*snapshot, spec, req.triples));
         *reply_type = MessageType::kScoreBatchReply;

@@ -127,7 +127,6 @@ void EncodeEngineOptions(const EngineOptions& o, ByteSink* sink) {
   sink->WriteI32(o.corr.max_exact_nonproviders);
   sink->WriteBool(o.corr.force_term_summation);
   sink->WriteBool(o.corr.calibrated_likelihood);
-  sink->WriteU64(o.corr.num_threads);
 }
 
 Status DecodeEngineOptions(ByteSource* src, EngineOptions* o) {
@@ -169,8 +168,10 @@ Status DecodeEngineOptions(ByteSource* src, EngineOptions* o) {
   FUSER_RETURN_IF_ERROR(src->ReadI32(&o->corr.max_exact_nonproviders));
   FUSER_RETURN_IF_ERROR(src->ReadBool(&o->corr.force_term_summation));
   FUSER_RETURN_IF_ERROR(src->ReadBool(&o->corr.calibrated_likelihood));
-  FUSER_RETURN_IF_ERROR(src->ReadU64(&u64));
-  o->corr.num_threads = static_cast<size_t>(u64);
+  // The options rebuild every plan, so a file must not set what no engine
+  // may run under (e.g. an unbounded term-summation budget).
+  Status valid = ValidateEngineOptions(*o);
+  if (!valid.ok()) return Corrupt("engine options: " + valid.message());
   return Status::OK();
 }
 
@@ -769,7 +770,7 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
       if (context.grouping == nullptr) {
         return Corrupt("pattern-based serving entry without a grouping");
       }
-      if (!method->supports_pattern_serving()) {
+      if (!method->pattern_based()) {
         return Corrupt("pattern-based entry for a non-pattern method");
       }
       PatternPosteriorTable& table = serving->table;

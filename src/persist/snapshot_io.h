@@ -53,7 +53,10 @@ namespace fuser {
 /// Version 2: the DATASET section became a columnar aligned-span image
 /// (arena bytes + raw ref/CSR/bitset arrays) that loads with bulk copies
 /// or attaches zero-copy via mmap.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Version 3: the ENGINE section no longer carries the precrec-corr
+/// worker-thread count (the engine always supplied its own), and its
+/// options must pass ValidateEngineOptions.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// How LoadSnapshot materializes the (large) DATASET section.
 enum class AttachMode {

@@ -287,7 +287,7 @@ Status ShardedFusionEngine::CheckSpecs(const std::vector<MethodSpec>& specs,
           "method '" + std::string(method->id()) +
           "' couples triples across the corpus and cannot run sharded");
     }
-    if (method->needs_model() || method->uses_pattern_pipeline()) {
+    if (method->needs_model()) {
       *needs_model = true;
     }
   }

@@ -111,13 +111,13 @@ TEST(MethodRegistryTest, CapabilityFlags) {
                           MethodKind::kCosine, MethodKind::kLtm,
                           MethodKind::kPrecRec}) {
     EXPECT_FALSE(registry.Find(kind)->needs_model());
-    EXPECT_FALSE(registry.Find(kind)->uses_pattern_pipeline());
+    EXPECT_FALSE(registry.Find(kind)->pattern_based());
   }
   for (MethodKind kind : {MethodKind::kPrecRecCorr, MethodKind::kElastic}) {
-    EXPECT_TRUE(registry.Find(kind)->uses_pattern_pipeline());
+    EXPECT_TRUE(registry.Find(kind)->pattern_based());
     EXPECT_TRUE(registry.Find(kind)->supports_threads());
   }
-  EXPECT_FALSE(registry.Find(MethodKind::kAggressive)->uses_pattern_pipeline());
+  EXPECT_FALSE(registry.Find(MethodKind::kAggressive)->pattern_based());
 }
 
 TEST(MethodRegistryTest, UnionThresholdTracksPercent) {
@@ -179,12 +179,13 @@ TEST(PatternPipelineTest, RejectsGroupingFromDifferentModel) {
   ASSERT_TRUE(plain_grouping.ok());
   ASSERT_TRUE(scoped_model.ok());
 
-  auto mismatched = PrecRecCorrScores(*d, **scoped_model, PrecRecCorrOptions{},
-                                      *plain_grouping);
+  auto plan = MakePrecRecCorrPlan(**scoped_model, PrecRecCorrOptions{});
+  ASSERT_TRUE(plan.ok());
+  auto mismatched = ScorePlan(*d, **scoped_model, *plan, *plain_grouping);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
   // The matching grouping is accepted.
-  auto matched = PrecRecCorrScores(*d, **scoped_model, PrecRecCorrOptions{},
-                                   *scoped.GetPatternGrouping());
+  auto matched =
+      ScorePlan(*d, **scoped_model, *plan, *scoped.GetPatternGrouping());
   EXPECT_TRUE(matched.ok()) << matched.status();
 }
 
@@ -202,16 +203,18 @@ TEST(PatternPipelineTest, ExplicitGroupingMatchesLocalBuild) {
   auto grouping = engine.GetPatternGrouping();
   ASSERT_TRUE(grouping.ok());
 
-  PrecRecCorrOptions corr_options;
-  auto with_cache = PrecRecCorrScores(*d, **model, corr_options, *grouping);
-  auto without_cache = PrecRecCorrScores(*d, **model, corr_options);
+  auto corr_plan = MakePrecRecCorrPlan(**model, PrecRecCorrOptions{});
+  ASSERT_TRUE(corr_plan.ok());
+  auto with_cache = ScorePlan(*d, **model, *corr_plan, *grouping);
+  auto without_cache = ScorePlan(*d, **model, *corr_plan);
   ASSERT_TRUE(with_cache.ok());
   ASSERT_TRUE(without_cache.ok());
   EXPECT_EQ(*with_cache, *without_cache);
 
-  ElasticOptions elastic_options;
-  auto elastic_cached = ElasticScores(*d, **model, elastic_options, *grouping);
-  auto elastic_local = ElasticScores(*d, **model, elastic_options);
+  auto elastic_plan = MakeElasticPlan(**model, /*level=*/3);
+  ASSERT_TRUE(elastic_plan.ok());
+  auto elastic_cached = ScorePlan(*d, **model, *elastic_plan, *grouping);
+  auto elastic_local = ScorePlan(*d, **model, *elastic_plan);
   ASSERT_TRUE(elastic_cached.ok());
   ASSERT_TRUE(elastic_local.ok());
   EXPECT_EQ(*elastic_cached, *elastic_local);

@@ -7,6 +7,7 @@
 #include "core/aggressive.h"
 #include "core/correlation_model.h"
 #include "core/elastic.h"
+#include "core/pattern_pipeline.h"
 #include "core/precrec.h"
 #include "core/precrec_corr.h"
 #include "gtest/gtest.h"
@@ -20,6 +21,25 @@ std::vector<SourceId> AllSources(const Dataset& d) {
   std::vector<SourceId> all(d.num_sources());
   for (SourceId s = 0; s < d.num_sources(); ++s) all[s] = s;
   return all;
+}
+
+/// precrec-corr's and elastic's scores: the method's plan run over a
+/// locally built grouping.
+StatusOr<std::vector<double>> CorrScores(const Dataset& d,
+                                         const CorrelationModel& model,
+                                         const PrecRecCorrOptions& options) {
+  FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
+                         MakePrecRecCorrPlan(model, options));
+  return ScorePlan(d, model, plan);
+}
+
+StatusOr<std::vector<double>> ElasticPlanScores(const Dataset& d,
+                                                const CorrelationModel& model,
+                                                int level,
+                                                size_t num_threads = 1) {
+  FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
+                         MakeElasticPlan(model, level));
+  return ScorePlan(d, model, plan, /*grouping=*/nullptr, num_threads);
 }
 
 /// Builds a single-cluster empirical model over all sources.
@@ -127,8 +147,8 @@ TEST(PrecRecCorrTest, DirectAndTermSummationAgree) {
   direct.calibrated_likelihood = false;  // compare the paper-literal paths
   PrecRecCorrOptions terms;
   terms.force_term_summation = true;
-  auto a = PrecRecCorrScores(d, model, direct);
-  auto b = PrecRecCorrScores(d, model, terms);
+  auto a = CorrScores(d, model, direct);
+  auto b = CorrScores(d, model, terms);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (TripleId t = 0; t < d.num_triples(); ++t) {
@@ -148,8 +168,8 @@ TEST(PrecRecCorrTest, DirectAndTermSummationAgreeOnSynthetic) {
   direct.calibrated_likelihood = false;  // compare the paper-literal paths
   PrecRecCorrOptions terms;
   terms.force_term_summation = true;
-  auto a = PrecRecCorrScores(*d, model, direct);
-  auto b = PrecRecCorrScores(*d, model, terms);
+  auto a = CorrScores(*d, model, direct);
+  auto b = CorrScores(*d, model, terms);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (TripleId t = 0; t < d->num_triples(); ++t) {
@@ -175,7 +195,7 @@ TEST(PrecRecCorrTest, Corollary43IndependentEqualsPrecRec) {
   model.cluster_stats.push_back(
       std::make_unique<ExplicitJointStats>(singles, 0.5));
 
-  auto corr = PrecRecCorrScores(d, model, {});
+  auto corr = CorrScores(d, model, {});
   auto indep = PrecRecScores(d, quality, {});
   ASSERT_TRUE(corr.ok());
   ASSERT_TRUE(indep.ok());
@@ -229,7 +249,7 @@ TEST(PrecRecCorrTest, BruteForceWorldEnumeration) {
 TEST(PrecRecCorrTest, ScoresAreValidProbabilities) {
   Dataset d = MakeMotivatingExample();
   CorrelationModel model = MakeEmpiricalModel(d);
-  auto scores = PrecRecCorrScores(d, model, {});
+  auto scores = CorrScores(d, model, {});
   ASSERT_TRUE(scores.ok());
   for (double s : *scores) {
     EXPECT_GE(s, 0.0);
@@ -246,7 +266,7 @@ TEST(PrecRecCorrTest, MultiClusterFactorization) {
   ASSERT_TRUE(d.ok());
 
   CorrelationModel one = MakeEmpiricalModel(*d);
-  auto single_scores = PrecRecCorrScores(*d, one, {});
+  auto single_scores = CorrScores(*d, one, {});
   ASSERT_TRUE(single_scores.ok());
 
   CorrelationModel split;
@@ -262,7 +282,7 @@ TEST(PrecRecCorrTest, MultiClusterFactorization) {
     ASSERT_TRUE(stats.ok());
     split.cluster_stats.push_back(std::move(*stats));
   }
-  auto split_scores = PrecRecCorrScores(*d, split, {});
+  auto split_scores = CorrScores(*d, split, {});
   ASSERT_TRUE(split_scores.ok());
 
   // Results differ slightly because the big cluster sees empirical
@@ -286,7 +306,7 @@ TEST(PrecRecCorrTest, TermSummationGuardsExponentialBlowup) {
   PrecRecCorrOptions options;
   options.force_term_summation = true;
   options.max_exact_nonproviders = 3;  // 10-source patterns exceed this
-  EXPECT_FALSE(PrecRecCorrScores(*d, model, options).ok());
+  EXPECT_FALSE(CorrScores(*d, model, options).ok());
 }
 
 // ---------- Aggressive ----------
@@ -339,12 +359,10 @@ TEST(AggressiveTest, Proposition48ReplicasCollapseToPrior) {
 TEST(ElasticTest, ConvergesToExactAtFullLevel) {
   Dataset d = MakeMotivatingExample();
   CorrelationModel model = MakeEmpiricalModel(d);
-  ElasticOptions full;
-  full.level = 5;  // >= any |N|
-  auto elastic = ElasticScores(d, model, full);
+  auto elastic = ElasticPlanScores(d, model, /*level=*/5);  // >= any |N|
   PrecRecCorrOptions terms;
   terms.force_term_summation = true;
-  auto exact = PrecRecCorrScores(d, model, terms);
+  auto exact = CorrScores(d, model, terms);
   ASSERT_TRUE(elastic.ok());
   ASSERT_TRUE(exact.ok());
   for (TripleId t = 0; t < d.num_triples(); ++t) {
@@ -362,12 +380,10 @@ TEST(ElasticTest, ErrorShrinksWithLevelOnAverage) {
   CorrelationModel model = MakeEmpiricalModel(*d);
   PrecRecCorrOptions term_options;
   term_options.force_term_summation = true;
-  auto exact = PrecRecCorrScores(*d, model, term_options);
+  auto exact = CorrScores(*d, model, term_options);
   ASSERT_TRUE(exact.ok());
   auto mean_abs_error = [&](int level) {
-    ElasticOptions options;
-    options.level = level;
-    auto scores = ElasticScores(*d, model, options);
+    auto scores = ElasticPlanScores(*d, model, level);
     EXPECT_TRUE(scores.ok());
     double err = 0.0;
     for (TripleId t = 0; t < d->num_triples(); ++t) {
@@ -385,9 +401,7 @@ TEST(ElasticTest, ErrorShrinksWithLevelOnAverage) {
 TEST(ElasticTest, RejectsNegativeLevel) {
   Dataset d = MakeMotivatingExample();
   CorrelationModel model = MakeEmpiricalModel(d);
-  ElasticOptions bad;
-  bad.level = -1;
-  EXPECT_FALSE(ElasticScores(d, model, bad).ok());
+  EXPECT_FALSE(ElasticPlanScores(d, model, /*level=*/-1).ok());
 }
 
 TEST(ElasticTest, ThreadedScoringMatchesSerial) {
@@ -397,13 +411,8 @@ TEST(ElasticTest, ThreadedScoringMatchesSerial) {
   auto d = GenerateSynthetic(config);
   ASSERT_TRUE(d.ok());
   CorrelationModel model = MakeEmpiricalModel(*d);
-  ElasticOptions serial;
-  serial.level = 2;
-  serial.num_threads = 1;
-  ElasticOptions threaded = serial;
-  threaded.num_threads = 4;
-  auto a = ElasticScores(*d, model, serial);
-  auto b = ElasticScores(*d, model, threaded);
+  auto a = ElasticPlanScores(*d, model, /*level=*/2, /*num_threads=*/1);
+  auto b = ElasticPlanScores(*d, model, /*level=*/2, /*num_threads=*/4);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (TripleId t = 0; t < d->num_triples(); ++t) {

@@ -96,12 +96,12 @@ TEST(EmpiricalJointStatsTest, ExactLikelihoodMatchesManualCount) {
   double pt = 0.0;
   double pf = 0.0;
   ASSERT_TRUE(
-      (*stats)->ExactPatternLikelihood(0b00100, 0b11011, &pt, &pf).ok());
+      (*stats)->DirectPatternLikelihood(0b00100, 0b11011, false, &pt, &pf).ok());
   EXPECT_NEAR(pt, 1.0 / 6, 1e-12);
   EXPECT_NEAR(pf, 0.0, 1e-12);
   // Pattern {S1,S2,S4,S5}: t1 among true; t8, t9 among false.
   ASSERT_TRUE(
-      (*stats)->ExactPatternLikelihood(0b11011, 0b00100, &pt, &pf).ok());
+      (*stats)->DirectPatternLikelihood(0b11011, 0b00100, false, &pt, &pf).ok());
   EXPECT_NEAR(pt, 1.0 / 6, 1e-12);
   EXPECT_NEAR(pf, 2.0 / 6, 1e-12);
 }
@@ -113,11 +113,13 @@ TEST(EmpiricalJointStatsTest, ExactLikelihoodRequiresNoSmoothing) {
   auto stats = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                            AllSources(d), smooth);
   ASSERT_TRUE(stats.ok());
-  EXPECT_FALSE((*stats)->SupportsExactLikelihood());
+  EXPECT_FALSE((*stats)->SupportsDirectLikelihood());
   double pt = 0.0;
   double pf = 0.0;
-  EXPECT_FALSE(
-      (*stats)->ExactPatternLikelihood(1, 2, &pt, &pf).ok());
+  for (bool calibrated : {false, true}) {
+    EXPECT_FALSE(
+        (*stats)->DirectPatternLikelihood(1, 2, calibrated, &pt, &pf).ok());
+  }
 }
 
 TEST(EmpiricalJointStatsTest, ExactLikelihoodRejectsOverlap) {
@@ -127,7 +129,12 @@ TEST(EmpiricalJointStatsTest, ExactLikelihoodRejectsOverlap) {
   ASSERT_TRUE(stats.ok());
   double pt = 0.0;
   double pf = 0.0;
-  EXPECT_FALSE((*stats)->ExactPatternLikelihood(0b011, 0b001, &pt, &pf).ok());
+  for (bool calibrated : {false, true}) {
+    EXPECT_FALSE((*stats)
+                     ->DirectPatternLikelihood(0b011, 0b001, calibrated, &pt,
+                                               &pf)
+                     .ok());
+  }
 }
 
 TEST(EmpiricalJointStatsTest, RejectsBadArguments) {

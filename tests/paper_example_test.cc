@@ -175,7 +175,9 @@ TEST_F(PaperExampleTest, Example44ExactProbability) {
   // Pr(Ot8 | !t8) = q1245 - q12345 = 0.1846 (the paper rounds to 0.185).
   EXPECT_NEAR(pf, 0.1846, 1e-3);
   // Pr(t8 | O) ~= 0.37.
-  auto scores = PrecRecCorrScores(dataset_, model, {});
+  auto plan = MakePrecRecCorrPlan(model, {});
+  ASSERT_TRUE(plan.ok());
+  auto scores = ScorePlan(dataset_, model, *plan);
   ASSERT_TRUE(scores.ok());
   EXPECT_NEAR((*scores)[T(8)], 0.37, 0.01);
   EXPECT_LT((*scores)[T(8)], 0.5) << "correlations classify t8 as false";

@@ -428,13 +428,9 @@ TEST(ScoreAllPatternsTest, ByteIdenticalToPerQueryLikelihoods) {
       for (size_t i = 0; i < queries.size(); ++i) {
         double pt = 0.0;
         double pf = 0.0;
-        Status s = calibrated
-                       ? (*stats)->CalibratedPatternLikelihood(
-                             queries[i].providers, queries[i].nonproviders,
-                             &pt, &pf)
-                       : (*stats)->ExactPatternLikelihood(
-                             queries[i].providers, queries[i].nonproviders,
-                             &pt, &pf);
+        Status s = (*stats)->DirectPatternLikelihood(
+            queries[i].providers, queries[i].nonproviders, calibrated, &pt,
+            &pf);
         ASSERT_TRUE(s.ok()) << s;
         ASSERT_EQ(batched[i].first, pt) << "query " << i;
         ASSERT_EQ(batched[i].second, pf) << "query " << i;
@@ -459,17 +455,18 @@ TEST(ScoreAllPatternsTest, RejectsOverlappingMasks) {
 // ---------- End-to-end byte-identity ----------
 
 /// The pre-optimization scoring pipeline, composed from the retained
-/// reference pieces: scalar grouping, per-pattern likelihood calls (no
-/// batching), serial reference combine. This is what PrecRecCorrScores
-/// did before the word-parallel hot path landed.
-std::vector<double> LegacyPrecRecCorrScores(const Dataset& dataset,
-                                            const CorrelationModel& model) {
+/// reference pieces: scalar grouping, one DirectPatternLikelihood call per
+/// distinct pattern (no batching), serial reference combine. This is what
+/// precrec-corr's scoring did before the word-parallel hot path landed.
+std::vector<double> LegacyCorrScores(const Dataset& dataset,
+                                     const CorrelationModel& model) {
   auto grouping = BuildPatternGroupingScalar(dataset, model);
   EXPECT_TRUE(grouping.ok()) << grouping.status();
   auto scorer = [&](size_t c, const PatternKey& key, double* given_true,
                     double* given_false) -> Status {
-    return model.cluster_stats[c]->CalibratedPatternLikelihood(
-        key.providers, key.nonproviders, given_true, given_false);
+    return model.cluster_stats[c]->DirectPatternLikelihood(
+        key.providers, key.nonproviders, /*calibrated=*/true, given_true,
+        given_false);
   };
   auto likelihood = ScorePatterns(*grouping, /*num_threads=*/1, scorer);
   EXPECT_TRUE(likelihood.ok()) << likelihood.status();
@@ -497,7 +494,7 @@ TEST(EndToEndByteIdentityTest, RunAllMatchesLegacyPipelineAtEveryThreadCount) {
       per_thread_elastic.push_back((*runs)[1].scores);
 
       const CorrelationModel* model = *engine.GetModel();
-      std::vector<double> legacy = LegacyPrecRecCorrScores(dataset, *model);
+      std::vector<double> legacy = LegacyCorrScores(dataset, *model);
       ASSERT_EQ((*runs)[0].scores, legacy)
           << "threads=" << num_threads << " scopes=" << use_scopes;
     }

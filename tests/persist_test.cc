@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/engine.h"
 #include "gtest/gtest.h"
 #include "model/dataset.h"
+#include "persist/binary_io.h"
 #include "persist/snapshot_io.h"
 #include "serving/fusion_service.h"
 #include "synth/generator.h"
@@ -391,6 +393,95 @@ TEST_F(PersistCorruptionTest, WrongFormatVersionIsInvalidArgument) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
+/// Overwrites `size` bytes at `field_offset` inside the ENGINE section of
+/// the snapshot image `bytes`, then recomputes that section's checksum and
+/// the header checksum: the result passes every integrity check, so only
+/// the decoder's option validation can reject it.
+std::string RewriteEngineField(std::string bytes, size_t field_offset,
+                               const void* value, size_t size) {
+  constexpr size_t kHeaderFixedBytes = 16;  // magic, version, count
+  constexpr size_t kEntryBytes = 32;  // id, reserved, offset, size, sum
+  constexpr uint32_t kEngineSectionId = 1;
+  auto store_u64 = [](char* at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) at[i] = static_cast<char>(v >> (8 * i));
+  };
+  const uint32_t count = persist::LoadU32LE(bytes.data() + 12);
+  for (uint32_t i = 0; i < count; ++i) {
+    char* entry = bytes.data() + kHeaderFixedBytes + kEntryBytes * i;
+    if (persist::LoadU32LE(entry) != kEngineSectionId) continue;
+    const uint64_t offset = persist::LoadU64LE(entry + 8);
+    const uint64_t section_size = persist::LoadU64LE(entry + 16);
+    std::memcpy(bytes.data() + offset + field_offset, value, size);
+    store_u64(entry + 24, persist::Checksum64(bytes.data() + offset,
+                                              section_size));
+  }
+  const size_t table_end = kHeaderFixedBytes + kEntryBytes * count;
+  store_u64(bytes.data() + table_end,
+            persist::Checksum64(bytes.data(), table_end));
+  return bytes;
+}
+
+TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
+  // ENGINE payload offsets: five u64 header words, then EncodeEngineOptions
+  // in field order (doubles 8 bytes, bools 1, i32 4, u64 8).
+  constexpr size_t kAlpha = 40;
+  constexpr size_t kSmoothing = 48;
+  constexpr size_t kThreshold = 86;
+  constexpr size_t kTermBudget = 206;  // corr.max_exact_nonproviders
+  auto write = [&](size_t field, auto value) {
+    return WriteVariant(RewriteEngineField(bytes_, field, &value,
+                                           sizeof(value)));
+  };
+  auto loads = [&](const std::string& path) {
+    FusionEngine warm(static_cast<const Dataset*>(&ds_), EngineOptions{});
+    Status warm_started = warm.WarmStart(path);
+    EXPECT_EQ(LoadSnapshot(path).status().code(), warm_started.code());
+    return warm_started;
+  };
+  // Rewriting fields to values an engine accepts (the saved ones, and the
+  // largest budget) still loads: the rewrite itself is sound.
+  ASSERT_TRUE(loads(write(kAlpha, 0.5)).ok());
+  ASSERT_TRUE(loads(write(kSmoothing, 0.0)).ok());
+  ASSERT_TRUE(loads(write(kThreshold, 0.5)).ok());
+  ASSERT_TRUE(loads(write(kTermBudget, int32_t{24})).ok());
+  ASSERT_TRUE(
+      loads(write(kTermBudget, int32_t{kMaxTermSummationNonproviders})).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, std::string>> bad = {
+      {"budget 63", write(kTermBudget, int32_t{63})},
+      {"budget cap+1",
+       write(kTermBudget, int32_t{kMaxTermSummationNonproviders + 1})},
+      {"budget -1", write(kTermBudget, int32_t{-1})},
+      {"alpha 1", write(kAlpha, 1.0)},
+      {"alpha nan", write(kAlpha, nan)},
+      {"smoothing -1", write(kSmoothing, -1.0)},
+      {"smoothing inf", write(kSmoothing, inf)},
+      {"threshold 2", write(kThreshold, 2.0)},
+      {"threshold nan", write(kThreshold, nan)},
+  };
+  for (const auto& [what, path] : bad) {
+    EXPECT_EQ(loads(path).code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST(EngineOptionsTest, PrepareRejectsOptionsNoSnapshotCouldCarry) {
+  // The decoder's bounds hold at Prepare too, so an engine never saves a
+  // file it cannot load.
+  Dataset ds = MakeDataset(/*with_domains=*/false);
+  std::vector<EngineOptions> bad(4);
+  bad[0].corr.max_exact_nonproviders = kMaxTermSummationNonproviders + 1;
+  bad[1].decision_threshold = 1.5;
+  bad[2].model.smoothing = std::numeric_limits<double>::infinity();
+  bad[3].model.alpha = 0.0;
+  for (const EngineOptions& options : bad) {
+    FusionEngine engine(static_cast<const Dataset*>(&ds), options);
+    EXPECT_EQ(engine.Prepare(ds.labeled_mask()).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(PersistCorruptionTest, PayloadFlipIsChecksumMismatch) {
   // Flip one byte deep inside the payload region (past header + table):
   // the section checksum must catch it.
@@ -672,23 +763,29 @@ TEST_F(MmapAttachTest, FlippedMappedDatasetRejected) {
 }
 
 TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
-  // A v1-era header (the pre-columnar row codec) must fail up front with
-  // both versions named — not a misparse of the old DATASET encoding.
-  std::string old = bytes_;
-  old[8] = 1;
-  old[9] = old[10] = old[11] = 0;
-  for (AttachMode mode :
-       {AttachMode::kCopy, AttachMode::kMmap, AttachMode::kMmapVerify}) {
-    auto loaded = LoadSnapshot(WriteVariant(old), LoadOptions{mode});
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(
-        loaded.status().message().find("unsupported snapshot format version 1"),
-        std::string::npos)
-        << loaded.status();
-    EXPECT_NE(loaded.status().message().find("reads version 2"),
-              std::string::npos)
-        << loaded.status();
+  // A v1-era header (the pre-columnar row codec) or a v2 one (whose ENGINE
+  // section still carried a thread count) must fail up front with both
+  // versions named — not a misparse of the old encoding.
+  for (char version : {'\1', '\2'}) {
+    std::string old = bytes_;
+    old[8] = version;
+    old[9] = old[10] = old[11] = 0;
+    for (AttachMode mode :
+         {AttachMode::kCopy, AttachMode::kMmap, AttachMode::kMmapVerify}) {
+      auto loaded = LoadSnapshot(WriteVariant(old), LoadOptions{mode});
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(
+                    "unsupported snapshot format version " +
+                    std::to_string(static_cast<int>(version))),
+                std::string::npos)
+          << loaded.status();
+      EXPECT_NE(loaded.status().message().find(
+                    "reads version " +
+                    std::to_string(kSnapshotFormatVersion)),
+                std::string::npos)
+          << loaded.status();
+    }
   }
 }
 

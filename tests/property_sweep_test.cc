@@ -109,12 +109,14 @@ TEST_P(ElasticConvergenceTest, FullLevelEqualsTermSummation) {
   ASSERT_TRUE(stats.ok());
   model.cluster_stats.push_back(std::move(*stats));
 
-  ElasticOptions full;
-  full.level = 6;
-  auto elastic = ElasticScores(*d, model, full);
+  auto elastic_plan = MakeElasticPlan(model, /*level=*/6);
   PrecRecCorrOptions terms;
   terms.force_term_summation = true;
-  auto exact = PrecRecCorrScores(*d, model, terms);
+  auto exact_plan = MakePrecRecCorrPlan(model, terms);
+  ASSERT_TRUE(elastic_plan.ok());
+  ASSERT_TRUE(exact_plan.ok());
+  auto elastic = ScorePlan(*d, model, *elastic_plan);
+  auto exact = ScorePlan(*d, model, *exact_plan);
   ASSERT_TRUE(elastic.ok());
   ASSERT_TRUE(exact.ok());
   for (TripleId t = 0; t < d->num_triples(); ++t) {
