@@ -193,7 +193,8 @@ inline void TransposeBitColumns(const uint64_t* rows, size_t k,
 }
 
 /// splitmix-style mix of two 64-bit words into one hash value. Shared by
-/// every hasher keyed on a mask pair (pattern keys, joint-stats memos).
+/// every hasher keyed on a mask pair (pattern keys, joint-stats pattern
+/// indexes).
 inline uint64_t MixMaskPair(uint64_t a, uint64_t b) {
   uint64_t h = a * 0x9E3779B97F4A7C15ULL;
   h ^= (h >> 30);

@@ -4,7 +4,11 @@
 //
 // Built from training data by BuildCorrelationModel, or assembled manually
 // (e.g., with ExplicitJointStats) when the parameters are known, as in the
-// paper's worked examples.
+// paper's worked examples. An empirical cluster's statistics are a pure
+// function of its training pattern counts and the one ModelOptions the
+// engine runs under (ToJointStatsOptions): the model builder, the sharded
+// router and the snapshot decoder all take alpha, smoothing and scopes
+// from there, so no cluster carries options of its own.
 #ifndef FUSER_CORE_CORRELATION_MODEL_H_
 #define FUSER_CORE_CORRELATION_MODEL_H_
 
@@ -33,14 +37,12 @@ struct ModelOptions {
   /// more than 64 sources. With false, all sources form one cluster.
   bool enable_clustering = false;
   ClusteringOptions clustering;
-  /// See JointStatsOptions.
-  int sos_table_max_bits = 20;
 
   QualityOptions ToQualityOptions() const {
     return {alpha, smoothing, use_scopes};
   }
   JointStatsOptions ToJointStatsOptions() const {
-    return {alpha, smoothing, use_scopes, sos_table_max_bits};
+    return {alpha, smoothing, use_scopes};
   }
 };
 

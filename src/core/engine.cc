@@ -164,10 +164,9 @@ Status FusionEngine::WarmStart(const LoadedSnapshot& loaded) {
   }
   // Adopt the saved options wholesale — they are what the persisted model
   // and serving state were computed under, and scores must reproduce
-  // exactly — except the worker-thread count, which is a property of the
-  // host machine rather than of the trained state (scores are thread-count
-  // invariant by contract; a snapshot from a 64-core trainer must not pin
-  // a 2-core server to 64 threads).
+  // exactly — except the worker-thread count, which a file does not carry:
+  // it is a property of the host machine rather than of the trained state
+  // (scores are thread-count invariant by contract).
   const size_t host_threads = options_.num_threads;
   options_ = snap.options;
   options_.num_threads = host_threads;
@@ -324,7 +323,7 @@ ClusterDeltas FusionEngine::ComputeClusterDeltas(
       const bool label_changed = old_labels.count(t) != 0;
       if (added == 0 && gained == 0 && !label_changed) {
         // Untouched in this cluster: the -1/+1 pair would cancel exactly,
-        // and skipping it keeps the cluster's memo caches warm.
+        // so skipping it spares the cluster's table updates.
         continue;
       }
       const auto [providers, scope] = observation(t);

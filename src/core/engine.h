@@ -131,8 +131,8 @@ class FusionEngine {
   ///  * Triples newly labeled by the batch join the training set; source
   ///    quality is re-estimated (one cheap bitset pass).
   ///  * Per-cluster EmpiricalJointStats receive exact pattern-count deltas
-  ///    for the affected training triples (memo/SoS tables updated or
-  ///    rebuilt, whichever is cheaper).
+  ///    for the affected training triples (SoS tables updated or rebuilt,
+  ///    whichever is cheaper).
   ///  * The cached PatternGrouping assigns new triples to existing distinct
   ///    patterns in O(batch x clusters), appending only genuinely new
   ///    patterns (scored lazily on the next Run) — it is not rebuilt, see

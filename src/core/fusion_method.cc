@@ -158,12 +158,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
   if (!(threshold >= 0.0 && threshold <= 1.0)) {
     return Status::InvalidArgument("decision_threshold must be in [0,1]");
   }
-  const int budget = options.corr.max_exact_nonproviders;
-  if (budget < 0 || budget > kMaxTermSummationNonproviders) {
-    return Status::InvalidArgument(
-        "corr.max_exact_nonproviders must be in [0, " +
-        std::to_string(kMaxTermSummationNonproviders) + "]");
-  }
   return Status::OK();
 }
 

@@ -76,11 +76,9 @@ struct EngineOptions {
 };
 
 /// Rejects options no engine may run under: alpha outside (0, 1), a
-/// negative or non-finite smoothing, a decision threshold outside [0, 1],
-/// or a term-summation budget (corr.max_exact_nonproviders) outside
-/// [0, kMaxTermSummationNonproviders]. FusionEngine::Prepare and the
-/// snapshot decoder both apply it, so an engine never saves a file it
-/// cannot load and a file cannot set an unbounded per-query budget.
+/// negative or non-finite smoothing, or a decision threshold outside
+/// [0, 1]. FusionEngine::Prepare and the snapshot decoder both apply it,
+/// so an engine never saves a file it cannot load.
 Status ValidateEngineOptions(const EngineOptions& options);
 
 /// Everything a method may need to score a dataset. The engine populates

@@ -100,15 +100,13 @@ StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::Create(
   flatten(agg_false, &stats->false_patterns_, &stats->false_index_,
           &stats->total_false_);
 
-  // Sum-over-supersets tables for O(1) joint lookups on small clusters.
-  if (stats->k_ <= options.sos_table_max_bits) {
-    stats->has_tables_ = true;
-    stats->BuildTables();
-  }
+  stats->BuildTables();
   return stats;
 }
 
 void EmpiricalJointStats::BuildTables() {
+  has_tables_ = k_ <= kSosTableMaxBits;
+  if (!has_tables_) return;
   const size_t size = size_t{1} << k_;
   sup_true_.assign(size, 0);
   sup_false_.assign(size, 0);
@@ -161,8 +159,7 @@ Status EmpiricalJointStats::ApplyPatternDeltas(
     const std::vector<JointPatternDelta>& deltas) {
   const Mask full = FullMask(k_);
   // Masks are validated before any mutation. (Count underflow can only be
-  // detected mid-apply; that path clears the memos and the caller must
-  // discard the provider.)
+  // detected mid-apply; the caller must then discard the provider.)
   for (const JointPatternDelta& d : deltas) {
     if ((d.providers & ~full) != 0 || (d.scope & ~full) != 0) {
       return Status::InvalidArgument("pattern delta mask outside cluster");
@@ -200,9 +197,6 @@ Status EmpiricalJointStats::ApplyPatternDeltas(
         static_cast<int64_t>(pattern.count) + d.count_delta;
     const int64_t new_total = static_cast<int64_t>(total) + d.count_delta;
     if (count < 0 || new_total < 0) {
-      // Counts already partially mutated: drop the memo so the provider
-      // cannot serve answers inconsistent with its state.
-      ClearMemos();
       return Status::Internal("pattern count underflow in ApplyPatternDeltas");
     }
     pattern.count = static_cast<uint32_t>(count);
@@ -210,8 +204,6 @@ Status EmpiricalJointStats::ApplyPatternDeltas(
     if (incremental_tables) AddToTables(pattern, d.is_true, d.count_delta);
   }
   if (has_tables_ && !incremental_tables) BuildTables();
-  // Every memoized subset count may now be stale.
-  ClearMemos();
   return Status::OK();
 }
 
@@ -294,18 +286,8 @@ StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::FromState(
                                         state.total_false));
   stats->total_true_ = static_cast<size_t>(state.total_true);
   stats->total_false_ = static_cast<size_t>(state.total_false);
-  // SoS tables cost 3 x 2^k uint32 entries; a k that came out of a file
-  // must not be allowed to drive a multi-gigabyte allocation (a crafted
-  // snapshot with valid checksums could pick k near the 64-source cap).
-  // Beyond the budget the provider falls back to the pattern-scan path,
-  // which answers every query with the same integer counts — identical
-  // results, just slower lookups.
-  constexpr int kMaxRestoredTableBits = 24;  // 3 x 2^24 x 4 B = 192 MiB
-  if (stats->k_ <= state.options.sos_table_max_bits &&
-      stats->k_ <= kMaxRestoredTableBits) {
-    stats->has_tables_ = true;
-    stats->BuildTables();
-  }
+  // kSosTableMaxBits also caps the tables a k read from a file can ask for.
+  stats->BuildTables();
   return stats;
 }
 
@@ -378,38 +360,13 @@ EmpiricalJointStats::Counts EmpiricalJointStats::ComputeCounts(
   return counts;
 }
 
-const EmpiricalJointStats::Counts& EmpiricalJointStats::CachedCounts(
-    Mask subset) const {
-  CountShard& shard =
-      count_shards_[MixMaskPair(subset, 0x517CC1B727220A95ULL) &
-                    (kCountShards - 1)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.memo.find(subset);
-    if (it != shard.memo.end()) return it->second;
-  }
-  // Compute outside the lock: a racing duplicate computation is benign
-  // (emplace keeps the first entry) and the pattern-list scan is the
-  // expensive part we must not serialize.
-  Counts counts = ComputeCounts(subset);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.memo.emplace(subset, counts).first->second;
-}
-
-void EmpiricalJointStats::ClearMemos() {
-  for (CountShard& shard : count_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.memo.clear();
-  }
-}
-
 JointQuality EmpiricalJointStats::Get(Mask subset) const {
   FUSER_CHECK_EQ(subset & ~FullMask(k_), 0u) << "mask outside cluster";
   if (subset == 0) {
     // Convention: every source in the empty set provides every triple.
     return {options_.alpha, 1.0, 1.0};
   }
-  Counts counts = has_tables_ ? ComputeCounts(subset) : CachedCounts(subset);
+  const Counts counts = ComputeCounts(subset);
   const double s = options_.smoothing;
   const double nt = static_cast<double>(counts.num_true);
   const double nf = static_cast<double>(counts.num_false);
@@ -427,13 +384,11 @@ JointQuality EmpiricalJointStats::Get(Mask subset) const {
 }
 
 size_t EmpiricalJointStats::CountTrueSuperset(Mask subset) const {
-  return has_tables_ ? ComputeCounts(subset).num_true
-                     : CachedCounts(subset).num_true;
+  return ComputeCounts(subset).num_true;
 }
 
 size_t EmpiricalJointStats::CountFalseSuperset(Mask subset) const {
-  return has_tables_ ? ComputeCounts(subset).num_false
-                     : CachedCounts(subset).num_false;
+  return ComputeCounts(subset).num_false;
 }
 
 Status EmpiricalJointStats::CheckDirectQuery(bool calibrated) const {

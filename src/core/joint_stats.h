@@ -12,20 +12,20 @@
 // represented as bit masks over cluster-local indices.
 //
 // Two implementations:
-//  * EmpiricalJointStats - counts from training data. Subset lookups use a
-//    sum-over-supersets table on small clusters (O(1)) and memoized
-//    pattern scans on wider ones; the direct pattern likelihood of the
-//    PrecRecCorr fast path is one linear scan of the training pattern
-//    lists per query, with no memo.
+//  * EmpiricalJointStats - counts from training data. Every statistic is a
+//    ratio of integer pattern counts, so a provider is a pure function of
+//    its pattern lists and options and caches nothing: subset lookups read
+//    a sum-over-supersets table on clusters of at most kSosTableMaxBits
+//    sources (O(1)) and scan the pattern lists above that; the direct
+//    pattern likelihood of the PrecRecCorr fast path is one linear scan of
+//    the pattern lists per query.
 //  * ExplicitJointStats - parameters supplied by the caller (used by tests
 //    reproducing the paper's worked examples, and available to users who
 //    know their correlation structure).
 #ifndef FUSER_CORE_JOINT_STATS_H_
 #define FUSER_CORE_JOINT_STATS_H_
 
-#include <array>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -137,10 +137,9 @@ class JointStatsProvider {
   /// copy-on-write snapshotting: FusionEngine::Update clones the published
   /// model and applies deltas to the clone, so readers pinning an older
   /// snapshot keep consistent statistics. Must be safe to call while other
-  /// threads issue concurrent *read* queries against this provider (reads
-  /// may populate internal memo caches; the clone must not depend on
-  /// them). Providers without a clone return Unimplemented and the caller
-  /// falls back to a full model rebuild.
+  /// threads issue concurrent *read* queries against this provider.
+  /// Providers without a clone return Unimplemented and the caller falls
+  /// back to a full model rebuild.
   virtual StatusOr<std::unique_ptr<JointStatsProvider>> Clone() const {
     return Status::Unimplemented("clone not supported");
   }
@@ -150,18 +149,21 @@ struct JointStatsOptions {
   double alpha = 0.5;
   double smoothing = 0.0;
   bool use_scopes = false;
-  /// Build a 3*2^k-entry sum-over-supersets table when the cluster has at
-  /// most this many sources (O(1) joint lookups). Above it, lookups scan
-  /// the distinct observation patterns and are memoized.
-  int sos_table_max_bits = 20;
 };
+
+/// An EmpiricalJointStats provider over at most this many sources keeps
+/// sum-over-supersets tables (3 x 2^k uint32 entries, at most 12 MiB) for
+/// O(1) subset lookups; a wider one scans its pattern lists per lookup.
+/// Equal to ClusteringOptions::max_cluster_size's default. It also bounds
+/// the table a provider decoded from a snapshot file may allocate.
+inline constexpr int kSosTableMaxBits = 20;
 
 /// The complete persistent state of an EmpiricalJointStats provider: the
 /// aggregated (providers, scope) -> count pattern lists per class, plus the
 /// options they were counted under. Everything else the provider holds
-/// (index maps, sum-over-supersets tables, memo caches) is derived
-/// deterministically from these fields, so ExportState -> FromState
-/// round-trips to a provider that answers every query byte-identically.
+/// (index maps, sum-over-supersets tables) is derived deterministically
+/// from these fields, so ExportState -> FromState round-trips to a
+/// provider that answers every query byte-identically.
 /// Pattern order is significant and preserved.
 struct EmpiricalJointStatsState {
   struct PatternCount {
@@ -218,11 +220,11 @@ class EmpiricalJointStats : public JointStatsProvider {
 
   /// Snapshot persistence (see src/persist/): exports the pattern lists
   /// and options; FromState rebuilds the provider (index maps and SoS
-  /// tables re-derived, memos empty) so that every query answers
-  /// byte-identically to this one. FromState validates thoroughly — masks
-  /// inside the cluster, totals matching the pattern counts, no duplicate
-  /// patterns — and returns InvalidArgument on any inconsistency, so a
-  /// corrupt snapshot cannot materialize a provider that fails later.
+  /// tables re-derived) so that every query answers byte-identically to
+  /// this one. FromState validates thoroughly — masks inside the cluster,
+  /// totals matching the pattern counts, no duplicate patterns — and
+  /// returns InvalidArgument on any inconsistency, so a corrupt snapshot
+  /// cannot materialize a provider that fails later.
   EmpiricalJointStatsState ExportState() const;
   static StatusOr<std::unique_ptr<EmpiricalJointStats>> FromState(
       const EmpiricalJointStatsState& state);
@@ -261,24 +263,9 @@ class EmpiricalJointStats : public JointStatsProvider {
   };
 
   EmpiricalJointStats() = default;
-  /// Clone's copy: duplicates the counts, pattern lists, and SoS tables;
-  /// the subset-counts memo starts empty and its mutexes fresh. Reading
-  /// only the writer-owned fields keeps this safe against concurrent
-  /// readers (they mutate nothing but the memo).
-  EmpiricalJointStats(const EmpiricalJointStats& other)
-      : k_(other.k_),
-        options_(other.options_),
-        true_patterns_(other.true_patterns_),
-        false_patterns_(other.false_patterns_),
-        total_true_(other.total_true_),
-        total_false_(other.total_false_),
-        true_index_(other.true_index_),
-        false_index_(other.false_index_),
-        has_tables_(other.has_tables_),
-        sup_true_(other.sup_true_),
-        sup_false_(other.sup_false_),
-        sup_scope_true_(other.sup_scope_true_) {}
 
+  /// The superset counts of `subset`: a table read when has_tables_, one
+  /// scan of the pattern lists otherwise.
   Counts ComputeCounts(Mask subset) const;
   /// Checks a batch or single direct query against this provider's state.
   Status CheckDirectQuery(bool calibrated) const;
@@ -288,8 +275,8 @@ class EmpiricalJointStats : public JointStatsProvider {
   std::pair<double, double> DirectLikelihood(Mask providers,
                                              const PatternCounts& counts,
                                              bool calibrated) const;
-  const Counts& CachedCounts(Mask subset) const;
-  /// (Re)builds the sum-over-supersets tables from the pattern lists.
+  /// (Re)builds the sum-over-supersets tables from the pattern lists when
+  /// k_ <= kSosTableMaxBits (sets has_tables_).
   void BuildTables();
   /// Adds `count_delta` to the SoS tables for a pattern (submask walk).
   void AddToTables(const Pattern& pattern, bool is_true, int count_delta);
@@ -305,26 +292,12 @@ class EmpiricalJointStats : public JointStatsProvider {
   std::unordered_map<std::pair<Mask, Mask>, size_t, MaskPairHash> true_index_;
   std::unordered_map<std::pair<Mask, Mask>, size_t, MaskPairHash> false_index_;
 
-  // Sum-over-supersets tables (index = mask), built when k_ is small.
+  // Sum-over-supersets tables (index = mask), built when
+  // k_ <= kSosTableMaxBits.
   bool has_tables_ = false;
   std::vector<uint32_t> sup_true_;
   std::vector<uint32_t> sup_false_;
   std::vector<uint32_t> sup_scope_true_;  // only populated with scopes
-
-  // The subset-counts memo for the no-SoS-table path (k > sos_table_max_bits)
-  // is sharded by mask hash: parallel scorers calling Get/CountTrueSuperset
-  // contend only within a shard instead of serializing on one mutex.
-  // Entries are never erased except under ClearMemos (all shards locked),
-  // so returned references stay valid across concurrent inserts
-  // (unordered_map is node-based).
-  static constexpr size_t kCountShards = 16;
-  struct CountShard {
-    std::mutex mu;
-    std::unordered_map<Mask, Counts> memo;
-  };
-  void ClearMemos();
-
-  mutable std::array<CountShard, kCountShards> count_shards_;
 };
 
 /// Joint statistics supplied directly by the caller. Missing subsets fall

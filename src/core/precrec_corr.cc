@@ -39,8 +39,7 @@ StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
   // the decisions by value and the model by pointer.
   std::vector<char> use_direct(num_clusters, 0);
   for (size_t c = 0; c < num_clusters; ++c) {
-    use_direct[c] = model.cluster_stats[c]->SupportsDirectLikelihood() &&
-                    !options.force_term_summation;
+    use_direct[c] = model.cluster_stats[c]->SupportsDirectLikelihood();
   }
   const bool calibrated = options.calibrated_likelihood;
 
@@ -69,8 +68,7 @@ StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
   // Per-pattern path: the direct strategy answers one pattern at a time
   // (the serving layer's ad-hoc observations), with term summation as the
   // fallback for explicit or smoothed statistics.
-  const int max_exact_nonproviders = options.max_exact_nonproviders;
-  plan.scorer = [model_ptr, use_direct, calibrated, max_exact_nonproviders](
+  plan.scorer = [model_ptr, use_direct, calibrated](
                     size_t c, const PatternKey& key, double* given_true,
                     double* given_false) -> Status {
     const JointStatsProvider& stats = *model_ptr->cluster_stats[c];
@@ -79,10 +77,10 @@ StatusOr<PatternScoringPlan> MakePrecRecCorrPlan(
                                            calibrated, given_true,
                                            given_false);
     }
-    if (PopCount(key.nonproviders) > max_exact_nonproviders) {
+    if (PopCount(key.nonproviders) > kMaxTermSummationNonproviders) {
       return Status::FailedPrecondition(
-          "too many non-providers for term summation; raise "
-          "max_exact_nonproviders or use the elastic approximation");
+          "too many non-providers for term summation; use the elastic "
+          "approximation");
     }
     return TermSummationLikelihood(stats, key.providers, key.nonproviders,
                                    given_true, given_false);

@@ -16,10 +16,12 @@
 //    no catastrophic cancellation), in the paper's literal form or the
 //    calibrated one (JointStatsProvider::DirectPatternLikelihood);
 //  * term summation: the literal alternating sum, used for explicit
-//    (user-supplied) parameters, smoothed counts, or scope-restricted
-//    denominators. Exponential in |N|; guarded by max_exact_nonproviders.
+//    (user-supplied) parameters and smoothed counts. Exponential in |N|;
+//    refused above kMaxTermSummationNonproviders.
 //
-// Identical observation patterns are computed once and shared.
+// The strategy of each cluster follows from its statistics alone
+// (SupportsDirectLikelihood); no option overrides it. Identical
+// observation patterns are computed once and shared.
 #ifndef FUSER_CORE_PRECREC_CORR_H_
 #define FUSER_CORE_PRECREC_CORR_H_
 
@@ -29,30 +31,20 @@
 
 namespace fuser {
 
-/// The largest PrecRecCorrOptions::max_exact_nonproviders an engine
-/// accepts: ValidateEngineOptions (core/fusion_method.h) holds every
-/// FusionEngine::Prepare and every loaded snapshot file to it. One
-/// term-summation query costs 2^|N| joint lookups, so 30 caps a single
-/// ad-hoc observation at ~10^9 lookups (seconds on one core) where the
-/// 64-source cluster cap would allow 2^63; it leaves headroom above the
-/// default of 24.
-inline constexpr int kMaxTermSummationNonproviders = 30;
+/// The most in-scope non-providers one cluster observation may have under
+/// term summation. One such query costs 2^|N| joint lookups, so 24 caps a
+/// single ad-hoc observation at ~1.7 x 10^7 lookups where the 64-source
+/// cluster cap would allow 2^63. The direct strategy has no such limit.
+inline constexpr int kMaxTermSummationNonproviders = 24;
 
 struct PrecRecCorrOptions {
-  /// Refuse term summation beyond this many non-providers in one cluster
-  /// (2^|N| terms; at most kMaxTermSummationNonproviders). The direct
-  /// strategy has no such limit.
-  int max_exact_nonproviders = 24;
-  /// Force the literal alternating sum even when the direct strategy is
-  /// available (used by tests to check the two agree).
-  bool force_term_summation = false;
   /// Use the calibrated direct likelihood (naive Bayes over cluster
   /// patterns) instead of the paper's literal alpha-scaled q form when the
   /// joint-stats provider supports the direct strategy. The literal form
   /// is faithful per cluster but not a consistent measure across many
   /// clusters (see JointStatsProvider::DirectPatternLikelihood); defaults
-  /// to calibrated. Ignored when force_term_summation is set or for
-  /// explicit (user-supplied) statistics.
+  /// to calibrated. Ignored for explicit (user-supplied) or smoothed
+  /// statistics.
   bool calibrated_likelihood = true;
 };
 

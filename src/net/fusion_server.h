@@ -9,10 +9,10 @@
 // its connections outright (per-connection read/write buffers, idle
 // clock) and multiplexes them through a non-blocking epoll loop (poll
 // fallback on non-Linux hosts, or when FUSER_NET_FORCE_POLL=1 is set at
-// Start() — CI runs the suite both ways). Requests are parsed with
-// net::FrameReader, so arbitrarily fragmented frames (slow-loris writers,
-// single-byte drips) assemble correctly, and responses are written with
-// partial-write handling under EPOLLOUT.
+// Start() — CI runs net_server_test and net_stress_test both ways).
+// Requests are parsed with net::FrameReader, so arbitrarily fragmented
+// frames (slow-loris writers, single-byte drips) assemble correctly, and
+// responses are written with partial-write handling under EPOLLOUT.
 //
 // Error containment, matching the wire contract (net/wire.h):
 //  * stream-integrity violations (bad magic/version, oversized length

@@ -13,15 +13,11 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/mmap_file.h"
 #include "core/fusion_method.h"
 #include "core/joint_stats.h"
 #include "core/pattern_pipeline.h"
+#include "persist/atomic_file.h"
 #include "persist/binary_io.h"
 
 namespace fuser {
@@ -102,9 +98,7 @@ void EncodeEngineOptions(const EngineOptions& o, ByteSink* sink) {
   sink->WriteDouble(o.model.clustering.correlation_threshold);
   sink->WriteU64(o.model.clustering.min_support);
   sink->WriteU64(o.model.clustering.max_cluster_size);
-  sink->WriteI32(o.model.sos_table_max_bits);
   sink->WriteDouble(o.decision_threshold);
-  sink->WriteU64(o.num_threads);
   sink->WriteI32(o.three_estimates.iterations);
   sink->WriteDouble(o.three_estimates.initial_error);
   sink->WriteDouble(o.three_estimates.initial_difficulty);
@@ -124,8 +118,6 @@ void EncodeEngineOptions(const EngineOptions& o, ByteSink* sink) {
   sink->WriteI32(o.ltm.thin);
   sink->WriteU64(o.ltm.seed);
   sink->WriteBool(o.ltm.use_scopes);
-  sink->WriteI32(o.corr.max_exact_nonproviders);
-  sink->WriteBool(o.corr.force_term_summation);
   sink->WriteBool(o.corr.calibrated_likelihood);
 }
 
@@ -141,10 +133,7 @@ Status DecodeEngineOptions(ByteSource* src, EngineOptions* o) {
   o->model.clustering.min_support = static_cast<size_t>(u64);
   FUSER_RETURN_IF_ERROR(src->ReadU64(&u64));
   o->model.clustering.max_cluster_size = static_cast<size_t>(u64);
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->model.sos_table_max_bits));
   FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->decision_threshold));
-  FUSER_RETURN_IF_ERROR(src->ReadU64(&u64));
-  o->num_threads = static_cast<size_t>(u64);
   FUSER_RETURN_IF_ERROR(src->ReadI32(&o->three_estimates.iterations));
   FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->three_estimates.initial_error));
   FUSER_RETURN_IF_ERROR(
@@ -165,11 +154,9 @@ Status DecodeEngineOptions(ByteSource* src, EngineOptions* o) {
   FUSER_RETURN_IF_ERROR(src->ReadI32(&o->ltm.thin));
   FUSER_RETURN_IF_ERROR(src->ReadU64(&o->ltm.seed));
   FUSER_RETURN_IF_ERROR(src->ReadBool(&o->ltm.use_scopes));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->corr.max_exact_nonproviders));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->corr.force_term_summation));
   FUSER_RETURN_IF_ERROR(src->ReadBool(&o->corr.calibrated_likelihood));
   // The options rebuild every plan, so a file must not set what no engine
-  // may run under (e.g. an unbounded term-summation budget).
+  // may run under.
   Status valid = ValidateEngineOptions(*o);
   if (!valid.ok()) return Corrupt("engine options: " + valid.message());
   return Status::OK();
@@ -517,13 +504,12 @@ CompactCsrView MakeCompactView(const CsrTable<uint32_t>& table) {
 }
 
 // ---------------------------------------------------------------------------
-// MODEL section.
+// MODEL section: source quality, the cluster partition and each cluster's
+// pattern counts.
 // ---------------------------------------------------------------------------
 
 StatusOr<std::string> EncodeModelSection(const CorrelationModel& model) {
   ByteSink sink;
-  sink.WriteDouble(model.alpha);
-  sink.WriteBool(model.use_scopes);
   EncodeQualityVector(model.source_quality, &sink);
   sink.WriteU64(model.clustering.clusters.size());
   for (const std::vector<SourceId>& cluster : model.clustering.clusters) {
@@ -540,10 +526,6 @@ StatusOr<std::string> EncodeModelSection(const CorrelationModel& model) {
     }
     const EmpiricalJointStatsState state = stats->ExportState();
     sink.WriteI32(state.k);
-    sink.WriteDouble(state.options.alpha);
-    sink.WriteDouble(state.options.smoothing);
-    sink.WriteBool(state.options.use_scopes);
-    sink.WriteI32(state.options.sos_table_max_bits);
     sink.WriteU64(state.total_true);
     sink.WriteU64(state.total_false);
     for (const auto* patterns : {&state.true_patterns, &state.false_patterns}) {
@@ -560,9 +542,12 @@ StatusOr<std::string> EncodeModelSection(const CorrelationModel& model) {
 
 StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
     ByteSource src, const EngineSection& engine) {
+  // Alpha, smoothing and scopes are the ENGINE section's, exactly as
+  // BuildCorrelationModel takes them from the engine's ModelOptions.
+  const ModelOptions& options = engine.options.model;
   auto model = std::make_shared<CorrelationModel>();
-  FUSER_RETURN_IF_ERROR(src.ReadDouble(&model->alpha));
-  FUSER_RETURN_IF_ERROR(src.ReadBool(&model->use_scopes));
+  model->alpha = options.alpha;
+  model->use_scopes = options.use_scopes;
   FUSER_RETURN_IF_ERROR(DecodeQualityVector(&src, &model->source_quality));
   if (model->source_quality.size() != engine.num_sources) {
     return Corrupt("model quality vector size mismatch");
@@ -594,11 +579,8 @@ StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
   model->cluster_stats.reserve(model->clustering.clusters.size());
   for (const std::vector<SourceId>& cluster : model->clustering.clusters) {
     EmpiricalJointStatsState state;
+    state.options = options.ToJointStatsOptions();
     FUSER_RETURN_IF_ERROR(src.ReadI32(&state.k));
-    FUSER_RETURN_IF_ERROR(src.ReadDouble(&state.options.alpha));
-    FUSER_RETURN_IF_ERROR(src.ReadDouble(&state.options.smoothing));
-    FUSER_RETURN_IF_ERROR(src.ReadBool(&state.options.use_scopes));
-    FUSER_RETURN_IF_ERROR(src.ReadI32(&state.options.sos_table_max_bits));
     FUSER_RETURN_IF_ERROR(src.ReadU64(&state.total_true));
     FUSER_RETURN_IF_ERROR(src.ReadU64(&state.total_false));
     if (state.k != static_cast<int>(cluster.size())) {
@@ -1376,76 +1358,34 @@ Status SaveSnapshot(const std::string& path, const Dataset& dataset,
     return header.data();
   };
 
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + tmp);
-  }
-  auto fail = [&](Status status) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return status;
-  };
-
-  // Pass 1: header with a placeholder dataset checksum, the small
-  // payloads, then the streamed dataset payload (checksummed on the way
-  // out). Pass 2 seeks back and rewrites the header with the real value.
-  FileSectionWriter writer(out);
-  writer.BeginSection();
-  const std::string placeholder_header = build_header(0);
-  Status status = writer.Write(placeholder_header.data(),
-                               placeholder_header.size());
-  for (const auto& [id, payload] : small_sections) {
-    (void)id;
-    if (!status.ok()) break;
-    status = writer.Write(payload.data(), payload.size());
-  }
-  if (!status.ok()) return fail(status);
-  writer.BeginSection();
-  status = WriteDatasetSection(dataset, layout, scalars, providers,
-                               domain_sources, domain_triples, &writer);
-  if (!status.ok()) return fail(status);
-  if (writer.section_bytes() != layout.total) {
-    return fail(Status::Internal("dataset section size accounting bug"));
-  }
-
-  const std::string final_header = build_header(writer.section_checksum());
-  if (std::fseek(out, 0, SEEK_SET) != 0 ||
-      std::fwrite(final_header.data(), 1, final_header.size(), out) !=
-          final_header.size()) {
-    return fail(Status::IoError("header rewrite failed: " + tmp));
-  }
-  if (std::fflush(out) != 0) {
-    return fail(Status::IoError("flush failed: " + tmp));
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // The rename below may hit disk before the data does; without this
-  // fsync a power loss in the writeback window could replace a previously
-  // good snapshot with a truncated one.
-  if (fsync(fileno(out)) != 0) {
-    return fail(Status::IoError("fsync failed: " + tmp));
-  }
-#endif
-  if (std::fclose(out) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("close failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // Best-effort directory sync so the rename itself is durable.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dir_fd = open(dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    fsync(dir_fd);
-    close(dir_fd);
-  }
-#endif
-  return Status::OK();
+  return persist::CommitFileAtomic(path, [&](std::FILE* out) -> Status {
+    // Pass 1: header with a placeholder dataset checksum, the small
+    // payloads, then the streamed dataset payload (checksummed on the way
+    // out). Pass 2 seeks back and rewrites the header with the real value.
+    FileSectionWriter writer(out);
+    writer.BeginSection();
+    const std::string placeholder_header = build_header(0);
+    FUSER_RETURN_IF_ERROR(
+        writer.Write(placeholder_header.data(), placeholder_header.size()));
+    for (const auto& [id, payload] : small_sections) {
+      (void)id;
+      FUSER_RETURN_IF_ERROR(writer.Write(payload.data(), payload.size()));
+    }
+    writer.BeginSection();
+    FUSER_RETURN_IF_ERROR(WriteDatasetSection(dataset, layout, scalars,
+                                              providers, domain_sources,
+                                              domain_triples, &writer));
+    if (writer.section_bytes() != layout.total) {
+      return Status::Internal("dataset section size accounting bug");
+    }
+    const std::string final_header = build_header(writer.section_checksum());
+    if (std::fseek(out, 0, SEEK_SET) != 0 ||
+        std::fwrite(final_header.data(), 1, final_header.size(), out) !=
+            final_header.size()) {
+      return Status::IoError("snapshot header rewrite failed");
+    }
+    return Status::OK();
+  });
 }
 
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path) {

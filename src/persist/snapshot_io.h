@@ -56,7 +56,13 @@ namespace fuser {
 /// Version 3: the ENGINE section no longer carries the precrec-corr
 /// worker-thread count (the engine always supplied its own), and its
 /// options must pass ValidateEngineOptions.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// Version 4: the ENGINE section drops the engine's thread count, so files
+/// saved at any thread count are byte-identical, and three options that
+/// left EngineOptions (the sum-over-supersets table bound, the
+/// term-summation budget and the forced term-summation switch); the MODEL
+/// section drops the model's and every cluster's alpha, smoothing and
+/// scopes, which the decoder takes from the ENGINE section's ModelOptions.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// How LoadSnapshot materializes the (large) DATASET section.
 enum class AttachMode {
@@ -102,8 +108,9 @@ struct LoadedSnapshot {
 /// (save right after Prepare/Update/PublishSnapshot, before further
 /// mutation). Only empirical correlation models can be persisted; a model
 /// with caller-supplied (explicit) statistics returns Unimplemented. The
-/// file is written to `path + ".tmp"` and renamed, so a crash mid-save
-/// never leaves a half-written snapshot at `path`.
+/// file is committed through persist::CommitFileAtomic (tmp file, fsync,
+/// rename, directory fsync), so a crash mid-save never leaves a
+/// half-written snapshot at `path`.
 Status SaveSnapshot(const std::string& path, const Dataset& dataset,
                     const DynamicBitset& train_mask,
                     const FusionSnapshot& snapshot);

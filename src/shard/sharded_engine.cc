@@ -22,11 +22,7 @@ ShardedFusionEngine::ShardedFusionEngine(ShardedCorpus corpus,
   const size_t num_shards = corpus_.num_shards();
   const size_t budget = ResolveNumThreads(options_.num_threads);
   EngineOptions shard_options = options_;
-  // K>1 splits the budget; the one shard of K=1 keeps the caller's value
-  // as given, so it also saves byte-identical snapshot files.
-  if (num_shards > 1) {
-    shard_options.num_threads = std::max<size_t>(1, budget / num_shards);
-  }
+  shard_options.num_threads = std::max<size_t>(1, budget / num_shards);
   engines_.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
     engines_.push_back(

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "persist/atomic_file.h"
 #include "persist/binary_io.h"
 #include "persist/snapshot_io.h"
 
@@ -11,28 +12,6 @@ namespace fuser {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'U', 'S', 'R', 'M', 'A', 'N', 'I'};
-
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + tmp);
-  }
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), out) != bytes.size()) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return Status::IoError("short write: " + tmp);
-  }
-  if (std::fclose(out) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("close failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -66,7 +45,13 @@ Status WriteShardManifest(const std::string& path,
     for (TripleId global : map) sink.WriteU32(global);
   }
   sink.WriteU64(persist::Checksum64(sink.data().data(), sink.size()));
-  return WriteFileAtomic(path, sink.data());
+  const std::string& bytes = sink.data();
+  return persist::CommitFileAtomic(path, [&](std::FILE* out) {
+    if (std::fwrite(bytes.data(), 1, bytes.size(), out) != bytes.size()) {
+      return Status::IoError("short write to shard manifest");
+    }
+    return Status::OK();
+  });
 }
 
 StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {

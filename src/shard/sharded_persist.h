@@ -51,7 +51,7 @@ struct ShardManifest {
 /// Path of shard k's snapshot file for the manifest at `path`.
 std::string ShardSnapshotPath(const std::string& path, size_t shard);
 
-/// Writes the manifest atomically (tmp + rename).
+/// Writes the manifest atomically and durably (persist::CommitFileAtomic).
 Status WriteShardManifest(const std::string& path,
                           const ShardManifest& manifest);
 

@@ -11,6 +11,7 @@
 #include "core/precrec.h"
 #include "core/precrec_corr.h"
 #include "gtest/gtest.h"
+#include "support/pattern_oracles.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
@@ -31,6 +32,12 @@ StatusOr<std::vector<double>> CorrScores(const Dataset& d,
   FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
                          MakePrecRecCorrPlan(model, options));
   return ScorePlan(d, model, plan);
+}
+
+/// The literal inclusion-exclusion sum's scores (MakeTermSummationPlan).
+StatusOr<std::vector<double>> TermSummationScores(
+    const Dataset& d, const CorrelationModel& model) {
+  return ScorePlan(d, model, MakeTermSummationPlan(model));
 }
 
 StatusOr<std::vector<double>> ElasticPlanScores(const Dataset& d,
@@ -145,10 +152,8 @@ TEST(PrecRecCorrTest, DirectAndTermSummationAgree) {
   CorrelationModel model = MakeEmpiricalModel(d);
   PrecRecCorrOptions direct;
   direct.calibrated_likelihood = false;  // compare the paper-literal paths
-  PrecRecCorrOptions terms;
-  terms.force_term_summation = true;
   auto a = CorrScores(d, model, direct);
-  auto b = CorrScores(d, model, terms);
+  auto b = TermSummationScores(d, model);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (TripleId t = 0; t < d.num_triples(); ++t) {
@@ -166,10 +171,8 @@ TEST(PrecRecCorrTest, DirectAndTermSummationAgreeOnSynthetic) {
   CorrelationModel model = MakeEmpiricalModel(*d);
   PrecRecCorrOptions direct;
   direct.calibrated_likelihood = false;  // compare the paper-literal paths
-  PrecRecCorrOptions terms;
-  terms.force_term_summation = true;
   auto a = CorrScores(*d, model, direct);
-  auto b = CorrScores(*d, model, terms);
+  auto b = TermSummationScores(*d, model);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (TripleId t = 0; t < d->num_triples(); ++t) {
@@ -298,15 +301,24 @@ TEST(PrecRecCorrTest, MultiClusterFactorization) {
 }
 
 TEST(PrecRecCorrTest, TermSummationGuardsExponentialBlowup) {
-  SyntheticConfig config =
-      MakeIndependentConfig(10, 100, 0.4, 0.7, 0.4, /*seed=*/5);
-  auto d = GenerateSynthetic(config);
-  ASSERT_TRUE(d.ok());
-  CorrelationModel model = MakeEmpiricalModel(*d);
-  PrecRecCorrOptions options;
-  options.force_term_summation = true;
-  options.max_exact_nonproviders = 3;  // 10-source patterns exceed this
-  EXPECT_FALSE(CorrScores(*d, model, options).ok());
+  // Smoothed statistics take term summation; every triple has one provider
+  // and kMaxTermSummationNonproviders + 1 in-scope non-providers.
+  constexpr int kSources = kMaxTermSummationNonproviders + 2;
+  Dataset d;
+  for (int s = 0; s < kSources; ++s) d.AddSource("s" + std::to_string(s));
+  for (int i = 0; i < 2 * kSources; ++i) {
+    TripleId t = d.AddTriple({"e" + std::to_string(i), "a", "v"});
+    d.SetLabel(t, i % 2 == 0);
+    d.Provide(static_cast<SourceId>(i % kSources), t);
+  }
+  ASSERT_TRUE(d.Finalize().ok());
+  CorrelationModel model = MakeEmpiricalModel(d, /*smoothing=*/1.0);
+  ASSERT_FALSE(model.cluster_stats[0]->SupportsDirectLikelihood());
+  const Status refused = CorrScores(d, model, {}).status();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("too many non-providers"),
+            std::string::npos)
+      << refused;
 }
 
 // ---------- Aggressive ----------
@@ -360,9 +372,7 @@ TEST(ElasticTest, ConvergesToExactAtFullLevel) {
   Dataset d = MakeMotivatingExample();
   CorrelationModel model = MakeEmpiricalModel(d);
   auto elastic = ElasticPlanScores(d, model, /*level=*/5);  // >= any |N|
-  PrecRecCorrOptions terms;
-  terms.force_term_summation = true;
-  auto exact = CorrScores(d, model, terms);
+  auto exact = TermSummationScores(d, model);
   ASSERT_TRUE(elastic.ok());
   ASSERT_TRUE(exact.ok());
   for (TripleId t = 0; t < d.num_triples(); ++t) {
@@ -378,9 +388,7 @@ TEST(ElasticTest, ErrorShrinksWithLevelOnAverage) {
   auto d = GenerateSynthetic(config);
   ASSERT_TRUE(d.ok());
   CorrelationModel model = MakeEmpiricalModel(*d);
-  PrecRecCorrOptions term_options;
-  term_options.force_term_summation = true;
-  auto exact = CorrScores(*d, model, term_options);
+  auto exact = TermSummationScores(*d, model);
   ASSERT_TRUE(exact.ok());
   auto mean_abs_error = [&](int level) {
     auto scores = ElasticPlanScores(*d, model, level);

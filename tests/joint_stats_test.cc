@@ -1,9 +1,16 @@
-// Unit tests for joint statistics: empirical counting (with and without
-// sum-over-supersets tables), scope handling, smoothing, the exact pattern
-// likelihood, and the explicit provider.
+// Unit tests for joint statistics: empirical counting against brute-force
+// counts on both lookup paths (sum-over-supersets tables and pattern
+// scans), scope handling, smoothing, the exact pattern likelihood, and the
+// explicit provider.
 #include "core/joint_stats.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "gtest/gtest.h"
+#include "support/likelihood_oracle.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
@@ -60,30 +67,92 @@ TEST(EmpiricalJointStatsTest, SupersetCountsAreMonotone) {
   EXPECT_EQ((*stats)->CountFalseSuperset(0), (*stats)->total_false());
 }
 
-TEST(EmpiricalJointStatsTest, TablesAgreeWithPatternScan) {
-  // Same dataset queried with and without the SOS table; every subset must
-  // produce identical statistics.
-  SyntheticConfig config =
-      MakeIndependentConfig(8, 400, 0.4, 0.7, 0.4, /*seed=*/11);
-  auto d = GenerateSynthetic(config);
-  ASSERT_TRUE(d.ok());
-  JointStatsOptions with_tables;
-  with_tables.sos_table_max_bits = 20;
-  JointStatsOptions no_tables;
-  no_tables.sos_table_max_bits = 0;
-  auto a =
-      EmpiricalJointStats::Create(*d, d->labeled_mask(), AllSources(*d),
-                                  with_tables);
-  auto b = EmpiricalJointStats::Create(*d, d->labeled_mask(), AllSources(*d),
-                                       no_tables);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (Mask m = 0; m < 256; ++m) {
-    JointQuality qa = (*a)->Get(m);
-    JointQuality qb = (*b)->Get(m);
-    EXPECT_NEAR(qa.recall, qb.recall, 1e-12) << "mask " << m;
-    EXPECT_NEAR(qa.precision, qb.precision, 1e-12) << "mask " << m;
-    EXPECT_NEAR(qa.fpr, qb.fpr, 1e-12) << "mask " << m;
+/// Asserts CountTrueSuperset, CountFalseSuperset and Get of `stats` equal
+/// to brute-force counts over `train_mask` for `subsets`.
+void ExpectSupersetCountsMatch(const EmpiricalJointStats& stats,
+                               const Dataset& d,
+                               const DynamicBitset& train_mask,
+                               const JointStatsOptions& options,
+                               const std::vector<Mask>& subsets,
+                               const std::string& what) {
+  const BruteForceLikelihood oracle(d, train_mask, AllSources(d), options);
+  const double alpha = options.alpha;
+  for (Mask m : subsets) {
+    const BruteForceLikelihood::SupersetCounts want = oracle.Superset(m);
+    ASSERT_EQ(stats.CountTrueSuperset(m), want.num_true) << what << " " << m;
+    ASSERT_EQ(stats.CountFalseSuperset(m), want.num_false) << what << " " << m;
+    if (m == 0) continue;  // Get(0) is the r = q = 1 convention
+    const double nt = static_cast<double>(want.num_true);
+    const double nf = static_cast<double>(want.num_false);
+    const double den = static_cast<double>(want.den_true);
+    const JointQuality got = stats.Get(m);
+    EXPECT_DOUBLE_EQ(got.precision, nt + nf > 0.0 ? nt / (nt + nf) : alpha)
+        << what << " " << m;
+    EXPECT_DOUBLE_EQ(got.recall, den > 0.0 ? nt / den : 0.0)
+        << what << " " << m;
+    EXPECT_DOUBLE_EQ(
+        got.fpr,
+        den > 0.0 ? std::clamp(alpha / (1.0 - alpha) * nf / den, 0.0, 1.0)
+                  : 0.0)
+        << what << " " << m;
+  }
+}
+
+TEST(EmpiricalJointStatsTest, SupersetCountsMatchBruteForceOnBothPaths) {
+  // 20 sources read the sum-over-supersets tables; 21 and 24 scan the
+  // pattern lists. Both must count exactly what the Dataset holds, before
+  // and after streamed pattern deltas.
+  for (size_t k : {size_t{kSosTableMaxBits}, size_t{21}, size_t{24}}) {
+    SyntheticConfig config =
+        MakeIndependentConfig(k, 600, 0.4, 0.7, 0.4, /*seed=*/11 + k);
+    config.num_domains = 5;
+    config.groups_true = {{{0, 1, 2}, 0.8}};
+    auto d = GenerateSynthetic(config);
+    ASSERT_TRUE(d.ok()) << d.status();
+    DynamicBitset before(d->num_triples());
+    DynamicBitset after(d->num_triples());
+    for (TripleId t = 0; t < d->num_triples(); ++t) {
+      if (t % 2 == 0) before.Set(t);
+      if (t % 3 != 0) after.Set(t);
+    }
+    // Every subset of at most two sources, the full set, and random ones.
+    std::vector<Mask> subsets = {0, FullMask(static_cast<int>(k))};
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = i; j < k; ++j) {
+        subsets.push_back((Mask{1} << i) | (Mask{1} << j));
+      }
+    }
+    Rng rng(k);
+    for (int i = 0; i < 200; ++i) {
+      subsets.push_back(rng.NextUint64() & FullMask(static_cast<int>(k)));
+    }
+    for (bool use_scopes : {false, true}) {
+      const std::string what =
+          "k=" + std::to_string(k) + " scopes=" + std::to_string(use_scopes);
+      JointStatsOptions options;
+      options.use_scopes = use_scopes;
+      auto stats =
+          EmpiricalJointStats::Create(*d, before, AllSources(*d), options);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      ExpectSupersetCountsMatch(**stats, *d, before, options, subsets,
+                                what + " before");
+      std::vector<JointPatternDelta> deltas;
+      for (TripleId t = 0; t < d->num_triples(); ++t) {
+        if (d->label(t) == Label::kUnknown ||
+            before.Test(t) == after.Test(t)) {
+          continue;
+        }
+        const TripleObservation obs =
+            ObserveTriple(*d, AllSources(*d), use_scopes, t);
+        deltas.push_back({obs.providers, obs.scope,
+                          d->label(t) == Label::kTrue,
+                          after.Test(t) ? 1 : -1});
+      }
+      ASSERT_FALSE(deltas.empty());
+      ASSERT_TRUE((*stats)->ApplyPatternDeltas(deltas).ok());
+      ExpectSupersetCountsMatch(**stats, *d, after, options, subsets,
+                                what + " after");
+    }
   }
 }
 

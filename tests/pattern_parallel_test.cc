@@ -6,8 +6,9 @@
 // and hash), byte-identity of the threaded independent-source scorer
 // (precrec, aggressive) against the per-triple reference loop,
 // byte-identity of the batched ScoreAllPatterns path against per-query
-// likelihood calls, and byte-identity of end-to-end RunAll scores against
-// the legacy (per-pattern scorer + reference combine) pipeline.
+// likelihood calls, byte-identity of end-to-end RunAll scores against
+// the legacy (per-pattern scorer + reference combine) pipeline, and
+// thread-count invariance of the table-less wide-cluster lookups.
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -507,24 +508,28 @@ TEST(EndToEndByteIdentityTest, RunAllMatchesLegacyPipelineAtEveryThreadCount) {
   }
 }
 
-TEST(EndToEndByteIdentityTest, TablelessPathIsThreadCountInvariant) {
-  // sos_table_max_bits = 0 forces the no-SoS-table path: term-summation
-  // scorers hit the sharded counts memo from every worker.
-  Dataset dataset = MakeDataset(/*num_sources=*/8, /*num_triples=*/1000,
+TEST(EndToEndByteIdentityTest, WideClusterScanPathIsThreadCountInvariant) {
+  // 24 sources in one cluster exceed kSosTableMaxBits: every joint lookup
+  // of the Get-based methods scans the pattern lists, from every worker.
+  constexpr size_t kSources = 24;
+  static_assert(kSources > kSosTableMaxBits);
+  Dataset dataset = MakeDataset(kSources, /*num_triples=*/1000,
                                 /*num_domains=*/0, /*seed=*/41);
-  std::vector<std::vector<double>> scores;
+  std::vector<std::vector<FusionRun>> runs;
   for (size_t num_threads : {size_t{1}, size_t{8}}) {
     EngineOptions options;
     options.num_threads = num_threads;
-    options.model.sos_table_max_bits = 0;
-    options.corr.force_term_summation = true;
     FusionEngine engine(&dataset, options);
     ASSERT_TRUE(engine.Prepare(dataset.labeled_mask()).ok());
-    auto run = engine.Run({MethodKind::kPrecRecCorr});
+    ASSERT_EQ((*engine.GetModel())->clustering.clusters.size(), 1u);
+    auto run = engine.RunAll(
+        {{MethodKind::kElastic, 50.0, 2}, {MethodKind::kAggressive}});
     ASSERT_TRUE(run.ok()) << run.status();
-    scores.push_back(run->scores);
+    runs.push_back(std::move(*run));
   }
-  ASSERT_EQ(scores[0], scores[1]);
+  for (size_t m = 0; m < runs[0].size(); ++m) {
+    ASSERT_EQ(runs[1][m].scores, runs[0][m].scores) << runs[0][m].spec.Name();
+  }
 }
 
 TEST(EndToEndByteIdentityTest, ScorePatternsPropagatesFirstError) {

@@ -11,9 +11,14 @@
 //     version, flipped bytes, version-skewed datasets) fails with a
 //     Status — InvalidArgument-style, with no crash and no UB. The
 //     byte-flip sweep runs under the CI ASan job.
+//
+// Beside them: a saved file does not depend on the engine's thread count,
+// and a failed commit is an IoError that leaves no tmp file behind.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -26,6 +31,8 @@
 #include "persist/binary_io.h"
 #include "persist/snapshot_io.h"
 #include "serving/fusion_service.h"
+#include "shard/sharded_engine.h"
+#include "shard/sharded_persist.h"
 #include "synth/generator.h"
 #include "synth/stream_replay.h"
 
@@ -34,6 +41,12 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 std::vector<MethodSpec> Lineup() {
@@ -200,11 +213,8 @@ TEST(PersistRoundTripTest, NonDefaultOptionsSurviveTheFile) {
   EngineOptions options;
   options.model.alpha = 0.35;
   options.decision_threshold = 0.6;
-  // > 30 with small clusters is a legal configuration (tables are sized by
-  // the cluster width k, not by this cap); it must round-trip.
-  options.model.sos_table_max_bits = 31;
   options.ltm.seed = 99;
-  options.corr.force_term_summation = true;
+  options.corr.calibrated_likelihood = false;
   FusionEngine engine(static_cast<const Dataset*>(&ds), options);
   ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
 
@@ -219,13 +229,33 @@ TEST(PersistRoundTripTest, NonDefaultOptionsSurviveTheFile) {
   ASSERT_TRUE(warm.WarmStart(*loaded).ok());
   EXPECT_EQ(warm.options().model.alpha, 0.35);
   EXPECT_EQ(warm.options().decision_threshold, 0.6);
-  EXPECT_EQ(warm.options().model.sos_table_max_bits, 31);
   EXPECT_EQ(warm.options().ltm.seed, 99u);
-  EXPECT_TRUE(warm.options().corr.force_term_summation);
+  EXPECT_FALSE(warm.options().corr.calibrated_likelihood);
   auto a = engine.RunAll(Lineup());
   auto b = warm.RunAll(Lineup());
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectRunsIdentical(*a, *b);
+}
+
+TEST(PersistRoundTripTest, SavedFileDoesNotDependOnTheThreadCount) {
+  // The thread count belongs to the host, not to the trained state: the
+  // file must not carry it.
+  Dataset ds = MakeDataset(/*with_domains=*/true, /*seed=*/17);
+  std::vector<std::string> files;
+  for (size_t num_threads : {size_t{1}, size_t{8}}) {
+    EngineOptions options;
+    options.model.use_scopes = true;
+    options.num_threads = num_threads;
+    FusionEngine engine(static_cast<const Dataset*>(&ds), options);
+    ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
+    ASSERT_TRUE(engine.PublishSnapshot(ServingSpecs()).ok());
+    const std::string path =
+        TempPath("persist_threads" + std::to_string(num_threads) + ".snap");
+    ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+    files.push_back(ReadBytes(path));
+  }
+  ASSERT_GT(files[0].size(), 64u);
+  EXPECT_TRUE(files[0] == files[1]) << "snapshot bytes differ";
 }
 
 TEST(PersistRoundTripTest, WarmStartOverTheOriginalDatasetObject) {
@@ -329,9 +359,7 @@ class PersistCorruptionTest : public testing::Test {
     ASSERT_TRUE(engine_->PublishSnapshot(ServingSpecs()).ok());
     path_ = TempPath("persist_corrupt.snap");
     ASSERT_TRUE(engine_->SaveSnapshot(path_).ok());
-    std::ifstream in(path_, std::ios::binary);
-    bytes_.assign((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+    bytes_ = ReadBytes(path_);
     ASSERT_GT(bytes_.size(), 64u);
   }
 
@@ -426,8 +454,7 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
   // in field order (doubles 8 bytes, bools 1, i32 4, u64 8).
   constexpr size_t kAlpha = 40;
   constexpr size_t kSmoothing = 48;
-  constexpr size_t kThreshold = 86;
-  constexpr size_t kTermBudget = 206;  // corr.max_exact_nonproviders
+  constexpr size_t kThreshold = 82;
   auto write = [&](size_t field, auto value) {
     return WriteVariant(RewriteEngineField(bytes_, field, &value,
                                            sizeof(value)));
@@ -438,22 +465,15 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
     EXPECT_EQ(LoadSnapshot(path).status().code(), warm_started.code());
     return warm_started;
   };
-  // Rewriting fields to values an engine accepts (the saved ones, and the
-  // largest budget) still loads: the rewrite itself is sound.
+  // Rewriting fields to values an engine accepts (the saved ones) still
+  // loads: the rewrite itself is sound.
   ASSERT_TRUE(loads(write(kAlpha, 0.5)).ok());
   ASSERT_TRUE(loads(write(kSmoothing, 0.0)).ok());
   ASSERT_TRUE(loads(write(kThreshold, 0.5)).ok());
-  ASSERT_TRUE(loads(write(kTermBudget, int32_t{24})).ok());
-  ASSERT_TRUE(
-      loads(write(kTermBudget, int32_t{kMaxTermSummationNonproviders})).ok());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::pair<std::string, std::string>> bad = {
-      {"budget 63", write(kTermBudget, int32_t{63})},
-      {"budget cap+1",
-       write(kTermBudget, int32_t{kMaxTermSummationNonproviders + 1})},
-      {"budget -1", write(kTermBudget, int32_t{-1})},
       {"alpha 1", write(kAlpha, 1.0)},
       {"alpha nan", write(kAlpha, nan)},
       {"smoothing -1", write(kSmoothing, -1.0)},
@@ -470,16 +490,33 @@ TEST(EngineOptionsTest, PrepareRejectsOptionsNoSnapshotCouldCarry) {
   // The decoder's bounds hold at Prepare too, so an engine never saves a
   // file it cannot load.
   Dataset ds = MakeDataset(/*with_domains=*/false);
-  std::vector<EngineOptions> bad(4);
-  bad[0].corr.max_exact_nonproviders = kMaxTermSummationNonproviders + 1;
-  bad[1].decision_threshold = 1.5;
-  bad[2].model.smoothing = std::numeric_limits<double>::infinity();
-  bad[3].model.alpha = 0.0;
+  std::vector<EngineOptions> bad(3);
+  bad[0].decision_threshold = 1.5;
+  bad[1].model.smoothing = std::numeric_limits<double>::infinity();
+  bad[2].model.alpha = 0.0;
   for (const EngineOptions& options : bad) {
     FusionEngine engine(static_cast<const Dataset*>(&ds), options);
     EXPECT_EQ(engine.Prepare(ds.labeled_mask()).code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+TEST_F(PersistCorruptionTest, FailedCommitIsIoErrorAndLeavesNoTmpFile) {
+  // Renaming onto a non-empty directory fails after the tmp file is fully
+  // written: both writers must report it and clean up.
+  const std::string dir = TempPath("persist_commit_target");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/occupant") << "x";
+  EXPECT_EQ(engine_->SaveSnapshot(dir).code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+
+  ShardManifest manifest;
+  manifest.snapshot_format_version = kSnapshotFormatVersion;
+  manifest.sharding = ShardingOptions{1};
+  manifest.local_to_global.resize(1);
+  EXPECT_EQ(WriteShardManifest(dir, manifest).code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
 TEST_F(PersistCorruptionTest, PayloadFlipIsChecksumMismatch) {
@@ -763,10 +800,12 @@ TEST_F(MmapAttachTest, FlippedMappedDatasetRejected) {
 }
 
 TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
-  // A v1-era header (the pre-columnar row codec) or a v2 one (whose ENGINE
-  // section still carried a thread count) must fail up front with both
-  // versions named — not a misparse of the old encoding.
-  for (char version : {'\1', '\2'}) {
+  // A v1-era header (the pre-columnar row codec), a v2 one (whose ENGINE
+  // section still carried a precrec-corr thread count) or a v3 one (whose
+  // ENGINE and MODEL sections still carried the engine's thread count and
+  // per-cluster options) must fail up front with both versions named —
+  // not a misparse of the old encoding.
+  for (char version : {'\1', '\2', '\3'}) {
     std::string old = bytes_;
     old[8] = version;
     old[9] = old[10] = old[11] = 0;
@@ -786,6 +825,15 @@ TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
                 std::string::npos)
           << loaded.status();
     }
+    // The sharded engine's warm start reads a plain file the same way.
+    auto sharded =
+        ShardedFusionEngine::WarmStart(WriteVariant(old), EngineOptions{});
+    ASSERT_FALSE(sharded.ok());
+    EXPECT_NE(sharded.status().message().find(
+                  "unsupported snapshot format version " +
+                  std::to_string(static_cast<int>(version))),
+              std::string::npos)
+        << sharded.status();
   }
 }
 

@@ -10,10 +10,10 @@
 #include "core/elastic.h"
 #include "core/engine.h"
 #include "core/precrec.h"
-#include "core/precrec_corr.h"
 #include "gtest/gtest.h"
 #include "model/split.h"
 #include "stats/metrics.h"
+#include "support/pattern_oracles.h"
 #include "synth/generator.h"
 
 namespace fuser {
@@ -110,13 +110,9 @@ TEST_P(ElasticConvergenceTest, FullLevelEqualsTermSummation) {
   model.cluster_stats.push_back(std::move(*stats));
 
   auto elastic_plan = MakeElasticPlan(model, /*level=*/6);
-  PrecRecCorrOptions terms;
-  terms.force_term_summation = true;
-  auto exact_plan = MakePrecRecCorrPlan(model, terms);
   ASSERT_TRUE(elastic_plan.ok());
-  ASSERT_TRUE(exact_plan.ok());
   auto elastic = ScorePlan(*d, model, *elastic_plan);
-  auto exact = ScorePlan(*d, model, *exact_plan);
+  auto exact = ScorePlan(*d, model, MakeTermSummationPlan(model));
   ASSERT_TRUE(elastic.ok());
   ASSERT_TRUE(exact.ok());
   for (TripleId t = 0; t < d->num_triples(); ++t) {

@@ -8,6 +8,7 @@
 // and out, and 1-shard manifests from older saves still load.
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -31,6 +32,12 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Every registered shardable method (cosine/3estimates/ltm are iterative
@@ -524,6 +531,35 @@ TEST(SingleShardTest, SaveWritesOnePlainSnapshotFile) {
   auto runs = plain.RunAll(specs);
   ASSERT_TRUE(runs.ok()) << runs.status();
   ExpectRunsIdentical(*runs, *expected);
+}
+
+TEST(SingleShardTest, SavedFileIsByteIdenticalToFusionEngines) {
+  // Every K splits the thread budget the same way and the file carries no
+  // thread count, so a K=1 engine at 8 threads saves exactly the bytes of
+  // a plain FusionEngine at 1 thread.
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/2551);
+  EngineOptions options = MakeOptions(Variant::kScoped);
+  const std::vector<MethodSpec> specs = ShardableLineup();
+
+  options.num_threads = 1;
+  FusionEngine plain(static_cast<const Dataset*>(&ds), options);
+  ASSERT_TRUE(plain.Prepare(ds.labeled_mask()).ok());
+  ASSERT_TRUE(plain.PublishSnapshot(specs).ok());
+  const std::string plain_path = TempPath("single_bytes_plain.snap");
+  ASSERT_TRUE(plain.SaveSnapshot(plain_path).ok());
+
+  options.num_threads = 8;
+  auto sharded = ShardedFusionEngine::Create(ds, ShardingOptions{1}, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_TRUE((*sharded)->Prepare(ds.labeled_mask()).ok());
+  ASSERT_TRUE((*sharded)->PublishSnapshot(specs).ok());
+  const std::string sharded_path = TempPath("single_bytes_sharded.snap");
+  ASSERT_TRUE((*sharded)->SaveSnapshot(sharded_path).ok());
+
+  const std::string plain_bytes = ReadBytes(plain_path);
+  ASSERT_GT(plain_bytes.size(), 64u);
+  EXPECT_TRUE(ReadBytes(sharded_path) == plain_bytes)
+      << "snapshot bytes differ";
 }
 
 TEST(SingleShardTest, OneShardManifestFromEarlierSavesStillWarmStarts) {

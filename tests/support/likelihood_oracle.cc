@@ -55,4 +55,19 @@ std::pair<double, double> BruteForceLikelihood::Likelihood(
   return {cnt_true / den_true, given_false};
 }
 
+BruteForceLikelihood::SupersetCounts BruteForceLikelihood::Superset(
+    Mask subset) const {
+  SupersetCounts counts;
+  for (const Row& row : rows_) {
+    const bool provided = (row.obs.providers & subset) == subset;
+    if (row.is_true) {
+      counts.num_true += provided;
+      counts.den_true += (row.obs.scope & subset) == subset;
+    } else {
+      counts.num_false += provided;
+    }
+  }
+  return counts;
+}
+
 }  // namespace fuser

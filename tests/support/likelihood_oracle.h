@@ -1,12 +1,13 @@
 // Brute-force reference of the direct pattern likelihood
-// (JointStatsProvider::DirectPatternLikelihood and ScoreAllPatterns). It
-// reads each labeled training triple's cluster-local providers and scope
-// straight from the Dataset, counts the triples that match one observation
-// (P, N) exactly, and applies the paper's count-to-likelihood step — never
+// (JointStatsProvider::DirectPatternLikelihood and ScoreAllPatterns) and
+// of the superset counts behind EmpiricalJointStats::Get. It reads each
+// labeled training triple's cluster-local providers and scope straight
+// from the Dataset, counts the triples that match one observation (P, N)
+// exactly, and applies the paper's count-to-likelihood step — never
 // touching EmpiricalJointStats' aggregated pattern lists, its
 // sum-over-supersets tables or its batching. tests/likelihood_oracle_test.cc
-// asserts both direct paths byte-identical to it. Part of the
-// fuser_test_support library.
+// asserts both direct paths byte-identical to it, tests/joint_stats_test.cc
+// the subset lookups. Part of the fuser_test_support library.
 #ifndef FUSER_TESTS_SUPPORT_LIKELIHOOD_ORACLE_H_
 #define FUSER_TESTS_SUPPORT_LIKELIHOOD_ORACLE_H_
 
@@ -52,6 +53,17 @@ class BruteForceLikelihood {
   /// are not validated: P and N must be disjoint masks inside the cluster.
   std::pair<double, double> Likelihood(Mask providers, Mask nonproviders,
                                        bool calibrated) const;
+
+  /// The counts behind one subset's joint quality
+  /// (EmpiricalJointStats::Get): training triples of each class provided
+  /// by every source of `subset`, and the true triples whose scope covers
+  /// `subset` (every true triple when scopes are off).
+  struct SupersetCounts {
+    size_t num_true = 0;
+    size_t num_false = 0;
+    size_t den_true = 0;
+  };
+  SupersetCounts Superset(Mask subset) const;
 
  private:
   struct Row {

@@ -5,6 +5,7 @@
 
 #include "common/math_util.h"
 #include "core/correlation.h"
+#include "core/precrec_corr.h"
 
 namespace fuser {
 
@@ -158,6 +159,19 @@ StatusOr<std::vector<double>> AggressiveScoresReference(
   }
   return IndependentScoresLoop(dataset, log_provide, log_silent,
                                model.use_scopes, model.alpha);
+}
+
+PatternScoringPlan MakeTermSummationPlan(const CorrelationModel& model) {
+  PatternScoringPlan plan;
+  const CorrelationModel* model_ptr = &model;
+  plan.scorer = [model_ptr](size_t c, const PatternKey& key,
+                            double* given_true, double* given_false) {
+    return TermSummationLikelihood(*model_ptr->cluster_stats[c],
+                                   key.providers, key.nonproviders,
+                                   given_true, given_false);
+  };
+  plan.alpha = model.alpha;
+  return plan;
 }
 
 }  // namespace fuser

@@ -1,9 +1,10 @@
 // Reference implementations of the scoring hot paths, kept out of the
 // production library: the oracles the optimized paths in
 // core/pattern_pipeline.h and core/precrec.h are asserted byte-identical
-// against (tests/pattern_parallel_test.cc), and the pre-optimization
-// baselines of bench/bench_inference.cc. Built as the fuser_test_support
-// library.
+// against (tests/pattern_parallel_test.cc), the pre-optimization
+// baselines of bench/bench_inference.cc, and the term-summation plan the
+// direct and elastic likelihoods are checked against. Built as the
+// fuser_test_support library.
 #ifndef FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
 #define FUSER_TESTS_SUPPORT_PATTERN_ORACLES_H_
 
@@ -38,6 +39,13 @@ StatusOr<std::vector<double>> PrecRecScoresReference(
     const PrecRecOptions& options);
 StatusOr<std::vector<double>> AggressiveScoresReference(
     const Dataset& dataset, const CorrelationModel& model);
+
+/// The literal inclusion-exclusion plan: every (cluster, pattern) through
+/// TermSummationLikelihood (core/precrec_corr.h), no batch scorer, and the
+/// model's alpha as the combine prior — precrec-corr's exact sum on any
+/// statistics, with no budget. The direct and elastic paths are checked
+/// against it. `model` must outlive the plan.
+PatternScoringPlan MakeTermSummationPlan(const CorrelationModel& model);
 
 }  // namespace fuser
 
