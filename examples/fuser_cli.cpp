@@ -6,8 +6,8 @@
 //   fuser_cli --load=SNAPSHOT <method> [options]
 //   fuser_cli --load=SNAPSHOT --serve=PORT
 //   fuser_cli --client=[HOST:]PORT [method]
-//     method:  any method registered in the MethodRegistry, or "runall"
-//              (score the full registry lineup over one shared model and
+//     method:  any method of the method table, or "runall"
+//              (score the full lineup over one shared model and
 //              pattern grouping); run with --help for the lineup
 //     options: --alpha=0.5 --threshold=0.5 --scopes --cluster
 //              --threads=N (0 = one per hardware thread)
@@ -71,14 +71,13 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 extern "C" void HandleStopSignal(int) { g_stop_requested = 1; }
 
-/// The registered method lineup, e.g. "union-K | 3estimates | ... |
-/// elastic-L"; the CLI accepts whatever the registry knows about.
+/// The method lineup, e.g. "union-K | 3estimates | ... | elastic-L", in
+/// method table order.
 std::string MethodLineup() {
   std::string lineup;
-  for (const fuser::FusionMethod* method :
-       fuser::MethodRegistry::Global().All()) {
+  for (const fuser::MethodInfo& method : fuser::AllMethods()) {
     if (!lineup.empty()) lineup += " | ";
-    lineup += method->usage();
+    lineup += method.usage;
   }
   return lineup;
 }
@@ -638,7 +637,7 @@ int main(int argc, char** argv) {
   if (method == "runall") runall = true;
 
   // Resolve the lineup before touching any file: one named method, or
-  // every registered method with its default parameters (--runall shares
+  // every method with its default parameters (--runall shares
   // the model and the pattern grouping across all of them via RunAll). A
   // named method alongside --runall keeps its explicit parameters — it
   // replaces its kind's default entry in the lineup (e.g. `elastic-5
@@ -653,10 +652,10 @@ int main(int argc, char** argv) {
     specs.push_back(*spec);
   }
   if (runall) {
-    for (const FusionMethod* registered : MethodRegistry::Global().All()) {
-      if (!specs.empty() && specs[0].kind == registered->kind()) continue;
+    for (const MethodInfo& info : AllMethods()) {
+      if (!specs.empty() && specs[0].kind == info.kind) continue;
       MethodSpec spec;
-      spec.kind = registered->kind();
+      spec.kind = info.kind;
       specs.push_back(spec);
     }
   }
@@ -775,12 +774,12 @@ int main(int argc, char** argv) {
   }
 
   if (engine->num_shards() > 1) {
-    // The full registry lineup contains methods that couple triples across
+    // The full lineup contains methods that couple triples across
     // the corpus; reject them (and --runall, which includes them) with a
     // usage error rather than failing mid-run.
     for (const MethodSpec& spec : specs) {
-      const FusionMethod* registered = MethodRegistry::Global().Find(spec.kind);
-      if (registered != nullptr && !registered->shardable()) {
+      const MethodInfo* info = FindMethod(spec.kind);
+      if (info != nullptr && !info->shardable) {
         std::fprintf(stderr,
                      "%zu shards cannot run %s: the method couples triples "
                      "across the corpus%s\n",

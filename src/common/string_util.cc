@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -76,10 +77,12 @@ bool ParseDouble(std::string_view text, double* out) {
 
 bool ParseSizeT(std::string_view text, size_t* out) {
   std::string buf(StrTrim(text));
-  if (buf.empty()) return false;
+  // strtoull negates a leading '-' instead of rejecting it.
+  if (buf.empty() || buf[0] == '-') return false;
   char* end = nullptr;
+  errno = 0;
   unsigned long long value = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
+  if (end != buf.c_str() + buf.size() || errno == ERANGE) return false;
   *out = static_cast<size_t>(value);
   return true;
 }

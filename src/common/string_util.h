@@ -29,7 +29,8 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// Parses a double; returns false on malformed input or trailing junk.
 bool ParseDouble(std::string_view text, double* out);
 
-/// Parses a non-negative integer; returns false on malformed input.
+/// Parses a non-negative integer; returns false on malformed input, a
+/// leading '-' or a value that overflows size_t.
 bool ParseSizeT(std::string_view text, size_t* out);
 
 }  // namespace fuser

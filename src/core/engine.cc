@@ -111,10 +111,9 @@ StatusOr<std::shared_ptr<const FusionSnapshot>> FusionEngine::PublishSnapshot(
       }
     }
     MethodContext context;
-    FUSER_ASSIGN_OR_RETURN(const FusionMethod* method,
-                           ResolveAndPrepareContext(spec, &context));
+    FUSER_RETURN_IF_ERROR(ResolveAndPrepareContext(spec, &context).status());
     StatusOr<std::shared_ptr<const MethodServing>> entry =
-        BuildMethodServing(*method, context, spec);
+        BuildMethodServing(context, spec);
     if (!entry.ok()) {
       return Status(entry.status().code(),
                     name + ": " + entry.status().message());
@@ -532,29 +531,32 @@ StatusOr<const PatternGrouping*> FusionEngine::GetPatternGrouping() {
   return grouping_.get();
 }
 
-StatusOr<const FusionMethod*> FusionEngine::ResolveAndPrepareContext(
+StatusOr<const MethodInfo*> FusionEngine::ResolveAndPrepareContext(
     const MethodSpec& spec, MethodContext* context) {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare before Run");
   }
   FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
-  const FusionMethod* method = MethodRegistry::Global().Find(spec.kind);
+  const MethodInfo* method = FindMethod(spec.kind);
   if (method == nullptr) {
     return Status::Unimplemented("method kind not registered");
   }
+  // The snapshot decoder applies the same check, so an engine never saves
+  // a serving entry it cannot load.
+  FUSER_RETURN_IF_ERROR(ValidateMethodSpec(spec));
   context->dataset = dataset_;
   context->options = &options_;
   context->quality = &quality_;
   context->num_threads =
-      method->supports_threads() ? ResolveNumThreads(options_.num_threads) : 1;
-  context->pool = method->supports_threads() ? WorkerPool() : nullptr;
+      method->supports_threads ? ResolveNumThreads(options_.num_threads) : 1;
+  context->pool = method->supports_threads ? WorkerPool() : nullptr;
   // Shared inputs are built outside the timed section (they are reused
   // across methods, like the paper's offline parameters).
-  if (method->needs_model()) {
+  if (method->needs_model) {
     FUSER_RETURN_IF_ERROR(EnsureModel());
     context->model = model_.get();
   }
-  if (method->pattern_based()) {
+  if (method->pattern_based) {
     FUSER_RETURN_IF_ERROR(EnsureGrouping());
     context->grouping = grouping_.get();
   }
@@ -563,15 +565,15 @@ StatusOr<const FusionMethod*> FusionEngine::ResolveAndPrepareContext(
 
 StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
   MethodContext context;
-  FUSER_ASSIGN_OR_RETURN(const FusionMethod* method,
+  FUSER_ASSIGN_OR_RETURN(const MethodInfo* method,
                          ResolveAndPrepareContext(spec, &context));
 
   FusionRun run;
   run.spec = spec;
-  run.threshold = method->DefaultThreshold(spec, options_);
+  run.threshold = DefaultThreshold(spec, options_);
   run.dataset_version = dataset_->version();
 
-  if (method->pattern_based()) {
+  if (method->pattern_based) {
     // Batch scoring is the dense expansion of the serving state: build (or
     // reuse) the per-pattern posterior table a published snapshot carries
     // and gather it over every triple, so FusionService::ScoreBatch and
@@ -595,8 +597,7 @@ StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
       }
     }
     if (serving == nullptr) {
-      FUSER_ASSIGN_OR_RETURN(serving,
-                             BuildMethodServing(*method, context, spec));
+      FUSER_ASSIGN_OR_RETURN(serving, BuildMethodServing(context, spec));
     }
     run.scores = GatherPatternScores(*context.grouping, serving->table,
                                      context.num_threads, context.pool);
@@ -605,7 +606,7 @@ StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
   }
 
   WallTimer timer;
-  FUSER_ASSIGN_OR_RETURN(run.scores, method->Score(context, spec));
+  FUSER_ASSIGN_OR_RETURN(run.scores, ScoreMethod(context, spec));
   run.seconds = timer.ElapsedSeconds();
   return run;
 }
@@ -618,7 +619,7 @@ StatusOr<std::vector<FusionRun>> FusionEngine::RunAll(
   // Resolve every spec up front so a bad spec late in the lineup fails
   // before any scoring work happens.
   for (const MethodSpec& spec : specs) {
-    if (MethodRegistry::Global().Find(spec.kind) == nullptr) {
+    if (FindMethod(spec.kind) == nullptr) {
       return Status::Unimplemented("method kind not registered");
     }
   }

@@ -10,11 +10,11 @@
 //   auto eval = engine.Evaluate(*run, dataset.labeled_mask());
 //
 // The engine estimates source quality and the correlation model from the
-// training mask, resolves methods through the MethodRegistry (see
+// training mask, looks methods up in the method table (see
 // core/fusion_method.h), and evaluates decisions and ranking quality
 // against the gold standard. Shared inputs — the correlation model and the
 // distinct-pattern grouping — are built lazily, once, and reused by every
-// method that declares a need for them, so RunAll scores a whole method
+// method whose row asks for them, so RunAll scores a whole method
 // lineup over a single pass of the shared work.
 //
 // The engine is also the writer half of a single-writer/many-readers
@@ -302,9 +302,9 @@ class FusionEngine {
   /// Out-of-band mutation guard: the dataset's version must match what the
   /// engine last saw (Prepare or Update).
   Status CheckDatasetVersion() const;
-  /// Resolves `spec` through the registry and assembles the context with
-  /// every shared input the method declares (model, pattern grouping).
-  StatusOr<const FusionMethod*> ResolveAndPrepareContext(
+  /// Looks `spec` up in the method table and assembles the context with
+  /// every shared input its row asks for (model, pattern grouping).
+  StatusOr<const MethodInfo*> ResolveAndPrepareContext(
       const MethodSpec& spec, MethodContext* context);
   /// Existing triples whose provider or scope masks changed in `delta`.
   std::vector<TripleId> CollectChangedExisting(const DatasetDelta& delta,

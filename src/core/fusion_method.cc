@@ -1,12 +1,11 @@
 #include "core/fusion_method.h"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
-#include <utility>
 
-#include "baselines/method_adapters.h"
-#include "common/logging.h"
+#include "baselines/union_k.h"
 #include "common/string_util.h"
 #include "core/aggressive.h"
 #include "core/elastic.h"
@@ -16,134 +15,35 @@ namespace fuser {
 
 namespace {
 
-class PrecRecMethod : public FusionMethod {
- public:
-  MethodKind kind() const override { return MethodKind::kPrecRec; }
-  const char* id() const override { return "precrec"; }
-  bool supports_threads() const override { return true; }
-  bool shardable() const override { return true; }
-
-  std::optional<StatusOr<MethodSpec>> TryParse(
-      const std::string& name) const override {
-    if (name != "precrec") {
-      return std::nullopt;
-    }
-    MethodSpec spec;
-    spec.kind = kind();
-    return spec;
-  }
-
-  StatusOr<std::vector<double>> Score(const MethodContext& context,
-                                      const MethodSpec& spec) const override {
-    (void)spec;
-    PrecRecOptions options;
-    options.alpha = context.options->model.alpha;
-    options.use_scopes = context.options->model.use_scopes;
-    return PrecRecScores(*context.dataset, *context.quality, options,
-                         context.num_threads, context.pool);
-  }
+constexpr MethodInfo kMethods[] = {
+    // kind, id, usage, needs_model, pattern_based, supports_threads,
+    // shardable
+    {MethodKind::kUnion, "union", "union-K", false, false, false, true},
+    {MethodKind::kThreeEstimates, "3estimates", "3estimates", false, false,
+     false, false},
+    {MethodKind::kCosine, "cosine", "cosine", false, false, false, false},
+    {MethodKind::kLtm, "ltm", "ltm", false, false, false, false},
+    {MethodKind::kPrecRec, "precrec", "precrec", false, false, true, true},
+    {MethodKind::kPrecRecCorr, "precrec-corr", "precrec-corr", true, true,
+     true, true},
+    {MethodKind::kAggressive, "aggressive", "aggressive", true, false, true,
+     true},
+    {MethodKind::kElastic, "elastic", "elastic-L", true, true, true, true},
 };
-
-class PrecRecCorrMethod : public FusionMethod {
- public:
-  MethodKind kind() const override { return MethodKind::kPrecRecCorr; }
-  const char* id() const override { return "precrec-corr"; }
-  bool needs_model() const override { return true; }
-  bool pattern_based() const override { return true; }
-  bool supports_threads() const override { return true; }
-  bool shardable() const override { return true; }
-
-  StatusOr<PatternScoringPlan> MakeScoringPlan(
-      const MethodContext& context, const MethodSpec& spec) const override {
-    (void)spec;
-    return MakePrecRecCorrPlan(*context.model, context.options->corr);
-  }
-
-  std::optional<StatusOr<MethodSpec>> TryParse(
-      const std::string& name) const override {
-    if (name != "precrec-corr" && name != "precreccorr") {
-      return std::nullopt;
-    }
-    MethodSpec spec;
-    spec.kind = kind();
-    return spec;
-  }
-};
-
-class AggressiveMethod : public FusionMethod {
- public:
-  MethodKind kind() const override { return MethodKind::kAggressive; }
-  const char* id() const override { return "aggressive"; }
-  bool needs_model() const override { return true; }
-  bool supports_threads() const override { return true; }
-  bool shardable() const override { return true; }
-
-  std::optional<StatusOr<MethodSpec>> TryParse(
-      const std::string& name) const override {
-    if (name != "aggressive") {
-      return std::nullopt;
-    }
-    MethodSpec spec;
-    spec.kind = kind();
-    return spec;
-  }
-
-  StatusOr<std::vector<double>> Score(const MethodContext& context,
-                                      const MethodSpec& spec) const override {
-    (void)spec;
-    return AggressiveScores(*context.dataset, *context.model,
-                            context.num_threads, context.pool);
-  }
-};
-
-class ElasticMethod : public FusionMethod {
- public:
-  MethodKind kind() const override { return MethodKind::kElastic; }
-  const char* id() const override { return "elastic"; }
-  const char* usage() const override { return "elastic-L"; }
-  bool needs_model() const override { return true; }
-  bool pattern_based() const override { return true; }
-  bool supports_threads() const override { return true; }
-  bool shardable() const override { return true; }
-
-  StatusOr<PatternScoringPlan> MakeScoringPlan(
-      const MethodContext& context, const MethodSpec& spec) const override {
-    return MakeElasticPlan(*context.model, spec.elastic_level);
-  }
-
-  std::optional<StatusOr<MethodSpec>> TryParse(
-      const std::string& name) const override {
-    if (!StartsWith(name, "elastic-")) {
-      return std::nullopt;
-    }
-    size_t level = 0;
-    if (!ParseSizeT(name.substr(8), &level) ||
-        level > static_cast<size_t>(std::numeric_limits<int>::max())) {
-      return StatusOr<MethodSpec>(
-          Status::InvalidArgument("bad elastic level in: " + name));
-    }
-    MethodSpec spec;
-    spec.kind = kind();
-    spec.elastic_level = static_cast<int>(level);
-    return spec;
-  }
-
-  std::string SpecName(const MethodSpec& spec) const override {
-    return StrFormat("elastic-%d", spec.elastic_level);
-  }
-};
-
-Status RegisterCoreFusionMethods(MethodRegistry* registry) {
-  FUSER_RETURN_IF_ERROR(registry->Register(std::make_unique<PrecRecMethod>()));
-  FUSER_RETURN_IF_ERROR(
-      registry->Register(std::make_unique<PrecRecCorrMethod>()));
-  FUSER_RETURN_IF_ERROR(
-      registry->Register(std::make_unique<AggressiveMethod>()));
-  FUSER_RETURN_IF_ERROR(registry->Register(std::make_unique<ElasticMethod>()));
-  return Status::OK();
-}
+static_assert(std::size(kMethods) ==
+                  static_cast<size_t>(MethodKind::kElastic) + 1,
+              "one table row per MethodKind");
 
 }  // namespace
+
+Span<MethodInfo> AllMethods() {
+  return Span<MethodInfo>(kMethods, std::size(kMethods));
+}
+
+const MethodInfo* FindMethod(MethodKind kind) {
+  const size_t index = static_cast<size_t>(kind);
+  return index < std::size(kMethods) ? &kMethods[index] : nullptr;
+}
 
 Status ValidateEngineOptions(const EngineOptions& options) {
   const double alpha = options.model.alpha;
@@ -161,73 +61,125 @@ Status ValidateEngineOptions(const EngineOptions& options) {
   return Status::OK();
 }
 
-std::string MethodSpec::Name() const {
-  const FusionMethod* method = MethodRegistry::Global().Find(kind);
-  return method != nullptr ? method->SpecName(*this) : "unknown";
-}
-
-StatusOr<MethodSpec> ParseMethodSpec(const std::string& name) {
-  return MethodRegistry::Global().ParseSpec(name);
-}
-
-MethodRegistry& MethodRegistry::Global() {
-  static MethodRegistry* registry = [] {
-    auto* r = new MethodRegistry();
-    // Registration order fixes name-resolution and enumeration order:
-    // baselines first, then the paper's methods (the Fig. 4 lineup).
-    Status s = RegisterBaselineFusionMethods(r);
-    FUSER_CHECK(s.ok()) << s;
-    s = RegisterCoreFusionMethods(r);
-    FUSER_CHECK(s.ok()) << s;
-    return r;
-  }();
-  return *registry;
-}
-
-Status MethodRegistry::Register(std::unique_ptr<FusionMethod> method) {
-  FUSER_CHECK(method != nullptr);
-  for (const auto& existing : methods_) {
-    if (existing->kind() == method->kind() ||
-        std::string(existing->id()) == method->id()) {
-      return Status::AlreadyExists(std::string("method already registered: ") +
-                                   method->id());
-    }
+Status ValidateMethodSpec(const MethodSpec& spec) {
+  if (FindMethod(spec.kind) == nullptr) {
+    return Status::InvalidArgument("method kind out of range");
   }
-  methods_.push_back(std::move(method));
+  // The inverted comparison also rejects NaN, which would pass
+  // percent < 0.0 || percent > 100.0 and poison the threshold.
+  if (spec.kind == MethodKind::kUnion &&
+      !(spec.union_percent >= 0.0 && spec.union_percent <= 100.0)) {
+    return Status::InvalidArgument("percent must be in [0, 100]");
+  }
+  if (spec.kind == MethodKind::kElastic && spec.elastic_level < 0) {
+    return Status::InvalidArgument("level must be >= 0");
+  }
   return Status::OK();
 }
 
-const FusionMethod* MethodRegistry::Find(MethodKind kind) const {
-  for (const auto& method : methods_) {
-    if (method->kind() == kind) return method.get();
+std::string MethodSpec::Name() const {
+  switch (kind) {
+    case MethodKind::kUnion:
+      return StrFormat("union-%g", union_percent);
+    case MethodKind::kElastic:
+      return StrFormat("elastic-%d", elastic_level);
+    default: {
+      const MethodInfo* method = FindMethod(kind);
+      return method != nullptr ? method->id : "unknown";
+    }
   }
-  return nullptr;
 }
 
-const FusionMethod* MethodRegistry::Find(const std::string& id) const {
-  for (const auto& method : methods_) {
-    if (id == method->id()) return method.get();
+StatusOr<MethodSpec> ParseMethodSpec(const std::string& name) {
+  MethodSpec spec;
+  if (name == "majority") {
+    spec.kind = MethodKind::kUnion;
+    spec.union_percent = 50.0;
+    return spec;
   }
-  return nullptr;
-}
-
-StatusOr<MethodSpec> MethodRegistry::ParseSpec(const std::string& name) const {
-  for (const auto& method : methods_) {
-    std::optional<StatusOr<MethodSpec>> parsed = method->TryParse(name);
-    if (parsed.has_value()) {
-      return std::move(*parsed);
+  if (StartsWith(name, "union-")) {
+    spec.kind = MethodKind::kUnion;
+    if (!ParseDouble(name.substr(6), &spec.union_percent) ||
+        !ValidateMethodSpec(spec).ok()) {
+      return Status::InvalidArgument("bad union percentage in: " + name);
+    }
+    return spec;
+  }
+  if (StartsWith(name, "elastic-")) {
+    size_t level = 0;
+    if (!ParseSizeT(name.substr(8), &level) ||
+        level > static_cast<size_t>(std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("bad elastic level in: " + name);
+    }
+    spec.kind = MethodKind::kElastic;
+    spec.elastic_level = static_cast<int>(level);
+    return spec;
+  }
+  std::string id = name;
+  if (name == "3-estimates") id = "3estimates";
+  if (name == "precreccorr") id = "precrec-corr";
+  // Union-K and elastic-L only parse with their parameter (above).
+  for (const MethodInfo& method : AllMethods()) {
+    if (method.kind != MethodKind::kUnion &&
+        method.kind != MethodKind::kElastic && id == method.id) {
+      spec.kind = method.kind;
+      return spec;
     }
   }
   return Status::InvalidArgument("unknown method: " + name);
 }
 
-std::vector<const FusionMethod*> MethodRegistry::All() const {
-  std::vector<const FusionMethod*> methods;
-  methods.reserve(methods_.size());
-  for (const auto& method : methods_) {
-    methods.push_back(method.get());
+double DefaultThreshold(const MethodSpec& spec, const EngineOptions& options) {
+  return spec.kind == MethodKind::kUnion
+             ? UnionKThreshold(spec.union_percent)
+             : options.decision_threshold;
+}
+
+StatusOr<std::vector<double>> ScoreMethod(const MethodContext& context,
+                                          const MethodSpec& spec) {
+  const Dataset& dataset = *context.dataset;
+  const EngineOptions& options = *context.options;
+  switch (spec.kind) {
+    case MethodKind::kUnion: {
+      UnionKOptions union_options;
+      union_options.percent = spec.union_percent;
+      union_options.use_scopes = options.model.use_scopes;
+      return UnionKScores(dataset, union_options);
+    }
+    case MethodKind::kThreeEstimates:
+      return ThreeEstimatesScores(dataset, options.three_estimates);
+    case MethodKind::kCosine:
+      return CosineScores(dataset, options.cosine);
+    case MethodKind::kLtm:
+      return LtmScores(dataset, options.ltm);
+    case MethodKind::kPrecRec: {
+      PrecRecOptions precrec_options;
+      precrec_options.alpha = options.model.alpha;
+      precrec_options.use_scopes = options.model.use_scopes;
+      return PrecRecScores(dataset, *context.quality, precrec_options,
+                           context.num_threads, context.pool);
+    }
+    case MethodKind::kAggressive:
+      return AggressiveScores(dataset, *context.model, context.num_threads,
+                              context.pool);
+    case MethodKind::kPrecRecCorr:
+    case MethodKind::kElastic:
+      return Status::Unimplemented(
+          "pattern-based methods score through MakeScoringPlan");
   }
-  return methods;
+  return Status::Unimplemented("method kind not registered");
+}
+
+StatusOr<PatternScoringPlan> MakeScoringPlan(const MethodContext& context,
+                                             const MethodSpec& spec) {
+  switch (spec.kind) {
+    case MethodKind::kPrecRecCorr:
+      return MakePrecRecCorrPlan(*context.model, context.options->corr);
+    case MethodKind::kElastic:
+      return MakeElasticPlan(*context.model, spec.elastic_level);
+    default:
+      return Status::Unimplemented("method has no pattern scoring plan");
+  }
 }
 
 }  // namespace fuser

@@ -1,30 +1,28 @@
-// FusionMethod: the pluggable method layer.
+// The method table: the paper's closed family of eight fusion methods.
 //
-// The paper's contribution is a *family* of fusion methods — voting and
+// The paper evaluates a fixed family side by side (Fig. 4): voting and
 // iterative baselines, independence-based precision/recall fusion
 // (Theorem 3.1), exact correlated fusion (Theorem 4.2), the aggressive
 // approximation (Definition 4.5), and the elastic tuning knob
-// (Algorithm 1) — evaluated side by side. Each method implements the
-// FusionMethod interface and registers itself in the MethodRegistry; the
-// engine resolves a MethodSpec through the registry instead of switching
-// over an enum, so new methods plug in without touching the engine.
+// (Algorithm 1). MethodKind names them, one MethodInfo row per kind holds
+// their names and capability flags, and two free functions run them:
+// ScoreMethod for the six methods that score triples directly and
+// MakeScoringPlan for the two pattern-based ones.
 //
-// Capability flags tell the engine what shared inputs a method needs: the
-// correlation model (built once per Prepare) and, for pattern-based
+// The capability flags tell the engine what shared inputs a method needs:
+// the correlation model (built once per Prepare) and, for pattern-based
 // methods, the distinct-pattern grouping (built once and shared by every
-// such method, see core/pattern_pipeline.h). A pattern-based method is
-// exactly its PatternScoringPlan: it has no Score of its own.
+// such method, see core/pattern_pipeline.h).
 #ifndef FUSER_CORE_FUSION_METHOD_H_
 #define FUSER_CORE_FUSION_METHOD_H_
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/cosine.h"
 #include "baselines/ltm.h"
 #include "baselines/three_estimates.h"
+#include "common/span.h"
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "core/pattern_pipeline.h"
@@ -52,14 +50,15 @@ struct MethodSpec {
   double union_percent = 50.0;
   int elastic_level = 3;
 
-  /// Canonical name, e.g. "union-25", "precrec", "elastic-3"; resolved
-  /// through the MethodRegistry.
+  /// Canonical name, e.g. "union-25", "precrec", "elastic-3"; "unknown"
+  /// for a kind outside the enum.
   std::string Name() const;
 };
 
 /// Parses names like "union-25", "majority", "3estimates", "cosine", "ltm",
-/// "precrec", "precrec-corr", "aggressive", "elastic-2". Registry-driven:
-/// every registered method gets a chance to claim the name.
+/// "precrec", "precrec-corr", "aggressive", "elastic-2" (the inverse of
+/// MethodSpec::Name, plus the aliases "majority", "3-estimates" and
+/// "precreccorr").
 StatusOr<MethodSpec> ParseMethodSpec(const std::string& name);
 
 struct EngineOptions {
@@ -83,8 +82,8 @@ Status ValidateEngineOptions(const EngineOptions& options);
 
 /// Everything a method may need to score a dataset. The engine populates
 /// the shared fields once and reuses them across methods: `model` is set
-/// iff the method declares needs_model(), `grouping` iff it is
-/// pattern_based().
+/// iff the method's row sets needs_model, `grouping` iff it sets
+/// pattern_based.
 struct MethodContext {
   const Dataset* dataset = nullptr;
   const EngineOptions* options = nullptr;
@@ -100,128 +99,59 @@ struct MethodContext {
   ThreadPool* pool = nullptr;
 };
 
-/// One fusion method. Implementations are stateless: all inputs arrive via
-/// the MethodContext and the MethodSpec, so a single registered instance
-/// serves every engine and thread.
-class FusionMethod {
- public:
-  virtual ~FusionMethod() = default;
-
-  virtual MethodKind kind() const = 0;
-
+/// One row of the method table: a method's names and the shared inputs
+/// the engine must build before running it.
+struct MethodInfo {
+  MethodKind kind;
   /// Stable family id, e.g. "union", "precrec-corr", "elastic".
-  virtual const char* id() const = 0;
-
-  /// Human-readable name pattern for usage strings, e.g. "union-K",
-  /// "elastic-L". Defaults to id().
-  virtual const char* usage() const { return id(); }
-
-  // -- Capability flags -----------------------------------------------------
-
-  /// The method consumes the correlation model (Section 4 methods).
-  virtual bool needs_model() const { return false; }
-
-  /// The method scores distinct observation patterns: it is exactly its
-  /// PatternScoringPlan (MakeScoringPlan — per-pattern likelihoods plus
-  /// the combine prior). The engine shares its cached PatternGrouping with
-  /// the plan, Run gathers the plan's per-pattern posterior table, and a
-  /// FusionSnapshot keeps that table to serve point queries — including
-  /// ad-hoc observations the dataset has never seen — with the exact
-  /// arithmetic of a full Run. Such a method does not implement Score.
-  /// Implies needs_model().
-  virtual bool pattern_based() const { return false; }
-
-  /// The method parallelizes across MethodContext::num_threads workers.
-  /// The engine resolves the configured thread count only for methods that
-  /// declare this; others receive num_threads = 1.
-  virtual bool supports_threads() const { return false; }
-
+  const char* id;
+  /// Name pattern for usage strings, e.g. "union-K", "elastic-L".
+  const char* usage;
+  /// Consumes the correlation model (Section 4 methods).
+  bool needs_model;
+  /// Scores distinct observation patterns: the method is exactly its
+  /// PatternScoringPlan (MakeScoringPlan). Run gathers the plan's
+  /// per-pattern posterior table, and a FusionSnapshot keeps that table to
+  /// serve point queries, ad-hoc observations included. Implies
+  /// needs_model.
+  bool pattern_based;
+  /// Parallelizes across MethodContext::num_threads workers; every other
+  /// method receives num_threads = 1.
+  bool supports_threads;
   /// Each triple's score depends only on its own observation pattern and
-  /// globally-mergeable parameters (quality / correlation model), so a
-  /// domain-partitioned run per shard stitches to the exact unsharded
-  /// scores. Iterative methods whose fixed point couples all triples
-  /// (cosine, 3-estimates, LTM) must leave this false.
-  virtual bool shardable() const { return false; }
-
-  /// Decision threshold for `spec` (paper default: options.decision_threshold;
-  /// union-K votes with its own percentage-derived threshold).
-  virtual double DefaultThreshold(const MethodSpec& spec,
-                                  const EngineOptions& options) const {
-    (void)spec;
-    return options.decision_threshold;
-  }
-
-  // -- Naming ---------------------------------------------------------------
-
-  /// Claims and parses `name`: nullopt when the name does not belong to
-  /// this method, an error Status when it does but is malformed (e.g.
-  /// "union-150"), a MethodSpec otherwise.
-  virtual std::optional<StatusOr<MethodSpec>> TryParse(
-      const std::string& name) const = 0;
-
-  /// Canonical name of `spec` (inverse of TryParse). Defaults to id().
-  virtual std::string SpecName(const MethodSpec& spec) const {
-    (void)spec;
-    return id();
-  }
-
-  // -- Execution ------------------------------------------------------------
-
-  /// Scores every triple of context.dataset with a value in [0, 1]. Every
-  /// method that is not pattern_based() implements it.
-  virtual StatusOr<std::vector<double>> Score(const MethodContext& context,
-                                              const MethodSpec& spec) const {
-    (void)context;
-    (void)spec;
-    return Status::Unimplemented(
-        "pattern-based methods score through MakeScoringPlan");
-  }
-
-  /// The pattern-scoring plan for (context, spec); implemented exactly
-  /// when pattern_based(). The returned closures capture context.model by
-  /// pointer — callers (the engine's snapshot publisher) must keep the
-  /// model alive for the plan's lifetime.
-  virtual StatusOr<PatternScoringPlan> MakeScoringPlan(
-      const MethodContext& context, const MethodSpec& spec) const {
-    (void)context;
-    (void)spec;
-    return Status::Unimplemented("method has no pattern scoring plan");
-  }
+  /// globally-mergeable parameters, so per-shard runs stitch to the exact
+  /// unsharded scores. The iterative baselines (cosine, 3-estimates, LTM)
+  /// couple all triples and are not.
+  bool shardable;
 };
 
-/// Name-keyed registry of fusion methods. The global instance is populated
-/// with the paper's eight methods on first use; additional methods may be
-/// registered at startup (registration is not thread-safe — do it before
-/// concurrent use).
-class MethodRegistry {
- public:
-  /// The process-wide registry, with all built-in methods registered.
-  static MethodRegistry& Global();
+/// Every method's row, in MethodKind order (baselines first, then the
+/// paper's methods: the Fig. 4 lineup).
+Span<MethodInfo> AllMethods();
 
-  /// Registers a method. Fails with AlreadyExists when its kind or id
-  /// collides with a registered method.
-  Status Register(std::unique_ptr<FusionMethod> method);
+/// The row of `kind`, or null for a kind outside the enum.
+const MethodInfo* FindMethod(MethodKind kind);
 
-  /// Looks up by enum kind; nullptr when absent.
-  const FusionMethod* Find(MethodKind kind) const;
+/// Rejects a spec no method can run: a kind outside the enum, a union
+/// percentage outside [0, 100] (NaN included), or a negative elastic level.
+/// Fields the kind does not use are not checked. ParseMethodSpec, the
+/// engine and the snapshot decoder all apply it.
+Status ValidateMethodSpec(const MethodSpec& spec);
 
-  /// Looks up by family id (e.g. "elastic"); nullptr when absent.
-  const FusionMethod* Find(const std::string& id) const;
+/// Decision threshold for `spec`: union-K votes with its percentage-derived
+/// UnionKThreshold, every other method uses options.decision_threshold.
+double DefaultThreshold(const MethodSpec& spec, const EngineOptions& options);
 
-  /// Parses a method name by offering it to every registered method in
-  /// registration order.
-  StatusOr<MethodSpec> ParseSpec(const std::string& name) const;
+/// Scores every triple of context.dataset with a value in [0, 1]; for every
+/// method that is not pattern_based.
+StatusOr<std::vector<double>> ScoreMethod(const MethodContext& context,
+                                          const MethodSpec& spec);
 
-  /// All registered methods, in registration order.
-  std::vector<const FusionMethod*> All() const;
-
-  size_t size() const { return methods_.size(); }
-
- private:
-  MethodRegistry() = default;
-
-  std::vector<std::unique_ptr<FusionMethod>> methods_;
-};
+/// The pattern-scoring plan of a pattern_based method. The returned
+/// closures capture context.model by pointer: callers (the engine's
+/// snapshot publisher) must keep the model alive for the plan's lifetime.
+StatusOr<PatternScoringPlan> MakeScoringPlan(const MethodContext& context,
+                                             const MethodSpec& spec);
 
 }  // namespace fuser
 

@@ -11,14 +11,13 @@ const MethodServing* FusionSnapshot::FindServing(
 }
 
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
-    const FusionMethod& method, const MethodContext& context,
-    const MethodSpec& spec) {
+    const MethodContext& context, const MethodSpec& spec) {
   auto serving = std::make_shared<MethodServing>();
   serving->spec = spec;
-  serving->threshold = method.DefaultThreshold(spec, *context.options);
-  if (method.pattern_based()) {
+  const MethodInfo* method = FindMethod(spec.kind);
+  if (method != nullptr && method->pattern_based) {
     FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
-                           method.MakeScoringPlan(context, spec));
+                           MakeScoringPlan(context, spec));
     FUSER_ASSIGN_OR_RETURN(
         std::vector<std::vector<PatternLikelihood>> likelihood,
         ScorePatterns(*context.grouping, context.num_threads, plan.scorer,
@@ -27,7 +26,7 @@ StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
     serving->table = BuildPatternPosteriorTable(likelihood, plan.alpha);
     serving->adhoc_scorer = std::move(plan.scorer);
   } else {
-    FUSER_ASSIGN_OR_RETURN(serving->dense, method.Score(context, spec));
+    FUSER_ASSIGN_OR_RETURN(serving->dense, ScoreMethod(context, spec));
   }
   return std::shared_ptr<const MethodServing>(std::move(serving));
 }

@@ -42,7 +42,7 @@ namespace fuser {
 ///  * everything else: `dense`, the method's full score vector.
 struct MethodServing {
   MethodSpec spec;
-  double threshold = 0.5;
+  /// The method table's pattern_based flag for spec.kind.
   bool pattern_based = false;
   PatternPosteriorTable table;
   /// Scores one unseen (cluster, pattern) pair; thread-safe, captures the
@@ -81,15 +81,15 @@ struct FusionSnapshot {
   const MethodServing* FindServing(const std::string& name) const;
 };
 
-/// Builds the serving state of (method, spec) from a fully prepared
-/// context: pattern-based methods score every distinct pattern of
-/// context.grouping (which must be set) through their plan and keep the
-/// posterior table; others run Score and keep the dense vector. Deterministic — repeated
-/// builds over the same inputs are byte-identical at every thread count —
-/// which is what makes FusionService answers equal to FusionEngine::Run.
+/// Builds the serving state of `spec` from a fully prepared context:
+/// pattern-based methods score every distinct pattern of context.grouping
+/// (which must be set) through their plan and keep the posterior table;
+/// others run ScoreMethod and keep the dense vector. Deterministic —
+/// repeated builds over the same inputs are byte-identical at every thread
+/// count — which is what makes FusionService answers equal to
+/// FusionEngine::Run.
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
-    const FusionMethod& method, const MethodContext& context,
-    const MethodSpec& spec);
+    const MethodContext& context, const MethodSpec& spec);
 
 }  // namespace fuser
 

@@ -685,15 +685,14 @@ std::string EncodeServingSection(const FusionSnapshot& snapshot) {
   }
   std::sort(entries.begin(), entries.end());
 
+  // Each entry is its spec plus the scores; the decoder derives the name
+  // and the representation from the spec and the method table.
   ByteSink sink;
   sink.WriteU64(entries.size());
   for (const auto& [name, serving] : entries) {
-    sink.WriteString(name);
     sink.WriteU32(static_cast<uint32_t>(serving->spec.kind));
     sink.WriteDouble(serving->spec.union_percent);
     sink.WriteI32(serving->spec.elastic_level);
-    sink.WriteDouble(serving->threshold);
-    sink.WriteBool(serving->pattern_based);
     if (serving->pattern_based) {
       const PatternPosteriorTable& table = serving->table;
       sink.WriteDouble(table.alpha);
@@ -718,8 +717,8 @@ using ServingMap =
     std::unordered_map<std::string, std::shared_ptr<const MethodServing>>;
 
 /// Decodes the serving entries against the already-decoded shared state.
-/// Pattern-based entries get their ad-hoc scorer rebuilt through the
-/// method's MakeScoringPlan — the plan captures only the model (shared
+/// Pattern-based entries get their ad-hoc scorer rebuilt through
+/// MakeScoringPlan — the plan captures only the model (shared
 /// with the snapshot) and per-cluster strategy decisions, so rebuilding it
 /// is cheap and reproduces the original closures exactly.
 Status DecodeServingSection(ByteSource src, const MethodContext& context,
@@ -727,33 +726,21 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
   size_t count = 0;
   FUSER_RETURN_IF_ERROR(src.ReadCount(8, &count));
   for (size_t i = 0; i < count; ++i) {
-    std::string name;
-    FUSER_RETURN_IF_ERROR(src.ReadString(&name));
     auto serving = std::make_shared<MethodServing>();
     uint32_t kind = 0;
     FUSER_RETURN_IF_ERROR(src.ReadU32(&kind));
-    if (kind > static_cast<uint32_t>(MethodKind::kElastic)) {
-      return Corrupt("serving entry method kind out of range");
-    }
     serving->spec.kind = static_cast<MethodKind>(kind);
     FUSER_RETURN_IF_ERROR(src.ReadDouble(&serving->spec.union_percent));
     FUSER_RETURN_IF_ERROR(src.ReadI32(&serving->spec.elastic_level));
-    FUSER_RETURN_IF_ERROR(src.ReadDouble(&serving->threshold));
-    FUSER_RETURN_IF_ERROR(src.ReadBool(&serving->pattern_based));
-    const FusionMethod* method =
-        MethodRegistry::Global().Find(serving->spec.kind);
-    if (method == nullptr) {
-      return Corrupt("serving entry for unregistered method");
+    Status valid = ValidateMethodSpec(serving->spec);
+    if (!valid.ok()) {
+      return Corrupt("serving entry spec: " + valid.message());
     }
-    if (serving->spec.Name() != name) {
-      return Corrupt("serving entry name disagrees with its spec");
-    }
+    const std::string name = serving->spec.Name();
+    serving->pattern_based = FindMethod(serving->spec.kind)->pattern_based;
     if (serving->pattern_based) {
       if (context.grouping == nullptr) {
         return Corrupt("pattern-based serving entry without a grouping");
-      }
-      if (!method->pattern_based()) {
-        return Corrupt("pattern-based entry for a non-pattern method");
       }
       PatternPosteriorTable& table = serving->table;
       FUSER_RETURN_IF_ERROR(src.ReadDouble(&table.alpha));
@@ -798,7 +785,7 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
       FUSER_RETURN_IF_ERROR(
           src.ReadDoubleArray(table.posterior.data(), num_posterior));
       StatusOr<PatternScoringPlan> plan =
-          method->MakeScoringPlan(context, serving->spec);
+          MakeScoringPlan(context, serving->spec);
       if (!plan.ok()) {
         return Status(plan.status().code(),
                       name + ": " + plan.status().message());

@@ -12,7 +12,7 @@
 //   * Round-trip byte identity: a loaded snapshot's FusionService
 //     Score/ScoreBatch/ScoreObservation answers and the warm engine's
 //     Run/RunAll outputs equal the originating engine's exactly, for every
-//     registered method.
+//     method.
 //   * Streaming continuity: WarmStart followed by Update(batch) equals a
 //     fresh Prepare followed by the same Update — the loaded state plugs
 //     into the existing clone-on-write incremental paths unchanged.
@@ -62,7 +62,11 @@ namespace fuser {
 /// term-summation budget and the forced term-summation switch); the MODEL
 /// section drops the model's and every cluster's alpha, smoothing and
 /// scopes, which the decoder takes from the ENGINE section's ModelOptions.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// Version 5: a SERVING entry drops its name, its decision threshold and
+/// its pattern-based flag; the decoder validates the stored spec
+/// (ValidateMethodSpec) and derives the name and the flag from it and the
+/// method table.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// How LoadSnapshot materializes the (large) DATASET section.
 enum class AttachMode {

@@ -273,17 +273,17 @@ Status ShardedFusionEngine::CheckSpecs(const std::vector<MethodSpec>& specs,
                                        bool* needs_model) const {
   *needs_model = false;
   for (const MethodSpec& spec : specs) {
-    const FusionMethod* method = MethodRegistry::Global().Find(spec.kind);
+    const MethodInfo* method = FindMethod(spec.kind);
     if (method == nullptr) {
       return Status::Unimplemented("method kind is not registered: " +
                                    spec.Name());
     }
-    if (!method->shardable()) {
+    if (!method->shardable) {
       return Status::Unimplemented(
-          "method '" + std::string(method->id()) +
+          "method '" + std::string(method->id) +
           "' couples triples across the corpus and cannot run sharded");
     }
-    if (method->needs_model()) {
+    if (method->needs_model) {
       *needs_model = true;
     }
   }

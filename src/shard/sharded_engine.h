@@ -22,13 +22,13 @@
 //
 // Methods whose scores couple triples across the corpus (cosine,
 // 3-estimates, LTM — iterative fixed points) cannot be stitched this way
-// and return Unimplemented at K>1 (FusionMethod::shardable).
+// and return Unimplemented at K>1 (MethodInfo::shardable).
 //
 // K=1 is the unsharded engine, not a special case of the router: the one
 // shard engine owns the whole corpus (ShardedCorpus adopts its Dataset
 // with no copy and no global index, so global ids are its ids), and
 // Prepare/Update/Run/PublishSnapshot go straight to it with no projection,
-// merge or gather. Every registered method runs, exact by construction,
+// merge or gather. Every method runs, exact by construction,
 // and SaveSnapshot/WarmStart use the plain single-file snapshot format.
 //
 // Streaming Update routes each micro-batch to the shards that own its

@@ -99,6 +99,14 @@ TEST(StringUtilTest, ParseSizeT) {
   EXPECT_TRUE(ParseSizeT("123", &v));
   EXPECT_EQ(v, 123u);
   EXPECT_FALSE(ParseSizeT("-1x", &v));
+  // strtoull would negate these to SIZE_MAX or saturate at it.
+  EXPECT_FALSE(ParseSizeT("-1", &v));
+  EXPECT_FALSE(ParseSizeT(" -1", &v));
+  EXPECT_FALSE(ParseSizeT("-0", &v));
+  EXPECT_FALSE(ParseSizeT("18446744073709551616", &v));
+  EXPECT_EQ(v, 123u);
+  EXPECT_TRUE(ParseSizeT("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615u);
 }
 
 // ---------- CSV ----------

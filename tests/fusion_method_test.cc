@@ -1,9 +1,11 @@
-// Tests for the pluggable method layer: MethodRegistry enumeration,
-// registry-driven name parsing, capability flags, the shared pattern
-// pipeline, and RunAll sharing one grouping across methods.
+// Tests for the method table: its rows and flags, name parsing, the
+// out-of-range kind, the shared pattern pipeline, and RunAll sharing one
+// grouping across methods.
 #include "core/fusion_method.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -11,60 +13,37 @@
 #include "core/elastic.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
+#include "shard/sharded_engine.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
 namespace fuser {
 namespace {
 
-TEST(MethodRegistryTest, EnumeratesAllEightMethods) {
-  MethodRegistry& registry = MethodRegistry::Global();
-  EXPECT_EQ(registry.size(), 8u);
-
+TEST(MethodTableTest, EnumeratesAllEightMethods) {
+  const Span<MethodInfo> methods = AllMethods();
+  ASSERT_EQ(methods.size(), 8u);
   std::set<std::string> ids;
-  for (const FusionMethod* method : registry.All()) {
-    ids.insert(method->id());
+  for (size_t i = 0; i < methods.size(); ++i) {
+    // Row i is kind i, so FindMethod indexes the table directly.
+    EXPECT_EQ(static_cast<size_t>(methods[i].kind), i);
+    EXPECT_EQ(FindMethod(methods[i].kind), &methods[i]);
+    ids.insert(methods[i].id);
+    // Every kind's default spec prints a name that parses back to it.
+    MethodSpec spec;
+    spec.kind = methods[i].kind;
+    auto parsed = ParseMethodSpec(spec.Name());
+    ASSERT_TRUE(parsed.ok()) << spec.Name();
+    EXPECT_EQ(parsed->kind, methods[i].kind) << spec.Name();
   }
-  EXPECT_EQ(ids, (std::set<std::string>{"union", "3estimates", "cosine",
-                                        "ltm", "precrec", "precrec-corr",
-                                        "aggressive", "elastic"}));
-
-  for (MethodKind kind :
-       {MethodKind::kUnion, MethodKind::kThreeEstimates, MethodKind::kCosine,
-        MethodKind::kLtm, MethodKind::kPrecRec, MethodKind::kPrecRecCorr,
-        MethodKind::kAggressive, MethodKind::kElastic}) {
-    const FusionMethod* method = registry.Find(kind);
-    ASSERT_NE(method, nullptr);
-    EXPECT_EQ(method->kind(), kind);
-    EXPECT_EQ(registry.Find(std::string(method->id())), method);
-  }
-  EXPECT_EQ(registry.Find("no-such-method"), nullptr);
+  EXPECT_EQ(ids.size(), methods.size());  // ids are unique
+  EXPECT_EQ(FindMethod(static_cast<MethodKind>(99)), nullptr);
+  EXPECT_EQ(FindMethod(static_cast<MethodKind>(-1)), nullptr);
 }
 
-TEST(MethodRegistryTest, RejectsDuplicateRegistration) {
-  // A second method with an already-registered kind/id must be refused.
-  class DuplicateElastic : public FusionMethod {
-   public:
-    MethodKind kind() const override { return MethodKind::kElastic; }
-    const char* id() const override { return "elastic"; }
-    std::optional<StatusOr<MethodSpec>> TryParse(
-        const std::string&) const override {
-      return std::nullopt;
-    }
-    StatusOr<std::vector<double>> Score(const MethodContext&,
-                                        const MethodSpec&) const override {
-      return Status::Unimplemented("duplicate");
-    }
-  };
-  Status s = MethodRegistry::Global().Register(
-      std::make_unique<DuplicateElastic>());
-  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(MethodRegistry::Global().size(), 8u);
-}
-
-TEST(MethodRegistryTest, ParseSpecNameRoundTrip) {
+TEST(MethodTableTest, ParseSpecNameRoundTrip) {
   // Every canonical name parses, and the parsed spec prints back the same
-  // canonical name through the registry.
+  // canonical name.
   for (const char* name :
        {"union-25", "union-50", "union-75", "3estimates", "cosine", "ltm",
         "precrec", "precrec-corr", "aggressive", "elastic-0", "elastic-3",
@@ -81,7 +60,11 @@ TEST(MethodRegistryTest, ParseSpecNameRoundTrip) {
   EXPECT_EQ(ParseMethodSpec("majority")->Name(), "union-50");
   EXPECT_EQ(ParseMethodSpec("3-estimates")->Name(), "3estimates");
   EXPECT_EQ(ParseMethodSpec("precreccorr")->Name(), "precrec-corr");
-  // Malformed names of a claimed family fail with a specific error...
+  // Malformed names of a parameterized family fail with a specific error...
+  EXPECT_EQ(ParseMethodSpec("union-150").status().message(),
+            "bad union percentage in: union-150");
+  EXPECT_EQ(ParseMethodSpec("elastic-x").status().message(),
+            "bad elastic level in: elastic-x");
   EXPECT_EQ(ParseMethodSpec("union-150").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseMethodSpec("elastic-x").status().code(),
@@ -89,50 +72,130 @@ TEST(MethodRegistryTest, ParseSpecNameRoundTrip) {
   // Levels beyond int range must be rejected, not wrapped.
   EXPECT_EQ(ParseMethodSpec("elastic-4294967296").status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseMethodSpec("elastic--1").status().code(),
+            StatusCode::kInvalidArgument);
   // NaN parses as a double but is not a percentage.
   EXPECT_EQ(ParseMethodSpec("union-nan").status().code(),
             StatusCode::kInvalidArgument);
-  // ...and unknown names fail with "unknown method".
-  auto unknown = ParseMethodSpec("wat");
-  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(unknown.status().message().find("unknown method"),
-            std::string::npos);
+  // ...and unknown names fail with "unknown method", the bare family ids
+  // of the parameterized methods included.
+  for (const char* name : {"wat", "union", "elastic"}) {
+    auto unknown = ParseMethodSpec(name);
+    EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(unknown.status().message(), std::string("unknown method: ") +
+                                              name);
+  }
 }
 
-TEST(MethodRegistryTest, CapabilityFlags) {
-  MethodRegistry& registry = MethodRegistry::Global();
-  // Correlated methods need the model; pattern-based ones share the
-  // pipeline and parallelize.
-  for (MethodKind kind : {MethodKind::kPrecRecCorr, MethodKind::kAggressive,
-                          MethodKind::kElastic}) {
-    EXPECT_TRUE(registry.Find(kind)->needs_model());
+TEST(MethodTableTest, ValidateMethodSpecChecksOnlyTheKindsFields) {
+  MethodSpec spec;
+  spec.kind = MethodKind::kUnion;
+  for (double percent : {0.0, 37.5, 100.0}) {
+    spec.union_percent = percent;
+    EXPECT_TRUE(ValidateMethodSpec(spec).ok()) << percent;
   }
-  for (MethodKind kind : {MethodKind::kUnion, MethodKind::kThreeEstimates,
-                          MethodKind::kCosine, MethodKind::kLtm,
-                          MethodKind::kPrecRec}) {
-    EXPECT_FALSE(registry.Find(kind)->needs_model());
-    EXPECT_FALSE(registry.Find(kind)->pattern_based());
+  for (double percent : {-1.0, 150.0, std::nan("")}) {
+    spec.union_percent = percent;
+    EXPECT_EQ(ValidateMethodSpec(spec).code(), StatusCode::kInvalidArgument)
+        << percent;
   }
-  for (MethodKind kind : {MethodKind::kPrecRecCorr, MethodKind::kElastic}) {
-    EXPECT_TRUE(registry.Find(kind)->pattern_based());
-    EXPECT_TRUE(registry.Find(kind)->supports_threads());
-  }
-  EXPECT_FALSE(registry.Find(MethodKind::kAggressive)->pattern_based());
+  spec.kind = MethodKind::kElastic;
+  spec.elastic_level = 0;
+  EXPECT_TRUE(ValidateMethodSpec(spec).ok());
+  spec.elastic_level = -1;
+  EXPECT_EQ(ValidateMethodSpec(spec).code(), StatusCode::kInvalidArgument);
+  // A precrec spec ignores the union and elastic fields.
+  spec.kind = MethodKind::kPrecRec;
+  spec.union_percent = 150.0;
+  EXPECT_TRUE(ValidateMethodSpec(spec).ok());
+  spec.kind = static_cast<MethodKind>(99);
+  EXPECT_EQ(ValidateMethodSpec(spec).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MethodRegistryTest, UnionThresholdTracksPercent) {
+TEST(MethodTableTest, CapabilityFlags) {
+  struct Row {
+    const char* id;
+    const char* usage;
+    bool needs_model, pattern_based, supports_threads, shardable;
+  };
+  // In MethodKind order.
+  const Row expected[] = {
+      {"union", "union-K", false, false, false, true},
+      {"3estimates", "3estimates", false, false, false, false},
+      {"cosine", "cosine", false, false, false, false},
+      {"ltm", "ltm", false, false, false, false},
+      {"precrec", "precrec", false, false, true, true},
+      {"precrec-corr", "precrec-corr", true, true, true, true},
+      {"aggressive", "aggressive", true, false, true, true},
+      {"elastic", "elastic-L", true, true, true, true},
+  };
+  const Span<MethodInfo> methods = AllMethods();
+  ASSERT_EQ(methods.size(), std::size(expected));
+  for (size_t i = 0; i < methods.size(); ++i) {
+    const MethodInfo& method = methods[i];
+    const Row& want = expected[i];
+    EXPECT_STREQ(method.id, want.id);
+    EXPECT_STREQ(method.usage, want.usage);
+    EXPECT_EQ(method.needs_model, want.needs_model) << want.id;
+    EXPECT_EQ(method.pattern_based, want.pattern_based) << want.id;
+    EXPECT_EQ(method.supports_threads, want.supports_threads) << want.id;
+    EXPECT_EQ(method.shardable, want.shardable) << want.id;
+    // A pattern-based method needs the model its plan scores with.
+    EXPECT_TRUE(!method.pattern_based || method.needs_model) << want.id;
+  }
+}
+
+TEST(MethodTableTest, UnionThresholdTracksPercent) {
   MethodSpec spec = *ParseMethodSpec("union-25");
-  const FusionMethod* method = MethodRegistry::Global().Find(spec.kind);
-  ASSERT_NE(method, nullptr);
   EngineOptions options;
-  EXPECT_LT(method->DefaultThreshold(spec, options), 0.25);
-  EXPECT_GT(method->DefaultThreshold(spec, options), 0.2);
+  EXPECT_LT(DefaultThreshold(spec, options), 0.25);
+  EXPECT_GT(DefaultThreshold(spec, options), 0.2);
   // Non-voting methods use the engine-wide decision threshold.
   options.decision_threshold = 0.7;
-  EXPECT_DOUBLE_EQ(MethodRegistry::Global()
-                       .Find(MethodKind::kPrecRec)
-                       ->DefaultThreshold(spec, options),
-                   0.7);
+  spec.kind = MethodKind::kPrecRec;
+  EXPECT_DOUBLE_EQ(DefaultThreshold(spec, options), 0.7);
+}
+
+TEST(MethodTableTest, OutOfRangeKindIsUnimplemented) {
+  MethodSpec bad;
+  bad.kind = static_cast<MethodKind>(99);
+  EXPECT_EQ(bad.Name(), "unknown");
+
+  Dataset d = MakeMotivatingExample();
+  FusionEngine engine(&d, {});
+  ASSERT_TRUE(engine.Prepare(d.labeled_mask()).ok());
+  EXPECT_EQ(engine.Run(bad).status().code(), StatusCode::kUnimplemented);
+  // RunAll rejects the lineup up front, before scoring the good spec.
+  EXPECT_EQ(engine.RunAll({*ParseMethodSpec("precrec-corr"), bad})
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(engine.pattern_grouping_builds(), 0u);
+  EXPECT_EQ(engine.PublishSnapshot({bad}).status().code(),
+            StatusCode::kUnimplemented);
+  // An in-range kind with an invalid parameter is InvalidArgument: a NaN
+  // percentage would otherwise vote with a NaN threshold and save a
+  // serving entry no decoder loads.
+  MethodSpec nan_union;
+  nan_union.kind = MethodKind::kUnion;
+  nan_union.union_percent = std::nan("");
+  EXPECT_EQ(engine.Run(nan_union).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.PublishSnapshot({nan_union}).status().code(),
+            StatusCode::kInvalidArgument);
+
+  SyntheticConfig config =
+      MakeIndependentConfig(6, 600, 0.4, 0.7, 0.4, /*seed=*/83);
+  config.num_domains = 6;
+  auto sharded_data = GenerateSynthetic(config);
+  ASSERT_TRUE(sharded_data.ok());
+  auto sharded = ShardedFusionEngine::Create(*sharded_data, ShardingOptions{2},
+                                             EngineOptions{});
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_TRUE((*sharded)->Prepare(sharded_data->labeled_mask()).ok());
+  EXPECT_EQ((*sharded)->Run(bad).status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ((*sharded)->PublishSnapshot({bad}).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 TEST(PatternPipelineTest, GroupingMatchesDatasetAndModel) {

@@ -372,9 +372,9 @@ TEST(IndependentSourceScoresTest, PrecRecAndAggressiveMatchReferenceLoop) {
 
 TEST(IndependentSourceScoresTest, EngineRunsBothMethodsThreaded) {
   for (MethodKind kind : {MethodKind::kPrecRec, MethodKind::kAggressive}) {
-    const FusionMethod* method = MethodRegistry::Global().Find(kind);
+    const MethodInfo* method = FindMethod(kind);
     ASSERT_NE(method, nullptr);
-    EXPECT_TRUE(method->supports_threads()) << method->id();
+    EXPECT_TRUE(method->supports_threads) << method->id;
   }
   Dataset dataset = MakeDataset(/*num_sources=*/9, /*num_triples=*/3000,
                                 /*num_domains=*/7, /*seed=*/61);

@@ -3,7 +3,7 @@
 //  1. Round-trip byte identity: Save -> Load -> WarmStart reproduces the
 //     originating engine exactly — FusionService Score/ScoreBatch/
 //     ScoreObservation answers and Run/RunAll score vectors are equal for
-//     every registered method (plain, scoped, and clustered models), and
+//     every method (plain, scoped, and clustered models), and
 //     WarmStart followed by an Update equals a fresh Prepare followed by
 //     the same Update.
 //
@@ -421,29 +421,46 @@ TEST_F(PersistCorruptionTest, WrongFormatVersionIsInvalidArgument) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
-/// Overwrites `size` bytes at `field_offset` inside the ENGINE section of
-/// the snapshot image `bytes`, then recomputes that section's checksum and
-/// the header checksum: the result passes every integrity check, so only
-/// the decoder's option validation can reject it.
-std::string RewriteEngineField(std::string bytes, size_t field_offset,
-                               const void* value, size_t size) {
-  constexpr size_t kHeaderFixedBytes = 16;  // magic, version, count
-  constexpr size_t kEntryBytes = 32;  // id, reserved, offset, size, sum
-  constexpr uint32_t kEngineSectionId = 1;
+constexpr size_t kHeaderFixedBytes = 16;  // magic, version, count
+constexpr size_t kSectionEntryBytes = 32;  // id, reserved, offset, size, sum
+constexpr uint32_t kEngineSectionId = 1;
+constexpr uint32_t kServingSectionId = 5;
+
+/// Byte offset of the section-table entry of `section_id` in the snapshot
+/// image `bytes`.
+size_t SectionEntryOffset(const std::string& bytes, uint32_t section_id) {
+  const uint32_t count = persist::LoadU32LE(bytes.data() + 12);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry = kHeaderFixedBytes + kSectionEntryBytes * i;
+    if (persist::LoadU32LE(bytes.data() + entry) == section_id) return entry;
+  }
+  ADD_FAILURE() << "no section " << section_id;
+  return 0;
+}
+
+uint64_t SectionSize(const std::string& bytes, uint32_t section_id) {
+  return persist::LoadU64LE(bytes.data() +
+                            SectionEntryOffset(bytes, section_id) + 16);
+}
+
+/// Overwrites `size` bytes at `field_offset` inside section `section_id`
+/// of the snapshot image `bytes`, then recomputes that section's checksum
+/// and the header checksum: the result passes every integrity check, so
+/// only the decoder's validation can reject it.
+std::string RewriteSectionField(std::string bytes, uint32_t section_id,
+                                size_t field_offset, const void* value,
+                                size_t size) {
   auto store_u64 = [](char* at, uint64_t v) {
     for (int i = 0; i < 8; ++i) at[i] = static_cast<char>(v >> (8 * i));
   };
+  char* entry = bytes.data() + SectionEntryOffset(bytes, section_id);
+  const uint64_t offset = persist::LoadU64LE(entry + 8);
+  const uint64_t section_size = persist::LoadU64LE(entry + 16);
+  std::memcpy(bytes.data() + offset + field_offset, value, size);
+  store_u64(entry + 24,
+            persist::Checksum64(bytes.data() + offset, section_size));
   const uint32_t count = persist::LoadU32LE(bytes.data() + 12);
-  for (uint32_t i = 0; i < count; ++i) {
-    char* entry = bytes.data() + kHeaderFixedBytes + kEntryBytes * i;
-    if (persist::LoadU32LE(entry) != kEngineSectionId) continue;
-    const uint64_t offset = persist::LoadU64LE(entry + 8);
-    const uint64_t section_size = persist::LoadU64LE(entry + 16);
-    std::memcpy(bytes.data() + offset + field_offset, value, size);
-    store_u64(entry + 24, persist::Checksum64(bytes.data() + offset,
-                                              section_size));
-  }
-  const size_t table_end = kHeaderFixedBytes + kEntryBytes * count;
+  const size_t table_end = kHeaderFixedBytes + kSectionEntryBytes * count;
   store_u64(bytes.data() + table_end,
             persist::Checksum64(bytes.data(), table_end));
   return bytes;
@@ -456,8 +473,8 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
   constexpr size_t kSmoothing = 48;
   constexpr size_t kThreshold = 82;
   auto write = [&](size_t field, auto value) {
-    return WriteVariant(RewriteEngineField(bytes_, field, &value,
-                                           sizeof(value)));
+    return WriteVariant(RewriteSectionField(bytes_, kEngineSectionId, field,
+                                            &value, sizeof(value)));
   };
   auto loads = [&](const std::string& path) {
     FusionEngine warm(static_cast<const Dataset*>(&ds_), EngineOptions{});
@@ -483,6 +500,36 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
   };
   for (const auto& [what, path] : bad) {
     EXPECT_EQ(loads(path).code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST_F(PersistCorruptionTest, OutOfRangeServingSpecIsInvalidArgument) {
+  // SERVING entries are sorted by name, so union-50 is the last one:
+  // u32 kind, f64 percentage, i32 elastic level, u64 count, then one
+  // dense score per triple.
+  const size_t entry_bytes = 4 + 8 + 4 + 8 + 8 * ds_.num_triples();
+  const size_t entry = SectionSize(bytes_, kServingSectionId) - entry_bytes;
+  const size_t percent = entry + 4;
+  auto write = [&](double value) {
+    return WriteVariant(RewriteSectionField(bytes_, kServingSectionId,
+                                            percent, &value, sizeof(value)));
+  };
+  auto loads = [&](const std::string& path) {
+    FusionEngine warm(static_cast<const Dataset*>(&ds_), EngineOptions{});
+    Status warm_started = warm.WarmStart(path);
+    EXPECT_EQ(LoadSnapshot(path).status().code(), warm_started.code());
+    return warm_started;
+  };
+  // The offset is right: rewriting the saved percentage still loads, and a
+  // valid different one loads under its own name.
+  ASSERT_TRUE(loads(write(50.0)).ok());
+  auto moved = LoadSnapshot(write(25.0));
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  EXPECT_NE(moved->snapshot->FindServing("union-25"), nullptr);
+  EXPECT_EQ(moved->snapshot->FindServing("union-50"), nullptr);
+
+  for (double bad : {150.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(loads(write(bad)).code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
@@ -801,11 +848,12 @@ TEST_F(MmapAttachTest, FlippedMappedDatasetRejected) {
 
 TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
   // A v1-era header (the pre-columnar row codec), a v2 one (whose ENGINE
-  // section still carried a precrec-corr thread count) or a v3 one (whose
+  // section still carried a precrec-corr thread count), a v3 one (whose
   // ENGINE and MODEL sections still carried the engine's thread count and
-  // per-cluster options) must fail up front with both versions named —
-  // not a misparse of the old encoding.
-  for (char version : {'\1', '\2', '\3'}) {
+  // per-cluster options) or a v4 one (whose SERVING entries still carried
+  // a name, a threshold and a pattern-based flag) must fail up front with
+  // both versions named — not a misparse of the old encoding.
+  for (char version : {'\1', '\2', '\3', '\4'}) {
     std::string old = bytes_;
     old[8] = version;
     old[9] = old[10] = old[11] = 0;

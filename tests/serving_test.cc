@@ -1,6 +1,6 @@
 // Serving-layer tests: FusionSnapshot publication and FusionService point
 // queries. The core contract is byte-identity — ScoreBatch over every
-// triple reproduces FusionEngine::Run exactly, for every registered
+// triple reproduces FusionEngine::Run exactly, for every
 // method, at every thread count — plus snapshot immutability: a pinned
 // snapshot keeps answering with its original scores across any number of
 // subsequent Prepare/Update calls.

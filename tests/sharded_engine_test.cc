@@ -4,7 +4,7 @@
 // same data — at every shard count, every thread count, with scoped and
 // clustered configs, through streaming updates, through the serving
 // facade, and across a save/warm-start round trip. K=1 is the unsharded
-// engine itself: every registered method, plain single-file snapshots in
+// engine itself: every method, plain single-file snapshots in
 // and out, and 1-shard manifests from older saves still load.
 #include <cstdio>
 #include <fstream>
@@ -40,7 +40,7 @@ std::string ReadBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Every registered shardable method (cosine/3estimates/ltm are iterative
+/// Every shardable method (cosine/3estimates/ltm are iterative
 /// fixed points over the whole corpus and stay unsharded).
 std::vector<MethodSpec> ShardableLineup() {
   std::vector<MethodSpec> specs;
@@ -411,32 +411,32 @@ TEST(ShardedEngineTest, NonShardableMethodsAreRejectedAboveOneShard) {
   }
 }
 
-/// The full registry lineup with default parameters, the couplers
+/// The full method table lineup with default parameters, the couplers
 /// (cosine, 3-estimates, LTM) included.
-std::vector<MethodSpec> RegistryLineup() {
+std::vector<MethodSpec> FullLineup() {
   std::vector<MethodSpec> specs;
-  for (const FusionMethod* method : MethodRegistry::Global().All()) {
+  for (const MethodInfo& method : AllMethods()) {
     MethodSpec spec;
-    spec.kind = method->kind();
+    spec.kind = method.kind;
     specs.push_back(spec);
   }
   return specs;
 }
 
-TEST(SingleShardTest, RunAllOverTheFullRegistryMatchesFusionEngine) {
+TEST(SingleShardTest, RunAllOverTheFullLineupMatchesFusionEngine) {
   for (Variant variant :
        {Variant::kPlain, Variant::kScoped, Variant::kClustered}) {
     Dataset ds = MakeDataset(variant, /*seed=*/2301);
     const EngineOptions options = MakeOptions(variant);
     FusionEngine reference(static_cast<const Dataset*>(&ds), options);
     ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
-    auto expected = reference.RunAll(RegistryLineup());
+    auto expected = reference.RunAll(FullLineup());
     ASSERT_TRUE(expected.ok()) << expected.status();
 
     auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{1}, options);
     ASSERT_TRUE(engine.ok()) << engine.status();
     ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
-    auto runs = (*engine)->RunAll(RegistryLineup());
+    auto runs = (*engine)->RunAll(FullLineup());
     ASSERT_TRUE(runs.ok()) << runs.status();
     ExpectRunsIdentical(*runs, *expected);
   }

@@ -19,7 +19,7 @@
 namespace fuser {
 namespace {
 
-/// The full deterministic method lineup (every registered method scores
+/// The full deterministic method lineup (every method scores
 /// from the dataset + shared inputs alone, so equality is exact).
 std::vector<MethodSpec> Lineup() {
   std::vector<MethodSpec> specs;
