@@ -134,7 +134,7 @@ int Main(int argc, char** argv) {
   }
   bool grouping_identical =
       word_grouping->distinct == scalar_grouping->distinct &&
-      word_grouping->pattern_of == scalar_grouping->pattern_of;
+      SamePatternIds(*word_grouping, *scalar_grouping);
 
   // ---- Per-method scoring + RunAll: legacy pieces vs engine. ----
   const std::vector<MethodSpec> lineup = {

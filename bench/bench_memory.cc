@@ -13,7 +13,9 @@
 // times LoadSnapshot in kCopy vs kMmap mode, and asserts byte-identical
 // scores between engines running over an owned dataset and an attached
 // one — across plain / scoped / clustered model configs and after a
-// post-attach ApplyBatch (copy-on-write promotion).
+// post-attach ApplyBatch (copy-on-write promotion). It also reports the
+// clustered config's pattern grouping footprint per triple, which the
+// one-source clusters' bit columns keep small.
 //
 // Part B (attach_triples, default ~10M realized): saves a quality-only
 // snapshot at scale and times the mmap attach + WarmStart path; the
@@ -33,6 +35,7 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
+#include "core/pattern_pipeline.h"
 #include "model/dataset.h"
 #include "persist/snapshot_io.h"
 #include "synth/generator.h"
@@ -127,6 +130,24 @@ std::vector<FusionRun> ScoresOf(const Dataset& ds,
   auto runs = engine.RunAll(IdentityLineup());
   FUSER_CHECK(runs.ok()) << runs.status();
   return std::move(*runs);
+}
+
+/// Bytes per triple of the pattern grouping an engine with `options`
+/// builds over `ds`: its id columns, bit columns and distinct patterns.
+double GroupingBytesPerTriple(const Dataset& ds, const EngineOptions& options) {
+  FusionEngine engine(&ds, options);
+  FUSER_CHECK(engine.Prepare(ds.labeled_mask()).ok());
+  auto grouping = engine.GetPatternGrouping();
+  FUSER_CHECK(grouping.ok()) << grouping.status();
+  size_t bytes = 0;
+  for (size_t c = 0; c < (*grouping)->num_clusters(); ++c) {
+    const PatternColumn& column = (*grouping)->columns[c];
+    bytes += column.ids.capacity() * sizeof(uint32_t) +
+             (column.provided.num_words() + column.in_scope.num_words()) *
+                 sizeof(uint64_t) +
+             (*grouping)->distinct[c].size() * sizeof(PatternKey);
+  }
+  return static_cast<double>(bytes) / static_cast<double>(ds.num_triples());
 }
 
 bool SameScores(const std::vector<FusionRun>& a,
@@ -279,12 +300,12 @@ int Main(int argc, char** argv) {
   auto copy_loaded = LoadSnapshot(path, LoadOptions{AttachMode::kCopy});
   auto mmap_loaded = LoadSnapshot(path, LoadOptions{AttachMode::kMmap});
   FUSER_CHECK(copy_loaded.ok() && mmap_loaded.ok());
+  EngineOptions clustered;
+  clustered.model.enable_clustering = true;
   {
     EngineOptions plain;
     EngineOptions scoped;
     scoped.model.use_scopes = true;
-    EngineOptions clustered;
-    clustered.model.enable_clustering = true;
     for (const EngineOptions& opts : {plain, scoped, clustered}) {
       if (!SameScores(ScoresOf(*copy_loaded->dataset, opts),
                       ScoresOf(*mmap_loaded->dataset, opts))) {
@@ -317,6 +338,11 @@ int Main(int argc, char** argv) {
   }
   std::remove(path.c_str());
   Note("identity (post-batch)", phase_timer.ElapsedSeconds());
+  phase_timer.Reset();
+
+  const double grouping_bytes_per_triple =
+      GroupingBytesPerTriple(ds, clustered);
+  Note("grouping footprint", phase_timer.ElapsedSeconds());
   phase_timer.Reset();
 
   // ---- Part B: attach latency at scale ----
@@ -362,6 +388,7 @@ int Main(int argc, char** argv) {
       .Num("memory_reduction", memory_reduction, 2)
       .Int("arena_bytes", stats.arena_bytes)
       .Int("csr_bytes", stats.csr_bytes)
+      .Num("grouping_bytes_per_triple", grouping_bytes_per_triple, 2)
       .Num("finalize_seconds", finalize_seconds)
       .Num("copy_load_seconds", copy_load_seconds)
       .Num("mmap_attach_seconds", mmap_attach_seconds)

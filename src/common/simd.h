@@ -9,7 +9,8 @@
 //    word-parallel pattern grouping and independent-source scoring (k
 //    source bitset words in, 64 per-triple provider masks out);
 //  * gather_doubles: the pattern-posterior table gather in
-//    CombinePatternScores (scores[t] = table[pattern_of[t]]).
+//    CombinePatternScores (scores[t] = table[ids[t]] over a cluster's
+//    32-bit pattern-id column).
 //
 // Each kernel exists at every dispatch level. The scalar implementation is
 // the byte-identity oracle: all levels are exact integer (or exact-copy)

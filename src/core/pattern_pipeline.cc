@@ -1,6 +1,7 @@
 #include "core/pattern_pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -166,10 +167,81 @@ void AssignDirectIds(const Dataset& dataset, const ClusterMaskContext& ctx,
       });
 }
 
+/// Fills a one-source cluster's column words over the word-aligned
+/// triple range [begin, end): `in_scope` (null without scopes) from the
+/// source's per-domain coverage, `provided` from its provider bitset.
+/// Intersecting the two mirrors the scalar path (providers are in scope by
+/// construction).
+void FillSingletonWords(const Dataset& dataset, const ClusterMaskContext& ctx,
+                        size_t begin, size_t end, uint64_t* provided,
+                        uint64_t* in_scope) {
+  for (size_t wi = begin >> 6; (wi << 6) < end; ++wi) {
+    uint64_t scope_word = ~uint64_t{0};
+    if (in_scope != nullptr) {
+      const size_t first = wi << 6;
+      const size_t last = std::min(first + 64, end);
+      scope_word = 0;
+      for (size_t t = first; t < last; ++t) {
+        const Mask scope = ctx.scopes[ctx.scope_of_domain[dataset.domain(
+            static_cast<TripleId>(t))]];
+        scope_word |= (scope & 1) << (t - first);
+      }
+      in_scope[wi] = scope_word;
+    }
+    provided[wi] = ctx.provider_words[0][wi] & scope_word;
+  }
+}
+
+/// Registers `key` as a pattern of one cluster (appending it when unseen)
+/// and returns its id.
+uint32_t InternPattern(
+    const PatternKey& key,
+    std::unordered_map<PatternKey, size_t, PatternKeyHash>* index,
+    std::vector<PatternKey>* distinct) {
+  auto [it, inserted] = index->emplace(key, distinct->size());
+  if (inserted) distinct->push_back(key);
+  return static_cast<uint32_t>(it->second);
+}
+
 /// Triples per sub-block of a grouping chunk (64 bitset words).
 constexpr size_t kSubBlockTriples = 4096;
 
 }  // namespace
+
+const uint32_t* PatternGrouping::pattern_ids(size_t c, size_t begin,
+                                             size_t len,
+                                             uint32_t* scratch) const {
+  const PatternColumn& column = columns[c];
+  if (!column.singleton) return column.ids.data() + begin;
+  const uint64_t* provided = column.provided.words();
+  const uint64_t* in_scope = column.ScopeWords();
+  for (size_t j = 0; j < len; ++j) {
+    scratch[j] = column.BitId(provided, in_scope, begin + j);
+  }
+  return scratch;
+}
+
+std::array<size_t, 4> PatternColumn::FirstTripleOfEachCode(
+    size_t num_triples) const {
+  std::array<size_t, 4> first;
+  first.fill(num_triples);
+  const size_t num_words = (num_triples + 63) / 64;
+  for (size_t wi = 0; wi < num_words; ++wi) {
+    const size_t tail = num_triples - (wi << 6);
+    const uint64_t valid =
+        tail >= 64 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
+    const uint64_t p = provided.word(wi);
+    const uint64_t s = in_scope.size() == 0 ? valid : in_scope.word(wi);
+    const uint64_t of_code[4] = {valid & ~s, p & ~s, s & ~p, p & s};
+    for (unsigned code = 0; code < 4; ++code) {
+      if (first[code] == num_triples && of_code[code] != 0) {
+        first[code] = (wi << 6) + static_cast<size_t>(
+                                      CountTrailingZeros64(of_code[code]));
+      }
+    }
+  }
+  return first;
+}
 
 StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
                                                const CorrelationModel& model,
@@ -184,8 +256,11 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
   grouping.dataset = &dataset;
   grouping.model_fingerprint = ModelGroupingFingerprint(model);
   grouping.distinct.resize(num_clusters);
-  grouping.pattern_of.resize(num_clusters);
+  grouping.columns.resize(num_clusters);
   grouping.index.resize(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    grouping.columns[c].singleton = model.clustering.clusters[c].size() == 1;
+  }
   if (m == 0 || num_clusters == 0) return grouping;
 
   const size_t num_words = (m + 63) / 64;
@@ -196,15 +271,24 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
   for (size_t c = 0; c < num_clusters; ++c) {
     contexts[c] = MakeClusterMaskContext(dataset, model, c);
   }
-  // The id arrays are sized in parallel, so their first-touch page faults
+  // The columns are sized in parallel, so their first-touch page faults
   // are spread over the workers.
   ParallelFor(
       num_clusters, workers,
-      [&](size_t c) { grouping.pattern_of[c].resize(m); }, on_pool);
+      [&](size_t c) {
+        PatternColumn& column = grouping.columns[c];
+        if (!column.singleton) {
+          column.ids.resize(m);
+          return;
+        }
+        column.provided = DynamicBitset(m);
+        if (model.use_scopes) column.in_scope = DynamicBitset(m);
+      },
+      on_pool);
 
   // Partition the triple range into word-aligned chunks. Workers number
   // each chunk's patterns locally, writing the local ids straight into
-  // pattern_of; the merge below walks chunks in triple order, so the
+  // the id columns; the merge below walks chunks in triple order, so the
   // global result cannot depend on scheduling.
   size_t num_chunks = workers <= 1 ? 1 : std::min(num_words, workers * 4);
   const size_t words_per_chunk = (num_words + num_chunks - 1) / num_chunks;
@@ -233,7 +317,8 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
         std::vector<std::unordered_map<PatternKey, uint32_t, PatternKeyHash>>
             indexes(num_clusters);
         for (size_t c = 0; c < num_clusters; ++c) {
-          if (contexts[c].slots <= end - begin) {
+          if (!grouping.columns[c].singleton &&
+              contexts[c].slots <= end - begin) {
             tables[c].assign(contexts[c].slots, UINT32_MAX);
           }
         }
@@ -241,7 +326,16 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
         for (size_t sub = begin; sub < end; sub += kSubBlockTriples) {
           const size_t sub_end = std::min(end, sub + kSubBlockTriples);
           for (size_t c = 0; c < num_clusters; ++c) {
-            uint32_t* ids = grouping.pattern_of[c].data() + sub;
+            PatternColumn& column = grouping.columns[c];
+            if (column.singleton) {
+              FillSingletonWords(
+                  dataset, contexts[c], sub, sub_end,
+                  column.provided.MutableWords(),
+                  column.in_scope.size() == 0 ? nullptr
+                                              : column.in_scope.MutableWords());
+              continue;
+            }
+            uint32_t* ids = column.ids.data() + sub;
             auto& distinct = local_distinct[ci][c];
             if (tables[c].empty()) {
               keys.resize(sub_end - sub);
@@ -269,6 +363,21 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
   for (size_t c = 0; c < num_clusters; ++c) {
     auto& index = grouping.index[c];
     auto& distinct = grouping.distinct[c];
+    PatternColumn& column = grouping.columns[c];
+    if (column.singleton) {
+      // Codes are numbered in order of their first triple, as the scalar
+      // builder meets them.
+      const std::array<size_t, 4> first = column.FirstTripleOfEachCode(m);
+      std::array<unsigned, 4> codes = {0, 1, 2, 3};
+      std::sort(codes.begin(), codes.end(),
+                [&](unsigned a, unsigned b) { return first[a] < first[b]; });
+      for (unsigned code : codes) {
+        if (first[code] == m) break;
+        column.id_of_code[code] = InternPattern(PatternColumn::KeyOf(code),
+                                                &index, &distinct);
+      }
+      continue;
+    }
     for (size_t ci = 0; ci < num_chunks; ++ci) {
       const auto& chunk_distinct = local_distinct[ci][c];
       std::vector<uint32_t> chunk_remap(chunk_distinct.size());
@@ -291,7 +400,7 @@ StatusOr<PatternGrouping> BuildPatternGrouping(const Dataset& dataset,
         for (size_t c = 0; c < num_clusters; ++c) {
           const std::vector<uint32_t>& chunk_remap = remap[ci][c];
           if (chunk_remap.empty()) continue;
-          uint32_t* ids = grouping.pattern_of[c].data();
+          uint32_t* ids = grouping.columns[c].ids.data();
           for (size_t t = begin; t < end; ++t) ids[t] = chunk_remap[ids[t]];
         }
       },
@@ -325,12 +434,25 @@ Status UpdatePatternGrouping(const Dataset& dataset,
   for (size_t c = 0; c < grouping->num_clusters(); ++c) {
     auto& index = grouping->index[c];
     auto& distinct = grouping->distinct[c];
-    auto& pattern_of = grouping->pattern_of[c];
-    pattern_of.resize(m);
+    PatternColumn& column = grouping->columns[c];
+    if (column.singleton) {
+      column.provided.Resize(m);
+      if (model.use_scopes) column.in_scope.Resize(m);
+    } else {
+      column.ids.resize(m);
+    }
     auto assign_key = [&](TripleId t, const PatternKey& key) {
-      auto [it, inserted] = index.emplace(key, distinct.size());
-      if (inserted) distinct.push_back(key);
-      pattern_of[t] = static_cast<uint32_t>(it->second);
+      const uint32_t id = InternPattern(key, &index, &distinct);
+      if (!column.singleton) {
+        column.ids[t] = id;
+        return;
+      }
+      // A singleton keeps its own copy of the key's two bits: the
+      // dataset's bitsets change in place under later batches.
+      const unsigned code = PatternColumn::CodeOf(key);
+      column.provided.Assign(t, (code & 1) != 0);
+      if (model.use_scopes) column.in_scope.Assign(t, (code & 2) != 0);
+      column.id_of_code[code] = id;
     };
     auto assign = [&](TripleId t) {
       ClusterObservation obs = GetClusterObservation(dataset, model, c, t);
@@ -506,19 +628,19 @@ PatternPosteriorTable BuildPatternPosteriorTable(
 
 namespace {
 
-/// The per-triple combine body, shared verbatim by the dense gather and
-/// the point-query path so their results are byte-identical: both sum the
-/// same per-pattern logs in cluster order and take the same branches.
+/// The per-triple combine body of point queries. The dense gather sums the
+/// same per-pattern logs in the same cluster order through the same
+/// accumulator, so their results are byte-identical.
 inline double CombineClusterEntries(const PatternPosteriorTable& table,
                                     const PatternGrouping& grouping,
                                     size_t t) {
   if (!table.posterior.empty()) {
-    return table.posterior[grouping.pattern_of[0][t]];
+    return table.posterior[grouping.pattern_id(0, t)];
   }
   PatternLogAccumulator acc;
   const size_t num_clusters = table.logs.size();
   for (size_t c = 0; c < num_clusters; ++c) {
-    const size_t i = grouping.pattern_of[c][t];
+    const size_t i = grouping.pattern_id(c, t);
     const PatternPosteriorTable::ClusterLogs& logs = table.logs[c];
     acc.Add({logs.flags[i], logs.log_true[i], logs.log_false[i]});
   }
@@ -537,30 +659,41 @@ std::vector<double> GatherPatternScores(const PatternGrouping& grouping,
                                         size_t num_threads, ThreadPool* pool) {
   std::vector<double> scores(grouping.num_triples);
   if (grouping.num_triples == 0) return scores;
-  if (!table.posterior.empty()) {
-    // Single cluster: the combine collapses to scores[t] =
-    // posterior[pattern_of[0][t]] (exactly what CombineClusterEntries
-    // reads), so run the dispatched gather kernel over blocks instead of
-    // a lambda per triple. An exact copy either way — byte-identical to
-    // the per-triple path at every thread count and dispatch level.
-    const std::vector<uint32_t>& pattern_of = grouping.pattern_of[0];
-    constexpr size_t kBlock = 8192;
-    const size_t num_blocks = (grouping.num_triples + kBlock - 1) / kBlock;
-    ParallelFor(
-        num_blocks, num_threads,
-        [&](size_t bi) {
-          const size_t begin = bi * kBlock;
-          const size_t len = std::min(kBlock, grouping.num_triples - begin);
-          simd::GatherDoubles(table.posterior.data(),
-                              pattern_of.data() + begin, len,
-                              scores.data() + begin);
-        },
-        ParallelForOptions{pool, nullptr});
-    return scores;
-  }
+  // The triples are gathered in blocks, one cluster's ids at a time. With
+  // one cluster the combine collapses to scores[t] =
+  // posterior[pattern_id(0, t)] (exactly what CombineClusterEntries
+  // reads), so the dispatched gather kernel runs over the block's ids: an
+  // exact copy at every dispatch level. With many, each triple still adds
+  // its entries in cluster order through one PatternLogAccumulator, as
+  // CombineClusterEntries does: the same sums, byte for byte, at every
+  // thread count.
+  constexpr size_t kBlock = 1024;
+  const size_t num_blocks = (grouping.num_triples + kBlock - 1) / kBlock;
   ParallelFor(
-      grouping.num_triples, num_threads,
-      [&](size_t t) { scores[t] = CombineClusterEntries(table, grouping, t); },
+      num_blocks, num_threads,
+      [&](size_t bi) {
+        const size_t begin = bi * kBlock;
+        const size_t len = std::min(kBlock, grouping.num_triples - begin);
+        uint32_t scratch[kBlock];
+        if (!table.posterior.empty()) {
+          simd::GatherDoubles(table.posterior.data(),
+                              grouping.pattern_ids(0, begin, len, scratch),
+                              len, scores.data() + begin);
+          return;
+        }
+        PatternLogAccumulator acc[kBlock];
+        for (size_t c = 0; c < table.logs.size(); ++c) {
+          const PatternPosteriorTable::ClusterLogs& logs = table.logs[c];
+          const uint32_t* ids = grouping.pattern_ids(c, begin, len, scratch);
+          for (size_t j = 0; j < len; ++j) {
+            const uint32_t i = ids[j];
+            acc[j].Add({logs.flags[i], logs.log_true[i], logs.log_false[i]});
+          }
+        }
+        for (size_t j = 0; j < len; ++j) {
+          scores[begin + j] = acc[j].Posterior(table.alpha);
+        }
+      },
       ParallelForOptions{pool, nullptr});
   return scores;
 }

@@ -18,6 +18,7 @@
 #ifndef FUSER_CORE_PATTERN_PIPELINE_H_
 #define FUSER_CORE_PATTERN_PIPELINE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/bit_util.h"
+#include "common/bitset.h"
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "model/dataset.h"
@@ -50,6 +52,71 @@ struct PatternKeyHash {
   }
 };
 
+/// One cluster's triple -> pattern-id column. A cluster of two or more
+/// sources (or none) stores one 32-bit id per triple. A one-source
+/// cluster's pattern is fixed by two bits, whether its source provides the
+/// triple and whether the triple is in the source's scope, so it stores
+/// those bits and a table from their code to the pattern id: 2 bits per
+/// triple instead of 32. The bits are the grouping's own copies, never
+/// views of the dataset, which streaming updates mutate in place.
+struct PatternColumn {
+  static constexpr uint32_t kNoPattern = UINT32_MAX;
+
+  /// A singleton cluster's code of (in scope, provides): (in_scope << 1) |
+  /// provided. Code 1 (provided, out of scope) cannot occur.
+  static unsigned CodeOf(bool in_scope, bool provided) {
+    return (static_cast<unsigned>(in_scope) << 1) |
+           static_cast<unsigned>(provided);
+  }
+  static unsigned CodeOf(const PatternKey& key) {
+    return CodeOf(((key.providers | key.nonproviders) & 1) != 0,
+                  (key.providers & 1) != 0);
+  }
+  /// The pattern key of a code (CodeOf of a valid key inverted).
+  static PatternKey KeyOf(unsigned code) {
+    const Mask provided = code & 1;
+    return PatternKey{provided, ((code >> 1) & 1) & ~provided};
+  }
+
+  /// Multi-source (and empty) clusters: ids[t].
+  std::vector<uint32_t> ids;
+  /// One-source clusters: the layout below instead of ids.
+  bool singleton = false;
+  /// Bit t: the source provides triple t.
+  DynamicBitset provided;
+  /// Bit t: triple t's domain is in the source's scope. Empty without
+  /// scopes (every triple is in scope).
+  DynamicBitset in_scope;
+  /// Pattern id of each code (kNoPattern for codes no pattern has).
+  std::array<uint32_t, 4> id_of_code = {kNoPattern, kNoPattern, kNoPattern,
+                                        kNoPattern};
+
+  /// Triple t's pattern id: its index into the cluster's distinct list.
+  uint32_t id(size_t t) const {
+    if (!singleton) return ids[t];
+    return BitId(provided.words(), ScopeWords(), t);
+  }
+
+  /// A one-source column's id of triple t, read from its provided words
+  /// and its in-scope words (ScopeWords()).
+  uint32_t BitId(const uint64_t* provided_words,
+                 const uint64_t* in_scope_words, size_t t) const {
+    const uint64_t bit = uint64_t{1} << (t & 63);
+    const bool covered =
+        in_scope_words == nullptr || (in_scope_words[t >> 6] & bit) != 0;
+    return id_of_code[CodeOf(covered, (provided_words[t >> 6] & bit) != 0)];
+  }
+
+  /// The in-scope words, or null without scopes.
+  const uint64_t* ScopeWords() const {
+    return in_scope.size() == 0 ? nullptr : in_scope.words();
+  }
+
+  /// First triple of each code in [0, num_triples), or num_triples where
+  /// the code does not occur. One-source clusters only.
+  std::array<size_t, 4> FirstTripleOfEachCode(size_t num_triples) const;
+};
+
 /// Triples grouped by their distinct observation pattern, per cluster.
 struct PatternGrouping {
   size_t num_triples = 0;
@@ -62,15 +129,25 @@ struct PatternGrouping {
   uint64_t model_fingerprint = 0;
   /// distinct[c] lists every pattern of cluster c exactly once.
   std::vector<std::vector<PatternKey>> distinct;
-  /// pattern_of[c][t] indexes triple t's pattern within distinct[c]
-  /// (32 bits: a cluster has at most one pattern per TripleId).
-  std::vector<std::vector<uint32_t>> pattern_of;
+  /// columns[c] maps each triple to its pattern within distinct[c]; read
+  /// it through pattern_id or pattern_ids.
+  std::vector<PatternColumn> columns;
   /// index[c] maps a pattern key to its position in distinct[c]; kept after
   /// the build so UpdatePatternGrouping can assign streamed triples to
   /// existing patterns in O(1).
   std::vector<std::unordered_map<PatternKey, size_t, PatternKeyHash>> index;
 
   size_t num_clusters() const { return distinct.size(); }
+
+  /// Index of triple t's cluster-c pattern within distinct[c]. Every
+  /// reader of pattern ids goes through here or through pattern_ids.
+  uint32_t pattern_id(size_t c, size_t t) const { return columns[c].id(t); }
+
+  /// pattern_id of triples [begin, begin + len): a pointer into the
+  /// column when it stores ids, else `scratch` (len entries) filled from
+  /// the column's bits.
+  const uint32_t* pattern_ids(size_t c, size_t begin, size_t len,
+                              uint32_t* scratch) const;
 
   /// Total number of distinct (cluster, pattern) pairs — the unit of
   /// scoring work.
@@ -88,7 +165,10 @@ struct PatternGrouping {
 /// Word-parallel: each cluster source's provider bitset is read 64 triples
 /// at a time and turned into per-triple provider masks by a bit-matrix
 /// transpose (Transpose64x64); scope masks come from one per-domain mask
-/// lookup. Patterns are numbered through a direct-mapped table slot
+/// lookup. A one-source cluster's column is two word copies instead: its
+/// source's provider bitset and, with scopes, the per-domain coverage
+/// spread over the triples. Patterns are numbered through a direct-mapped
+/// table slot
 /// (scope id << k) | providers, where scope ids number the cluster's
 /// distinct per-domain scope masks (one id when scope-free); only clusters
 /// whose table would be too large (wide clusters, many distinct scopes, or

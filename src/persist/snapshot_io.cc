@@ -2,6 +2,7 @@
 
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -621,9 +622,45 @@ std::string EncodeGroupingSection(const PatternGrouping& grouping) {
       sink.WriteU64(key.providers);
       sink.WriteU64(key.nonproviders);
     }
-    for (uint32_t id : grouping.pattern_of[c]) sink.WriteU32(id);
+    const PatternColumn& column = grouping.columns[c];
+    if (column.singleton) {
+      sink.WriteBitset(column.provided);
+      sink.WriteBitset(column.in_scope);
+    } else {
+      for (uint32_t id : column.ids) sink.WriteU32(id);
+    }
   }
   return sink.data();
+}
+
+/// Reads a one-source cluster's bit column and derives its code -> id
+/// table from `distinct` (already validated, so every key has a code).
+Status DecodeSingletonColumn(ByteSource* src, size_t num_triples,
+                             bool use_scopes,
+                             const std::vector<PatternKey>& distinct,
+                             PatternColumn* column) {
+  column->singleton = true;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    column->id_of_code[PatternColumn::CodeOf(distinct[i])] =
+        static_cast<uint32_t>(i);
+  }
+  FUSER_RETURN_IF_ERROR(src->ReadBitset(&column->provided));
+  FUSER_RETURN_IF_ERROR(src->ReadBitset(&column->in_scope));
+  if (column->provided.size() != num_triples ||
+      column->in_scope.size() != (use_scopes ? num_triples : 0)) {
+    return Corrupt("singleton column size disagrees with triple count");
+  }
+  // No key has code 1 (provided, out of scope), so this also refuses a
+  // provided bit without its in-scope bit.
+  const std::array<size_t, 4> first =
+      column->FirstTripleOfEachCode(num_triples);
+  for (unsigned code = 0; code < 4; ++code) {
+    if (first[code] != num_triples &&
+        column->id_of_code[code] == PatternColumn::kNoPattern) {
+      return Corrupt("singleton column code without a pattern");
+    }
+  }
+  return Status::OK();
 }
 
 StatusOr<std::shared_ptr<const PatternGrouping>> DecodeGroupingSection(
@@ -644,9 +681,11 @@ StatusOr<std::shared_ptr<const PatternGrouping>> DecodeGroupingSection(
     return Corrupt("grouping cluster count disagrees with model");
   }
   grouping->distinct.resize(num_clusters);
-  grouping->pattern_of.resize(num_clusters);
+  grouping->columns.resize(num_clusters);
   grouping->index.resize(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
+    const size_t k = model.clustering.clusters[c].size();
+    const Mask full = FullMask(static_cast<int>(k));
     size_t num_distinct = 0;
     FUSER_RETURN_IF_ERROR(src.ReadCount(16, &num_distinct));
     grouping->distinct[c].resize(num_distinct);
@@ -655,11 +694,31 @@ StatusOr<std::shared_ptr<const PatternGrouping>> DecodeGroupingSection(
       PatternKey& key = grouping->distinct[c][i];
       FUSER_RETURN_IF_ERROR(src.ReadU64(&key.providers));
       FUSER_RETURN_IF_ERROR(src.ReadU64(&key.nonproviders));
+      // Scorers index joint statistics by these masks, so a key must be a
+      // pattern some triple of this cluster could have.
+      const Mask observed = key.providers | key.nonproviders;
+      if ((observed & ~full) != 0) {
+        return Corrupt("pattern key outside its cluster");
+      }
+      if ((key.providers & key.nonproviders) != 0) {
+        return Corrupt("pattern key both provides and stays silent");
+      }
+      if (!model.use_scopes && observed != full) {
+        return Corrupt("pattern key leaves sources out of scope without "
+                       "scopes");
+      }
       if (!grouping->index[c].emplace(key, i).second) {
         return Corrupt("duplicate distinct pattern");
       }
     }
-    std::vector<uint32_t>& ids = grouping->pattern_of[c];
+    PatternColumn& column = grouping->columns[c];
+    if (k == 1) {
+      FUSER_RETURN_IF_ERROR(DecodeSingletonColumn(
+          &src, grouping->num_triples, model.use_scopes,
+          grouping->distinct[c], &column));
+      continue;
+    }
+    std::vector<uint32_t>& ids = column.ids;
     ids.resize(grouping->num_triples);
     FUSER_RETURN_IF_ERROR(src.ReadU32Array(ids.data(), ids.size()));
     for (uint32_t id : ids) {

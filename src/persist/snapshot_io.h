@@ -31,7 +31,8 @@
 // Sections: ENGINE (options, train mask, quality, dataset fingerprint),
 // DATASET (sources, triples, labels, domains, output bitsets), MODEL
 // (clustering + per-cluster empirical pattern counts), GROUPING (distinct
-// patterns + per-triple pattern ids), SERVING (per-method posterior
+// patterns + per-triple pattern ids, or two bitsets for a one-source
+// cluster), SERVING (per-method posterior
 // tables / dense score vectors). Readers skip unknown section ids, so new
 // sections are additive; any change that would make an old reader load
 // wrong state bumps kSnapshotFormatVersion instead.
@@ -66,7 +67,11 @@ namespace fuser {
 /// its pattern-based flag; the decoder validates the stored spec
 /// (ValidateMethodSpec) and derives the name and the flag from it and the
 /// method table.
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+/// Version 6: in the GROUPING section a one-source cluster stores two
+/// bitsets (provided, and in-scope when scopes are on) instead of one u32
+/// pattern id per triple; its code -> id table follows from its distinct
+/// patterns.
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 
 /// How LoadSnapshot materializes the (large) DATASET section.
 enum class AttachMode {

@@ -209,8 +209,8 @@ TEST(PatternPipelineTest, GroupingMatchesDatasetAndModel) {
   EXPECT_GT((*grouping)->TotalDistinct(), 0u);
   EXPECT_LE((*grouping)->TotalDistinct(), d.num_triples());
   // Every triple points at a valid distinct pattern.
-  for (size_t idx : (*grouping)->pattern_of[0]) {
-    EXPECT_LT(idx, (*grouping)->distinct[0].size());
+  for (size_t t = 0; t < d.num_triples(); ++t) {
+    EXPECT_LT((*grouping)->pattern_id(0, t), (*grouping)->distinct[0].size());
   }
   // Patterns are distinct: no (providers, nonproviders) pair repeats.
   const auto& distinct = (*grouping)->distinct[0];

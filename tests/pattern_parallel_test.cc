@@ -27,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "support/pattern_oracles.h"
 #include "synth/generator.h"
+#include "synth/stream_replay.h"
 
 namespace fuser {
 namespace {
@@ -159,9 +160,9 @@ void ExpectGroupingsIdentical(const PatternGrouping& got,
       ASSERT_EQ(got.distinct[c][i].nonproviders,
                 want.distinct[c][i].nonproviders);
     }
-    ASSERT_EQ(got.pattern_of[c], want.pattern_of[c]) << "c=" << c;
     ASSERT_EQ(got.index[c], want.index[c]) << "c=" << c;
   }
+  ASSERT_TRUE(SamePatternIds(got, want));
 }
 
 TEST(WordParallelGroupingTest, ByteIdenticalToScalarReference) {
@@ -202,50 +203,113 @@ TEST(WordParallelGroupingTest, ByteIdenticalToScalarReference) {
   }
 }
 
-TEST(WordParallelGroupingTest, HandlesEmptyAndSilentClusters) {
-  Dataset dataset = MakeDataset(/*num_sources=*/4, /*num_triples=*/100,
-                                /*num_domains=*/0, /*seed=*/3);
-  // Hand-built model: a real cluster, an empty cluster, and a singleton —
-  // the empty cluster maps every triple to the all-zero pattern.
-  CorrelationModel model;
-  model.alpha = 0.5;
-  model.use_scopes = false;
-  model.clustering.clusters = {{0, 1, 2}, {}, {3}};
-  model.clustering.cluster_of = {0, 0, 0, 2};
-  model.clustering.index_in_cluster = {0, 1, 2, 0};
-  model.cluster_stats.push_back(std::make_unique<ExplicitJointStats>(
-      std::vector<JointQuality>(3, JointQuality{0.7, 0.5, 0.1}), 0.5));
-  model.cluster_stats.push_back(std::make_unique<ExplicitJointStats>(
-      std::vector<JointQuality>{}, 0.5));
-  model.cluster_stats.push_back(std::make_unique<ExplicitJointStats>(
-      std::vector<JointQuality>(1, JointQuality{0.7, 0.5, 0.1}), 0.5));
-
-  auto scalar = BuildPatternGroupingScalar(dataset, model);
-  ASSERT_TRUE(scalar.ok()) << scalar.status();
-  ASSERT_EQ(scalar->distinct[1].size(), 1u);
-  EXPECT_EQ(scalar->distinct[1][0].providers, 0u);
-  EXPECT_EQ(scalar->distinct[1][0].nonproviders, 0u);
-  for (size_t num_threads : {size_t{1}, size_t{8}}) {
-    auto word = BuildPatternGrouping(dataset, model, num_threads, nullptr);
-    ASSERT_TRUE(word.ok()) << word.status();
-    ExpectGroupingsIdentical(*word, *scalar);
+/// Arbitrary per-pattern likelihoods for `grouping`, zeros included, so
+/// the combine's short-circuit branches run too.
+std::vector<std::vector<PatternLikelihood>> RandomLikelihoods(
+    const PatternGrouping& grouping, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<PatternLikelihood>> likelihood(
+      grouping.num_clusters());
+  for (size_t c = 0; c < grouping.num_clusters(); ++c) {
+    for (size_t i = 0; i < grouping.distinct[c].size(); ++i) {
+      PatternLikelihood like;
+      like.given_true = rng.NextBounded(9) == 0 ? 0.0 : rng.NextDouble();
+      like.given_false = rng.NextBounded(9) == 0 ? 0.0 : rng.NextDouble();
+      likelihood[c].push_back(like);
+    }
   }
+  return likelihood;
 }
 
-/// Asserts BuildPatternGrouping matches the scalar reference at 1, 2 and 8
-/// threads, with and without a persistent pool.
+/// Asserts BuildPatternGrouping matches the scalar reference at 1-4 and 8
+/// threads, with and without a persistent pool, and that combining
+/// likelihoods over it matches the reference combine (through the
+/// single-cluster gather kernel when the model has one cluster).
 void ExpectWordParallelMatchesScalar(const Dataset& dataset,
                                      const CorrelationModel& model) {
   ThreadPool pool(8);
   auto scalar = BuildPatternGroupingScalar(dataset, model);
   ASSERT_TRUE(scalar.ok()) << scalar.status();
-  for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
+  const auto likelihood = RandomLikelihoods(*scalar, /*seed=*/17);
+  const std::vector<double> want =
+      CombinePatternScoresReference(*scalar, likelihood, /*alpha=*/0.4);
+  for (size_t num_threads : {1, 2, 3, 4, 8}) {
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       auto word = BuildPatternGrouping(dataset, model, num_threads, p);
       ASSERT_TRUE(word.ok()) << word.status();
       SCOPED_TRACE(::testing::Message()
                    << "threads=" << num_threads << " pool=" << (p != nullptr));
       ExpectGroupingsIdentical(*word, *scalar);
+      ASSERT_EQ(CombinePatternScores(*word, likelihood, 0.4, num_threads, p),
+                want);
+    }
+  }
+}
+
+/// A model over `num_sources` sources with the given hand-picked clusters
+/// (any widths, empty ones included) and flat explicit statistics.
+CorrelationModel MakeClusteredModel(
+    size_t num_sources, const std::vector<std::vector<SourceId>>& clusters,
+    bool use_scopes) {
+  CorrelationModel model;
+  model.alpha = 0.5;
+  model.use_scopes = use_scopes;
+  model.clustering.clusters = clusters;
+  model.clustering.cluster_of.assign(num_sources, 0);
+  model.clustering.index_in_cluster.assign(num_sources, 0);
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    for (size_t i = 0; i < clusters[c].size(); ++i) {
+      model.clustering.cluster_of[clusters[c][i]] = static_cast<int>(c);
+      model.clustering.index_in_cluster[clusters[c][i]] = static_cast<int>(i);
+    }
+    model.cluster_stats.push_back(std::make_unique<ExplicitJointStats>(
+        std::vector<JointQuality>(clusters[c].size(),
+                                  JointQuality{0.7, 0.5, 0.1}),
+        0.5));
+  }
+  return model;
+}
+
+TEST(WordParallelGroupingTest, HandlesEmptyAndSilentClusters) {
+  // A real cluster, an empty cluster, and a singleton — the empty cluster
+  // maps every triple to the all-zero pattern, the singleton keeps bits.
+  for (bool use_scopes : {false, true}) {
+    Dataset dataset = MakeDataset(/*num_sources=*/4, /*num_triples=*/100,
+                                  /*num_domains=*/use_scopes ? 5 : 0,
+                                  /*seed=*/3);
+    CorrelationModel model =
+        MakeClusteredModel(4, {{0, 1, 2}, {}, {3}}, use_scopes);
+    SCOPED_TRACE(::testing::Message() << "scopes=" << use_scopes);
+    auto scalar = BuildPatternGroupingScalar(dataset, model);
+    ASSERT_TRUE(scalar.ok()) << scalar.status();
+    ASSERT_EQ(scalar->distinct[1].size(), 1u);
+    EXPECT_EQ(scalar->distinct[1][0].providers, 0u);
+    EXPECT_EQ(scalar->distinct[1][0].nonproviders, 0u);
+    auto word = BuildPatternGrouping(dataset, model);
+    ASSERT_TRUE(word.ok()) << word.status();
+    EXPECT_FALSE(word->columns[1].singleton);
+    EXPECT_TRUE(word->columns[2].singleton);
+    ExpectWordParallelMatchesScalar(dataset, model);
+  }
+}
+
+TEST(WordParallelGroupingTest, OneSourceDatasetMatchesScalar) {
+  // One source is one singleton cluster: the single-cluster posterior
+  // table and gather kernel read its bit column.
+  for (bool use_scopes : {false, true}) {
+    for (size_t num_triples : {size_t{64}, size_t{3001}}) {
+      Dataset dataset = MakeDataset(/*num_sources=*/1, num_triples,
+                                    /*num_domains=*/use_scopes ? 7 : 0,
+                                    /*seed=*/num_triples);
+      ModelOptions options;
+      options.use_scopes = use_scopes;
+      auto model =
+          BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+      ASSERT_TRUE(model.ok()) << model.status();
+      ASSERT_EQ(model->clustering.clusters.size(), 1u);
+      SCOPED_TRACE(::testing::Message()
+                   << "scopes=" << use_scopes << " m=" << num_triples);
+      ExpectWordParallelMatchesScalar(dataset, *model);
     }
   }
 }
@@ -313,6 +377,58 @@ TEST(WordParallelGroupingTest, DomainsSharingScopeMasksMatchScalar) {
       SCOPED_TRACE(::testing::Message() << "m=" << num_triples
                                         << " clustering=" << clustering);
       ExpectWordParallelMatchesScalar(dataset, *model);
+    }
+  }
+}
+
+TEST(WordParallelGroupingTest, UpdatedGroupingMatchesScalarOnGrownDataset) {
+  // Grow a prefix by a small batch (the per-triple tail path) and then a
+  // large one (the word-parallel tail path). The small batch also gives
+  // singleton source 1 an existing triple of domain d7, a domain outside
+  // its scope, which flips the scope bit of every d7 triple.
+  const Dataset full = MakeSharedScopeDataset(/*num_triples=*/3000, 9);
+  const TripleId prefix = 2000;
+  const TripleId small_end = 2100;
+  for (bool use_scopes : {false, true}) {
+    const CorrelationModel model =
+        MakeClusteredModel(6, {{0, 2, 3}, {1}, {4}, {5}}, use_scopes);
+    for (size_t num_threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "scopes=" << use_scopes
+                                        << " threads=" << num_threads);
+      auto ds = PrefixDataset(full, prefix);
+      ASSERT_TRUE(ds.ok()) << ds.status();
+      auto grouping = BuildPatternGrouping(*ds, model, num_threads, nullptr);
+      ASSERT_TRUE(grouping.ok()) << grouping.status();
+
+      ObservationBatch small = BatchForRange(full, prefix, small_end);
+      small.observations.push_back({"s1", Triple{"e1", "p", "o"}, "d7"});
+      const DomainId d7 = ds->domain(1);
+      ASSERT_FALSE(ds->covers_domain(1, d7));
+      DatasetDelta delta;
+      ASSERT_TRUE(ds->ApplyBatch(small, &delta).ok());
+      std::vector<TripleId> changed;
+      for (TripleId t : ds->triples_in_domain(d7)) {
+        if (t < prefix) changed.push_back(t);
+      }
+      ASSERT_TRUE(UpdatePatternGrouping(*ds, model, changed, &*grouping).ok());
+      ASSERT_TRUE(
+          ds->ApplyBatch(BatchForRange(full, small_end, 3000), &delta).ok());
+      ASSERT_TRUE(UpdatePatternGrouping(*ds, model, {}, &*grouping).ok());
+
+      // Patterns are appended in update order, so ids may differ from a
+      // fresh build's; each triple's pattern key may not.
+      auto scalar = BuildPatternGroupingScalar(*ds, model);
+      ASSERT_TRUE(scalar.ok()) << scalar.status();
+      ASSERT_EQ(grouping->num_triples, scalar->num_triples);
+      for (size_t c = 0; c < model.clustering.clusters.size(); ++c) {
+        EXPECT_EQ(grouping->columns[c].singleton,
+                  model.clustering.clusters[c].size() == 1);
+        for (size_t t = 0; t < scalar->num_triples; ++t) {
+          ASSERT_EQ(grouping->distinct[c][grouping->pattern_id(c, t)],
+                    scalar->distinct[c][scalar->pattern_id(c, t)])
+              << "c=" << c << " t=" << t;
+        }
+      }
     }
   }
 }

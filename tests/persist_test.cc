@@ -533,6 +533,154 @@ TEST_F(PersistCorruptionTest, OutOfRangeServingSpecIsInvalidArgument) {
   }
 }
 
+constexpr uint32_t kGroupingSectionId = 4;
+
+/// A saved six-source clustered engine (sources 0-2 correlated, so the
+/// others end up in clusters of one), for rewriting its GROUPING section.
+class GroupingRewriteTest : public testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    SyntheticConfig config = MakeIndependentConfig(
+        /*num_sources=*/6, /*num_triples=*/1500, /*fraction_true=*/0.4,
+        /*precision=*/0.72, /*recall=*/0.5, /*seed=*/19);
+    config.groups_true = {{{0, 1, 2}, 0.85}};
+    if (use_scopes()) config.num_domains = 12;
+    auto ds = GenerateSynthetic(config);
+    ASSERT_TRUE(ds.ok()) << ds.status();
+    ds_ = std::move(*ds);
+    EngineOptions options;
+    options.model.enable_clustering = true;
+    options.model.use_scopes = use_scopes();
+    engine_ = std::make_unique<FusionEngine>(
+        static_cast<const Dataset*>(&ds_), options);
+    ASSERT_TRUE(engine_->Prepare(ds_.labeled_mask()).ok());
+    ASSERT_TRUE(engine_->PublishSnapshot(ServingSpecs()).ok());
+    const std::string path = TempPath("persist_grouping.snap");
+    ASSERT_TRUE(engine_->SaveSnapshot(path).ok());
+    bytes_ = ReadBytes(path);
+  }
+
+  bool use_scopes() const { return GetParam(); }
+
+  /// The u64 at `offset` in the GROUPING payload of `bytes_`.
+  uint64_t Read(size_t offset) const {
+    const char* entry =
+        bytes_.data() + SectionEntryOffset(bytes_, kGroupingSectionId);
+    return persist::LoadU64LE(bytes_.data() + persist::LoadU64LE(entry + 8) +
+                              offset);
+  }
+
+  /// `base` with the u64 at `offset` of its GROUPING payload set to
+  /// `value`, every checksum recomputed.
+  std::string Write(const std::string& base, size_t offset,
+                    uint64_t value) const {
+    EXPECT_LE(offset + 8, SectionSize(base, kGroupingSectionId));
+    if (offset + 8 > SectionSize(base, kGroupingSectionId)) return base;
+    return RewriteSectionField(base, kGroupingSectionId, offset, &value,
+                               sizeof(value));
+  }
+
+  /// The load status of `bytes`, which WarmStart and LoadSnapshot agree on.
+  StatusCode Loads(const std::string& bytes) const {
+    const std::string path = TempPath("persist_grouping_variant.snap");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    FusionEngine warm(static_cast<const Dataset*>(&ds_), EngineOptions{});
+    const Status warm_started = warm.WarmStart(path);
+    EXPECT_EQ(LoadSnapshot(path).status().code(), warm_started.code());
+    return warm_started.code();
+  }
+
+  Dataset ds_;
+  std::unique_ptr<FusionEngine> engine_;
+  std::string bytes_;
+};
+
+TEST_P(GroupingRewriteTest, ImpossiblePatternKeysAreInvalidArgument) {
+  // The payload starts with the triple and cluster counts, then cluster
+  // 0's pattern count and its first key (providers, nonproviders). A key
+  // no triple of its cluster could have used to load and then abort the
+  // first Run: the scorers index joint statistics by its masks.
+  constexpr size_t kProviders = 24;
+  constexpr size_t kNonproviders = 32;
+  const uint64_t providers = Read(kProviders);
+  ASSERT_EQ(Loads(Write(bytes_, kProviders, providers)), StatusCode::kOk);
+
+  std::vector<std::pair<std::string, std::string>> bad = {
+      {"bit 40", Write(bytes_, kProviders, providers | uint64_t{1} << 40)},
+      {"provides and stays silent",
+       Write(Write(bytes_, kProviders, 1), kNonproviders, 1)},
+  };
+  if (!use_scopes()) {
+    bad.emplace_back("out of scope without scopes",
+                     Write(Write(bytes_, kProviders, 0), kNonproviders, 0));
+  }
+  for (const auto& [what, variant] : bad) {
+    EXPECT_EQ(Loads(variant), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST_P(GroupingRewriteTest, CorruptSingletonColumnsAreInvalidArgument) {
+  // Walk the payload to the first singleton cluster's column: after each
+  // cluster's keys come its u32 ids, or for a singleton two bitsets (a
+  // u64 bit count, then the words): provided, then in-scope.
+  const CorrelationModel& model = **engine_->GetModel();
+  const size_t m = ds_.num_triples();
+  ASSERT_NE(m % 64, 0u);
+  size_t pos = 16;
+  size_t single = model.clustering.clusters.size();
+  for (size_t c = 0; c < model.clustering.clusters.size(); ++c) {
+    pos += 8 + 16 * Read(pos);
+    if (model.clustering.clusters[c].size() == 1) {
+      single = c;
+      break;
+    }
+    pos += 4 * m;
+  }
+  ASSERT_LT(single, model.clustering.clusters.size());
+  const SourceId source = model.clustering.clusters[single][0];
+  const size_t words = (m + 63) / 64;
+  const size_t provided = pos + 8;
+  const size_t in_scope = provided + 8 * words + 8;
+  ASSERT_EQ(Read(pos), m);
+  ASSERT_EQ(Read(in_scope - 8), use_scopes() ? m : 0);
+
+  const size_t last = provided + 8 * (words - 1);
+  std::vector<std::pair<std::string, std::string>> bad = {
+      {"provided bit past the triple count",
+       Write(bytes_, last, Read(last) | uint64_t{1} << (m % 64))},
+      {"provided bit count past the triple count", Write(bytes_, pos, m + 1)},
+  };
+  if (use_scopes()) {
+    // Clearing a triple's in-scope bit makes it out of scope: a provided
+    // one then has a provided bit without its in-scope bit, a silent one
+    // the code of a pattern (out of scope) this source never had.
+    const auto& index = (*engine_->GetPatternGrouping())->index[single];
+    ASSERT_EQ(index.count(PatternKey{0, 0}), 0u);
+    TripleId provides = kInvalidTriple;
+    TripleId silent = kInvalidTriple;
+    for (TripleId t = 0; t < m; ++t) {
+      TripleId& slot = ds_.provides(source, t) ? provides : silent;
+      if (slot == kInvalidTriple) slot = t;
+    }
+    ASSERT_NE(provides, kInvalidTriple);
+    ASSERT_NE(silent, kInvalidTriple);
+    for (const auto& [what, t] :
+         {std::make_pair("provided out of scope", provides),
+          std::make_pair("code without a pattern", silent)}) {
+      const size_t word = in_scope + 8 * (t / 64);
+      const uint64_t cleared = Read(word) & ~(uint64_t{1} << (t % 64));
+      bad.emplace_back(what, Write(bytes_, word, cleared));
+    }
+  }
+  for (const auto& [what, variant] : bad) {
+    EXPECT_EQ(Loads(variant), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scopes, GroupingRewriteTest, testing::Bool());
+
 TEST(EngineOptionsTest, PrepareRejectsOptionsNoSnapshotCouldCarry) {
   // The decoder's bounds hold at Prepare too, so an engine never saves a
   // file it cannot load.
@@ -851,9 +999,11 @@ TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
   // section still carried a precrec-corr thread count), a v3 one (whose
   // ENGINE and MODEL sections still carried the engine's thread count and
   // per-cluster options) or a v4 one (whose SERVING entries still carried
-  // a name, a threshold and a pattern-based flag) must fail up front with
-  // both versions named — not a misparse of the old encoding.
-  for (char version : {'\1', '\2', '\3', '\4'}) {
+  // a name, a threshold and a pattern-based flag) or a v5 one (whose
+  // GROUPING section stored u32 pattern ids for one-source clusters too)
+  // must fail up front with both versions named — not a misparse of the
+  // old encoding.
+  for (char version : {'\1', '\2', '\3', '\4', '\5'}) {
     std::string old = bytes_;
     old[8] = version;
     old[9] = old[10] = old[11] = 0;

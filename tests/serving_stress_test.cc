@@ -38,12 +38,20 @@ struct AdHocSample {
   double score = 0.0;
 };
 
-TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
+/// Streams the last quarter of an 8-source dataset through `options`'
+/// engine in micro-batches while reader threads query the published
+/// snapshots, then checks every read against its snapshot's reference.
+/// `keep_training` strips the batches' labels, so no batch changes the
+/// training set and a clustered model (with its grouping) is updated in
+/// place instead of rebuilt.
+void StressReadsDuringUpdates(const EngineOptions& options,
+                              size_t num_domains, bool keep_training) {
   SyntheticConfig config =
       MakeIndependentConfig(/*num_sources=*/8, /*num_triples=*/5000,
                             /*fraction_true=*/0.4, /*precision=*/0.7,
                             /*recall=*/0.45, /*seed=*/401);
   config.groups_true = {{{0, 1, 2}, 0.85}};
+  config.num_domains = num_domains;
   auto final_or = GenerateSynthetic(config);
   ASSERT_TRUE(final_or.ok());
   const Dataset& final = *final_or;
@@ -53,8 +61,17 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
   ASSERT_TRUE(prefix_or.ok());
   Dataset ds = std::move(*prefix_or);
 
-  FusionEngine engine(&ds, {});
+  FusionEngine engine(&ds, options);
   ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
+  if (options.model.enable_clustering) {
+    auto model = engine.GetModel();
+    ASSERT_TRUE(model.ok()) << model.status();
+    size_t singletons = 0;
+    for (const auto& cluster : (*model)->clustering.clusters) {
+      singletons += cluster.size() == 1 ? 1 : 0;
+    }
+    ASSERT_GT(singletons, 0u);
+  }
   const std::vector<MethodSpec> specs = {*ParseMethodSpec("precrec-corr"),
                                          *ParseMethodSpec("union-50")};
   FusionService service(&engine);
@@ -143,7 +160,9 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
              static_cast<TripleId>(kNumBatches));
   for (TripleId lo = prefix; lo < total; lo += step) {
     const TripleId hi = std::min<TripleId>(lo + step, total);
-    ASSERT_TRUE(engine.Update(BatchForRange(final, lo, hi)).ok());
+    ObservationBatch batch = BatchForRange(final, lo, hi);
+    if (keep_training) batch.labels.clear();
+    ASSERT_TRUE(engine.Update(batch).ok());
     publish_and_record();
   }
   // Keep serving until at least one read landed (generously bounded so a
@@ -156,6 +175,10 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
   }
   done.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
+  if (keep_training) {
+    EXPECT_EQ(engine.pattern_grouping_builds(), 1u)
+        << "the grouping was rebuilt, not updated in place";
+  }
 
   // Every point read matches the reference scores of the snapshot it was
   // answered from, exactly.
@@ -186,6 +209,22 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
           << "snapshot " << sample.snapshot->id;
     }
   }
+}
+
+TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
+  StressReadsDuringUpdates(EngineOptions{}, /*num_domains=*/0,
+                           /*keep_training=*/false);
+}
+
+TEST(ServingStressTest, ReadsSingletonColumnsWhileUpdatesCopyThem) {
+  // Clustering leaves the uncorrelated sources in clusters of one:
+  // readers gather their bit columns while each Update appends to a copy
+  // of the grouping.
+  EngineOptions options;
+  options.model.enable_clustering = true;
+  options.model.use_scopes = true;
+  StressReadsDuringUpdates(options, /*num_domains=*/6,
+                           /*keep_training=*/true);
 }
 
 }  // namespace

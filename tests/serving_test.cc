@@ -291,6 +291,120 @@ TEST(FusionServiceTest, PinnedSnapshotStableAcrossPrepareAndUpdate) {
   EXPECT_GT((*latest)->id, pinned->id);
 }
 
+TEST(FusionServiceTest, PinnedSnapshotSurvivesASingletonSourceScopeGain) {
+  // Clustering leaves most sources in clusters of one, whose grouping
+  // columns are bitsets. An Update gives an existing triple a provider
+  // from such a source, in a domain the source did not cover: with scopes
+  // every triple of that domain changes pattern. The snapshot pinned
+  // before the Update keeps its answers; the one published after it
+  // equals a fresh engine's.
+  for (bool use_scopes : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "scopes=" << use_scopes);
+    SyntheticConfig config =
+        MakeIndependentConfig(6, 1200, 0.4, 0.7, 0.4, /*seed=*/83);
+    config.groups_true = {{{0, 1, 2}, 0.85}};
+    config.num_domains = 300;  // ~4 triples each: sources miss domains
+    auto generated = GenerateSynthetic(config);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    Dataset ds = std::move(*generated);
+    // Training on every other labeled triple leaves room for a provide
+    // outside the training set (the grouping is then updated in place).
+    DynamicBitset train = ds.labeled_mask();
+    std::vector<size_t> labeled;
+    train.ForEach([&](size_t t) { labeled.push_back(t); });
+    for (size_t i = 0; i < labeled.size(); i += 2) train.Reset(labeled[i]);
+
+    EngineOptions options;
+    options.model.enable_clustering = true;
+    options.model.use_scopes = use_scopes;
+    FusionEngine engine(&ds, options);
+    ASSERT_TRUE(engine.Prepare(train).ok());
+    const std::vector<MethodSpec> specs = {*ParseMethodSpec("precrec-corr"),
+                                           *ParseMethodSpec("elastic-2")};
+    auto published = engine.PublishSnapshot(specs);
+    ASSERT_TRUE(published.ok()) << published.status();
+    const std::shared_ptr<const FusionSnapshot> pinned = *published;
+
+    size_t cluster = 0;
+    SourceId source = 0;
+    DomainId domain = 0;
+    TripleId triple = kInvalidTriple;
+    const CorrelationModel& model = *pinned->model;
+    for (size_t c = 0; c < model.clustering.clusters.size(); ++c) {
+      if (model.clustering.clusters[c].size() != 1) continue;
+      cluster = c;
+      ASSERT_TRUE(pinned->grouping->columns[c].singleton);
+      source = model.clustering.clusters[c][0];
+      for (domain = 0; domain < ds.num_domains(); ++domain) {
+        if (ds.covers_domain(source, domain)) continue;
+        for (TripleId t : ds.triples_in_domain(domain)) {
+          if (!train.Test(t)) triple = t;
+        }
+        if (triple != kInvalidTriple) break;
+      }
+      if (triple != kInvalidTriple) break;
+    }
+    ASSERT_NE(triple, kInvalidTriple);
+
+    FusionService service(&engine);
+    const std::vector<TripleId> all = AllTriples(ds.num_triples());
+    std::vector<std::vector<double>> before;
+    for (const MethodSpec& spec : specs) {
+      auto scores = service.ScoreBatch(*pinned, spec, all);
+      ASSERT_TRUE(scores.ok()) << scores.status();
+      before.push_back(std::move(*scores));
+    }
+
+    const TripleView view = ds.triple(triple);
+    ObservationBatch batch;
+    batch.observations.push_back(
+        {std::string(ds.source_name(source)),
+         Triple{std::string(view.subject), std::string(view.predicate),
+                std::string(view.object)},
+         std::string(ds.domain_name(domain))});
+    ASSERT_TRUE(engine.Update(batch).ok());
+    ASSERT_TRUE(ds.provides(source, triple));
+    ASSERT_TRUE(ds.covers_domain(source, domain));
+    auto after = engine.PublishSnapshot(specs);
+    ASSERT_TRUE(after.ok()) << after.status();
+    // Without scopes the batch leaves training alone, so the grouping was
+    // updated copy-on-write rather than rebuilt; either way the triple's
+    // pattern moved in the new grouping and not in the pinned one.
+    if (!use_scopes) {
+      EXPECT_EQ(engine.pattern_grouping_builds(), 1u);
+    }
+    const PatternGrouping& old_grouping = *pinned->grouping;
+    const PatternGrouping& new_grouping = *(*after)->grouping;
+    EXPECT_EQ(old_grouping.distinct[cluster][old_grouping.pattern_id(
+                  cluster, triple)],
+              (PatternKey{0, use_scopes ? Mask{0} : Mask{1}}));
+    EXPECT_EQ(new_grouping.distinct[cluster][new_grouping.pattern_id(
+                  cluster, triple)],
+              (PatternKey{1, 0}));
+
+    FusionEngine fresh(static_cast<const Dataset*>(&ds), options);
+    ASSERT_TRUE(fresh.Prepare(train).ok());
+    auto fresh_snapshot = fresh.PublishSnapshot(specs);
+    ASSERT_TRUE(fresh_snapshot.ok()) << fresh_snapshot.status();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      auto pinned_scores = service.ScoreBatch(*pinned, specs[i], all);
+      auto after_scores = service.ScoreBatch(**after, specs[i], all);
+      auto fresh_scores = service.ScoreBatch(**fresh_snapshot, specs[i], all);
+      ASSERT_TRUE(pinned_scores.ok() && after_scores.ok() &&
+                  fresh_scores.ok());
+      for (size_t t = 0; t < all.size(); ++t) {
+        ASSERT_EQ((*pinned_scores)[t], before[i][t])
+            << specs[i].Name() << " " << t;
+        ASSERT_EQ((*after_scores)[t], (*fresh_scores)[t])
+            << specs[i].Name() << " " << t;
+      }
+      auto point = service.Score(*pinned, specs[i], triple);
+      ASSERT_TRUE(point.ok());
+      EXPECT_EQ(*point, before[i][triple]) << specs[i].Name();
+    }
+  }
+}
+
 TEST(FusionServiceTest, RepublishingUnchangedStateReusesEntries) {
   Dataset d = MakeMotivatingExample();
   FusionEngine engine(&d, {});

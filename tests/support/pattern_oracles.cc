@@ -25,19 +25,34 @@ StatusOr<PatternGrouping> BuildPatternGroupingScalar(
   grouping.dataset = &dataset;
   grouping.model_fingerprint = ModelGroupingFingerprint(model);
   grouping.distinct.resize(num_clusters);
-  grouping.pattern_of.assign(num_clusters, std::vector<uint32_t>(m, 0));
+  grouping.columns.resize(num_clusters);
   grouping.index.resize(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
     auto& index = grouping.index[c];
+    std::vector<uint32_t>& ids = grouping.columns[c].ids;
+    ids.resize(m);
     for (TripleId t = 0; t < m; ++t) {
       ClusterObservation obs = GetClusterObservation(dataset, model, c, t);
       PatternKey key{obs.providers, obs.in_scope & ~obs.providers};
       auto [it, inserted] = index.emplace(key, grouping.distinct[c].size());
       if (inserted) grouping.distinct[c].push_back(key);
-      grouping.pattern_of[c][t] = static_cast<uint32_t>(it->second);
+      ids[t] = static_cast<uint32_t>(it->second);
     }
   }
   return grouping;
+}
+
+bool SamePatternIds(const PatternGrouping& a, const PatternGrouping& b) {
+  if (a.num_triples != b.num_triples ||
+      a.num_clusters() != b.num_clusters()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.num_clusters(); ++c) {
+    for (size_t t = 0; t < a.num_triples; ++t) {
+      if (a.pattern_id(c, t) != b.pattern_id(c, t)) return false;
+    }
+  }
+  return true;
 }
 
 std::vector<double> CombinePatternScoresReference(
@@ -52,7 +67,7 @@ std::vector<double> CombinePatternScoresReference(
     bool num_zero = false;
     bool den_zero = false;
     for (size_t c = 0; c < num_clusters; ++c) {
-      const PatternLikelihood& like = likelihood[c][grouping.pattern_of[c][t]];
+      const PatternLikelihood& like = likelihood[c][grouping.pattern_id(c, t)];
       if (like.given_true <= 0.0) {
         num_zero = true;
       } else {

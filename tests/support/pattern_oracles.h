@@ -19,9 +19,16 @@
 namespace fuser {
 
 /// The scalar reference of BuildPatternGrouping: one GetClusterObservation
-/// + hash-emplace per (cluster, triple).
+/// + hash-emplace per (cluster, triple), with a 32-bit id column for every
+/// cluster (one-source clusters included), so comparisons go through
+/// PatternGrouping::pattern_id.
 StatusOr<PatternGrouping> BuildPatternGroupingScalar(
     const Dataset& dataset, const CorrelationModel& model);
+
+/// True when `a` and `b` cover the same clusters and triples and give every
+/// (cluster, triple) the same pattern id, read through
+/// PatternGrouping::pattern_id whatever each column's layout.
+bool SamePatternIds(const PatternGrouping& a, const PatternGrouping& b);
 
 /// The reference of CombinePatternScores: the serial per-triple loop with
 /// 2 x num_clusters std::log calls per triple.
