@@ -14,8 +14,9 @@
 // scores between engines running over an owned dataset and an attached
 // one — across plain / scoped / clustered model configs and after a
 // post-attach ApplyBatch (copy-on-write promotion). It also reports the
-// clustered config's pattern grouping footprint per triple, which the
-// one-source clusters' bit columns keep small.
+// pattern grouping footprint per triple of two clusterings: the clustered
+// config's (one large cluster, so one u32 id column) and a stricter one
+// that leaves one-source clusters, whose bit columns keep it small.
 //
 // Part B (attach_triples, default ~10M realized): saves a quality-only
 // snapshot at scale and times the mmap attach + WarmStart path; the
@@ -134,7 +135,9 @@ std::vector<FusionRun> ScoresOf(const Dataset& ds,
 
 /// Bytes per triple of the pattern grouping an engine with `options`
 /// builds over `ds`: its id columns, bit columns and distinct patterns.
-double GroupingBytesPerTriple(const Dataset& ds, const EngineOptions& options) {
+/// `singletons`, when set, receives the number of one-source clusters.
+double GroupingBytesPerTriple(const Dataset& ds, const EngineOptions& options,
+                              size_t* singletons = nullptr) {
   FusionEngine engine(&ds, options);
   FUSER_CHECK(engine.Prepare(ds.labeled_mask()).ok());
   auto grouping = engine.GetPatternGrouping();
@@ -142,6 +145,7 @@ double GroupingBytesPerTriple(const Dataset& ds, const EngineOptions& options) {
   size_t bytes = 0;
   for (size_t c = 0; c < (*grouping)->num_clusters(); ++c) {
     const PatternColumn& column = (*grouping)->columns[c];
+    if (singletons != nullptr && column.singleton) ++*singletons;
     bytes += column.ids.capacity() * sizeof(uint32_t) +
              (column.provided.num_words() + column.in_scope.num_words()) *
                  sizeof(uint64_t) +
@@ -342,6 +346,17 @@ int Main(int argc, char** argv) {
 
   const double grouping_bytes_per_triple =
       GroupingBytesPerTriple(ds, clustered);
+  // The clustered config puts (nearly) every source into one cluster. A
+  // stricter threshold keeps only the two correlated groups together and
+  // leaves the independent sources alone, so this footprint includes
+  // one-source bit columns.
+  EngineOptions strict = clustered;
+  strict.model.clustering.correlation_threshold = 0.5;
+  size_t singleton_clusters = 0;
+  const double grouping_bytes_per_triple_singletons =
+      GroupingBytesPerTriple(ds, strict, &singleton_clusters);
+  FUSER_CHECK_GT(singleton_clusters, 0u)
+      << "the strict clustering left no one-source cluster";
   Note("grouping footprint", phase_timer.ElapsedSeconds());
   phase_timer.Reset();
 
@@ -389,6 +404,8 @@ int Main(int argc, char** argv) {
       .Int("arena_bytes", stats.arena_bytes)
       .Int("csr_bytes", stats.csr_bytes)
       .Num("grouping_bytes_per_triple", grouping_bytes_per_triple, 2)
+      .Num("grouping_bytes_per_triple_singletons",
+           grouping_bytes_per_triple_singletons, 2)
       .Num("finalize_seconds", finalize_seconds)
       .Num("copy_load_seconds", copy_load_seconds)
       .Num("mmap_attach_seconds", mmap_attach_seconds)

@@ -1,7 +1,5 @@
 #include "common/random.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace fuser {
@@ -66,47 +64,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Rng::NextGaussian() {
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - NextDouble();
-  double u2 = NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::NextGamma(double shape) {
-  FUSER_CHECK_GT(shape, 0.0);
-  if (shape < 1.0) {
-    // Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-    double u = NextDouble();
-    while (u <= 0.0) u = NextDouble();
-    return NextGamma(shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia-Tsang squeeze method.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = NextGaussian();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    double u = NextDouble();
-    if (u < 1.0 - 0.0331 * (x * x) * (x * x)) {
-      return d * v;
-    }
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v;
-    }
-  }
-}
-
-double Rng::NextBeta(double a, double b) {
-  double x = NextGamma(a);
-  double y = NextGamma(b);
-  double sum = x + y;
-  if (sum <= 0.0) return 0.5;
-  return x / sum;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   FUSER_CHECK_LE(k, n);
   // Floyd's algorithm would avoid the O(n) init, but n here is small enough
@@ -120,7 +77,5 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   indices.resize(k);
   return indices;
 }
-
-Rng Rng::Split() { return Rng(NextUint64()); }
 
 }  // namespace fuser

@@ -36,15 +36,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  /// Standard normal via Box-Muller (no caching; stateless across calls).
-  double NextGaussian();
-
-  /// Gamma(shape, scale=1) via Marsaglia-Tsang; shape > 0.
-  double NextGamma(double shape);
-
-  /// Beta(a, b) via two gamma draws; a, b > 0.
-  double NextBeta(double a, double b);
-
   /// Returns k distinct indices drawn uniformly from [0, n) (k <= n).
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
@@ -57,9 +48,6 @@ class Rng {
       std::swap((*v)[i], (*v)[j]);
     }
   }
-
-  /// Derives an independent child generator (for per-worker streams).
-  Rng Split();
 
  private:
   uint64_t s_[4];

@@ -27,11 +27,6 @@ struct CorrelationFactors {
   double on_false = 1.0;  // C!_{S*}
 };
 
-/// Computes C_{S*} and C!_{S*} from joint statistics. Degenerate singleton
-/// recalls/fprs (zero) yield a neutral factor of 1.
-CorrelationFactors ComputeCorrelationFactors(const JointStatsProvider& stats,
-                                             Mask subset);
-
 /// Per-source aggressive-approximation factors for one cluster:
 ///   C+_i = r_{1..n} / (r_i * r_{1..n \ i}),
 ///   C-_i = q_{1..n} / (q_i * q_{1..n \ i}).

@@ -261,17 +261,6 @@ uint64_t Dataset::ContentFingerprint() const {
   return h;
 }
 
-Status Dataset::RestoreVersion(uint64_t version) {
-  if (!finalized_) {
-    return Status::FailedPrecondition("RestoreVersion before Finalize");
-  }
-  if (version < version_) {
-    return Status::InvalidArgument("RestoreVersion cannot move backwards");
-  }
-  version_ = version;
-  return Status::OK();
-}
-
 StatusOr<SourceId> Dataset::FindSource(std::string_view name) const {
   EnsureLookups();
   auto it = source_index_.find(name);

@@ -235,13 +235,6 @@ class Dataset {
   /// edited in place and reloaded). Valid after Finalize().
   uint64_t ContentFingerprint() const;
 
-  /// Persistence hook (src/persist/): fast-forwards the change counter of
-  /// a dataset just re-materialized from a snapshot to the value the
-  /// original dataset had at save time, so engine state stamped with that
-  /// version warm-starts against the copy. Only forward jumps on a
-  /// finalized dataset are allowed — this is not a general setter.
-  Status RestoreVersion(uint64_t version);
-
   // ---- Sizes ----
 
   size_t num_sources() const { return source_names_.size(); }

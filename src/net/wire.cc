@@ -75,166 +75,38 @@ StatusOr<bool> FrameReader::Next(WireFrame* frame) {
 
 namespace {
 
-/// Every Decode must consume the payload exactly: the frame length is
-/// authoritative, so trailing bytes mean an encoder/decoder mismatch.
-Status FinishDecode(const ByteSource& source) {
+template <class M>
+Status DecodeMessage(const std::string& payload, M* message) {
+  ByteSource source(payload.data(), payload.size());
+  FUSER_RETURN_IF_ERROR(persist::DecodeFields(&source, message));
+  // The frame length is authoritative, so trailing bytes mean an
+  // encoder/decoder mismatch.
   if (!source.exhausted()) {
     return Status::InvalidArgument("trailing bytes after message payload");
   }
   return Status::OK();
 }
 
-Status ReadIdVector(ByteSource* source, std::vector<uint32_t>* out) {
-  size_t count = 0;
-  FUSER_RETURN_IF_ERROR(source->ReadCount(4, &count));
-  out->resize(count);
-  return source->ReadU32Array(out->data(), count);
-}
-
 }  // namespace
 
-std::string ScoreRequest::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteString(method);
-  sink.WriteU32(triple);
-  return sink.data();
-}
+#define FUSER_WIRE_MESSAGE_CODEC(Message)                       \
+  std::string Message::Encode() const {                         \
+    return persist::EncodeFields(*this);                        \
+  }                                                             \
+  Status Message::Decode(const std::string& payload) {          \
+    return DecodeMessage(payload, this);                        \
+  }
 
-Status ScoreRequest::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadString(&method));
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&triple));
-  return FinishDecode(source);
-}
+FUSER_WIRE_MESSAGE_CODEC(ScoreRequest)
+FUSER_WIRE_MESSAGE_CODEC(ScoreBatchRequest)
+FUSER_WIRE_MESSAGE_CODEC(ScoreObservationRequest)
+FUSER_WIRE_MESSAGE_CODEC(StatsRequest)
+FUSER_WIRE_MESSAGE_CODEC(ScoreReply)
+FUSER_WIRE_MESSAGE_CODEC(ScoreBatchReply)
+FUSER_WIRE_MESSAGE_CODEC(StatsReply)
+FUSER_WIRE_MESSAGE_CODEC(ErrorReply)
 
-std::string ScoreBatchRequest::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteString(method);
-  sink.WriteU64(triples.size());
-  for (TripleId t : triples) sink.WriteU32(t);
-  return sink.data();
-}
-
-Status ScoreBatchRequest::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadString(&method));
-  FUSER_RETURN_IF_ERROR(ReadIdVector(&source, &triples));
-  return FinishDecode(source);
-}
-
-std::string ScoreObservationRequest::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteString(method);
-  sink.WriteU64(providers.size());
-  for (SourceId s : providers) sink.WriteU32(s);
-  sink.WriteU64(in_scope.size());
-  for (SourceId s : in_scope) sink.WriteU32(s);
-  return sink.data();
-}
-
-Status ScoreObservationRequest::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadString(&method));
-  FUSER_RETURN_IF_ERROR(ReadIdVector(&source, &providers));
-  FUSER_RETURN_IF_ERROR(ReadIdVector(&source, &in_scope));
-  return FinishDecode(source);
-}
-
-std::string StatsRequest::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  return sink.data();
-}
-
-Status StatsRequest::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  return FinishDecode(source);
-}
-
-std::string ScoreReply::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteU64(snapshot_id);
-  sink.WriteDouble(score);
-  return sink.data();
-}
-
-Status ScoreReply::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&snapshot_id));
-  FUSER_RETURN_IF_ERROR(source.ReadDouble(&score));
-  return FinishDecode(source);
-}
-
-std::string ScoreBatchReply::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteU64(snapshot_id);
-  sink.WriteU64(scores.size());
-  for (double s : scores) sink.WriteDouble(s);
-  return sink.data();
-}
-
-Status ScoreBatchReply::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&snapshot_id));
-  size_t count = 0;
-  FUSER_RETURN_IF_ERROR(source.ReadCount(8, &count));
-  scores.resize(count);
-  FUSER_RETURN_IF_ERROR(source.ReadDoubleArray(scores.data(), count));
-  return FinishDecode(source);
-}
-
-std::string StatsReply::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteU64(snapshot_id);
-  sink.WriteU64(dataset_version);
-  sink.WriteU64(num_triples);
-  sink.WriteU64(num_sources);
-  sink.WriteU64(num_shards);
-  sink.WriteU64(requests_served);
-  return sink.data();
-}
-
-Status StatsReply::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&snapshot_id));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&dataset_version));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&num_triples));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&num_sources));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&num_shards));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&requests_served));
-  return FinishDecode(source);
-}
-
-std::string ErrorReply::Encode() const {
-  ByteSink sink;
-  sink.WriteU64(request_id);
-  sink.WriteU32(code);
-  sink.WriteBool(fatal);
-  sink.WriteString(message);
-  return sink.data();
-}
-
-Status ErrorReply::Decode(const std::string& payload) {
-  ByteSource source(payload.data(), payload.size());
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&request_id));
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&code));
-  FUSER_RETURN_IF_ERROR(source.ReadBool(&fatal));
-  FUSER_RETURN_IF_ERROR(source.ReadString(&message));
-  return FinishDecode(source);
-}
+#undef FUSER_WIRE_MESSAGE_CODEC
 
 Status ErrorReply::ToStatus() const {
   StatusCode status_code = static_cast<StatusCode>(code);

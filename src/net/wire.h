@@ -29,6 +29,11 @@
 //
 // Requests are processed in order per connection and every response
 // carries the request's id, so clients may pipeline arbitrarily deep.
+//
+// A message payload is its struct's fields in the order of the struct's
+// field list (VisitFields, below; persist/binary_io.h gives each type's
+// encoding), with nothing before or after: Encode and Decode both walk
+// that one list.
 #ifndef FUSER_NET_WIRE_H_
 #define FUSER_NET_WIRE_H_
 
@@ -38,6 +43,7 @@
 
 #include "common/status.h"
 #include "model/triple.h"
+#include "persist/binary_io.h"
 
 namespace fuser {
 namespace net {
@@ -100,9 +106,9 @@ class FrameReader {
 
 // ---------------------------------------------------------------------------
 // Message payloads. Each struct encodes to / decodes from one frame
-// payload; Decode returns InvalidArgument on truncated or trailing bytes
-// (the frame length is authoritative, so a decode mismatch means a buggy
-// or hostile peer, never a short read).
+// payload through its field list; Decode returns InvalidArgument on
+// truncated or trailing bytes (the frame length is authoritative, so a
+// decode mismatch means a buggy or hostile peer, never a short read).
 // ---------------------------------------------------------------------------
 
 struct ScoreRequest {
@@ -192,6 +198,70 @@ struct ErrorReply {
   static ErrorReply FromStatus(uint64_t request_id, const Status& status,
                                bool fatal);
 };
+
+// ---------------------------------------------------------------------------
+// Field lists: the payload layout of each message.
+// ---------------------------------------------------------------------------
+
+template <class V, class R>
+persist::FieldsOf<R, ScoreRequest> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.method);
+  v(m.triple);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, ScoreBatchRequest> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.method);
+  v(m.triples);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, ScoreObservationRequest> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.method);
+  v(m.providers);
+  v(m.in_scope);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, StatsRequest> VisitFields(V& v, R& m) {
+  v(m.request_id);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, ScoreReply> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.snapshot_id);
+  v(m.score);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, ScoreBatchReply> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.snapshot_id);
+  v(m.scores);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, StatsReply> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.snapshot_id);
+  v(m.dataset_version);
+  v(m.num_triples);
+  v(m.num_sources);
+  v(m.num_shards);
+  v(m.requests_served);
+}
+
+template <class V, class R>
+persist::FieldsOf<R, ErrorReply> VisitFields(V& v, R& m) {
+  v(m.request_id);
+  v(m.code);
+  v(m.fatal);
+  v(m.message);
+}
 
 }  // namespace net
 }  // namespace fuser

@@ -130,13 +130,6 @@ Status ByteSource::ReadDoubleArray(double* out, size_t n) {
   return Status::OK();
 }
 
-Status ByteSource::ReadI32(int32_t* v) {
-  uint32_t raw = 0;
-  FUSER_RETURN_IF_ERROR(ReadU32(&raw));
-  *v = static_cast<int32_t>(raw);
-  return Status::OK();
-}
-
 Status ByteSource::ReadDouble(double* v) {
   uint64_t bits = 0;
   FUSER_RETURN_IF_ERROR(ReadU64(&bits));

@@ -1,4 +1,5 @@
-// Bounds-checked binary encoding primitives for the snapshot format.
+// Bounds-checked binary encoding primitives for the snapshot, shard
+// manifest and wire formats.
 //
 // Everything on disk is little-endian and fixed-width; doubles are raw
 // IEEE-754 bits (the persistence contract is *byte* identity of restored
@@ -9,12 +10,41 @@
 // the end, so a truncated or bit-flipped file can never touch memory it
 // does not own — corrupt input must fail with a Status, never with UB
 // (tests/persist_test.cc flips bytes under ASan to hold this line).
+//
+// Records are encoded from one field list each. A record declares its
+// field order once, beside its codec, as
+//
+//   template <class V, class R>
+//   persist::FieldsOf<R, Record> VisitFields(V& v, R& r) {
+//     v(r.first); v(r.second); ...
+//   }
+//
+// (R is Record, const when encoding; found by argument-dependent lookup).
+// FieldWriter walks the list into a ByteSink, FieldReader out of a
+// ByteSource, and MinEncodedSize sums it, so the encoder, the decoder and
+// the decoder's count bounds cannot disagree. A field encodes by type:
+//
+//   bool                  u8 0 or 1 (anything else is corrupt)
+//   1/4/8-byte integer    u8 / u32 / u64 (signed ones two's complement)
+//   enum                  its underlying integer
+//   double                u64 of its IEEE-754 bits
+//   std::string           u64 byte length, then the bytes
+//   DynamicBitset         u64 bit count, then the packed words
+//   std::vector<T>        u64 count, then each element
+//   any other class       its own field list
+//
+// Validation is the codec's: it runs after a visit, on decoded values.
+// Layouts that are not a list of fields (the snapshot's columnar DATASET
+// section, its file header and section table, a GROUPING column, a
+// SERVING posterior table) stay hand-written over ByteSink/ByteSource.
 #ifndef FUSER_PERSIST_BINARY_IO_H_
 #define FUSER_PERSIST_BINARY_IO_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/status.h"
@@ -45,7 +75,6 @@ class ByteSink {
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
-  void WriteI32(int32_t v) { WriteU32(static_cast<uint32_t>(v)); }
   void WriteDouble(double v);
   /// u64 byte length followed by the raw bytes.
   void WriteString(const std::string& s);
@@ -73,7 +102,6 @@ class ByteSource {
   Status ReadBool(bool* v);
   Status ReadU32(uint32_t* v);
   Status ReadU64(uint64_t* v);
-  Status ReadI32(int32_t* v);
   Status ReadDouble(double* v);
   Status ReadString(std::string* s);
   Status ReadBitset(DynamicBitset* bits);
@@ -107,6 +135,171 @@ class ByteSource {
   size_t size_ = 0;
   size_t pos_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Field-list visitors.
+// ---------------------------------------------------------------------------
+
+template <class T>
+struct IsVectorField : std::false_type {};
+template <class T>
+struct IsVectorField<std::vector<T>> : std::true_type {};
+
+/// The return type of a record's VisitFields: void, for R = T or const T
+/// only, so each record's list is its own overload.
+template <class R, class T>
+using FieldsOf = std::enable_if_t<std::is_same_v<std::remove_const_t<R>, T>>;
+
+/// Whether T encodes through its own field list (see the header comment).
+template <class T>
+inline constexpr bool kIsRecordField =
+    std::is_class_v<T> && !std::is_same_v<T, std::string> &&
+    !std::is_same_v<T, DynamicBitset> && !IsVectorField<T>::value;
+
+/// The fewest bytes a T can encode to: its fixed-width fields plus the u64
+/// count of each string, bitset and vector. A decoder bounds a vector's
+/// count by the unread bytes over this.
+template <class T>
+size_t MinEncodedSize() {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    return sizeof(T);
+  } else if constexpr (kIsRecordField<T>) {
+    static const size_t bytes = [] {
+      size_t sum = 0;
+      auto add = [&sum](const auto& field) {
+        sum += MinEncodedSize<std::decay_t<decltype(field)>>();
+      };
+      const T record{};
+      VisitFields(add, record);
+      return sum;
+    }();
+    return bytes;
+  } else {
+    return 8;  // string, bitset, vector: the u64 count
+  }
+}
+
+/// Appends each visited field to a ByteSink.
+class FieldWriter {
+ public:
+  explicit FieldWriter(ByteSink* sink) : sink_(sink) {}
+
+  template <class T>
+  void operator()(const T& field) {
+    if constexpr (std::is_same_v<T, bool>) {
+      sink_->WriteBool(field);
+    } else if constexpr (std::is_enum_v<T>) {
+      (*this)(static_cast<std::underlying_type_t<T>>(field));
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      sink_->WriteU8(static_cast<uint8_t>(field));
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+      sink_->WriteU32(static_cast<uint32_t>(field));
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      sink_->WriteU64(static_cast<uint64_t>(field));
+    } else if constexpr (std::is_same_v<T, double>) {
+      sink_->WriteDouble(field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      sink_->WriteString(field);
+    } else if constexpr (std::is_same_v<T, DynamicBitset>) {
+      sink_->WriteBitset(field);
+    } else if constexpr (IsVectorField<T>::value) {
+      sink_->WriteU64(field.size());
+      for (const auto& element : field) (*this)(element);
+    } else {
+      static_assert(kIsRecordField<T>, "field type has no encoding");
+      VisitFields(*this, field);
+    }
+  }
+
+ private:
+  ByteSink* sink_;
+};
+
+/// Reads each visited field from a ByteSource. The first failure sticks in
+/// status() and turns every later read into a no-op, so a codec visits a
+/// whole record and checks once.
+class FieldReader {
+ public:
+  explicit FieldReader(ByteSource* source) : source_(source) {}
+
+  const Status& status() const { return status_; }
+
+  template <class T>
+  void operator()(T& field) {
+    if (!status_.ok()) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      status_ = source_->ReadBool(&field);
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw{};
+      (*this)(raw);
+      field = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      uint8_t raw = 0;
+      status_ = source_->ReadU8(&raw);
+      field = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+      uint32_t raw = 0;
+      status_ = source_->ReadU32(&raw);
+      field = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      uint64_t raw = 0;
+      status_ = source_->ReadU64(&raw);
+      field = static_cast<T>(raw);
+    } else if constexpr (std::is_same_v<T, double>) {
+      status_ = source_->ReadDouble(&field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      status_ = source_->ReadString(&field);
+    } else if constexpr (std::is_same_v<T, DynamicBitset>) {
+      status_ = source_->ReadBitset(&field);
+    } else if constexpr (IsVectorField<T>::value) {
+      ReadVector(&field);
+    } else {
+      static_assert(kIsRecordField<T>, "field type has no encoding");
+      VisitFields(*this, field);
+    }
+  }
+
+ private:
+  template <class E>
+  void ReadVector(std::vector<E>* field) {
+    size_t count = 0;
+    status_ = source_->ReadCount(MinEncodedSize<E>(), &count);
+    if (!status_.ok()) return;
+    field->resize(count);
+    // Arrays of fixed-width numbers take one bounds check and a tight
+    // decode loop.
+    if constexpr (std::is_same_v<E, uint32_t>) {
+      status_ = source_->ReadU32Array(field->data(), count);
+    } else if constexpr (std::is_same_v<E, uint64_t>) {
+      status_ = source_->ReadU64Array(field->data(), count);
+    } else if constexpr (std::is_same_v<E, double>) {
+      status_ = source_->ReadDoubleArray(field->data(), count);
+    } else {
+      for (E& element : *field) (*this)(element);
+    }
+  }
+
+  ByteSource* source_;
+  Status status_ = Status::OK();
+};
+
+/// `record` encoded through its field list.
+template <class R>
+std::string EncodeFields(const R& record) {
+  ByteSink sink;
+  FieldWriter writer(&sink);
+  writer(record);
+  return sink.data();
+}
+
+/// Decodes `record` through its field list; the first read failure, if
+/// any. Does not require `source` to be exhausted.
+template <class R>
+Status DecodeFields(ByteSource* source, R* record) {
+  FieldReader reader(source);
+  reader(*record);
+  return reader.status();
+}
 
 }  // namespace persist
 }  // namespace fuser

@@ -20,6 +20,7 @@
 #include "core/pattern_pipeline.h"
 #include "persist/atomic_file.h"
 #include "persist/binary_io.h"
+#include "persist/snapshot_fields.h"
 
 namespace fuser {
 namespace {
@@ -27,6 +28,9 @@ namespace {
 using persist::ByteSink;
 using persist::ByteSource;
 using persist::Checksum64;
+using persist::DecodeFields;
+using persist::EngineSection;
+using persist::FieldWriter;
 
 constexpr char kMagic[8] = {'F', 'U', 'S', 'R', 'S', 'N', 'A', 'P'};
 constexpr size_t kHeaderFixedBytes = 16;   // magic + version + section count
@@ -55,153 +59,30 @@ Status ExpectExhausted(const ByteSource& src, const char* section) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared field groups.
-// ---------------------------------------------------------------------------
-
-void EncodeQualityVector(const std::vector<SourceQuality>& quality,
-                         ByteSink* sink) {
-  sink->WriteU64(quality.size());
-  for (const SourceQuality& q : quality) {
-    sink->WriteDouble(q.precision);
-    sink->WriteDouble(q.recall);
-    sink->WriteDouble(q.fpr);
-    sink->WriteU64(q.provided_labeled);
-    sink->WriteU64(q.provided_true);
-    sink->WriteU64(q.scope_true);
-  }
-}
-
-Status DecodeQualityVector(ByteSource* src,
-                           std::vector<SourceQuality>* quality) {
-  size_t count = 0;
-  FUSER_RETURN_IF_ERROR(src->ReadCount(6 * 8, &count));
-  quality->resize(count);
-  for (SourceQuality& q : *quality) {
-    FUSER_RETURN_IF_ERROR(src->ReadDouble(&q.precision));
-    FUSER_RETURN_IF_ERROR(src->ReadDouble(&q.recall));
-    FUSER_RETURN_IF_ERROR(src->ReadDouble(&q.fpr));
-    uint64_t provided_labeled = 0, provided_true = 0, scope_true = 0;
-    FUSER_RETURN_IF_ERROR(src->ReadU64(&provided_labeled));
-    FUSER_RETURN_IF_ERROR(src->ReadU64(&provided_true));
-    FUSER_RETURN_IF_ERROR(src->ReadU64(&scope_true));
-    q.provided_labeled = static_cast<size_t>(provided_labeled);
-    q.provided_true = static_cast<size_t>(provided_true);
-    q.scope_true = static_cast<size_t>(scope_true);
-  }
-  return Status::OK();
-}
-
-void EncodeEngineOptions(const EngineOptions& o, ByteSink* sink) {
-  sink->WriteDouble(o.model.alpha);
-  sink->WriteDouble(o.model.smoothing);
-  sink->WriteBool(o.model.use_scopes);
-  sink->WriteBool(o.model.enable_clustering);
-  sink->WriteDouble(o.model.clustering.correlation_threshold);
-  sink->WriteU64(o.model.clustering.min_support);
-  sink->WriteU64(o.model.clustering.max_cluster_size);
-  sink->WriteDouble(o.decision_threshold);
-  sink->WriteI32(o.three_estimates.iterations);
-  sink->WriteDouble(o.three_estimates.initial_error);
-  sink->WriteDouble(o.three_estimates.initial_difficulty);
-  sink->WriteBool(o.three_estimates.normalize);
-  sink->WriteBool(o.three_estimates.use_scopes);
-  sink->WriteI32(o.cosine.iterations);
-  sink->WriteDouble(o.cosine.initial_trust);
-  sink->WriteDouble(o.cosine.damping);
-  sink->WriteBool(o.cosine.use_scopes);
-  sink->WriteDouble(o.ltm.alpha01);
-  sink->WriteDouble(o.ltm.alpha00);
-  sink->WriteDouble(o.ltm.alpha11);
-  sink->WriteDouble(o.ltm.alpha10);
-  sink->WriteDouble(o.ltm.beta);
-  sink->WriteI32(o.ltm.burn_in);
-  sink->WriteI32(o.ltm.samples);
-  sink->WriteI32(o.ltm.thin);
-  sink->WriteU64(o.ltm.seed);
-  sink->WriteBool(o.ltm.use_scopes);
-  sink->WriteBool(o.corr.calibrated_likelihood);
-}
-
-Status DecodeEngineOptions(ByteSource* src, EngineOptions* o) {
-  uint64_t u64 = 0;
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->model.alpha));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->model.smoothing));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->model.use_scopes));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->model.enable_clustering));
-  FUSER_RETURN_IF_ERROR(
-      src->ReadDouble(&o->model.clustering.correlation_threshold));
-  FUSER_RETURN_IF_ERROR(src->ReadU64(&u64));
-  o->model.clustering.min_support = static_cast<size_t>(u64);
-  FUSER_RETURN_IF_ERROR(src->ReadU64(&u64));
-  o->model.clustering.max_cluster_size = static_cast<size_t>(u64);
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->decision_threshold));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->three_estimates.iterations));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->three_estimates.initial_error));
-  FUSER_RETURN_IF_ERROR(
-      src->ReadDouble(&o->three_estimates.initial_difficulty));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->three_estimates.normalize));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->three_estimates.use_scopes));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->cosine.iterations));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->cosine.initial_trust));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->cosine.damping));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->cosine.use_scopes));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->ltm.alpha01));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->ltm.alpha00));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->ltm.alpha11));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->ltm.alpha10));
-  FUSER_RETURN_IF_ERROR(src->ReadDouble(&o->ltm.beta));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->ltm.burn_in));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->ltm.samples));
-  FUSER_RETURN_IF_ERROR(src->ReadI32(&o->ltm.thin));
-  FUSER_RETURN_IF_ERROR(src->ReadU64(&o->ltm.seed));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->ltm.use_scopes));
-  FUSER_RETURN_IF_ERROR(src->ReadBool(&o->corr.calibrated_likelihood));
-  // The options rebuild every plan, so a file must not set what no engine
-  // may run under.
-  Status valid = ValidateEngineOptions(*o);
-  if (!valid.ok()) return Corrupt("engine options: " + valid.message());
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // ENGINE section: the snapshot's scalar state plus the training mask.
 // ---------------------------------------------------------------------------
-
-struct EngineSection {
-  uint64_t dataset_version = 0;
-  uint64_t dataset_fingerprint = 0;
-  uint64_t num_triples = 0;
-  uint64_t num_sources = 0;
-  uint64_t num_domains = 0;
-  EngineOptions options;
-  DynamicBitset train_mask;
-  std::vector<SourceQuality> quality;
-};
 
 std::string EncodeEngineSection(const Dataset& dataset,
                                 const DynamicBitset& train_mask,
                                 const FusionSnapshot& snapshot) {
-  ByteSink sink;
-  sink.WriteU64(snapshot.dataset_version);
-  sink.WriteU64(dataset.ContentFingerprint());
-  sink.WriteU64(snapshot.num_triples);
-  sink.WriteU64(snapshot.num_sources);
-  sink.WriteU64(dataset.num_domains());
-  EncodeEngineOptions(snapshot.options, &sink);
-  sink.WriteBitset(train_mask);
-  EncodeQualityVector(snapshot.quality, &sink);
-  return sink.data();
+  EngineSection section;
+  section.dataset_version = snapshot.dataset_version;
+  section.dataset_fingerprint = dataset.ContentFingerprint();
+  section.num_triples = snapshot.num_triples;
+  section.num_sources = snapshot.num_sources;
+  section.num_domains = dataset.num_domains();
+  section.options = snapshot.options;
+  section.train_mask = train_mask;
+  section.quality = snapshot.quality;
+  return persist::EncodeFields(section);
 }
 
 Status DecodeEngineSection(ByteSource src, EngineSection* out) {
-  FUSER_RETURN_IF_ERROR(src.ReadU64(&out->dataset_version));
-  FUSER_RETURN_IF_ERROR(src.ReadU64(&out->dataset_fingerprint));
-  FUSER_RETURN_IF_ERROR(src.ReadU64(&out->num_triples));
-  FUSER_RETURN_IF_ERROR(src.ReadU64(&out->num_sources));
-  FUSER_RETURN_IF_ERROR(src.ReadU64(&out->num_domains));
-  FUSER_RETURN_IF_ERROR(DecodeEngineOptions(&src, &out->options));
-  FUSER_RETURN_IF_ERROR(src.ReadBitset(&out->train_mask));
-  FUSER_RETURN_IF_ERROR(DecodeQualityVector(&src, &out->quality));
+  FUSER_RETURN_IF_ERROR(DecodeFields(&src, out));
+  // The options rebuild every plan, so a file must not set what no engine
+  // may run under.
+  Status valid = ValidateEngineOptions(out->options);
+  if (!valid.ok()) return Corrupt("engine options: " + valid.message());
   FUSER_RETURN_IF_ERROR(ExpectExhausted(src, "engine"));
   if (out->train_mask.size() != out->num_triples) {
     return Corrupt("train mask size disagrees with triple count");
@@ -511,12 +392,9 @@ CompactCsrView MakeCompactView(const CsrTable<uint32_t>& table) {
 
 StatusOr<std::string> EncodeModelSection(const CorrelationModel& model) {
   ByteSink sink;
-  EncodeQualityVector(model.source_quality, &sink);
-  sink.WriteU64(model.clustering.clusters.size());
-  for (const std::vector<SourceId>& cluster : model.clustering.clusters) {
-    sink.WriteU64(cluster.size());
-    for (SourceId s : cluster) sink.WriteU32(s);
-  }
+  FieldWriter write(&sink);
+  write(model.source_quality);
+  write(model.clustering.clusters);
   for (size_t c = 0; c < model.cluster_stats.size(); ++c) {
     const auto* stats =
         dynamic_cast<const EmpiricalJointStats*>(model.cluster_stats[c].get());
@@ -525,18 +403,7 @@ StatusOr<std::string> EncodeModelSection(const CorrelationModel& model) {
           "only empirical correlation models can be persisted (cluster " +
           std::to_string(c) + " has caller-supplied statistics)");
     }
-    const EmpiricalJointStatsState state = stats->ExportState();
-    sink.WriteI32(state.k);
-    sink.WriteU64(state.total_true);
-    sink.WriteU64(state.total_false);
-    for (const auto* patterns : {&state.true_patterns, &state.false_patterns}) {
-      sink.WriteU64(patterns->size());
-      for (const auto& p : *patterns) {
-        sink.WriteU64(p.providers);
-        sink.WriteU64(p.scope);
-        sink.WriteU32(p.count);
-      }
-    }
+    write(stats->ExportState());
   }
   return sink.data();
 }
@@ -549,20 +416,15 @@ StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
   auto model = std::make_shared<CorrelationModel>();
   model->alpha = options.alpha;
   model->use_scopes = options.use_scopes;
-  FUSER_RETURN_IF_ERROR(DecodeQualityVector(&src, &model->source_quality));
+  FUSER_RETURN_IF_ERROR(DecodeFields(&src, &model->source_quality));
   if (model->source_quality.size() != engine.num_sources) {
     return Corrupt("model quality vector size mismatch");
   }
 
-  size_t num_clusters = 0;
-  FUSER_RETURN_IF_ERROR(src.ReadCount(8, &num_clusters));
-  std::vector<std::vector<SourceId>> clusters(num_clusters);
-  for (std::vector<SourceId>& cluster : clusters) {
-    size_t size = 0;
-    FUSER_RETURN_IF_ERROR(src.ReadCount(4, &size));
-    cluster.resize(size);
-    for (SourceId& s : cluster) {
-      FUSER_RETURN_IF_ERROR(src.ReadU32(&s));
+  std::vector<std::vector<SourceId>> clusters;
+  FUSER_RETURN_IF_ERROR(DecodeFields(&src, &clusters));
+  for (const std::vector<SourceId>& cluster : clusters) {
+    for (SourceId s : cluster) {
       if (s >= engine.num_sources) {
         return Corrupt("cluster member out of range");
       }
@@ -580,23 +442,11 @@ StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
   model->cluster_stats.reserve(model->clustering.clusters.size());
   for (const std::vector<SourceId>& cluster : model->clustering.clusters) {
     EmpiricalJointStatsState state;
-    state.options = options.ToJointStatsOptions();
-    FUSER_RETURN_IF_ERROR(src.ReadI32(&state.k));
-    FUSER_RETURN_IF_ERROR(src.ReadU64(&state.total_true));
-    FUSER_RETURN_IF_ERROR(src.ReadU64(&state.total_false));
+    FUSER_RETURN_IF_ERROR(DecodeFields(&src, &state));
     if (state.k != static_cast<int>(cluster.size())) {
       return Corrupt("cluster stats width disagrees with cluster size");
     }
-    for (auto* patterns : {&state.true_patterns, &state.false_patterns}) {
-      size_t count = 0;
-      FUSER_RETURN_IF_ERROR(src.ReadCount(8 + 8 + 4, &count));
-      patterns->resize(count);
-      for (auto& p : *patterns) {
-        FUSER_RETURN_IF_ERROR(src.ReadU64(&p.providers));
-        FUSER_RETURN_IF_ERROR(src.ReadU64(&p.scope));
-        FUSER_RETURN_IF_ERROR(src.ReadU32(&p.count));
-      }
-    }
+    state.options = options.ToJointStatsOptions();
     StatusOr<std::unique_ptr<EmpiricalJointStats>> stats =
         EmpiricalJointStats::FromState(state);
     if (!stats.ok()) {
@@ -614,14 +464,11 @@ StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
 
 std::string EncodeGroupingSection(const PatternGrouping& grouping) {
   ByteSink sink;
+  FieldWriter write(&sink);
   sink.WriteU64(grouping.num_triples);
   sink.WriteU64(grouping.num_clusters());
   for (size_t c = 0; c < grouping.num_clusters(); ++c) {
-    sink.WriteU64(grouping.distinct[c].size());
-    for (const PatternKey& key : grouping.distinct[c]) {
-      sink.WriteU64(key.providers);
-      sink.WriteU64(key.nonproviders);
-    }
+    write(grouping.distinct[c]);
     const PatternColumn& column = grouping.columns[c];
     if (column.singleton) {
       sink.WriteBitset(column.provided);
@@ -686,14 +533,11 @@ StatusOr<std::shared_ptr<const PatternGrouping>> DecodeGroupingSection(
   for (size_t c = 0; c < num_clusters; ++c) {
     const size_t k = model.clustering.clusters[c].size();
     const Mask full = FullMask(static_cast<int>(k));
-    size_t num_distinct = 0;
-    FUSER_RETURN_IF_ERROR(src.ReadCount(16, &num_distinct));
-    grouping->distinct[c].resize(num_distinct);
+    FUSER_RETURN_IF_ERROR(DecodeFields(&src, &grouping->distinct[c]));
+    const size_t num_distinct = grouping->distinct[c].size();
     grouping->index[c].reserve(num_distinct);
     for (size_t i = 0; i < num_distinct; ++i) {
-      PatternKey& key = grouping->distinct[c][i];
-      FUSER_RETURN_IF_ERROR(src.ReadU64(&key.providers));
-      FUSER_RETURN_IF_ERROR(src.ReadU64(&key.nonproviders));
+      const PatternKey& key = grouping->distinct[c][i];
       // Scorers index joint statistics by these masks, so a key must be a
       // pattern some triple of this cluster could have.
       const Mask observed = key.providers | key.nonproviders;
@@ -747,11 +591,10 @@ std::string EncodeServingSection(const FusionSnapshot& snapshot) {
   // Each entry is its spec plus the scores; the decoder derives the name
   // and the representation from the spec and the method table.
   ByteSink sink;
+  FieldWriter write(&sink);
   sink.WriteU64(entries.size());
   for (const auto& [name, serving] : entries) {
-    sink.WriteU32(static_cast<uint32_t>(serving->spec.kind));
-    sink.WriteDouble(serving->spec.union_percent);
-    sink.WriteI32(serving->spec.elastic_level);
+    write(serving->spec);
     if (serving->pattern_based) {
       const PatternPosteriorTable& table = serving->table;
       sink.WriteDouble(table.alpha);
@@ -762,11 +605,9 @@ std::string EncodeServingSection(const FusionSnapshot& snapshot) {
         for (double v : logs.log_false) sink.WriteDouble(v);
         for (unsigned char f : logs.flags) sink.WriteU8(f);
       }
-      sink.WriteU64(table.posterior.size());
-      for (double v : table.posterior) sink.WriteDouble(v);
+      write(table.posterior);
     } else {
-      sink.WriteU64(serving->dense.size());
-      for (double v : serving->dense) sink.WriteDouble(v);
+      write(serving->dense);
     }
   }
   return sink.data();
@@ -786,11 +627,7 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
   FUSER_RETURN_IF_ERROR(src.ReadCount(8, &count));
   for (size_t i = 0; i < count; ++i) {
     auto serving = std::make_shared<MethodServing>();
-    uint32_t kind = 0;
-    FUSER_RETURN_IF_ERROR(src.ReadU32(&kind));
-    serving->spec.kind = static_cast<MethodKind>(kind);
-    FUSER_RETURN_IF_ERROR(src.ReadDouble(&serving->spec.union_percent));
-    FUSER_RETURN_IF_ERROR(src.ReadI32(&serving->spec.elastic_level));
+    FUSER_RETURN_IF_ERROR(DecodeFields(&src, &serving->spec));
     Status valid = ValidateMethodSpec(serving->spec);
     if (!valid.ok()) {
       return Corrupt("serving entry spec: " + valid.message());
@@ -830,19 +667,15 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
           f = raw;
         }
       }
-      size_t num_posterior = 0;
-      FUSER_RETURN_IF_ERROR(src.ReadCount(8, &num_posterior));
+      FUSER_RETURN_IF_ERROR(DecodeFields(&src, &table.posterior));
       // BuildPatternPosteriorTable populates `posterior` exactly when the
       // grouping has one cluster; hold restored tables to the same
       // invariant so the combine paths take the same branches.
       const size_t expected =
           num_clusters == 1 ? context.grouping->distinct[0].size() : 0;
-      if (num_posterior != expected) {
+      if (table.posterior.size() != expected) {
         return Corrupt("posterior vector size mismatch");
       }
-      table.posterior.resize(num_posterior);
-      FUSER_RETURN_IF_ERROR(
-          src.ReadDoubleArray(table.posterior.data(), num_posterior));
       StatusOr<PatternScoringPlan> plan =
           MakeScoringPlan(context, serving->spec);
       if (!plan.ok()) {
@@ -851,13 +684,10 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
       }
       serving->adhoc_scorer = std::move(plan->scorer);
     } else {
-      size_t n = 0;
-      FUSER_RETURN_IF_ERROR(src.ReadCount(8, &n));
-      if (n != context.dataset->num_triples()) {
+      FUSER_RETURN_IF_ERROR(DecodeFields(&src, &serving->dense));
+      if (serving->dense.size() != context.dataset->num_triples()) {
         return Corrupt("dense score vector size mismatch");
       }
-      serving->dense.resize(n);
-      FUSER_RETURN_IF_ERROR(src.ReadDoubleArray(serving->dense.data(), n));
     }
     if (!out->emplace(name, std::move(serving)).second) {
       return Corrupt("duplicate serving entry");

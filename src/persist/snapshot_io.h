@@ -35,7 +35,10 @@
 // cluster), SERVING (per-method posterior
 // tables / dense score vectors). Readers skip unknown section ids, so new
 // sections are additive; any change that would make an old reader load
-// wrong state bumps kSnapshotFormatVersion instead.
+// wrong state bumps kSnapshotFormatVersion instead. Each record inside a
+// section is declared once, as a field list in persist/snapshot_fields.h;
+// the DATASET section's columnar image, the header and section table, a
+// GROUPING column and a SERVING posterior table are hand-written layouts.
 #ifndef FUSER_PERSIST_SNAPSHOT_IO_H_
 #define FUSER_PERSIST_SNAPSHOT_IO_H_
 

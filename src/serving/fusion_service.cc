@@ -162,25 +162,4 @@ StatusOr<double> FusionService::ScoreObservation(
   return acc.Posterior(serving->table.alpha);
 }
 
-StatusOr<double> FusionService::Score(const MethodSpec& spec,
-                                      TripleId t) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return Score(*snapshot, spec, t);
-}
-
-StatusOr<std::vector<double>> FusionService::ScoreBatch(
-    const MethodSpec& spec, const std::vector<TripleId>& triples) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return ScoreBatch(*snapshot, spec, triples);
-}
-
-StatusOr<double> FusionService::ScoreObservation(
-    const MethodSpec& spec, const AdHocObservation& observation) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return ScoreObservation(*snapshot, spec, observation);
-}
-
 }  // namespace fuser

@@ -10,10 +10,9 @@
 //     mutex-guarded shared_ptr copy). Any number of reader threads may
 //     acquire and score concurrently while the writer thread keeps calling
 //     FusionEngine::Update / PublishSnapshot.
-//   * Every query overload that takes a snapshot answers from exactly that
-//     snapshot: results are stable for as long as the caller keeps it
-//     pinned, no matter what the writer does. The overloads without a
-//     snapshot acquire the latest one per call.
+//   * Every query answers from exactly the snapshot it is given: results
+//     are stable for as long as the caller keeps it pinned, no matter what
+//     the writer does.
 //   * Answers are byte-identical to FusionEngine::Run on the same
 //     snapshot: ScoreBatch over all triples reproduces Run's score vector
 //     exactly, for every registered method, at every thread count.
@@ -84,13 +83,6 @@ class FusionService {
   /// triple. Pattern-serving methods only (Unimplemented otherwise).
   StatusOr<double> ScoreObservation(const FusionSnapshot& snapshot,
                                     const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
-
-  /// Convenience overloads against the latest published snapshot.
-  StatusOr<double> Score(const MethodSpec& spec, TripleId t) const;
-  StatusOr<std::vector<double>> ScoreBatch(
-      const MethodSpec& spec, const std::vector<TripleId>& triples) const;
-  StatusOr<double> ScoreObservation(const MethodSpec& spec,
                                     const AdHocObservation& observation) const;
 
  private:

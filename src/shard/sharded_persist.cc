@@ -33,16 +33,12 @@ Status WriteShardManifest(const std::string& path,
         "manifest shard count does not match its id maps");
   }
   persist::ByteSink sink;
+  persist::FieldWriter write(&sink);
   sink.WriteRaw(kMagic, sizeof(kMagic));
   sink.WriteU32(kShardManifestVersion);
-  sink.WriteU32(manifest.snapshot_format_version);
-  sink.WriteU32(manifest.sharding.num_shards);
-  sink.WriteU64(manifest.sharding.hash_seed);
-  sink.WriteU64(manifest.num_triples);
-  sink.WriteU64(manifest.num_sources);
+  write(manifest);
   for (const std::vector<TripleId>& map : manifest.local_to_global) {
-    sink.WriteU64(map.size());
-    for (TripleId global : map) sink.WriteU32(global);
+    write(map);
   }
   sink.WriteU64(persist::Checksum64(sink.data().data(), sink.size()));
   const std::string& bytes = sink.data();
@@ -93,7 +89,7 @@ StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
         "unsupported shard manifest version " +
         std::to_string(manifest_version));
   }
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&manifest.snapshot_format_version));
+  FUSER_RETURN_IF_ERROR(persist::DecodeFields(&source, &manifest));
   if (manifest.snapshot_format_version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(
         "shard snapshot format version " +
@@ -101,19 +97,12 @@ StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
         " does not match this library's " +
         std::to_string(kSnapshotFormatVersion));
   }
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&manifest.sharding.num_shards));
   FUSER_RETURN_IF_ERROR(ValidateShardingOptions(manifest.sharding));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.sharding.hash_seed));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.num_triples));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.num_sources));
   manifest.local_to_global.resize(manifest.sharding.num_shards);
   uint64_t total = 0;
   for (std::vector<TripleId>& map : manifest.local_to_global) {
-    size_t count = 0;
-    FUSER_RETURN_IF_ERROR(source.ReadCount(sizeof(uint32_t), &count));
-    map.resize(count);
-    FUSER_RETURN_IF_ERROR(source.ReadU32Array(map.data(), count));
-    total += count;
+    FUSER_RETURN_IF_ERROR(persist::DecodeFields(&source, &map));
+    total += map.size();
   }
   if (!source.exhausted()) {
     return Status::InvalidArgument("shard manifest has trailing bytes: " +

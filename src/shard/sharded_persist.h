@@ -10,7 +10,8 @@
 // id space in its original order.
 //
 // Layout (little-endian, trailing FNV-1a checksum over everything before
-// it):
+// it; the fields after the version are ShardManifest's field list, see
+// VisitFields below):
 //
 //   magic "FUSRMANI" | u32 manifest_version | u32 snapshot_format_version
 //   u32 num_shards | u64 hash_seed | u64 num_triples | u64 num_sources
@@ -32,6 +33,7 @@
 
 #include "common/status.h"
 #include "model/triple.h"
+#include "persist/binary_io.h"
 #include "shard/partition.h"
 
 namespace fuser {
@@ -47,6 +49,18 @@ struct ShardManifest {
   /// local_to_global[k][local] = global id of shard k's triple `local`.
   std::vector<std::vector<TripleId>> local_to_global;
 };
+
+/// The manifest's fields after its version, up to the id maps: one
+/// count-prefixed u32 vector per shard follows, num_shards of them, so the
+/// codec reads the maps once it has validated the shard count.
+template <class V, class R>
+persist::FieldsOf<R, ShardManifest> VisitFields(V& v, R& m) {
+  v(m.snapshot_format_version);
+  v(m.sharding.num_shards);
+  v(m.sharding.hash_seed);
+  v(m.num_triples);
+  v(m.num_sources);
+}
 
 /// Path of shard k's snapshot file for the manifest at `path`.
 std::string ShardSnapshotPath(const std::string& path, size_t shard);

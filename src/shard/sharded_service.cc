@@ -92,25 +92,4 @@ StatusOr<double> ShardedFusionService::ScoreObservation(
   return services_[0].ScoreObservation(*snapshot.shards[0], spec, observation);
 }
 
-StatusOr<double> ShardedFusionService::Score(const MethodSpec& spec,
-                                             TripleId t) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return Score(*snapshot, spec, t);
-}
-
-StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
-    const MethodSpec& spec, const std::vector<TripleId>& triples) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return ScoreBatch(*snapshot, spec, triples);
-}
-
-StatusOr<double> ShardedFusionService::ScoreObservation(
-    const MethodSpec& spec, const AdHocObservation& observation) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return ScoreObservation(*snapshot, spec, observation);
-}
-
 }  // namespace fuser

@@ -4,9 +4,9 @@
 // Same RCU-style contract as serving/FusionService, lifted to K shards:
 // Acquire() pins one ShardedSnapshot — which itself pins one FusionSnapshot
 // per shard plus the global -> (shard, local) routing map — and every query
-// overload that takes a snapshot is answered from exactly those K shard
-// snapshots, no matter what the writer does concurrently. A merged read can
-// never mix shard states from different publishes.
+// is answered from exactly those K shard snapshots, no matter what the
+// writer does concurrently. A merged read can never mix shard states from
+// different publishes.
 //
 // Queries fan out through per-shard FusionService facades and merge in
 // request order; over the same data the answers are byte-identical to an
@@ -55,17 +55,10 @@ class ShardedFusionService {
                                     const MethodSpec& spec,
                                     const AdHocObservation& observation) const;
 
-  /// Convenience overloads against the latest acquired snapshot.
-  StatusOr<double> Score(const MethodSpec& spec, TripleId t) const;
-  StatusOr<std::vector<double>> ScoreBatch(
-      const MethodSpec& spec, const std::vector<TripleId>& triples) const;
-  StatusOr<double> ScoreObservation(const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
-
  private:
   const ShardedFusionEngine* engine_;
-  /// One facade per shard; only their snapshot-taking overloads are used,
-  /// so all routing state lives in the ShardedSnapshot being queried.
+  /// One facade per shard; all routing state lives in the ShardedSnapshot
+  /// being queried.
   std::vector<FusionService> services_;
 };
 

@@ -377,29 +377,6 @@ TEST(RandomTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.02);
 }
 
-TEST(RandomTest, GammaMeanMatchesShape) {
-  Rng rng(13);
-  double sum = 0.0;
-  const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    sum += rng.NextGamma(2.5);
-  }
-  EXPECT_NEAR(sum / kTrials, 2.5, 0.1);
-}
-
-TEST(RandomTest, BetaMeanMatchesParameters) {
-  Rng rng(17);
-  double sum = 0.0;
-  const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    double x = rng.NextBeta(2.0, 6.0);
-    EXPECT_GE(x, 0.0);
-    EXPECT_LE(x, 1.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kTrials, 0.25, 0.02);
-}
-
 TEST(RandomTest, SampleWithoutReplacementIsDistinct) {
   Rng rng(19);
   auto sample = rng.SampleWithoutReplacement(50, 20);
@@ -408,12 +385,6 @@ TEST(RandomTest, SampleWithoutReplacementIsDistinct) {
   for (size_t idx : sample) {
     EXPECT_LT(idx, 50u);
   }
-}
-
-TEST(RandomTest, SplitProducesIndependentStream) {
-  Rng a(23);
-  Rng child = a.Split();
-  EXPECT_NE(a.NextUint64(), child.NextUint64());
 }
 
 // ---------- DynamicBitset ----------

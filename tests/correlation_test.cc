@@ -4,6 +4,7 @@
 
 #include "core/clustering.h"
 #include "gtest/gtest.h"
+#include "support/correlation_factors.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 

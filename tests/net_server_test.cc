@@ -180,10 +180,13 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
   const std::vector<MethodSpec> specs = ServingLineup();
   const std::vector<TripleId> all =
       AllTriples(harness.dataset.num_triples());
+  auto reference = harness.reference_service->Acquire();
+  ASSERT_TRUE(reference.ok()) << reference.status();
   for (const MethodSpec& spec : specs) {
     auto local = harness.service->ScoreBatch(*harness.snapshot, spec, all);
     ASSERT_TRUE(local.ok()) << local.status();
-    auto unsharded = harness.reference_service->ScoreBatch(spec, all);
+    auto unsharded =
+        harness.reference_service->ScoreBatch(**reference, spec, all);
     ASSERT_TRUE(unsharded.ok()) << unsharded.status();
     ASSERT_EQ(*local, *unsharded) << spec.Name();
     auto remote = client->ScoreBatch(spec.Name(), all);
@@ -207,8 +210,8 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
   auto local = harness.service->ScoreObservation(*harness.snapshot, specs[0],
                                                  observation);
   ASSERT_TRUE(local.ok()) << local.status();
-  auto unsharded =
-      harness.reference_service->ScoreObservation(specs[0], observation);
+  auto unsharded = harness.reference_service->ScoreObservation(
+      **reference, specs[0], observation);
   ASSERT_TRUE(unsharded.ok()) << unsharded.status();
   EXPECT_EQ(*local, *unsharded);
   auto remote = client->ScoreObservation(specs[0].Name(),

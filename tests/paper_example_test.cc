@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "model/split.h"
 #include "stats/metrics.h"
+#include "support/correlation_factors.h"
 #include "synth/motivating_example.h"
 
 namespace fuser {

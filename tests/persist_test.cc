@@ -13,7 +13,8 @@
 //     byte-flip sweep runs under the CI ASan job.
 //
 // Beside them: a saved file does not depend on the engine's thread count,
-// and a failed commit is an IoError that leaves no tmp file behind.
+// every saved file loads and saves again byte-identically, and a failed
+// commit is an IoError that leaves no tmp file behind.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -29,10 +30,12 @@
 #include "gtest/gtest.h"
 #include "model/dataset.h"
 #include "persist/binary_io.h"
+#include "persist/snapshot_fields.h"
 #include "persist/snapshot_io.h"
 #include "serving/fusion_service.h"
 #include "shard/sharded_engine.h"
 #include "shard/sharded_persist.h"
+#include "support/field_offsets.h"
 #include "synth/generator.h"
 #include "synth/stream_replay.h"
 
@@ -47,6 +50,19 @@ std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+/// Loads the snapshot at `path` and saves it again: decoding must keep
+/// everything the encoder wrote, so the second file equals the first.
+void ExpectResavesIdentically(const std::string& path) {
+  auto loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string resaved = path + ".resaved";
+  ASSERT_TRUE(SaveSnapshot(resaved, *loaded->dataset, loaded->train_mask,
+                           *loaded->snapshot)
+                  .ok());
+  EXPECT_TRUE(ReadBytes(resaved) == ReadBytes(path))
+      << path << " re-saved to different bytes";
 }
 
 std::vector<MethodSpec> Lineup() {
@@ -99,6 +115,7 @@ void RoundTrip(const Dataset& ds, FusionEngine* original,
                const std::string& path) {
   ASSERT_TRUE(original->PublishSnapshot(ServingSpecs()).ok());
   ASSERT_TRUE(original->SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -221,6 +238,7 @@ TEST(PersistRoundTripTest, NonDefaultOptionsSurviveTheFile) {
   const std::string path = TempPath("persist_options.snap");
   ASSERT_TRUE(engine.PublishSnapshot(ServingSpecs()).ok());
   ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   // The warm engine is constructed with *default* options; WarmStart must
@@ -252,6 +270,7 @@ TEST(PersistRoundTripTest, SavedFileDoesNotDependOnTheThreadCount) {
     const std::string path =
         TempPath("persist_threads" + std::to_string(num_threads) + ".snap");
     ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+    ExpectResavesIdentically(path);
     files.push_back(ReadBytes(path));
   }
   ASSERT_GT(files[0].size(), 64u);
@@ -267,6 +286,7 @@ TEST(PersistRoundTripTest, WarmStartOverTheOriginalDatasetObject) {
   ASSERT_TRUE(engine.PublishSnapshot(ServingSpecs()).ok());
   const std::string path = TempPath("persist_attach.snap");
   ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   FusionEngine warm(static_cast<const Dataset*>(&ds), EngineOptions{});
   ASSERT_TRUE(warm.WarmStart(path).ok());
@@ -290,6 +310,7 @@ TEST(PersistRoundTripTest, SaveBeforeModelBuildRestoresLazily) {
   ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
   const std::string path = TempPath("persist_bare.snap");
   ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -320,6 +341,7 @@ TEST(PersistStreamingTest, WarmStartPlusUpdateEqualsPreparePlusUpdate) {
   ASSERT_TRUE(prepared.PublishSnapshot(ServingSpecs()).ok());
   const std::string path = TempPath("persist_stream.snap");
   ASSERT_TRUE(prepared.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   // Warm-started twin over an identically-built dataset copy.
   FusionEngine warm(&ds_warm, EngineOptions{});
@@ -359,6 +381,7 @@ class PersistCorruptionTest : public testing::Test {
     ASSERT_TRUE(engine_->PublishSnapshot(ServingSpecs()).ok());
     path_ = TempPath("persist_corrupt.snap");
     ASSERT_TRUE(engine_->SaveSnapshot(path_).ok());
+    ExpectResavesIdentically(path_);
     bytes_ = ReadBytes(path_);
     ASSERT_GT(bytes_.size(), 64u);
   }
@@ -467,11 +490,13 @@ std::string RewriteSectionField(std::string bytes, uint32_t section_id,
 }
 
 TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
-  // ENGINE payload offsets: five u64 header words, then EncodeEngineOptions
-  // in field order (doubles 8 bytes, bools 1, i32 4, u64 8).
-  constexpr size_t kAlpha = 40;
-  constexpr size_t kSmoothing = 48;
-  constexpr size_t kThreshold = 82;
+  // ENGINE payload offsets, from the section's field list.
+  const persist::EngineSection section;
+  const FieldOffsets engine_fields(section);
+  const size_t kAlpha = engine_fields.Of(&section.options.model.alpha);
+  const size_t kSmoothing = engine_fields.Of(&section.options.model.smoothing);
+  const size_t kThreshold =
+      engine_fields.Of(&section.options.decision_threshold);
   auto write = [&](size_t field, auto value) {
     return WriteVariant(RewriteSectionField(bytes_, kEngineSectionId, field,
                                             &value, sizeof(value)));
@@ -504,12 +529,16 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
 }
 
 TEST_F(PersistCorruptionTest, OutOfRangeServingSpecIsInvalidArgument) {
-  // SERVING entries are sorted by name, so union-50 is the last one:
-  // u32 kind, f64 percentage, i32 elastic level, u64 count, then one
-  // dense score per triple.
-  const size_t entry_bytes = 4 + 8 + 4 + 8 + 8 * ds_.num_triples();
+  // SERVING entries are sorted by name, so union-50 is the last one: its
+  // MethodSpec, then its dense scores (one per triple), each through its
+  // field list.
+  const MethodSpec spec = *ParseMethodSpec("union-50");
+  const FieldOffsets spec_fields(spec);
+  const size_t entry_bytes =
+      spec_fields.size() +
+      FieldOffsets(std::vector<double>(ds_.num_triples())).size();
   const size_t entry = SectionSize(bytes_, kServingSectionId) - entry_bytes;
-  const size_t percent = entry + 4;
+  const size_t percent = entry + spec_fields.Of(&spec.union_percent);
   auto write = [&](double value) {
     return WriteVariant(RewriteSectionField(bytes_, kServingSectionId,
                                             percent, &value, sizeof(value)));
@@ -557,6 +586,7 @@ class GroupingRewriteTest : public testing::TestWithParam<bool> {
     ASSERT_TRUE(engine_->PublishSnapshot(ServingSpecs()).ok());
     const std::string path = TempPath("persist_grouping.snap");
     ASSERT_TRUE(engine_->SaveSnapshot(path).ok());
+    ExpectResavesIdentically(path);
     bytes_ = ReadBytes(path);
   }
 
@@ -598,12 +628,14 @@ class GroupingRewriteTest : public testing::TestWithParam<bool> {
 };
 
 TEST_P(GroupingRewriteTest, ImpossiblePatternKeysAreInvalidArgument) {
-  // The payload starts with the triple and cluster counts, then cluster
-  // 0's pattern count and its first key (providers, nonproviders). A key
-  // no triple of its cluster could have used to load and then abort the
-  // first Run: the scorers index joint statistics by its masks.
-  constexpr size_t kProviders = 24;
-  constexpr size_t kNonproviders = 32;
+  // The payload starts with the triple and cluster counts (two u64s), then
+  // cluster 0's pattern keys, whose field list places the first key's
+  // masks. A key no triple of its cluster could have used to load and then
+  // abort the first Run: the scorers index joint statistics by its masks.
+  const std::vector<PatternKey> keys(1);
+  const FieldOffsets key_fields(keys);
+  const size_t kProviders = 16 + key_fields.Of(&keys[0].providers);
+  const size_t kNonproviders = 16 + key_fields.Of(&keys[0].nonproviders);
   const uint64_t providers = Read(kProviders);
   ASSERT_EQ(Loads(Write(bytes_, kProviders, providers)), StatusCode::kOk);
 
@@ -770,6 +802,7 @@ TEST_F(PersistCorruptionTest, DatasetVersionMismatchOnWarmStart) {
   ASSERT_TRUE(writer.Prepare(mutated.labeled_mask()).ok());
   const std::string path = TempPath("persist_version_skew.snap");
   ASSERT_TRUE(writer.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   ObservationBatch batch;
   batch.labels.push_back(
@@ -816,6 +849,7 @@ TEST_F(PersistCorruptionTest, ContentMismatchWithMatchingCountsFails) {
   ASSERT_TRUE(writer.Prepare(original.labeled_mask()).ok());
   const std::string path = TempPath("persist_content_skew.snap");
   ASSERT_TRUE(writer.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   FusionEngine same(static_cast<const Dataset*>(&original), EngineOptions{});
   EXPECT_TRUE(same.WarmStart(path).ok());

@@ -435,7 +435,9 @@ TEST(FusionServiceTest, ErrorsAreDiagnosable) {
   ASSERT_TRUE(engine.Prepare(d.labeled_mask()).ok());
   const MethodSpec corr = *ParseMethodSpec("precrec-corr");
   // Published, but the method is not materialized yet.
-  EXPECT_EQ(service.Score(corr, 0).status().code(),
+  auto bare = service.Acquire();
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_EQ(service.Score(**bare, corr, 0).status().code(),
             StatusCode::kFailedPrecondition);
 
   auto snapshot = engine.PublishSnapshot({corr});

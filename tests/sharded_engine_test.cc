@@ -40,6 +40,36 @@ std::string ReadBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Reads the manifest at `path` and writes it again: the bytes must not
+/// change.
+void ExpectManifestRewritesIdentically(const std::string& path) {
+  auto manifest = ReadShardManifest(path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  const std::string rewritten = path + ".rewritten";
+  ASSERT_TRUE(WriteShardManifest(rewritten, *manifest).ok());
+  EXPECT_TRUE(ReadBytes(rewritten) == ReadBytes(path))
+      << path << " rewritten to different bytes";
+}
+
+/// Warm-starts from the save at `path` (a manifest and its shard files, or
+/// one plain file at K=1) and saves again: every file must come out with
+/// the bytes it went in with.
+void ExpectResavesIdentically(const std::string& path) {
+  auto warm = ShardedFusionEngine::WarmStart(path, EngineOptions{});
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  const std::string resaved = path + ".resaved";
+  ASSERT_TRUE((*warm)->SaveSnapshot(resaved).ok());
+  EXPECT_TRUE(ReadBytes(resaved) == ReadBytes(path))
+      << path << " re-saved to different bytes";
+  if (!IsShardManifest(path)) return;
+  ExpectManifestRewritesIdentically(path);
+  for (size_t k = 0; k < (*warm)->num_shards(); ++k) {
+    EXPECT_TRUE(ReadBytes(ShardSnapshotPath(resaved, k)) ==
+                ReadBytes(ShardSnapshotPath(path, k)))
+        << path << " shard " << k << " re-saved to different bytes";
+  }
+}
+
 /// Every shardable method (cosine/3estimates/ltm are iterative
 /// fixed points over the whole corpus and stay unsharded).
 std::vector<MethodSpec> ShardableLineup() {
@@ -266,12 +296,15 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
   EXPECT_EQ(snapshot->get(), published->get());
 
+  auto reference_snapshot = reference_service.Acquire();
+  ASSERT_TRUE(reference_snapshot.ok()) << reference_snapshot.status();
   std::vector<TripleId> all(ds.num_triples());
   for (TripleId t = 0; t < all.size(); ++t) all[t] = t;
   for (const MethodSpec& spec : ShardableLineup()) {
     auto sharded_scores = service.ScoreBatch(**snapshot, spec, all);
     ASSERT_TRUE(sharded_scores.ok()) << sharded_scores.status();
-    auto expected_scores = reference_service.ScoreBatch(spec, all);
+    auto expected_scores =
+        reference_service.ScoreBatch(**reference_snapshot, spec, all);
     ASSERT_TRUE(expected_scores.ok()) << expected_scores.status();
     for (size_t t = 0; t < all.size(); ++t) {
       ASSERT_EQ((*sharded_scores)[t], (*expected_scores)[t])
@@ -290,9 +323,10 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   observation.in_scope = {0, 1, 2, 3};
   auto spec = ParseMethodSpec("precrec-corr");
   ASSERT_TRUE(spec.ok());
-  auto sharded_obs = service.ScoreObservation(*spec, observation);
+  auto sharded_obs = service.ScoreObservation(**snapshot, *spec, observation);
   ASSERT_TRUE(sharded_obs.ok()) << sharded_obs.status();
-  auto expected_obs = reference_service.ScoreObservation(*spec, observation);
+  auto expected_obs = reference_service.ScoreObservation(
+      **reference_snapshot, *spec, observation);
   ASSERT_TRUE(expected_obs.ok()) << expected_obs.status();
   EXPECT_EQ(*sharded_obs, *expected_obs);
 
@@ -316,6 +350,7 @@ TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
 
   const std::string path = TempPath("sharded_roundtrip.snap");
   ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   EngineOptions warm_options;  // everything but num_threads comes from disk
   warm_options.num_threads = 2;
@@ -357,6 +392,7 @@ TEST(ShardedPersistTest, RefusesCorruptMissingAndMixedVersionManifests) {
   ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
   const std::string path = TempPath("sharded_refusals.snap");
   ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   // Baseline: loads fine.
   ASSERT_TRUE(ShardedFusionEngine::WarmStart(path, options).ok());
@@ -459,22 +495,28 @@ void ExpectWarmSingleShardServesLike(
   // Immediately servable: the saved serving entries are adopted as-is.
   ShardedFusionService service(warm.get());
   FusionService reference_service(reference);
+  auto snapshot = service.Acquire();
+  auto reference_snapshot = reference_service.Acquire();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_TRUE(reference_snapshot.ok()) << reference_snapshot.status();
   std::vector<TripleId> all(warm->num_triples());
   std::iota(all.begin(), all.end(), TripleId{0});
   for (const MethodSpec& spec : specs) {
-    auto served = service.ScoreBatch(spec, all);
+    auto served = service.ScoreBatch(**snapshot, spec, all);
     ASSERT_TRUE(served.ok()) << served.status();
-    auto expected_scores = reference_service.ScoreBatch(spec, all);
+    auto expected_scores =
+        reference_service.ScoreBatch(**reference_snapshot, spec, all);
     ASSERT_TRUE(expected_scores.ok()) << expected_scores.status();
     ASSERT_EQ(*served, *expected_scores) << spec.Name();
   }
   AdHocObservation observation;
   observation.providers = {0, 2};
   observation.in_scope = {0, 1, 2, 3};
-  auto served = service.ScoreObservation(specs.back(), observation);
+  auto served =
+      service.ScoreObservation(**snapshot, specs.back(), observation);
   ASSERT_TRUE(served.ok()) << served.status();
-  auto expected_obs =
-      reference_service.ScoreObservation(specs.back(), observation);
+  auto expected_obs = reference_service.ScoreObservation(
+      **reference_snapshot, specs.back(), observation);
   ASSERT_TRUE(expected_obs.ok()) << expected_obs.status();
   EXPECT_EQ(*served, *expected_obs);
 }
@@ -488,6 +530,7 @@ TEST(SingleShardTest, FusionEngineSnapshotWarmStartsOneShard) {
   ASSERT_TRUE(reference.PublishSnapshot(specs).ok());
   const std::string path = TempPath("single_from_engine.snap");
   ASSERT_TRUE(reference.SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   EngineOptions warm_options;  // everything but num_threads comes from disk
   warm_options.num_threads = 2;
@@ -517,6 +560,7 @@ TEST(SingleShardTest, SaveWritesOnePlainSnapshotFile) {
   ASSERT_TRUE(expected.ok()) << expected.status();
   const std::string path = TempPath("single_plain.snap");
   ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+  ExpectResavesIdentically(path);
 
   // No manifest and no shard files: one file in the plain format.
   EXPECT_FALSE(IsShardManifest(path));
@@ -555,6 +599,7 @@ TEST(SingleShardTest, SavedFileIsByteIdenticalToFusionEngines) {
   ASSERT_TRUE((*sharded)->PublishSnapshot(specs).ok());
   const std::string sharded_path = TempPath("single_bytes_sharded.snap");
   ASSERT_TRUE((*sharded)->SaveSnapshot(sharded_path).ok());
+  ExpectResavesIdentically(sharded_path);
 
   const std::string plain_bytes = ReadBytes(plain_path);
   ASSERT_GT(plain_bytes.size(), 64u);
@@ -583,6 +628,7 @@ TEST(SingleShardTest, OneShardManifestFromEarlierSavesStillWarmStarts) {
             manifest.local_to_global[0].end(), TripleId{0});
   ASSERT_TRUE(WriteShardManifest(path, manifest).ok());
   ASSERT_TRUE(IsShardManifest(path));
+  ExpectManifestRewritesIdentically(path);
 
   auto warm = ShardedFusionEngine::WarmStart(path, EngineOptions{});
   ASSERT_TRUE(warm.ok()) << warm.status();
