@@ -41,10 +41,10 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/elastic.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
 #include "core/precrec_corr.h"
+#include "support/elastic_oracle.h"
 #include "support/pattern_oracles.h"
 #include "synth/generator.h"
 
@@ -74,12 +74,12 @@ std::vector<double> LegacyScores(const CorrelationModel& model,
     scorer = [&model, level](size_t c, const PatternKey& key,
                              double* given_true,
                              double* given_false) -> Status {
-      return ElasticClusterLikelihood(*model.cluster_stats[c], key.providers,
-                                      key.nonproviders, level, given_true,
-                                      given_false);
+      return ReferenceElasticLikelihood(*model.cluster_stats[c],
+                                        key.providers, key.nonproviders, level,
+                                        given_true, given_false);
     };
   }
-  auto likelihood = ScorePatterns(grouping, num_threads, scorer);
+  auto likelihood = ScorePatterns(grouping.distinct, num_threads, scorer);
   FUSER_CHECK(likelihood.ok()) << likelihood.status();
   return CombinePatternScoresReference(grouping, *likelihood, alpha);
 }

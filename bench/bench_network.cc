@@ -10,18 +10,24 @@
 // Phases:
 //  1. round-trip latency: one connection, unpipelined single-Score
 //     request/response cycles (per-RTT p50/p99);
-//  2. in-process baseline: the same batched workload through the local
-//     ShardedFusionService the server fronts — the denominator of
-//     qps_ratio, so the gated number is a same-machine same-process ratio
-//     (network-stack overhead), not an absolute timing;
-//  3. pipelined load: num_connections threads, each pushing its batches
-//     through PipelineScoreBatches in windows of 16.
-// Every networked response in phase 3 is asserted byte-identical to the
-// engine's precomputed reference scores — responses_identical in the JSON
-// is the gate, and the process aborts on any mismatch.
+//  2. kRounds alternating pairs of rounds over one fixed batched workload:
+//     an in-process round through the local ShardedFusionService the
+//     server fronts, then a networked round of pipelined load
+//     (num_connections threads, each pushing its batches through
+//     PipelineScoreBatches in windows of 16). Each round repeats the whole
+//     workload until it has lasted kMinRoundSeconds. qps_ratio is the
+//     median over the pairs of networked qps / in-process qps: a
+//     same-machine, same-process ratio (network-stack overhead), not an
+//     absolute timing, and alternating keeps a slow spell of the machine
+//     from landing on one side only.
+// Every networked response is asserted byte-identical to the engine's
+// precomputed reference scores — responses_identical in the JSON is the
+// gate, and the process aborts on any mismatch.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,6 +45,17 @@
 namespace fuser {
 namespace net {
 namespace {
+
+/// Alternating pairs of in-process and networked rounds; qps_ratio is the
+/// median of their per-pair ratios.
+constexpr size_t kRounds = 7;
+/// A round repeats the whole workload until it has lasted this long.
+constexpr double kMinRoundSeconds = 0.2;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 double PercentileUs(std::vector<double>* seconds, double p) {
   if (seconds->empty()) return 0.0;
@@ -123,77 +140,78 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  const size_t total_scores =
-      num_connections * batches_per_conn * batch_size;
-
-  // Phase 2: the same workload through the local service (same thread
-  // count), giving the in-process qps denominator.
-  double inprocess_seconds = 0.0;
-  {
+  // Phase 2. A round runs num_connections threads, each repeating its
+  // share of the workload until the round has lasted kMinRoundSeconds, and
+  // returns the round's scores per second.
+  auto timed_round = [&](const std::function<void(size_t)>& connection_pass) {
+    std::vector<size_t> passes(num_connections, 0);
     std::vector<std::thread> threads;
     WallTimer wall;
     for (size_t c = 0; c < num_connections; ++c) {
       threads.emplace_back([&, c]() {
-        auto snapshot = service.Acquire();
-        FUSER_CHECK(snapshot.ok());
-        for (const std::vector<TripleId>& batch : workload[c]) {
-          auto scores = service.ScoreBatch(**snapshot, spec, batch);
-          FUSER_CHECK(scores.ok()) << scores.status();
-        }
+        do {
+          connection_pass(c);
+          ++passes[c];
+        } while (wall.ElapsedSeconds() < kMinRoundSeconds);
       });
     }
     for (std::thread& t : threads) t.join();
-    inprocess_seconds = wall.ElapsedSeconds();
-  }
-  const double inprocess_qps =
-      inprocess_seconds > 0.0
-          ? static_cast<double>(total_scores) / inprocess_seconds
-          : 0.0;
-
-  // Phase 3: pipelined networked load, every response verified.
+    const double seconds = wall.ElapsedSeconds();
+    size_t scores = 0;
+    for (size_t p : passes) scores += p * batches_per_conn * batch_size;
+    return static_cast<double>(scores) / seconds;
+  };
+  auto inprocess_pass = [&](size_t c) {
+    auto snapshot = service.Acquire();
+    FUSER_CHECK(snapshot.ok());
+    for (const std::vector<TripleId>& batch : workload[c]) {
+      auto scores = service.ScoreBatch(**snapshot, spec, batch);
+      FUSER_CHECK(scores.ok()) << scores.status();
+    }
+  };
   constexpr size_t kPipelineWindow = 16;
-  std::vector<int> mismatches(num_connections, 0);
-  double network_seconds = 0.0;
-  {
-    std::vector<std::thread> threads;
-    WallTimer wall;
-    for (size_t c = 0; c < num_connections; ++c) {
-      threads.emplace_back([&, c]() {
-        FusionClient client;
-        FUSER_CHECK(client.Connect("127.0.0.1", port).ok());
-        for (size_t b = 0; b < workload[c].size(); b += kPipelineWindow) {
-          const size_t hi =
-              std::min(b + kPipelineWindow, workload[c].size());
-          const std::vector<std::vector<TripleId>> window(
-              workload[c].begin() + static_cast<ptrdiff_t>(b),
-              workload[c].begin() + static_cast<ptrdiff_t>(hi));
-          auto replies = client.PipelineScoreBatches(spec.Name(), window);
-          FUSER_CHECK(replies.ok()) << replies.status();
-          FUSER_CHECK(replies->size() == window.size());
-          for (size_t w = 0; w < window.size(); ++w) {
-            const std::vector<double>& got = (*replies)[w].scores;
-            if (got.size() != window[w].size()) {
-              ++mismatches[c];
-              continue;
-            }
-            for (size_t i = 0; i < window[w].size(); ++i) {
-              // Byte identity with the in-process engine, not approximate
-              // equality — the wire carries raw IEEE-754 doubles.
-              if (got[i] != reference[window[w][i]]) ++mismatches[c];
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    network_seconds = wall.ElapsedSeconds();
+  std::vector<std::unique_ptr<FusionClient>> clients;
+  for (size_t c = 0; c < num_connections; ++c) {
+    clients.push_back(std::make_unique<FusionClient>());
+    FUSER_CHECK(clients.back()->Connect("127.0.0.1", port).ok());
   }
-  const double network_qps =
-      network_seconds > 0.0
-          ? static_cast<double>(total_scores) / network_seconds
-          : 0.0;
-  const double qps_ratio =
-      inprocess_qps > 0.0 ? network_qps / inprocess_qps : 0.0;
+  std::vector<int> mismatches(num_connections, 0);
+  auto network_pass = [&](size_t c) {
+    FusionClient& client = *clients[c];
+    for (size_t b = 0; b < workload[c].size(); b += kPipelineWindow) {
+      const size_t hi = std::min(b + kPipelineWindow, workload[c].size());
+      const std::vector<std::vector<TripleId>> window(
+          workload[c].begin() + static_cast<ptrdiff_t>(b),
+          workload[c].begin() + static_cast<ptrdiff_t>(hi));
+      auto replies = client.PipelineScoreBatches(spec.Name(), window);
+      FUSER_CHECK(replies.ok()) << replies.status();
+      FUSER_CHECK(replies->size() == window.size());
+      for (size_t w = 0; w < window.size(); ++w) {
+        const std::vector<double>& got = (*replies)[w].scores;
+        if (got.size() != window[w].size()) {
+          ++mismatches[c];
+          continue;
+        }
+        for (size_t i = 0; i < window[w].size(); ++i) {
+          // Byte identity with the in-process engine, not approximate
+          // equality — the wire carries raw IEEE-754 doubles.
+          if (got[i] != reference[window[w][i]]) ++mismatches[c];
+        }
+      }
+    }
+  };
+  std::vector<double> inprocess_rounds;
+  std::vector<double> network_rounds;
+  std::vector<double> ratios;
+  for (size_t r = 0; r < kRounds; ++r) {
+    inprocess_rounds.push_back(timed_round(inprocess_pass));
+    network_rounds.push_back(timed_round(network_pass));
+    ratios.push_back(network_rounds.back() / inprocess_rounds.back());
+  }
+  clients.clear();
+  const double inprocess_qps = Median(inprocess_rounds);
+  const double network_qps = Median(network_rounds);
+  const double qps_ratio = Median(ratios);
 
   int total_mismatches = 0;
   for (int m : mismatches) total_mismatches += m;
@@ -212,6 +230,11 @@ int Main(int argc, char** argv) {
       .Num("network_qps", network_qps, 0)
       .Num("inprocess_qps", inprocess_qps, 0)
       .Num("qps_ratio", qps_ratio, 4)
+      .Num("qps_ratio_min", *std::min_element(ratios.begin(), ratios.end()),
+           4)
+      .Num("qps_ratio_max", *std::max_element(ratios.begin(), ratios.end()),
+           4)
+      .Int("rounds", kRounds)
       .Int("requests_served", counters.requests_served)
       .Bool("responses_identical", identical)
       .Print();

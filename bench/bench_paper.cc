@@ -247,11 +247,11 @@ void PrintFigure1() {
   std::printf("aggressive  (Ex 4.7):  Pr = %.2f   (paper: 0.23)\n",
               (*aggressive)[7]);
   for (int level = 0; level <= 1; ++level) {
+    StatusOr<PatternScoringPlan> plan = MakeElasticPlan(model, level);
+    FUSER_CHECK(plan.ok());
     double r = 0.0;
     double q = 0.0;
-    FUSER_CHECK(ElasticClusterLikelihood(*model.cluster_stats[0], 0b11011,
-                                         0b00100, level, &r, &q)
-                    .ok());
+    FUSER_CHECK(plan->scorer(0, PatternKey{0b11011, 0b00100}, &r, &q).ok());
     std::printf("elastic level %d (Ex 4.10): mu = %.2f   (paper: %s)\n",
                 level, r / q, level == 0 ? "0.6" : "0.59");
   }

@@ -10,8 +10,14 @@
 // reduction, not parallelism, is the scaling claim: the curve holds at
 // num_threads = 1 on a single core.
 //
+// It also times PublishSnapshot({precrec-corr, elastic-2}) right after a
+// streamed batch, at each K: the one cluster's patterns are scored once
+// per model however many shards hold them, so publish_ratio_4 =
+// publish_seconds_1 / publish_seconds_4 stays near 1 where scoring every
+// shard's patterns separately would put it near 1/4.
+//
 // Prints one JSON line (bench_util.h) so scripts/check_bench.py can gate
-// ingest_speedup_4 and scores_identical:
+// ingest_speedup_4, publish_ratio_4 and scores_identical:
 //
 //   ./bench_sharding [num_triples] [stream_fraction] [batches_per_bucket]
 #include <algorithm>
@@ -35,6 +41,9 @@ namespace fuser {
 namespace {
 
 constexpr uint32_t kShardCounts[] = {1, 2, 4, 8};
+/// The publish time is the fastest of the publishes after each of the
+/// stream's last kPublishRounds batches.
+constexpr size_t kPublishRounds = 8;
 
 int Main(int argc, char** argv) {
   // Universe size; ~80% of it survives as provided triples.
@@ -99,8 +108,11 @@ int Main(int argc, char** argv) {
   const std::vector<MethodSpec> specs = {*ParseMethodSpec("union-50"),
                                          *ParseMethodSpec("precrec"),
                                          *ParseMethodSpec("precrec-corr")};
+  const std::vector<MethodSpec> publish_specs = {
+      *ParseMethodSpec("precrec-corr"), *ParseMethodSpec("elastic-2")};
 
   double ingest_seconds[4] = {0, 0, 0, 0};
+  double publish_seconds[4] = {0, 0, 0, 0};
   double query_seconds[4] = {0, 0, 0, 0};
   std::vector<std::vector<double>> reference_scores;
   bool identical = true;
@@ -117,12 +129,21 @@ int Main(int argc, char** argv) {
     // Warm the global model so Update maintains live serving state.
     FUSER_CHECK(engine.RunAll(specs).ok());
 
-    WallTimer ingest_timer;
-    for (const ObservationBatch& batch : batches) {
-      Status updated = engine.Update(batch);
+    // Only the updates count toward ingest; each publish after one of the
+    // last kPublishRounds batches is timed on its own.
+    for (size_t b = 0; b < batches.size(); ++b) {
+      WallTimer ingest_timer;
+      Status updated = engine.Update(batches[b]);
       FUSER_CHECK(updated.ok()) << updated;
+      ingest_seconds[ki] += ingest_timer.ElapsedSeconds();
+      if (b + kPublishRounds < batches.size()) continue;
+      WallTimer publish_timer;
+      FUSER_CHECK(engine.PublishSnapshot(publish_specs).ok());
+      const double seconds = publish_timer.ElapsedSeconds();
+      publish_seconds[ki] = publish_seconds[ki] == 0.0
+                                ? seconds
+                                : std::min(publish_seconds[ki], seconds);
     }
-    ingest_seconds[ki] = ingest_timer.ElapsedSeconds();
 
     auto runs = engine.RunAll(specs);
     FUSER_CHECK(runs.ok()) << runs.status();
@@ -173,6 +194,16 @@ int Main(int argc, char** argv) {
   for (size_t ki = 0; ki < 4; ++ki) {
     json.Num("query_seconds_" + std::to_string(kShardCounts[ki]),
              query_seconds[ki]);
+  }
+  for (size_t ki = 0; ki < 4; ++ki) {
+    json.Num("publish_seconds_" + std::to_string(kShardCounts[ki]),
+             publish_seconds[ki]);
+  }
+  for (size_t ki = 1; ki < 4; ++ki) {
+    const double ratio = publish_seconds[ki] > 0.0
+                             ? publish_seconds[0] / publish_seconds[ki]
+                             : 0.0;
+    json.Num("publish_ratio_" + std::to_string(kShardCounts[ki]), ratio, 2);
   }
   json.Bool("scores_identical", identical).Print();
   FUSER_CHECK(identical) << "sharded scores diverged across shard counts";

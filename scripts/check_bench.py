@@ -61,14 +61,19 @@ RATIO_METRICS = {
     "correlation": {"sketch_speedup_256": None, "sketch_speedup_1024": None},
     # The 4-shard ingest advantage is the sharding subsystem's headline
     # claim (work reduction, not threads); 1.5x keeps the floor above the
-    # no-speedup line for the checked-in ~2.5x baseline.
-    "sharding": {"ingest_speedup_4": 1.5},
+    # no-speedup line for the checked-in ~2.5x baseline. publish_ratio_4 is
+    # a K=1 publish over a K=4 one of the same one-cluster corpus: near 1
+    # when the router scores each pattern once per model, near 1/4 or
+    # below when every shard scores its own patterns.
+    "sharding": {"ingest_speedup_4": 1.5, "publish_ratio_4": None},
     # mmap attach vs bulk copy-load of the same file, one process; the
     # columnar-vs-legacy footprint ratio is layout-determined and stable.
     "memory": {"attach_speedup": 2.0, "memory_reduction": None},
-    # network_qps / inprocess_qps, both measured in the same process on the
-    # same workload — machine-independent like the other ratios, but
-    # loopback scheduling makes it noisier, hence the wide tolerance.
+    # network_qps / inprocess_qps, the median over alternating in-process
+    # and networked rounds of one process on the same workload —
+    # machine-independent like the other ratios, but loopback scheduling
+    # makes it noisier: eleven runs on a shared 4-vCPU VM read
+    # 0.022-0.049, a 2.2x spread, hence the wide tolerance.
     # rtt_p50_us / rtt_p99_us / qps are absolute -> reported, not gated.
     "network": {"qps_ratio": 4.0},
 }

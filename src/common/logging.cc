@@ -1,46 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
+#include <cstdlib>
+#include <iostream>
 
 namespace fuser {
-
-namespace {
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_log_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(level, std::memory_order_relaxed);
-}
-
 namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  if (level_ >= GetLogLevel()) {
-    stream_ << "\n";
-    std::cerr << stream_.str();
-  }
-}
 
 FatalLogMessage::FatalLogMessage(const char* file, int line) {
   stream_ << "[FATAL " << file << ":" << line << "] ";

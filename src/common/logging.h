@@ -1,42 +1,16 @@
-// Minimal leveled logging plus CHECK macros.
-//
-// FUSER_CHECK* macros abort on violated invariants; they are used for
+// CHECK macros: FUSER_CHECK* abort on violated invariants, printing the
+// failed condition and any streamed context to stderr. They are used for
 // programmer errors only (user-facing failures go through Status).
 #ifndef FUSER_COMMON_LOGGING_H_
 #define FUSER_COMMON_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
-#include <string>
 
 namespace fuser {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Process-wide minimum level; messages below it are dropped.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 namespace internal {
 
-/// Accumulates one log line and emits it (to stderr) on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostringstream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-/// Like LogMessage but aborts the process on destruction.
+/// Accumulates one failure message and, on destruction, writes it to
+/// stderr and aborts the process.
 class FatalLogMessage {
  public:
   FatalLogMessage(const char* file, int line);
@@ -53,11 +27,6 @@ class FatalLogMessage {
 
 }  // namespace internal
 }  // namespace fuser
-
-#define FUSER_LOG(level)                                              \
-  ::fuser::internal::LogMessage(::fuser::LogLevel::k##level, __FILE__, \
-                                __LINE__)                              \
-      .stream()
 
 #define FUSER_CHECK(condition)                                        \
   if (!(condition))                                                   \

@@ -52,12 +52,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  FUSER_CHECK_LE(lo, hi);
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(range));
-}
-
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

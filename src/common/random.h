@@ -30,9 +30,6 @@ class Rng {
   /// sampling to avoid modulo bias.
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 

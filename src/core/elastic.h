@@ -26,18 +26,18 @@ namespace fuser {
 /// Elastic's pattern-scoring plan over `model` at adjustment level
 /// `level` >= 0 (level 0 is the already level-adjusted starting point of
 /// Algorithm 1; higher levels refine toward the exact solution): the
-/// per-pattern scorer plus the combine prior (model.alpha). Captures
-/// `model` by pointer — it must outlive the plan (snapshots share
-/// ownership of it); safe to invoke from any reader thread. ScorePlan
-/// (core/pattern_pipeline.h) runs it over a whole dataset.
+/// per-pattern scorer plus the combine prior (model.alpha).
+///
+/// The factors C+_i, C-_i and the clamped rates x_i = min(C_i r_i, 1) are
+/// per-cluster constants: the plan computes them once, from 3k+1 joint
+/// lookups per k-source cluster, and its scorer shares them, so scoring a
+/// pattern costs only its subset terms and allocates nothing. The scorer
+/// captures `model` by pointer — it must outlive the plan (snapshots share
+/// ownership of it) — and the rates by shared ownership; it is safe to
+/// invoke from any reader thread. ScorePlan (core/pattern_pipeline.h) runs
+/// it over a whole dataset.
 StatusOr<PatternScoringPlan> MakeElasticPlan(const CorrelationModel& model,
                                              int level);
-
-/// Per-cluster elastic numerator/denominator for observation (P, N);
-/// exposed for tests against the paper's Example 4.10.
-Status ElasticClusterLikelihood(const JointStatsProvider& stats,
-                                Mask providers, Mask nonproviders, int level,
-                                double* numerator, double* denominator);
 
 }  // namespace fuser
 

@@ -13,6 +13,36 @@
 
 namespace fuser {
 
+namespace {
+
+/// A pattern-based entry whose table is selected from the sharded router's
+/// union table: distinct pattern i of cluster c reads union row
+/// positions[c][i]. The plan is rebuilt over this engine's own model for
+/// the entry's ad-hoc scorer, which the snapshot keeps alive.
+StatusOr<std::shared_ptr<const MethodServing>> SelectUnionServing(
+    const MethodContext& context, const MethodSpec& spec,
+    const UnionPatternTables& union_tables) {
+  const auto it = union_tables.tables->find(spec.Name());
+  const std::vector<std::vector<PatternKey>>& distinct =
+      context.grouping->distinct;
+  const std::vector<std::vector<uint32_t>>& positions = union_tables.positions;
+  bool covered = it != union_tables.tables->end() &&
+                 it->second.num_clusters() == distinct.size() &&
+                 positions.size() == distinct.size();
+  for (size_t c = 0; covered && c < distinct.size(); ++c) {
+    covered = positions[c].size() == distinct[c].size();
+  }
+  if (!covered) {
+    return Status::Internal("union pattern tables do not cover this shard");
+  }
+  FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
+                         MakeScoringPlan(context, spec));
+  return MakePatternServing(spec, std::move(plan),
+                            SelectPatternRows(it->second, positions));
+}
+
+}  // namespace
+
 FusionEngine::FusionEngine(const Dataset* dataset, EngineOptions options)
     : dataset_(dataset), options_(std::move(options)) {
   FUSER_CHECK(dataset_ != nullptr);
@@ -87,41 +117,48 @@ std::shared_ptr<const FusionSnapshot> FusionEngine::CurrentServableSnapshot()
 }
 
 StatusOr<std::shared_ptr<const FusionSnapshot>> FusionEngine::PublishSnapshot(
-    const std::vector<MethodSpec>& specs) {
+    const std::vector<MethodSpec>& specs,
+    const UnionPatternTables* union_tables) {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare before PublishSnapshot");
   }
   FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
-  std::shared_ptr<const FusionSnapshot> previous = CurrentSnapshot();
   ServingMap serving;
   for (const MethodSpec& spec : specs) {
     const std::string name = spec.Name();
     if (serving.count(name) != 0) continue;
-    // Reuse an entry published against exactly these inputs (same dataset
-    // version and the very same model/grouping objects); anything else is
-    // rebuilt. The pointer comparison is sound because every mutation path
-    // swaps the shared_ptrs instead of editing in place.
-    if (previous != nullptr &&
-        previous->dataset_version == dataset_version_ &&
-        previous->model == model_ && previous->grouping == grouping_) {
-      auto it = previous->serving.find(name);
-      if (it != previous->serving.end()) {
-        serving.emplace(name, it->second);
-        continue;
+    std::shared_ptr<const MethodServing> entry = PublishedServing(spec);
+    if (entry == nullptr) {
+      MethodContext context;
+      FUSER_ASSIGN_OR_RETURN(const MethodInfo* method,
+                             ResolveAndPrepareContext(spec, &context));
+      StatusOr<std::shared_ptr<const MethodServing>> built =
+          union_tables != nullptr && method->pattern_based
+              ? SelectUnionServing(context, spec, *union_tables)
+              : BuildMethodServing(context, spec);
+      if (!built.ok()) {
+        return Status(built.status().code(),
+                      name + ": " + built.status().message());
       }
+      entry = std::move(built).value();
     }
-    MethodContext context;
-    FUSER_RETURN_IF_ERROR(ResolveAndPrepareContext(spec, &context).status());
-    StatusOr<std::shared_ptr<const MethodServing>> entry =
-        BuildMethodServing(context, spec);
-    if (!entry.ok()) {
-      return Status(entry.status().code(),
-                    name + ": " + entry.status().message());
-    }
-    serving.emplace(name, std::move(entry).value());
+    serving.emplace(name, std::move(entry));
   }
   Publish(std::move(serving));
   return CurrentSnapshot();
+}
+
+std::shared_ptr<const MethodServing> FusionEngine::PublishedServing(
+    const MethodSpec& spec) const {
+  // The pointer comparison is sound because every mutation path swaps the
+  // shared_ptrs instead of editing in place.
+  std::shared_ptr<const FusionSnapshot> current = CurrentSnapshot();
+  if (current == nullptr || current->dataset_version != dataset_version_ ||
+      current->model != model_ || current->grouping != grouping_) {
+    return nullptr;
+  }
+  auto it = current->serving.find(spec.Name());
+  return it != current->serving.end() ? it->second : nullptr;
 }
 
 Status FusionEngine::WarmStart(const std::string& path) {
@@ -579,23 +616,13 @@ StatusOr<FusionRun> FusionEngine::Run(const MethodSpec& spec) {
     // and gather it over every triple, so FusionService::ScoreBatch and
     // Run share one implementation (and are byte-identical).
     WallTimer timer;
-    std::shared_ptr<const MethodServing> serving;
     // An entry already published against exactly these inputs is
     // byte-identical to a rebuild (BuildMethodServing is deterministic) —
     // skip the distinct-pattern scoring pass. This makes the canonical
     // writer loop (PublishSnapshot, then Run for a dense reference) pay
     // for the scoring once. Note FusionRun.seconds then covers only the
     // gather, like the shared inputs it excludes by contract.
-    std::shared_ptr<const FusionSnapshot> current = CurrentSnapshot();
-    if (current != nullptr &&
-        current->dataset_version == dataset_version_ &&
-        current->model == model_ && current->grouping == grouping_) {
-      const MethodServing* entry = current->FindServing(spec.Name());
-      if (entry != nullptr && entry->pattern_based) {
-        // Aliasing constructor: keeps the snapshot alive behind the entry.
-        serving = std::shared_ptr<const MethodServing>(current, entry);
-      }
-    }
+    std::shared_ptr<const MethodServing> serving = PublishedServing(spec);
     if (serving == nullptr) {
       FUSER_ASSIGN_OR_RETURN(serving, BuildMethodServing(context, spec));
     }

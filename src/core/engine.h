@@ -86,6 +86,21 @@ struct ShardUpdateResult {
   std::vector<SourceQuality> shard_quality;
 };
 
+/// Posterior tables the sharded router built once for all of its shards
+/// (ShardedFusionEngine::PublishSnapshot). Every shard holds the same model,
+/// and a pattern's likelihood pair and table entries depend only on (model,
+/// cluster, key), so the router scores and tabulates the union of the
+/// shards' distinct lists and each shard selects its own rows.
+struct UnionPatternTables {
+  /// Per MethodSpec::Name() of each pattern-based spec to build: the
+  /// BuildPatternPosteriorTable of ScorePatterns over the union lists.
+  const std::unordered_map<std::string, PatternPosteriorTable>* tables =
+      nullptr;
+  /// positions[c][i]: where this shard's distinct[c][i] sits in the union
+  /// lists.
+  std::vector<std::vector<uint32_t>> positions;
+};
+
 /// Decision and ranking quality of a run on an evaluation set. When the
 /// eval mask is single-class (all true or all false), ranked curves are
 /// undefined: `curves_available` is false and both AUCs are NaN, but the
@@ -235,11 +250,26 @@ class FusionEngine {
   /// MethodServing per spec — posterior tables for pattern-serving
   /// methods, dense scores otherwise), publishes the result atomically,
   /// and returns the published snapshot. Entries already published for the
-  /// same inputs are reused, so republishing after no change is cheap.
-  /// Writer-side: call it from the same thread as Prepare/Update/Run;
-  /// readers consume the result via CurrentSnapshot()/FusionService.
+  /// same inputs are reused (PublishedServing), so republishing after no
+  /// change is cheap. Pattern-based entries score this engine's distinct
+  /// lists (BuildMethodServing) — or, given `union_tables`, select their
+  /// rows from the sharded router's union tables (SelectPatternRows) and
+  /// score nothing here; the tables are the same bytes either way.
+  /// `union_tables` must cover every pattern-based spec this call builds
+  /// and index this engine's current grouping. Writer-side: call it from the
+  /// same thread as Prepare/Update/Run; readers consume the result via
+  /// CurrentSnapshot()/FusionService.
   StatusOr<std::shared_ptr<const FusionSnapshot>> PublishSnapshot(
-      const std::vector<MethodSpec>& specs);
+      const std::vector<MethodSpec>& specs,
+      const UnionPatternTables* union_tables = nullptr);
+
+  /// The serving entry of `spec` in the current snapshot when it was built
+  /// from exactly the engine's current inputs (dataset version, model and
+  /// grouping objects), else null. PublishSnapshot and Run reuse it instead
+  /// of rebuilding; the sharded router scores no spec that every shard
+  /// has.
+  std::shared_ptr<const MethodServing> PublishedServing(
+      const MethodSpec& spec) const;
 
   /// The correlation model (builds it if not yet built). The pointer is
   /// owned by the published snapshot: it stays valid while this engine

@@ -493,13 +493,13 @@ uint64_t ModelGroupingFingerprint(const CorrelationModel& model) {
 }
 
 StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
-    const PatternGrouping& grouping, size_t num_threads,
+    const std::vector<std::vector<PatternKey>>& keys, size_t num_threads,
     const PatternScorer& scorer, const ClusterBatchScorer& batch,
     ThreadPool* pool) {
-  const size_t num_clusters = grouping.num_clusters();
+  const size_t num_clusters = keys.size();
   std::vector<std::vector<PatternLikelihood>> likelihood(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    likelihood[c].assign(grouping.distinct[c].size(), PatternLikelihood{});
+    likelihood[c].assign(keys[c].size(), PatternLikelihood{});
   }
 
   Status first_error;
@@ -519,7 +519,7 @@ StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
     ParallelFor(
         num_clusters, num_threads,
         [&](size_t c) {
-          StatusOr<bool> done = batch(c, grouping.distinct[c], &likelihood[c]);
+          StatusOr<bool> done = batch(c, keys[c], &likelihood[c]);
           if (!done.ok()) {
             record_error(done.status());
             return;
@@ -540,7 +540,7 @@ StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
   std::vector<std::pair<size_t, size_t>> work;
   for (size_t c = 0; c < num_clusters; ++c) {
     if (handled[c]) continue;
-    for (size_t i = 0; i < grouping.distinct[c].size(); ++i) {
+    for (size_t i = 0; i < keys[c].size(); ++i) {
       work.emplace_back(c, i);
     }
   }
@@ -550,8 +550,7 @@ StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
         const auto& [c, i] = work[w];
         double given_true = 0.0;
         double given_false = 0.0;
-        Status s =
-            scorer(c, grouping.distinct[c][i], &given_true, &given_false);
+        Status s = scorer(c, keys[c][i], &given_true, &given_false);
         if (!s.ok()) {
           record_error(s);
           return;
@@ -624,6 +623,35 @@ PatternPosteriorTable BuildPatternPosteriorTable(
     }
   }
   return table;
+}
+
+PatternPosteriorTable SelectPatternRows(
+    const PatternPosteriorTable& table,
+    const std::vector<std::vector<uint32_t>>& positions) {
+  PatternPosteriorTable selected;
+  selected.alpha = table.alpha;
+  selected.logs.resize(positions.size());
+  for (size_t c = 0; c < positions.size(); ++c) {
+    const PatternPosteriorTable::ClusterLogs& from = table.logs[c];
+    PatternPosteriorTable::ClusterLogs& logs = selected.logs[c];
+    const size_t n = positions[c].size();
+    logs.log_true.resize(n);
+    logs.log_false.resize(n);
+    logs.flags.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t u = positions[c][i];
+      logs.log_true[i] = from.log_true[u];
+      logs.log_false[i] = from.log_false[u];
+      logs.flags[i] = from.flags[u];
+    }
+  }
+  if (!table.posterior.empty()) {
+    selected.posterior.resize(positions[0].size());
+    for (size_t i = 0; i < positions[0].size(); ++i) {
+      selected.posterior[i] = table.posterior[positions[0][i]];
+    }
+  }
+  return selected;
 }
 
 namespace {
@@ -727,7 +755,8 @@ StatusOr<std::vector<double>> ScorePlan(const Dataset& dataset,
   }
   FUSER_ASSIGN_OR_RETURN(
       std::vector<std::vector<PatternLikelihood>> likelihood,
-      ScorePatterns(*grouping, num_threads, plan.scorer, plan.batch, pool));
+      ScorePatterns(grouping->distinct, num_threads, plan.scorer, plan.batch,
+                    pool));
   return CombinePatternScores(*grouping, likelihood, plan.alpha, num_threads,
                               pool);
 }

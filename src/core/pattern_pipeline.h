@@ -242,14 +242,18 @@ struct PatternScoringPlan {
   double alpha = 0.5;
 };
 
-/// Scores every distinct pattern of every cluster exactly once. Clusters
-/// the `batch` scorer claims are computed whole (one pass per cluster,
-/// parallel across clusters); the rest run `scorer` in parallel over the
-/// flattened (cluster, pattern) work list. The first error cancels all
-/// outstanding work (workers stop claiming patterns) and aborts the whole
-/// computation. `pool` optionally supplies persistent workers.
+/// Scores every key of keys[c], for every cluster c, exactly once: a
+/// grouping's distinct lists, or the union of several groupings' lists over
+/// one model (the sharded router's). Result [c][i] belongs to keys[c][i].
+/// Clusters the `batch` scorer claims are computed whole (one pass per
+/// cluster, parallel across clusters); the rest run `scorer` in parallel
+/// over the flattened (cluster, pattern) work list. A key's likelihood
+/// depends on the key alone, not on the other keys of its list. The first
+/// error cancels all outstanding work (workers stop claiming patterns) and
+/// aborts the whole computation. `pool` optionally supplies persistent
+/// workers.
 StatusOr<std::vector<std::vector<PatternLikelihood>>> ScorePatterns(
-    const PatternGrouping& grouping, size_t num_threads,
+    const std::vector<std::vector<PatternKey>>& keys, size_t num_threads,
     const PatternScorer& scorer, const ClusterBatchScorer& batch = nullptr,
     ThreadPool* pool = nullptr);
 
@@ -283,6 +287,16 @@ struct PatternPosteriorTable {
 PatternPosteriorTable BuildPatternPosteriorTable(
     const std::vector<std::vector<PatternLikelihood>>& likelihood,
     double alpha);
+
+/// The table of a grouping whose distinct pattern i of cluster c is pattern
+/// positions[c][i] of the lists `table` was built over (the sharded
+/// router's union of its shards' lists). Every per-pattern entry is a pure
+/// function of the pattern's likelihood pair and the prior, so the result
+/// is byte-identical to BuildPatternPosteriorTable over the grouping's own
+/// likelihoods.
+PatternPosteriorTable SelectPatternRows(
+    const PatternPosteriorTable& table,
+    const std::vector<std::vector<uint32_t>>& positions);
 
 /// One cluster's combine input: the flag/log triple the posterior table
 /// stores per pattern, computable on the fly for patterns the table has

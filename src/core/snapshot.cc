@@ -12,23 +12,33 @@ const MethodServing* FusionSnapshot::FindServing(
 
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
     const MethodContext& context, const MethodSpec& spec) {
-  auto serving = std::make_shared<MethodServing>();
-  serving->spec = spec;
   const MethodInfo* method = FindMethod(spec.kind);
   if (method != nullptr && method->pattern_based) {
     FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
                            MakeScoringPlan(context, spec));
     FUSER_ASSIGN_OR_RETURN(
         std::vector<std::vector<PatternLikelihood>> likelihood,
-        ScorePatterns(*context.grouping, context.num_threads, plan.scorer,
-                      plan.batch, context.pool));
-    serving->pattern_based = true;
-    serving->table = BuildPatternPosteriorTable(likelihood, plan.alpha);
-    serving->adhoc_scorer = std::move(plan.scorer);
-  } else {
-    FUSER_ASSIGN_OR_RETURN(serving->dense, ScoreMethod(context, spec));
+        ScorePatterns(context.grouping->distinct, context.num_threads,
+                      plan.scorer, plan.batch, context.pool));
+    PatternPosteriorTable table =
+        BuildPatternPosteriorTable(likelihood, plan.alpha);
+    return MakePatternServing(spec, std::move(plan), std::move(table));
   }
+  auto serving = std::make_shared<MethodServing>();
+  serving->spec = spec;
+  FUSER_ASSIGN_OR_RETURN(serving->dense, ScoreMethod(context, spec));
   return std::shared_ptr<const MethodServing>(std::move(serving));
+}
+
+std::shared_ptr<const MethodServing> MakePatternServing(
+    const MethodSpec& spec, PatternScoringPlan plan,
+    PatternPosteriorTable table) {
+  auto serving = std::make_shared<MethodServing>();
+  serving->spec = spec;
+  serving->pattern_based = true;
+  serving->table = std::move(table);
+  serving->adhoc_scorer = std::move(plan.scorer);
+  return serving;
 }
 
 }  // namespace fuser

@@ -83,13 +83,23 @@ struct FusionSnapshot {
 
 /// Builds the serving state of `spec` from a fully prepared context:
 /// pattern-based methods score every distinct pattern of context.grouping
-/// (which must be set) through their plan and keep the posterior table;
-/// others run ScoreMethod and keep the dense vector. Deterministic —
+/// (which must be set) through their plan — ScorePatterns over the
+/// grouping's lists — and keep the BuildPatternPosteriorTable of the
+/// result; others run ScoreMethod and keep the dense vector. Deterministic —
 /// repeated builds over the same inputs are byte-identical at every thread
 /// count — which is what makes FusionService answers equal to
 /// FusionEngine::Run.
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
     const MethodContext& context, const MethodSpec& spec);
+
+/// The serving entry of pattern-based `spec`: `table` (built from
+/// ScorePatterns likelihoods by BuildPatternPosteriorTable, or selected
+/// from a table over the sharded router's union of patterns by
+/// SelectPatternRows) and plan.scorer as its ad-hoc scorer. `plan` is
+/// spec's plan over the model the entry's snapshot keeps alive.
+std::shared_ptr<const MethodServing> MakePatternServing(
+    const MethodSpec& spec, PatternScoringPlan plan,
+    PatternPosteriorTable table);
 
 }  // namespace fuser
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "core/clustering.h"
@@ -29,8 +30,10 @@ ShardedFusionEngine::ShardedFusionEngine(ShardedCorpus corpus,
         std::make_unique<FusionEngine>(corpus_.mutable_shard(k), shard_options));
   }
   router_threads_ = std::min(num_shards, budget);
-  if (router_threads_ > 1) {
-    router_pool_ = std::make_unique<ThreadPool>(router_threads_);
+  // The router fans out across shards on min(K, T) of these workers and
+  // scores the shards' union of patterns on all T.
+  if (budget > 1 && num_shards > 1) {
+    router_pool_ = std::make_unique<ThreadPool>(budget);
   }
   shard_quality_.resize(num_shards);
 }
@@ -360,11 +363,17 @@ ShardedFusionEngine::PublishSnapshot(const std::vector<MethodSpec>& specs) {
   FUSER_RETURN_IF_ERROR(PrepareSpecs(specs));
 
   const size_t num_shards = engines_.size();
+  std::unordered_map<std::string, PatternPosteriorTable> tables;
+  std::vector<UnionPatternTables> union_tables;
+  if (!single()) {
+    FUSER_RETURN_IF_ERROR(BuildUnionTables(specs, &tables, &union_tables));
+  }
   std::vector<std::shared_ptr<const FusionSnapshot>> shards(num_shards);
   std::vector<Status> statuses(num_shards);
   ForEachShard([&](size_t k) {
     StatusOr<std::shared_ptr<const FusionSnapshot>> snapshot =
-        engines_[k]->PublishSnapshot(specs);
+        engines_[k]->PublishSnapshot(
+            specs, union_tables.empty() ? nullptr : &union_tables[k]);
     if (!snapshot.ok()) {
       statuses[k] = snapshot.status();
       return;
@@ -373,6 +382,105 @@ ShardedFusionEngine::PublishSnapshot(const std::vector<MethodSpec>& specs) {
   });
   for (const Status& s : statuses) FUSER_RETURN_IF_ERROR(s);
   return StoreSnapshot(std::move(shards), /*servable=*/!specs.empty());
+}
+
+Status ShardedFusionEngine::BuildUnionTables(
+    const std::vector<MethodSpec>& specs,
+    std::unordered_map<std::string, PatternPosteriorTable>* tables,
+    std::vector<UnionPatternTables>* union_tables) {
+  const size_t num_shards = engines_.size();
+  // Only the pattern-based specs some shard has no current entry for.
+  std::vector<const MethodSpec*> to_build;
+  for (const MethodSpec& spec : specs) {
+    const std::string name = spec.Name();
+    if (!FindMethod(spec.kind)->pattern_based || tables->count(name) != 0) {
+      continue;
+    }
+    for (size_t k = 0; k < num_shards; ++k) {
+      if (engines_[k]->PublishedServing(spec) == nullptr) {
+        to_build.push_back(&spec);
+        (*tables)[name];  // filled below
+        break;
+      }
+    }
+  }
+  if (to_build.empty()) return Status::OK();
+
+  // Every shard's grouping over the shared model (built where missing).
+  std::vector<const PatternGrouping*> groupings(num_shards, nullptr);
+  std::vector<Status> statuses(num_shards);
+  ForEachShard([&](size_t k) {
+    StatusOr<const PatternGrouping*> grouping =
+        engines_[k]->GetPatternGrouping();
+    if (!grouping.ok()) {
+      statuses[k] = grouping.status();
+      return;
+    }
+    groupings[k] = *grouping;
+  });
+  for (const Status& s : statuses) FUSER_RETURN_IF_ERROR(s);
+
+  // The union of the shards' distinct lists in first-seen order (shard 0's
+  // list, then each later shard's new keys), and each shard's positions in
+  // it, through an open-addressing index of union ids at most half full.
+  const size_t num_clusters = model_->clustering.clusters.size();
+  std::vector<std::vector<PatternKey>> keys(num_clusters);
+  union_tables->assign(num_shards, UnionPatternTables{});
+  for (size_t k = 0; k < num_shards; ++k) {
+    if (groupings[k]->num_clusters() != num_clusters) {
+      return Status::Internal("shard grouping does not match the model");
+    }
+    (*union_tables)[k].tables = tables;
+    (*union_tables)[k].positions.resize(num_clusters);
+  }
+  constexpr uint32_t kEmptySlot = ~uint32_t{0};
+  std::vector<uint32_t> slots;
+  for (size_t c = 0; c < num_clusters; ++c) {
+    size_t total = 0;
+    for (const PatternGrouping* grouping : groupings) {
+      total += grouping->distinct[c].size();
+    }
+    size_t capacity = 16;
+    while (capacity < 2 * total) capacity <<= 1;
+    const size_t mask = capacity - 1;
+    slots.assign(capacity, kEmptySlot);
+    for (size_t k = 0; k < num_shards; ++k) {
+      std::vector<uint32_t>& positions = (*union_tables)[k].positions[c];
+      positions.reserve(groupings[k]->distinct[c].size());
+      for (const PatternKey& key : groupings[k]->distinct[c]) {
+        size_t i = PatternKeyHash{}(key) & mask;
+        while (slots[i] != kEmptySlot && !(keys[c][slots[i]] == key)) {
+          i = (i + 1) & mask;
+        }
+        if (slots[i] == kEmptySlot) {
+          slots[i] = static_cast<uint32_t>(keys[c].size());
+          keys[c].push_back(key);
+        }
+        positions.push_back(slots[i]);
+      }
+    }
+  }
+
+  MethodContext context;
+  context.options = &options_;
+  context.quality = &quality_;
+  context.model = model_.get();
+  context.num_threads = ResolveNumThreads(options_.num_threads);
+  context.pool = router_pool_.get();
+  for (const MethodSpec* spec : to_build) {
+    FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
+                           MakeScoringPlan(context, *spec));
+    StatusOr<std::vector<std::vector<PatternLikelihood>>> likelihood =
+        ScorePatterns(keys, context.num_threads, plan.scorer, plan.batch,
+                      context.pool);
+    if (!likelihood.ok()) {
+      return Status(likelihood.status().code(),
+                    spec->Name() + ": " + likelihood.status().message());
+    }
+    (*tables)[spec->Name()] =
+        BuildPatternPosteriorTable(*likelihood, plan.alpha);
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedFusionEngine::StoreSnapshot(

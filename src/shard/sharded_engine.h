@@ -20,6 +20,12 @@
 //      (FusionEngine::AdoptParameters), which then scores its own triples
 //      with the stock method implementations.
 //
+// Since every shard holds the same model and a pattern's likelihood is a
+// pure function of (model, cluster, key), PublishSnapshot scores each
+// distinct pattern once per model, not once per shard: the router scores
+// and tabulates the union of the shards' distinct lists, and each shard
+// selects its own rows.
+//
 // Methods whose scores couple triples across the corpus (cosine,
 // 3-estimates, LTM — iterative fixed points) cannot be stitched this way
 // and return Unimplemented at K>1 (MethodInfo::shardable).
@@ -39,7 +45,8 @@
 //
 // Thread budget: the configured num_threads T is a host-wide budget, not
 // per shard — each shard engine gets max(1, T/K) workers and the router
-// fans out across shards with min(K, T) threads.
+// fans out across shards with min(K, T) threads and scores the union of
+// the shards' patterns on all T.
 #ifndef FUSER_SHARD_SHARDED_ENGINE_H_
 #define FUSER_SHARD_SHARDED_ENGINE_H_
 
@@ -48,6 +55,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -107,7 +115,13 @@ class ShardedFusionEngine {
   StatusOr<std::vector<FusionRun>> RunAll(const std::vector<MethodSpec>& specs);
 
   /// Materializes serving state for `specs` on every shard and publishes
-  /// one ShardedSnapshot pinning all K shard snapshots.
+  /// one ShardedSnapshot pinning all K shard snapshots. At K>1 each
+  /// pattern-based spec is scored once per model, not once per shard: the
+  /// router scores and tabulates the union of the shards' distinct
+  /// patterns (each key once, across all T workers), and every shard
+  /// selects its own keys' rows of that table (FusionEngine::PublishSnapshot
+  /// with UnionPatternTables). A spec every shard already serves for its
+  /// current inputs is not built. K=1 publishes straight on its shard.
   StatusOr<std::shared_ptr<const ShardedSnapshot>> PublishSnapshot(
       const std::vector<MethodSpec>& specs);
 
@@ -164,6 +178,14 @@ class ShardedFusionEngine {
   /// Builds the global model from merged per-shard counts and adopts it
   /// (with the merged quality) into every shard. No-op when already built.
   Status EnsureGlobalModel();
+  /// K>1 publish: for the pattern-based `specs` some shard must rebuild,
+  /// scores the union of every shard's distinct patterns once per spec and
+  /// tabulates it into `tables` (by spec name), and sets `union_tables` to
+  /// each shard's view of them (left empty when nothing needs building).
+  Status BuildUnionTables(
+      const std::vector<MethodSpec>& specs,
+      std::unordered_map<std::string, PatternPosteriorTable>* tables,
+      std::vector<UnionPatternTables>* union_tables);
   /// Rejects specs the sharded router cannot serve exactly.
   Status CheckSpecs(const std::vector<MethodSpec>& specs,
                     bool* needs_model) const;

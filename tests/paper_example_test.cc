@@ -207,23 +207,26 @@ TEST_F(PaperExampleTest, Example47AggressiveProbability) {
 TEST_F(PaperExampleTest, Example410ElasticLevels) {
   CorrelationModel model = MakeExampleModel();
   const JointStatsProvider& stats = *model.cluster_stats[0];
-  const Mask providers = kS1 | kS2 | kS4 | kS5;
+  const PatternKey key{kS1 | kS2 | kS4 | kS5, kS3};
   // Level 0: mu = 0.6.
+  auto level0 = MakeElasticPlan(model, /*level=*/0);
+  ASSERT_TRUE(level0.ok());
   double r0 = 0.0;
   double q0 = 0.0;
-  ASSERT_TRUE(
-      ElasticClusterLikelihood(stats, providers, kS3, 0, &r0, &q0).ok());
+  ASSERT_TRUE(level0->scorer(0, key, &r0, &q0).ok());
   EXPECT_NEAR(r0 / q0, 0.6, 0.015);
   // Level 1 reaches the exact solution: mu = 0.59.
+  auto level1 = MakeElasticPlan(model, /*level=*/1);
+  ASSERT_TRUE(level1.ok());
   double r1 = 0.0;
   double q1 = 0.0;
-  ASSERT_TRUE(
-      ElasticClusterLikelihood(stats, providers, kS3, 1, &r1, &q1).ok());
+  ASSERT_TRUE(level1->scorer(0, key, &r1, &q1).ok());
   EXPECT_NEAR(r1 / q1, 0.59, 0.015);
   double pt = 0.0;
   double pf = 0.0;
-  ASSERT_TRUE(
-      TermSummationLikelihood(stats, providers, kS3, &pt, &pf).ok());
+  ASSERT_TRUE(TermSummationLikelihood(stats, key.providers, key.nonproviders,
+                                      &pt, &pf)
+                  .ok());
   EXPECT_NEAR(r1, pt, 1e-9) << "level |N| equals the exact numerator";
   EXPECT_NEAR(q1, pf, 1e-9) << "level |N| equals the exact denominator";
 }

@@ -585,7 +585,8 @@ std::vector<double> LegacyCorrScores(const Dataset& dataset,
         key.providers, key.nonproviders, /*calibrated=*/true, given_true,
         given_false);
   };
-  auto likelihood = ScorePatterns(*grouping, /*num_threads=*/1, scorer);
+  auto likelihood =
+      ScorePatterns(grouping->distinct, /*num_threads=*/1, scorer);
   EXPECT_TRUE(likelihood.ok()) << likelihood.status();
   const double alpha = model.cluster_stats[0]->EmpiricalPriorTrue();
   return CombinePatternScoresReference(*grouping, *likelihood, alpha);
@@ -660,7 +661,7 @@ TEST(EndToEndByteIdentityTest, ScorePatternsPropagatesFirstError) {
     calls.fetch_add(1);
     return Status::Internal("boom");
   };
-  auto result = ScorePatterns(*grouping, /*num_threads=*/4, scorer);
+  auto result = ScorePatterns(grouping->distinct, /*num_threads=*/4, scorer);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   // Cancellation kicked in: nowhere near all patterns were scored... the

@@ -6,7 +6,9 @@
 // facade, and across a save/warm-start round trip. K=1 is the unsharded
 // engine itself: every method, plain single-file snapshots in
 // and out, and 1-shard manifests from older saves still load.
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -337,6 +339,160 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
                 .code(),
             StatusCode::kInvalidArgument);
 }
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameDoubles(const std::vector<double>& got,
+                       const std::vector<double>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i])) << what << " entry " << i;
+  }
+}
+
+/// Byte-for-byte equality of two posterior tables.
+void ExpectSameTable(const PatternPosteriorTable& got,
+                     const PatternPosteriorTable& want,
+                     const std::string& what) {
+  EXPECT_EQ(Bits(got.alpha), Bits(want.alpha)) << what;
+  ASSERT_EQ(got.logs.size(), want.logs.size()) << what;
+  for (size_t c = 0; c < got.logs.size(); ++c) {
+    const std::string cluster = what + " cluster " + std::to_string(c);
+    ExpectSameDoubles(got.logs[c].log_true, want.logs[c].log_true, cluster);
+    ExpectSameDoubles(got.logs[c].log_false, want.logs[c].log_false, cluster);
+    EXPECT_TRUE(got.logs[c].flags == want.logs[c].flags) << cluster;
+  }
+  ExpectSameDoubles(got.posterior, want.posterior, what + " posterior");
+}
+
+/// The router scores each pattern once per model and every shard tabulates
+/// by lookup. After Prepare and after each streamed batch (scope gains
+/// included, then a new source that invalidates the model), at K = 1, 2, 4
+/// and 8: each shard's tables equal a build from that shard's own
+/// ScorePatterns pass, ScoreBatch over every id equals an unsharded
+/// engine's RunAll, and a snapshot pinned before the batch answers as it
+/// did when pinned.
+class ShardedPublishTest : public testing::TestWithParam<uint32_t> {};
+
+TEST_P(ShardedPublishTest, SharedScoringMatchesPerShardScoring) {
+  const uint32_t num_shards = GetParam();
+  const std::vector<MethodSpec> specs = {*ParseMethodSpec("precrec-corr"),
+                                         *ParseMethodSpec("elastic-2")};
+  Dataset final_ds = MakeDataset(Variant::kScoped, /*seed=*/2101 + num_shards);
+  const TripleId total = static_cast<TripleId>(final_ds.num_triples());
+  const TripleId prefix = total / 3;
+  EngineOptions options = MakeOptions(Variant::kScoped);
+  options.num_threads = 2;
+
+  auto unsharded_prefix = PrefixDataset(final_ds, prefix);
+  ASSERT_TRUE(unsharded_prefix.ok()) << unsharded_prefix.status();
+  Dataset unsharded_ds = std::move(*unsharded_prefix);
+  FusionEngine unsharded(&unsharded_ds, options);
+  ASSERT_TRUE(unsharded.Prepare(unsharded_ds.labeled_mask()).ok());
+
+  auto sharded_prefix = PrefixDataset(final_ds, prefix);
+  ASSERT_TRUE(sharded_prefix.ok()) << sharded_prefix.status();
+  auto engine = ShardedFusionEngine::Create(
+      *sharded_prefix, ShardingOptions{num_shards}, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ShardedFusionEngine& sharded = **engine;
+  ASSERT_TRUE(sharded.Prepare(sharded_prefix->labeled_mask()).ok());
+  ShardedFusionService service(&sharded);
+
+  // Batches: 21 slices of the suffix, then the new source.
+  std::vector<ObservationBatch> batches;
+  const TripleId step = (total - prefix + 20) / 21;
+  for (TripleId lo = prefix; lo < total; lo += step) {
+    batches.push_back(
+        BatchForRange(final_ds, lo, std::min<TripleId>(lo + step, total)));
+  }
+  ASSERT_GE(batches.size(), 20u);
+  ObservationBatch new_source;
+  new_source.observations.push_back(
+      {"brand-new-source", final_ds.triple(0),
+       std::string(final_ds.domain_name(final_ds.domain(0)))});
+  new_source.observations.push_back(
+      {"brand-new-source", {"etc1", "attr", "x1"}, "fresh-domain"});
+  new_source.labels.push_back({{"etc1", "attr", "x1"}, true});
+  batches.push_back(new_source);
+
+  std::shared_ptr<const ShardedSnapshot> pinned;
+  std::vector<std::vector<double>> pinned_scores;
+  for (size_t b = 0; b <= batches.size(); ++b) {
+    const std::string when =
+        b == 0 ? "after Prepare" : "after batch " + std::to_string(b);
+    SCOPED_TRACE(when);
+    if (b > 0) {
+      const ObservationBatch& batch = batches[b - 1];
+      ASSERT_TRUE(unsharded.Update(batch).ok());
+      Status updated = sharded.Update(batch);
+      ASSERT_TRUE(updated.ok()) << updated;
+    }
+    auto published = sharded.PublishSnapshot(specs);
+    ASSERT_TRUE(published.ok()) << published.status();
+
+    // Each shard's tables against its own scoring pass.
+    for (size_t k = 0; k < sharded.num_shards(); ++k) {
+      const FusionSnapshot& shard = *(*published)->shards[k];
+      ASSERT_NE(shard.grouping, nullptr);
+      MethodContext context;
+      context.dataset = sharded.shard_engine(k)->dataset();
+      context.options = &shard.options;
+      context.quality = &shard.quality;
+      context.model = shard.model.get();
+      context.grouping = shard.grouping.get();
+      for (const MethodSpec& spec : specs) {
+        const MethodServing* entry = shard.FindServing(spec.Name());
+        ASSERT_NE(entry, nullptr) << spec.Name();
+        auto own = BuildMethodServing(context, spec);
+        ASSERT_TRUE(own.ok()) << own.status();
+        ExpectSameTable(entry->table, (*own)->table,
+                        spec.Name() + " shard " + std::to_string(k));
+      }
+    }
+
+    // ScoreBatch over every id against the unsharded engine's RunAll.
+    auto snapshot = service.Acquire();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    EXPECT_EQ(snapshot->get(), published->get());
+    std::vector<TripleId> all(sharded.num_triples());
+    std::iota(all.begin(), all.end(), TripleId{0});
+    auto expected = unsharded.RunAll(specs);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    std::vector<std::vector<double>> scores;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      auto batch_scores = service.ScoreBatch(**snapshot, specs[i], all);
+      ASSERT_TRUE(batch_scores.ok()) << batch_scores.status();
+      ExpectSameDoubles(*batch_scores, (*expected)[i].scores,
+                        specs[i].Name());
+      scores.push_back(std::move(*batch_scores));
+    }
+
+    // The snapshot pinned before this batch answers as it did.
+    if (pinned != nullptr) {
+      std::vector<TripleId> old_ids(pinned->num_triples);
+      std::iota(old_ids.begin(), old_ids.end(), TripleId{0});
+      for (size_t i = 0; i < specs.size(); ++i) {
+        auto again = service.ScoreBatch(*pinned, specs[i], old_ids);
+        ASSERT_TRUE(again.ok()) << again.status();
+        ExpectSameDoubles(*again, pinned_scores[i],
+                          "pinned " + specs[i].Name());
+      }
+    }
+    pinned = *snapshot;
+    pinned_scores = std::move(scores);
+  }
+  EXPECT_EQ(sharded.num_triples(), unsharded_ds.num_triples());
+  EXPECT_GE(sharded.full_invalidations(), 1u);  // the new source
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedPublishTest,
+                         testing::Values(1u, 2u, 4u, 8u));
 
 TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
   Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1801);
