@@ -20,8 +20,9 @@
 //     chunks without ever writing to the mapped region.
 //
 // StringInterner adds content-addressed dedup on top (open-addressing hash
-// of refs, compared through the arena), so equal strings share one ref —
-// which in turn lets the triple index compare refs instead of bytes.
+// of refs with a one-byte tag per slot, compared through the arena only
+// where the tag matches), so equal strings share one ref — which in turn
+// lets the triple index compare refs instead of bytes.
 #ifndef FUSER_COMMON_ARENA_H_
 #define FUSER_COMMON_ARENA_H_
 
@@ -125,6 +126,14 @@ class StringArena {
     return std::string_view(Ptr(off), len);
   }
 
+  /// Starts loading the first bytes of `ref` (a hint: out-of-range refs
+  /// are ignored).
+  void Prefetch(StringRef ref) const {
+    if (ref.length() != 0 && ref.offset() < pos_) {
+      __builtin_prefetch(Ptr(ref.offset()));
+    }
+  }
+
   /// Binds this (empty) arena to a serialized image. The image must be
   /// image_bytes long, a multiple of chunk_bytes, and outlive the arena
   /// (or the next detach). Later interns allocate fresh owned chunks; the
@@ -225,10 +234,24 @@ class StringArena {
   std::vector<std::unique_ptr<char[]>> allocations_;
 };
 
+/// One-byte filter tag of a slot hash, kept beside each slot of the tagged
+/// open-addressing tables (StringInterner, TripleDictionary's id index):
+/// the hash's top byte, which the slot index (its low bits) never reads.
+/// A probe compares keys only where the tags match, so most probes past a
+/// foreign slot cost no key load. Tag 0 marks an empty slot.
+inline constexpr uint8_t kEmptySlotTag = 0;
+
+inline uint8_t SlotTag(uint64_t hash) {
+  const uint8_t tag = static_cast<uint8_t>(hash >> 56);
+  return tag == kEmptySlotTag ? uint8_t{1} : tag;
+}
+
 /// Content-addressed dedup over a StringArena: equal strings intern to the
 /// same StringRef, so higher layers compare refs instead of bytes. Open
-/// addressing with linear probing over packed refs; the table rebuilds
-/// lazily after a snapshot attach (InsertExisting per known ref).
+/// addressing with linear probing over packed refs, with a SlotTag per
+/// slot so a probe reads arena bytes only where the tag matches; the
+/// tags let the table fill to 0.8. The table rebuilds lazily after a
+/// snapshot attach (InsertExisting per known ref).
 class StringInterner {
  public:
   explicit StringInterner(size_t chunk_bytes = size_t{1} << 16)
@@ -239,33 +262,43 @@ class StringInterner {
   StringInterner(StringInterner&&) = default;
   StringInterner& operator=(StringInterner&&) = default;
 
+  /// Slot hash of `text`, for Prefetch and the hashed Intern overload.
+  static uint64_t Hash(std::string_view text) {
+    return TableHash64(text.data(), text.size());
+  }
+
   /// Ref of `text`, interning it if new.
-  StringRef Intern(std::string_view text) {
+  StringRef Intern(std::string_view text) { return Intern(text, Hash(text)); }
+
+  /// Intern with `hash` == Hash(text) already computed.
+  StringRef Intern(std::string_view text, uint64_t hash) {
     MaybeGrow();
-    const size_t mask = slots_.size() - 1;
-    size_t i = TableHash64(text.data(), text.size()) & mask;
-    while (slots_[i] != kEmptySlot) {
-      StringRef ref = StringRef::FromPacked(slots_[i]);
-      if (arena_.View(ref) == text) return ref;
-      i = (i + 1) & mask;
-    }
+    size_t i;
+    if (Probe(text, hash, &i)) return StringRef::FromPacked(slots_[i]);
     StringRef ref = arena_.InternRef(text);
     slots_[i] = ref.packed();
+    tags_[i] = SlotTag(hash);
     ++count_;
     return ref;
   }
 
+  /// Starts loading the slot a probe for `hash` reads first, so a caller
+  /// interning several strings overlaps their cache misses. A hint only:
+  /// an Intern that grows the table in between just misses again.
+  void Prefetch(uint64_t hash) const {
+    if (slots_.empty()) return;
+    const size_t i = hash & (slots_.size() - 1);
+    __builtin_prefetch(&tags_[i]);
+    __builtin_prefetch(&slots_[i]);
+  }
+
   /// Ref of `text` if already interned, StringRef::Invalid() otherwise.
   StringRef Find(std::string_view text) const {
-    if (slots_.empty()) return StringRef::Invalid();
-    const size_t mask = slots_.size() - 1;
-    size_t i = TableHash64(text.data(), text.size()) & mask;
-    while (slots_[i] != kEmptySlot) {
-      StringRef ref = StringRef::FromPacked(slots_[i]);
-      if (arena_.View(ref) == text) return ref;
-      i = (i + 1) & mask;
+    size_t i;
+    if (slots_.empty() || !Probe(text, Hash(text), &i)) {
+      return StringRef::Invalid();
     }
-    return StringRef::Invalid();
+    return StringRef::FromPacked(slots_[i]);
   }
 
   /// Re-registers a ref already present in the arena (index rebuild after
@@ -274,13 +307,11 @@ class StringInterner {
   void InsertExisting(StringRef ref) {
     MaybeGrow();
     const std::string_view text = arena_.View(ref);
-    const size_t mask = slots_.size() - 1;
-    size_t i = TableHash64(text.data(), text.size()) & mask;
-    while (slots_[i] != kEmptySlot) {
-      if (arena_.View(StringRef::FromPacked(slots_[i])) == text) return;
-      i = (i + 1) & mask;
-    }
+    const uint64_t hash = Hash(text);
+    size_t i;
+    if (Probe(text, hash, &i)) return;
     slots_[i] = ref.packed();
+    tags_[i] = SlotTag(hash);
     ++count_;
   }
 
@@ -288,31 +319,63 @@ class StringInterner {
   StringArena* mutable_arena() { return &arena_; }
 
   size_t size() const { return count_; }
-  size_t table_bytes() const { return slots_.size() * sizeof(uint64_t); }
+  /// Slots plus their tags.
+  size_t table_bytes() const {
+    return slots_.size() * (sizeof(uint64_t) + sizeof(uint8_t));
+  }
 
  private:
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
+  /// Linear probe for `text` from its home slot: true with *slot at its
+  /// entry, or false with *slot at the empty slot that ends the run.
+  bool Probe(std::string_view text, uint64_t hash, size_t* slot) const {
+    const size_t mask = slots_.size() - 1;
+    const uint8_t tag = SlotTag(hash);
+    size_t i = hash & mask;
+    for (; tags_[i] != kEmptySlotTag; i = (i + 1) & mask) {
+      if (tags_[i] == tag &&
+          arena_.View(StringRef::FromPacked(slots_[i])) == text) {
+        *slot = i;
+        return true;
+      }
+    }
+    *slot = i;
+    return false;
+  }
 
   void MaybeGrow() {
     if (slots_.empty()) {
-      slots_.assign(64, kEmptySlot);
+      slots_.assign(64, 0);
+      tags_.assign(64, kEmptySlotTag);
       return;
     }
-    if (count_ * 10 < slots_.size() * 7) return;
-    std::vector<uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmptySlot);
+    if (count_ * 5 < slots_.size() * 4) return;
+    std::vector<uint64_t> old_slots = std::move(slots_);
+    std::vector<uint8_t> old_tags = std::move(tags_);
+    slots_.assign(old_slots.size() * 2, 0);
+    tags_.assign(old_tags.size() * 2, kEmptySlotTag);
+    // In slot order a key's new home is its old one or that plus the old
+    // size, so the writes stream; only the arena reads jump, and loading
+    // them a few slots ahead overlaps those misses.
+    constexpr size_t kAhead = 8;
     const size_t mask = slots_.size() - 1;
-    for (uint64_t packed : old) {
-      if (packed == kEmptySlot) continue;
-      const std::string_view text = arena_.View(StringRef::FromPacked(packed));
-      size_t i = TableHash64(text.data(), text.size()) & mask;
-      while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
-      slots_[i] = packed;
+    for (size_t j = 0; j < old_slots.size(); ++j) {
+      if (j + kAhead < old_slots.size() &&
+          old_tags[j + kAhead] != kEmptySlotTag) {
+        arena_.Prefetch(StringRef::FromPacked(old_slots[j + kAhead]));
+      }
+      if (old_tags[j] == kEmptySlotTag) continue;
+      const std::string_view text =
+          arena_.View(StringRef::FromPacked(old_slots[j]));
+      size_t i = Hash(text) & mask;
+      while (tags_[i] != kEmptySlotTag) i = (i + 1) & mask;
+      slots_[i] = old_slots[j];
+      tags_[i] = old_tags[j];
     }
   }
 
   StringArena arena_;
   std::vector<uint64_t> slots_;
+  std::vector<uint8_t> tags_;  // SlotTag per slot; kEmptySlotTag if free
   size_t count_ = 0;
 };
 

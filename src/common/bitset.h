@@ -107,6 +107,12 @@ class DynamicBitset {
     TrimTail();
   }
 
+  /// Releases word capacity beyond num_words().
+  void ShrinkToFit() {
+    EnsureOwned();
+    words_.shrink_to_fit();
+  }
+
   bool Test(size_t i) const {
     FUSER_CHECK_LT(i, size_);
     return (W()[i >> 6] >> (i & 63)) & 1;

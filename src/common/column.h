@@ -154,6 +154,34 @@ class CsrTable {
     cursor_.shrink_to_fit();
   }
 
+  // ---- Row-order bulk build (Finalize) ----
+
+  /// Resets to an empty owned table, reserving `rows` rows and a pool of
+  /// `pool_size`; PushRow then appends the rows in order.
+  void ResetForRows(size_t rows, size_t pool_size) {
+    offs_v_.clear();
+    offs_v_.reserve(rows);
+    cnts_v_.clear();
+    cnts_v_.reserve(rows);
+    pool_v_.clear();
+    pool_v_.reserve(pool_size);
+    rows_ = 0;
+    live_ = 0;
+    garbage_ = 0;
+    borrowed_ = false;
+    Sync();
+  }
+
+  /// Appends one row holding values[0, n).
+  void PushRow(const T* values, size_t n) {
+    offs_v_.push_back(pool_v_.size());
+    cnts_v_.push_back(static_cast<uint32_t>(n));
+    pool_v_.insert(pool_v_.end(), values, values + n);
+    ++rows_;
+    live_ += n;
+    Sync();
+  }
+
   // ---- Streaming mutation (ApplyBatch) ----
 
   /// Appends `n` empty rows.

@@ -7,6 +7,45 @@
 
 namespace fuser {
 
+namespace {
+
+/// Fills `csr` with one row per bit position of `sets` (one bitset of
+/// `width` bits per source): row j lists the sources whose bit j is set,
+/// ascending. One 64-row block at a time, the block's word of each
+/// 64-source group transposes into one source mask per row, so the pool
+/// fills in row order.
+void TransposeToCsr(const std::vector<DynamicBitset>& sets, size_t width,
+                    CsrTable<SourceId>* csr) {
+  size_t total = 0;
+  for (const DynamicBitset& set : sets) total += set.Count();
+  csr->ResetForRows(width, total);
+  const size_t n = sets.size();
+  const size_t groups = (n + 63) / 64;
+  std::vector<uint64_t> masks(groups * 64);
+  std::vector<SourceId> row;
+  row.reserve(n);
+  for (size_t w = 0; w * 64 < width; ++w) {
+    for (size_t g = 0; g < groups; ++g) {
+      const size_t k = std::min<size_t>(64, n - g * 64);
+      uint64_t words[64];
+      for (size_t i = 0; i < k; ++i) words[i] = sets[g * 64 + i].word(w);
+      TransposeBitColumns(words, k, &masks[g * 64]);
+    }
+    for (size_t j = 0, end = std::min<size_t>(64, width - w * 64); j < end;
+         ++j) {
+      row.clear();
+      for (size_t g = 0; g < groups; ++g) {
+        ForEachBit(masks[g * 64 + j], [&](int i) {
+          row.push_back(static_cast<SourceId>(g * 64 + i));
+        });
+      }
+      csr->PushRow(row.data(), row.size());
+    }
+  }
+}
+
+}  // namespace
+
 Dataset::Dataset() : strings_(std::make_unique<StringInterner>()) {
   dict_.BindInterner(strings_.get());
 }
@@ -20,6 +59,7 @@ SourceId Dataset::AddSource(std::string_view name) {
   SourceId id = static_cast<SourceId>(source_names_.size());
   source_names_.push_back(ref);
   source_index_.emplace(key, id);
+  outputs_.emplace_back();  // grows in Provide
   return id;
 }
 
@@ -51,7 +91,13 @@ void Dataset::Provide(SourceId source, TripleId triple) {
   FUSER_CHECK(!finalized_) << "Provide after Finalize";
   FUSER_CHECK_LT(source, source_names_.size());
   FUSER_CHECK_LT(triple, dict_.size());
-  pending_observations_.emplace_back(source, triple);
+  // The output grows by doubling as triples arrive; Finalize trims it to
+  // the triple count.
+  DynamicBitset& output = outputs_[source];
+  if (triple >= output.size()) {
+    output.Resize(std::max<size_t>(size_t{triple} + 1, 2 * output.size()));
+  }
+  output.Set(triple);
 }
 
 void Dataset::SetLabel(TripleId triple, bool is_true) {
@@ -81,42 +127,20 @@ Status Dataset::Finalize(bool allow_empty) {
   const size_t n = source_names_.size();
   const size_t num_domains = domain_names_.size();
 
-  outputs_.assign(n, DynamicBitset(m));
-  for (const auto& [s, t] : pending_observations_) {
-    outputs_[s].Set(t);
+  for (DynamicBitset& output : outputs_) {
+    output.Resize(m);
+    output.ShrinkToFit();
   }
-  pending_observations_.clear();
-  pending_observations_.shrink_to_fit();
-
-  // Providers per triple, ascending source order: count, then fill.
-  std::vector<uint32_t> counts(m, 0);
-  for (size_t s = 0; s < n; ++s) {
-    outputs_[s].ForEach([&](size_t t) { ++counts[t]; });
-  }
-  providers_.ResetWithCounts(counts);
-  for (size_t s = 0; s < n; ++s) {
-    outputs_[s].ForEach(
-        [&](size_t t) { providers_.Fill(t, static_cast<SourceId>(s)); });
-  }
-  providers_.FinishFill();
+  TransposeToCsr(outputs_, m, &providers_);
 
   source_covers_domain_.assign(n, DynamicBitset(num_domains));
   for (size_t s = 0; s < n; ++s) {
     outputs_[s].ForEach(
         [&](size_t t) { source_covers_domain_[s].Set(domains_[t]); });
   }
-  counts.assign(num_domains, 0);
-  for (size_t s = 0; s < n; ++s) {
-    source_covers_domain_[s].ForEach([&](size_t d) { ++counts[d]; });
-  }
-  domain_sources_.ResetWithCounts(counts);
-  for (size_t s = 0; s < n; ++s) {
-    source_covers_domain_[s].ForEach(
-        [&](size_t d) { domain_sources_.Fill(d, static_cast<SourceId>(s)); });
-  }
-  domain_sources_.FinishFill();
+  TransposeToCsr(source_covers_domain_, num_domains, &domain_sources_);
 
-  counts.assign(num_domains, 0);
+  std::vector<uint32_t> counts(num_domains, 0);
   for (TripleId t = 0; t < m; ++t) ++counts[domains_[t]];
   domain_triples_.ResetWithCounts(counts);
   for (TripleId t = 0; t < m; ++t) domain_triples_.Fill(domains_[t], t);

@@ -362,11 +362,9 @@ class Dataset {
   mutable std::unordered_map<std::string_view, DomainId> domain_index_;
   mutable bool lookups_ready_ = true;
 
-  // outputs_[s] is a bitset over triples; rebuilt to full width in
-  // Finalize().
+  // outputs_[s] is a bitset over triples. Before Finalize() it grows by
+  // doubling in Provide; Finalize() trims it to the triple count.
   std::vector<DynamicBitset> outputs_;
-  // Sparse (source, triple) observations collected before Finalize().
-  std::vector<std::pair<SourceId, TripleId>> pending_observations_;
 
   // Derived (Finalize; maintained incrementally by ApplyBatch).
   CsrTable<SourceId> providers_;

@@ -59,48 +59,81 @@ uint64_t TripleDictionary::HashRefs(StringRef s, StringRef p,
       MixMaskPair(s.packed(), MixMaskPair(p.packed(), o.packed())));
 }
 
+bool TripleDictionary::Probe(StringRef s, StringRef p, StringRef o,
+                             uint64_t hash, size_t* slot) const {
+  const size_t mask = slots_.size() - 1;
+  const uint8_t tag = SlotTag(hash);
+  size_t i = hash & mask;
+  for (; tags_[i] != kEmptySlotTag; i = (i + 1) & mask) {
+    if (tags_[i] != tag) continue;
+    // Refs are canonical (the interner dedups), so equality is pure ref
+    // comparison — no string bytes touched.
+    const TripleId id = slots_[i];
+    if (subjects_[id] == s && predicates_[id] == p && objects_[id] == o) {
+      *slot = i;
+      return true;
+    }
+  }
+  *slot = i;
+  return false;
+}
+
 void TripleDictionary::MaybeGrow() {
   if (slots_.empty()) {
-    slots_.assign(64, kEmptySlot);
+    slots_.assign(64, 0);
+    tags_.assign(64, kEmptySlotTag);
     return;
   }
   if (size() * 10 < slots_.size() * 7) return;
-  std::vector<uint32_t> old = std::move(slots_);
-  slots_.assign(old.size() * 2, kEmptySlot);
-  for (uint32_t id : old) {
-    if (id != kEmptySlot) InsertSlot(id);
-  }
+  const size_t cap = slots_.size() * 2;
+  slots_.assign(cap, 0);
+  tags_.assign(cap, kEmptySlotTag);
+  InsertAll();
 }
 
-void TripleDictionary::InsertSlot(TripleId id) {
+void TripleDictionary::InsertAll() {
+  // Ids in order stream the ref columns; the slots they land in are
+  // random, so each one starts loading a few ids ahead.
+  constexpr TripleId kAhead = 8;
   const size_t mask = slots_.size() - 1;
-  size_t i = HashRefs(subjects_[id], predicates_[id], objects_[id]) & mask;
-  while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
-  slots_[i] = id;
+  const TripleId n = static_cast<TripleId>(size());
+  for (TripleId id = 0; id < n; ++id) {
+    if (id + kAhead < n) {
+      const size_t ahead = HashOf(id + kAhead) & mask;
+      __builtin_prefetch(&tags_[ahead]);
+      __builtin_prefetch(&slots_[ahead]);
+    }
+    const uint64_t hash = HashOf(id);
+    size_t i = hash & mask;
+    while (tags_[i] != kEmptySlotTag) i = (i + 1) & mask;
+    slots_[i] = id;
+    tags_[i] = SlotTag(hash);
+  }
 }
 
 TripleId TripleDictionary::Intern(const TripleView& t) {
   FUSER_CHECK(interner_ != nullptr && index_built_);
-  const StringRef s = interner_->Intern(t.subject);
-  const StringRef p = interner_->Intern(t.predicate);
-  const StringRef o = interner_->Intern(t.object);
+  // The three fields' interner slots are independent cache misses: start
+  // loading all of them before probing any.
+  const uint64_t hs = StringInterner::Hash(t.subject);
+  const uint64_t hp = StringInterner::Hash(t.predicate);
+  const uint64_t ho = StringInterner::Hash(t.object);
+  interner_->Prefetch(hs);
+  interner_->Prefetch(hp);
+  interner_->Prefetch(ho);
+  const StringRef s = interner_->Intern(t.subject, hs);
+  const StringRef p = interner_->Intern(t.predicate, hp);
+  const StringRef o = interner_->Intern(t.object, ho);
   MaybeGrow();
-  const size_t mask = slots_.size() - 1;
-  size_t i = HashRefs(s, p, o) & mask;
-  while (slots_[i] != kEmptySlot) {
-    const TripleId id = slots_[i];
-    // Refs are canonical (the interner dedups), so equality is pure ref
-    // comparison — no string bytes touched.
-    if (subjects_[id] == s && predicates_[id] == p && objects_[id] == o) {
-      return id;
-    }
-    i = (i + 1) & mask;
-  }
+  const uint64_t hash = HashRefs(s, p, o);
+  size_t i;
+  if (Probe(s, p, o, hash, &i)) return slots_[i];
   const TripleId id = static_cast<TripleId>(size());
   subjects_.push_back(s);
   predicates_.push_back(p);
   objects_.push_back(o);
   slots_[i] = id;
+  tags_[i] = SlotTag(hash);
   return id;
 }
 
@@ -111,16 +144,8 @@ TripleId TripleDictionary::Lookup(const TripleView& t) const {
   const StringRef p = interner_->Find(t.predicate);
   const StringRef o = interner_->Find(t.object);
   if (!s.valid() || !p.valid() || !o.valid()) return kInvalidTriple;
-  const size_t mask = slots_.size() - 1;
-  size_t i = HashRefs(s, p, o) & mask;
-  while (slots_[i] != kEmptySlot) {
-    const TripleId id = slots_[i];
-    if (subjects_[id] == s && predicates_[id] == p && objects_[id] == o) {
-      return id;
-    }
-    i = (i + 1) & mask;
-  }
-  return kInvalidTriple;
+  size_t i;
+  return Probe(s, p, o, HashRefs(s, p, o), &i) ? slots_[i] : kInvalidTriple;
 }
 
 TripleView TripleDictionary::Get(TripleId id) const {
@@ -138,6 +163,8 @@ void TripleDictionary::AttachColumns(const StringRef* subjects,
   objects_.Attach(objects, n);
   slots_.clear();
   slots_.shrink_to_fit();
+  tags_.clear();
+  tags_.shrink_to_fit();
   index_built_ = false;
 }
 
@@ -153,13 +180,14 @@ void TripleDictionary::BuildIndex() {
   // Power-of-two capacity with load factor <= 0.7.
   size_t cap = 64;
   while (n * 10 >= cap * 7) cap *= 2;
-  slots_.assign(cap, kEmptySlot);
+  slots_.assign(cap, 0);
+  tags_.assign(cap, kEmptySlotTag);
   for (TripleId id = 0; id < n; ++id) {
     interner_->InsertExisting(subjects_[id]);
     interner_->InsertExisting(predicates_[id]);
     interner_->InsertExisting(objects_[id]);
-    InsertSlot(id);
   }
+  InsertAll();
   index_built_ = true;
 }
 

@@ -7,8 +7,9 @@
 //
 // Storage is columnar: three StringRef columns (subject/predicate/object)
 // into a shared StringInterner, plus an open-addressing index of
-// TripleIds that hashes and compares through the ref columns. Because the
-// interner dedups strings, triple equality is ref equality — no byte
+// TripleIds that hashes through the ref columns and keeps a SlotTag per
+// slot, so a probe reads the columns only where the tag matches. Because
+// the interner dedups strings, triple equality is ref equality — no byte
 // comparison on the lookup hot path, no second copy of the strings as map
 // keys, and the columns mmap-attach directly from a snapshot.
 #ifndef FUSER_MODEL_TRIPLE_H_
@@ -97,8 +98,9 @@ struct TripleHash {
 ///
 /// The dictionary does not own its strings: it is bound to a
 /// StringInterner (the Dataset's) and stores one StringRef per field. The
-/// id index is an open-addressing table over TripleIds, hashed on the
-/// three packed refs; after a snapshot attach the columns arrive without
+/// id index is an open-addressing table over TripleIds with a SlotTag per
+/// slot, hashed on the three packed refs; after a snapshot attach the
+/// columns arrive without
 /// an index and BuildIndex() reconstructs it (and re-registers every
 /// field string with the interner) on first lookup.
 class TripleDictionary {
@@ -147,21 +149,32 @@ class TripleDictionary {
     return subjects_.owned_bytes() + predicates_.owned_bytes() +
            objects_.owned_bytes();
   }
-  size_t index_bytes() const { return slots_.size() * sizeof(uint32_t); }
+  /// Slots plus their tags.
+  size_t index_bytes() const {
+    return slots_.size() * (sizeof(uint32_t) + sizeof(uint8_t));
+  }
   bool columns_borrowed() const { return subjects_.borrowed(); }
 
  private:
-  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
-
   uint64_t HashRefs(StringRef s, StringRef p, StringRef o) const;
+  /// Linear probe for the refs from the home slot of `hash`: true with
+  /// *slot at their entry, or false with *slot at the empty slot that
+  /// ends the run.
+  bool Probe(StringRef s, StringRef p, StringRef o, uint64_t hash,
+             size_t* slot) const;
+  uint64_t HashOf(TripleId id) const {
+    return HashRefs(subjects_[id], predicates_[id], objects_[id]);
+  }
   void MaybeGrow();
-  void InsertSlot(TripleId id);
+  /// Inserts every id into an empty table of the current capacity.
+  void InsertAll();
 
   StringInterner* interner_ = nullptr;
   Column<StringRef> subjects_;
   Column<StringRef> predicates_;
   Column<StringRef> objects_;
   std::vector<uint32_t> slots_;
+  std::vector<uint8_t> tags_;  // SlotTag per slot; kEmptySlotTag if free
   bool index_built_ = true;  // empty dictionaries are trivially indexed
 };
 

@@ -1,7 +1,14 @@
 // Unit tests for the data model: triples, interning, Dataset construction,
 // scopes/domains, TSV I/O, and train/test splits.
 #include <cstdio>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
+#include "common/arena.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "model/dataset.h"
 #include "model/dataset_io.h"
@@ -39,6 +46,143 @@ TEST(TripleDictionaryTest, InternsAndLooksUp) {
   EXPECT_EQ(dict.Lookup({"nope", "p", "o"}), kInvalidTriple);
   EXPECT_EQ(dict.size(), 2u);
   EXPECT_EQ(dict.Get(a).object, "o");
+}
+
+/// A copy of `arena`'s serialized image, as a snapshot would hold it.
+std::string ArenaImage(const StringArena& arena) {
+  std::string image;
+  arena.ForEachImageChunk(
+      [&](const char* p, size_t n) { image.append(p, n); });
+  return image;
+}
+
+TEST(StringInternerTest, MatchesAReferenceMapAcrossGrowth) {
+  // The empty string, runs of one letter (each a prefix of the next, and
+  // 600 of them over 255 tags, so some share a tag at different lengths),
+  // then 200k more: the table grows from 64 slots many times over.
+  std::vector<std::string> distinct = {""};
+  for (size_t n = 1; n <= 600; ++n) distinct.push_back(std::string(n, 'q'));
+  std::unordered_map<uint8_t, size_t> length_of_tag;
+  bool tag_shared_across_lengths = false;
+  for (size_t n = 1; n <= 600; ++n) {
+    const uint8_t tag = SlotTag(StringInterner::Hash(distinct[n]));
+    auto [it, fresh] = length_of_tag.emplace(tag, n);
+    if (!fresh && it->second != n) tag_shared_across_lengths = true;
+  }
+  ASSERT_TRUE(tag_shared_across_lengths);
+  for (size_t i = 0; i < 200000; ++i) {
+    distinct.push_back("entity/" + std::to_string(i * 7919 % 1000003));
+  }
+
+  // Every string twice, in a shuffled order.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    order.push_back(i);
+    order.push_back(i);
+  }
+  Rng rng(7);
+  rng.Shuffle(&order);
+
+  StringInterner strings;
+  EXPECT_FALSE(strings.Find("").valid());
+  std::unordered_map<std::string, StringRef> reference;
+  std::unordered_set<uint64_t> packed;
+  for (size_t i : order) {
+    const StringRef ref = strings.Intern(distinct[i]);
+    auto [it, fresh] = reference.emplace(distinct[i], ref);
+    if (fresh) {
+      EXPECT_TRUE(packed.insert(ref.packed()).second) << distinct[i];
+    } else {
+      ASSERT_EQ(it->second, ref) << distinct[i];
+    }
+    ASSERT_EQ(strings.arena().View(ref), distinct[i]);
+  }
+  EXPECT_EQ(strings.size(), distinct.size());
+  for (const auto& [text, ref] : reference) {
+    ASSERT_EQ(strings.Find(text), ref) << text;
+  }
+  EXPECT_FALSE(strings.Find("qq-absent").valid());
+  EXPECT_FALSE(strings.Find(std::string(601, 'q')).valid());
+  EXPECT_GE(strings.table_bytes(), distinct.size() * 9);
+
+  // A fresh interner over the saved image re-registers every ref (each
+  // twice: the second is a no-op) and answers as the original did.
+  const std::string image = ArenaImage(strings.arena());
+  StringInterner attached(strings.arena().chunk_bytes());
+  attached.mutable_arena()->AttachImage(image.data(), image.size());
+  for (size_t i : order) attached.InsertExisting(reference.at(distinct[i]));
+  EXPECT_EQ(attached.size(), distinct.size());
+  for (const auto& [text, ref] : reference) {
+    ASSERT_EQ(attached.Find(text), ref) << text;
+    ASSERT_EQ(attached.Intern(text), ref) << text;
+  }
+  EXPECT_FALSE(attached.Find("qq-absent").valid());
+  const StringRef fresh = attached.Intern("qq-absent");
+  EXPECT_GE(fresh.offset(), image.size());
+  EXPECT_EQ(attached.Find("qq-absent"), fresh);
+}
+
+TEST(TripleDictionaryTest, MatchesAReferenceMapAcrossGrowthAndRebuild) {
+  // Fields repeat across triples (and two triples may differ in one field
+  // only); every triple is interned twice.
+  std::vector<Triple> distinct;
+  for (size_t i = 0; i < 60000; ++i) {
+    distinct.push_back({"s" + std::to_string(i % 7919),
+                        "p" + std::to_string(i % 13),
+                        i % 5 == 0 ? "" : "o" + std::to_string(i / 3)});
+  }
+  std::vector<size_t> order;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    order.push_back(i);
+    order.push_back(i);
+  }
+  Rng rng(11);
+  rng.Shuffle(&order);
+
+  StringInterner strings;
+  TripleDictionary dict;
+  dict.BindInterner(&strings);
+  std::unordered_map<Triple, TripleId, TripleHash> reference;
+  for (size_t i : order) {
+    const TripleId id = dict.Intern(distinct[i]);
+    // Ids are dense, in first-occurrence order.
+    auto [it, fresh] = reference.emplace(
+        distinct[i], static_cast<TripleId>(reference.size()));
+    ASSERT_EQ(id, it->second) << distinct[i].ToString();
+    if (!fresh) continue;
+    ASSERT_EQ(dict.Get(id), distinct[i]);
+  }
+  ASSERT_EQ(dict.size(), distinct.size());
+  const Triple absent{"s1", "p1", "o-absent"};
+  for (const auto& [triple, id] : reference) {
+    ASSERT_EQ(dict.Lookup(triple), id) << triple.ToString();
+  }
+  EXPECT_EQ(dict.Lookup(absent), kInvalidTriple);
+  // Every field exists, but not in this combination.
+  EXPECT_EQ(dict.Lookup({"s1", "p2", "o0"}), kInvalidTriple);
+
+  // Attached columns over the saved arena image, then the lazy rebuild.
+  const std::string image = ArenaImage(strings.arena());
+  const std::vector<StringRef> subjects = dict.subjects().ToVector();
+  const std::vector<StringRef> predicates = dict.predicates().ToVector();
+  const std::vector<StringRef> objects = dict.objects().ToVector();
+  StringInterner attached_strings(strings.arena().chunk_bytes());
+  attached_strings.mutable_arena()->AttachImage(image.data(), image.size());
+  TripleDictionary attached;
+  attached.BindInterner(&attached_strings);
+  attached.AttachColumns(subjects.data(), predicates.data(), objects.data(),
+                         subjects.size());
+  EXPECT_FALSE(attached.index_built());
+  attached.BuildIndex();
+  EXPECT_EQ(attached_strings.size(), strings.size());
+  for (const auto& [triple, id] : reference) {
+    ASSERT_EQ(attached.Lookup(triple), id) << triple.ToString();
+  }
+  EXPECT_EQ(attached.Lookup(absent), kInvalidTriple);
+  attached.EnsureOwned();
+  EXPECT_EQ(attached.Intern(distinct[17]), reference.at(distinct[17]));
+  EXPECT_EQ(attached.Intern(absent), distinct.size());
+  EXPECT_EQ(attached.Lookup(absent), distinct.size());
 }
 
 Dataset MakeTinyDataset() {
@@ -112,6 +256,94 @@ TEST(DatasetTest, ProvidersAreAlwaysInScope) {
       EXPECT_TRUE(d.in_scope(s, t));
     }
   }
+}
+
+TEST(DatasetTest, ProvidersMatchIncrementalInsertsAcrossSourceGroups) {
+  // 130 sources fill three 64-source groups. Sources 100-129 register
+  // after the first 1,500 triples exist and then also provide some of
+  // them; one provide in seven is repeated.
+  constexpr size_t kEarly = 100, kSources = 130, kTriples = 3001;
+  std::vector<std::string> names;
+  for (size_t s = 0; s < kSources; ++s) {
+    names.push_back("src-" + std::to_string(s));
+  }
+  auto triple_of = [](size_t i) {
+    return Triple{"e" + std::to_string(i % 997), "a",
+                  "v" + std::to_string(i)};
+  };
+  auto domain_of = [](size_t i) { return "d" + std::to_string(i % 7); };
+
+  // The (source, triple row) provides in call order.
+  Rng rng(23);
+  std::vector<std::pair<SourceId, size_t>> provides;
+  for (size_t i = 0; i < kTriples; ++i) {
+    const size_t sources = i < kTriples / 2 ? kEarly : kSources;
+    provides.emplace_back(static_cast<SourceId>(i % sources), i);
+    for (size_t s = 0; s < sources; ++s) {
+      if (rng.NextBernoulli(0.08)) {
+        provides.emplace_back(static_cast<SourceId>(s), i);
+      }
+    }
+    if (i == kTriples / 2) {
+      for (size_t j = 0; j < i; j += 3) {
+        provides.emplace_back(static_cast<SourceId>(kEarly + j % 30), j);
+      }
+    }
+  }
+
+  Dataset built;
+  std::vector<std::set<SourceId>> expected(kTriples);
+  size_t next = 0;
+  for (size_t s = 0; s < kEarly; ++s) built.AddSource(names[s]);
+  for (size_t i = 0; i < kTriples; ++i) {
+    if (i == kTriples / 2) {
+      for (size_t s = kEarly; s < kSources; ++s) built.AddSource(names[s]);
+    }
+    ASSERT_EQ(built.AddTriple(triple_of(i), domain_of(i)), i);
+    for (; next < provides.size() && provides[next].second <= i; ++next) {
+      const auto [s, t] = provides[next];
+      built.Provide(s, static_cast<TripleId>(t));
+      if (next % 7 == 0) built.Provide(s, static_cast<TripleId>(t));
+      expected[t].insert(s);
+    }
+  }
+  for (; next < provides.size(); ++next) {
+    const auto [s, t] = provides[next];
+    built.Provide(s, static_cast<TripleId>(t));
+    expected[t].insert(s);
+  }
+  ASSERT_TRUE(built.Finalize().ok());
+
+  // The oracle: the same observations streamed into an empty dataset,
+  // whose provider rows grow by sorted insertion.
+  Dataset streamed;
+  ASSERT_TRUE(streamed.Finalize(/*allow_empty=*/true).ok());
+  ObservationBatch batch;
+  batch.register_sources = names;
+  for (const auto& [s, t] : provides) {
+    batch.observations.push_back({names[s], triple_of(t), domain_of(t)});
+  }
+  DatasetDelta delta;
+  ASSERT_TRUE(streamed.ApplyBatch(batch, &delta).ok());
+
+  ASSERT_EQ(built.num_sources(), kSources);
+  ASSERT_EQ(streamed.num_triples(), kTriples);
+  for (TripleId t = 0; t < kTriples; ++t) {
+    const std::vector<SourceId> row = built.providers(t).ToVector();
+    ASSERT_EQ(row, std::vector<SourceId>(expected[t].begin(),
+                                         expected[t].end()))
+        << "triple " << t;
+    ASSERT_EQ(row, streamed.providers(t).ToVector()) << "triple " << t;
+  }
+  for (SourceId s = 0; s < kSources; ++s) {
+    ASSERT_EQ(built.output(s), streamed.output(s)) << "source " << s;
+    EXPECT_EQ(built.output(s).num_words(), (kTriples + 63) / 64);
+  }
+  for (DomainId d = 0; d < built.num_domains(); ++d) {
+    EXPECT_EQ(built.domain_sources_table().row(d).ToVector(),
+              streamed.domain_sources_table().row(d).ToVector());
+  }
+  EXPECT_EQ(built.ContentFingerprint(), streamed.ContentFingerprint());
 }
 
 TEST(DatasetTest, FinalizeRejectsEmpty) {
