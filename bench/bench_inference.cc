@@ -2,7 +2,7 @@
 // retained pre-optimization reference path on a synthetic 8-source dataset,
 // default ~100k triples.
 //
-// Three sections, all score-identical by construction (verified at the end
+// Five sections, all score-identical by construction (verified at the end
 // and reported in the JSON):
 //
 //  * grouping:  BuildPatternGrouping (word-level bit-matrix transpose,
@@ -21,6 +21,12 @@
 //               bit transpose, pattern-table gather) vs the scalar oracle
 //               table, with a byte-identity check; on machines without
 //               AVX2 both tables are the scalar one and the ratios are ~1.
+//  * model:     the correlation-model build split into its stages, with
+//               clustering and scopes on — source quality, the training
+//               view plus pairwise counts and clustering, every cluster's
+//               joint statistics — against the full-corpus reference
+//               build (support/model_reference.h); model_identical holds
+//               when both models are byte-identical.
 //
 // Prints one JSON object (bench_util.h) so CI and scripts can track the
 // speedup. Every measurement is the minimum over `reps` runs (steady
@@ -41,10 +47,13 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/clustering.h"
+#include "core/correlation.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
 #include "core/precrec_corr.h"
 #include "support/elastic_oracle.h"
+#include "support/model_reference.h"
 #include "support/pattern_oracles.h"
 #include "synth/generator.h"
 
@@ -262,6 +271,86 @@ int Main(int argc, char** argv) {
     return active_s > 0.0 ? scalar_s / active_s : 0.0;
   };
 
+  // ---- Model build: quality -> view + pairwise + clustering -> joint
+  // statistics, against the full-corpus reference. ----
+  ModelOptions model_options;
+  model_options.use_scopes = true;
+  model_options.enable_clustering = true;
+  const JointStatsOptions stats_options = model_options.ToJointStatsOptions();
+  std::vector<SourceId> all_sources(dataset.num_sources());
+  for (SourceId s = 0; s < dataset.num_sources(); ++s) all_sources[s] = s;
+  const DynamicBitset& train = dataset.labeled_mask();
+  StatusOr<std::vector<SourceQuality>> quality = Status::Internal("unset");
+  StatusOr<TrainingView> view = Status::Internal("unset");
+  StatusOr<SourceClustering> clustering = Status::Internal("unset");
+  StatusOr<std::vector<EmpiricalJointStatsState>> states =
+      Status::Internal("unset");
+  StatusOr<CorrelationModel> reference_model = Status::Internal("unset");
+  const double model_quality_seconds = time_min([&] {
+    quality = EstimateSourceQuality(dataset, train,
+                                    model_options.ToQualityOptions());
+  });
+  FUSER_CHECK(quality.ok()) << quality.status();
+  const double model_pairwise_seconds = time_min([&] {
+    view = BuildTrainingView(dataset, train, num_threads, &pool);
+    FUSER_CHECK(view.ok()) << view.status();
+    auto counts = ComputePairwiseCounts(*view, all_sources);
+    FUSER_CHECK(counts.ok()) << counts.status();
+    clustering = ClusterSourcesFromCounts(dataset.num_sources(), *counts,
+                                          stats_options,
+                                          model_options.clustering);
+  });
+  FUSER_CHECK(clustering.ok()) << clustering.status();
+  const double model_joint_seconds = time_min([&] {
+    states = CountClusterPatterns(*view, clustering->clusters, stats_options,
+                                  num_threads, &pool);
+  });
+  FUSER_CHECK(states.ok()) << states.status();
+  const double model_reference_seconds = time_min([&] {
+    reference_model = ReferenceCorrelationModel(dataset, train, model_options);
+  });
+  FUSER_CHECK(reference_model.ok()) << reference_model.status();
+  auto model_built = BuildCorrelationModel(dataset, train, *quality,
+                                           model_options, num_threads, &pool);
+  FUSER_CHECK(model_built.ok()) << model_built.status();
+  bool model_identical =
+      model_built->clustering.clusters ==
+          reference_model->clustering.clusters &&
+      model_built->cluster_stats.size() == states->size();
+  for (size_t s = 0; model_identical && s < quality->size(); ++s) {
+    const SourceQuality& a = model_built->source_quality[s];
+    const SourceQuality& b = reference_model->source_quality[s];
+    model_identical = a.provided_true == b.provided_true &&
+                      a.provided_labeled == b.provided_labeled &&
+                      a.scope_true == b.scope_true &&
+                      a.precision == b.precision && a.recall == b.recall &&
+                      a.fpr == b.fpr;
+  }
+  for (size_t c = 0; model_identical && c < states->size(); ++c) {
+    const auto& got = static_cast<const EmpiricalJointStats&>(
+                          *model_built->cluster_stats[c])
+                          .ExportState();
+    const auto& want = static_cast<const EmpiricalJointStats&>(
+                           *reference_model->cluster_stats[c])
+                           .ExportState();
+    auto same = [](const auto& x, const auto& y) {
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i].providers != y[i].providers || x[i].scope != y[i].scope ||
+            x[i].count != y[i].count) {
+          return false;
+        }
+      }
+      return true;
+    };
+    model_identical = got.total_true == want.total_true &&
+                      got.total_false == want.total_false &&
+                      same(got.true_patterns, want.true_patterns) &&
+                      same(got.false_patterns, want.false_patterns) &&
+                      same((*states)[c].true_patterns, got.true_patterns) &&
+                      same((*states)[c].false_patterns, got.false_patterns);
+  }
+
   const double grouping_speedup =
       grouping_word_seconds > 0.0
           ? grouping_scalar_seconds / grouping_word_seconds
@@ -302,13 +391,22 @@ int Main(int argc, char** argv) {
       .Num("gather_active_seconds", gather_active)
       .Num("gather_speedup", ratio(gather_scalar, gather_active), 2)
       .End()
+      .Object("model")
+      .Num("model_quality_seconds", model_quality_seconds)
+      .Num("model_pairwise_seconds", model_pairwise_seconds)
+      .Num("model_joint_seconds", model_joint_seconds)
+      .Num("model_reference_seconds", model_reference_seconds)
+      .End()
       .Bool("kernels_identical", kernels_identical)
+      .Bool("model_identical", model_identical)
       .Bool("scores_identical", scores_identical)
       .Print();
   FUSER_CHECK(scores_identical)
       << "optimized scores diverged from the reference path";
   FUSER_CHECK(kernels_identical)
       << "dispatched kernels diverged from the scalar oracle";
+  FUSER_CHECK(model_identical)
+      << "the model build diverged from the full-corpus reference";
   return 0;
 }
 

@@ -106,7 +106,7 @@ ABSOLUTE_METRICS = {
 # correctness contracts, not timings.
 BOOL_METRICS = {
     "streaming": ["scores_identical"],
-    "inference": ["scores_identical", "kernels_identical"],
+    "inference": ["scores_identical", "kernels_identical", "model_identical"],
     "serving": ["scores_identical"],
     "persist": ["scores_identical"],
     "correlation": [

@@ -1,7 +1,5 @@
 #include "common/bit_util.h"
 
-#include <limits>
-
 namespace fuser {
 
 std::vector<int> BitIndices(Mask m) {
@@ -9,21 +7,6 @@ std::vector<int> BitIndices(Mask m) {
   bits.reserve(static_cast<size_t>(PopCount(m)));
   ForEachBit(m, [&](int i) { bits.push_back(i); });
   return bits;
-}
-
-uint64_t BinomialCoefficient(int n, int k) {
-  if (k < 0 || k > n) return 0;
-  if (k > n - k) k = n - k;
-  uint64_t result = 1;
-  for (int i = 1; i <= k; ++i) {
-    // result *= (n - k + i) / i, in a form that stays integral.
-    uint64_t num = static_cast<uint64_t>(n - k + i);
-    if (result > std::numeric_limits<uint64_t>::max() / num) {
-      return std::numeric_limits<uint64_t>::max();
-    }
-    result = result * num / static_cast<uint64_t>(i);
-  }
-  return result;
 }
 
 uint64_t HashBytes64(const void* data, size_t size, uint64_t seed) {

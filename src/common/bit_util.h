@@ -108,10 +108,6 @@ void ForEachKSubset(Mask set, int k, Fn&& fn) {
   }
 }
 
-/// n choose k without overflow for the small arguments used here
-/// (n <= 64); saturates at UINT64_MAX.
-uint64_t BinomialCoefficient(int n, int k);
-
 /// 64-bit FNV-1a over a byte range, word-chunked for throughput and
 /// chainable via `seed`. Any single-byte change anywhere in the input
 /// changes the result (every step is a bijection of the running state) —

@@ -14,29 +14,11 @@ double PosteriorFromLogMu(double log_mu, double alpha) {
   return e / (1.0 + e);
 }
 
-double PosteriorFromMu(double mu, double alpha) {
-  if (!(mu > 0.0) || !std::isfinite(mu)) {
-    // mu <= 0 means the observation is impossible under t=true relative to
-    // t=false; mu == +inf means impossible under t=false.
-    if (std::isinf(mu) && mu > 0) return 1.0;
-    return 0.0;
-  }
-  return PosteriorFromLogMu(std::log(mu), alpha);
-}
-
 double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   double sum = 0.0;
   for (double x : v) sum += x;
   return sum / static_cast<double>(v.size());
-}
-
-double StdDev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
-  double ss = 0.0;
-  for (double x : v) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(v.size() - 1));
 }
 
 }  // namespace fuser

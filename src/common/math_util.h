@@ -37,10 +37,6 @@ inline double LogAddExp(double a, double b) {
 /// space and prior alpha, returns 1 / (1 + (1-alpha)/alpha * exp(-log_mu)).
 double PosteriorFromLogMu(double log_mu, double alpha);
 
-/// Same as PosteriorFromLogMu but with mu in linear space; mu <= 0 maps to
-/// probability 0.
-double PosteriorFromMu(double mu, double alpha);
-
 /// Harmonic mean of precision and recall; 0 when both are 0.
 inline double F1Score(double precision, double recall) {
   double denom = precision + recall;
@@ -55,9 +51,6 @@ inline bool NearlyEqual(double a, double b, double tol = 1e-9) {
 
 /// Mean of v; 0 for empty input.
 double Mean(const std::vector<double>& v);
-
-/// Sample standard deviation of v; 0 for fewer than two elements.
-double StdDev(const std::vector<double>& v);
 
 }  // namespace fuser
 

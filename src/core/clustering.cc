@@ -84,6 +84,14 @@ StatusOr<SourceClustering> ClusterSourcesByCorrelation(
   return ClusterSourcesFromPairs(n, pairs, options);
 }
 
+StatusOr<SourceClustering> ClusterSourcesFromCounts(
+    size_t num_sources, const PairwiseCounts& counts,
+    const JointStatsOptions& stats_options, const ClusteringOptions& options) {
+  FUSER_ASSIGN_OR_RETURN(std::vector<PairwiseCorrelation> pairs,
+                         PairwiseCorrelationsFromCounts(counts, stats_options));
+  return ClusterSourcesFromPairs(num_sources, pairs, options);
+}
+
 StatusOr<SourceClustering> ClusterSourcesFromPairs(
     size_t num_sources, const std::vector<PairwiseCorrelation>& pairs,
     const ClusteringOptions& options) {

@@ -65,6 +65,12 @@ StatusOr<SourceClustering> ClusterSourcesFromPairs(
     size_t num_sources, const std::vector<PairwiseCorrelation>& pairs,
     const ClusteringOptions& options);
 
+/// ClusterSourcesFromPairs over the pairwise correlations of exact integer
+/// counts (one view's, or merged from shard-local views).
+StatusOr<SourceClustering> ClusterSourcesFromCounts(
+    size_t num_sources, const PairwiseCounts& counts,
+    const JointStatsOptions& stats_options, const ClusteringOptions& options);
+
 /// A single cluster holding every source (requires <= 64 sources); used
 /// when clustering is disabled.
 StatusOr<SourceClustering> SingleCluster(const Dataset& dataset);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace fuser {
 
@@ -30,66 +31,64 @@ AggressiveFactors ComputeAggressiveFactors(const JointStatsProvider& stats) {
   return factors;
 }
 
-StatusOr<PairwiseMarginals> ComputePairwiseMarginals(
-    const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options,
-    bool materialize_outputs) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
-  }
-  // Direct bitset counting: r_X = |O_X ∩ true ∩ train| / |true ∩ train|
-  // and the count-level Theorem 3.5 form for q. Scope-restricted
-  // denominators are deliberately not used here (pairwise factors are a
-  // screening heuristic); the per-cluster joint statistics built
-  // afterwards honor scopes.
+namespace {
+
+/// Marginals from per-source class counts: the one copy of the r_i / q_i
+/// arithmetic, shared by the exact and sketch paths.
+PairwiseMarginals MarginalsFromCounts(const std::vector<SourceId>& sources,
+                                      size_t total_true,
+                                      const std::vector<size_t>& true_count,
+                                      const std::vector<size_t>& false_count,
+                                      const JointStatsOptions& options) {
+  // r_X = |O_X ∩ true ∩ train| / |true ∩ train| and the count-level
+  // Theorem 3.5 form for q. Scope-restricted denominators are deliberately
+  // not used here (pairwise factors are a screening heuristic); the
+  // per-cluster joint statistics built afterwards honor scopes.
   PairwiseMarginals marginals;
   marginals.sources = sources;
-  marginals.train_true = dataset.true_mask();
-  marginals.train_true.AndWith(train_mask);
-  marginals.train_false = dataset.labeled_mask();
-  marginals.train_false.AndWith(train_mask);
-  marginals.train_false.AndNotWith(dataset.true_mask());
-
-  marginals.total_true = static_cast<double>(marginals.train_true.Count());
+  marginals.total_true = static_cast<double>(total_true);
   marginals.alpha_odds = options.alpha / (1.0 - options.alpha);
   marginals.smoothing = options.smoothing;
   const double s = options.smoothing;
-
-  // Per-source intersections with the class masks. The materialized
-  // copies are what the exact path's O(S^2) AndCounts run over; the
-  // sketch path skips them (counts only are needed, one AndCount each).
-  if (materialize_outputs) {
-    marginals.out_true.reserve(sources.size());
-    marginals.out_false.reserve(sources.size());
-  }
-  marginals.r.resize(sources.size());
-  marginals.q.resize(sources.size());
-  marginals.labeled_count.resize(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    double nt;
-    double nf;
-    if (materialize_outputs) {
-      DynamicBitset ot = dataset.output(sources[i]);
-      ot.AndWith(marginals.train_true);
-      DynamicBitset of = dataset.output(sources[i]);
-      of.AndWith(marginals.train_false);
-      nt = static_cast<double>(ot.Count());
-      nf = static_cast<double>(of.Count());
-      marginals.out_true.push_back(std::move(ot));
-      marginals.out_false.push_back(std::move(of));
-    } else {
-      nt = static_cast<double>(
-          dataset.output(sources[i]).AndCount(marginals.train_true));
-      nf = static_cast<double>(
-          dataset.output(sources[i]).AndCount(marginals.train_false));
-    }
+  const size_t n = sources.size();
+  marginals.r.resize(n);
+  marginals.q.resize(n);
+  marginals.labeled_count.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    double nt = static_cast<double>(true_count[i]);
+    double nf = static_cast<double>(false_count[i]);
     double den = marginals.total_true + 2.0 * s;
     marginals.r[i] = den > 0.0 ? (nt + s) / den : 0.0;
     marginals.q[i] =
         den > 0.0 ? std::min(marginals.alpha_odds * (nf + s) / den, 1.0) : 0.0;
-    marginals.labeled_count[i] =
-        static_cast<size_t>(nt) + static_cast<size_t>(nf);
+    marginals.labeled_count[i] = true_count[i] + false_count[i];
   }
+  return marginals;
+}
+
+}  // namespace
+
+StatusOr<PairwiseMarginals> ComputePairwiseMarginals(
+    const Dataset& dataset, const DynamicBitset& train_mask,
+    const std::vector<SourceId>& sources, const JointStatsOptions& options) {
+  if (!dataset.finalized()) {
+    return Status::FailedPrecondition("dataset not finalized");
+  }
+  DynamicBitset train_true = dataset.true_mask();
+  train_true.AndWith(train_mask);
+  DynamicBitset train_false = dataset.labeled_mask();
+  train_false.AndWith(train_mask);
+  train_false.AndNotWith(dataset.true_mask());
+  std::vector<size_t> true_count(sources.size());
+  std::vector<size_t> false_count(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    true_count[i] = dataset.output(sources[i]).AndCount(train_true);
+    false_count[i] = dataset.output(sources[i]).AndCount(train_false);
+  }
+  PairwiseMarginals marginals = MarginalsFromCounts(
+      sources, train_true.Count(), true_count, false_count, options);
+  marginals.train_true = std::move(train_true);
+  marginals.train_false = std::move(train_false);
   return marginals;
 }
 
@@ -125,43 +124,35 @@ PairwiseCorrelation MakePairwiseCorrelation(const PairwiseMarginals& marginals,
 }
 
 StatusOr<PairwiseCounts> ComputePairwiseCounts(
-    const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
-  }
+    const TrainingView& view, const std::vector<SourceId>& sources) {
   PairwiseCounts counts;
   counts.sources = sources;
-  DynamicBitset train_true = dataset.true_mask();
-  train_true.AndWith(train_mask);
-  DynamicBitset train_false = dataset.labeled_mask();
-  train_false.AndWith(train_mask);
-  train_false.AndNotWith(dataset.true_mask());
-  counts.total_true = train_true.Count();
-
+  counts.total_true = view.num_true;
   const size_t n = sources.size();
-  std::vector<DynamicBitset> out_true;
-  std::vector<DynamicBitset> out_false;
-  out_true.reserve(n);
-  out_false.reserve(n);
+  const size_t tw = view.true_words;
+  const size_t fw = view.false_words;
+  std::vector<const uint64_t*> columns(n);
   counts.true_count.resize(n);
   counts.false_count.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    DynamicBitset ot = dataset.output(sources[i]);
-    ot.AndWith(train_true);
-    DynamicBitset of = dataset.output(sources[i]);
-    of.AndWith(train_false);
-    counts.true_count[i] = ot.Count();
-    counts.false_count[i] = of.Count();
-    out_true.push_back(std::move(ot));
-    out_false.push_back(std::move(of));
+    if (sources[i] >= view.num_sources) {
+      return Status::InvalidArgument("pairwise source id out of range");
+    }
+    const uint64_t* column = view.column(sources[i]);
+    columns[i] = column;
+    counts.true_count[i] =
+        static_cast<size_t>(simd::AndCountWords(column, column, tw));
+    counts.false_count[i] = static_cast<size_t>(
+        simd::AndCountWords(column + tw, column + tw, fw));
   }
   counts.joint_true.reserve(n * (n - 1) / 2);
   counts.joint_false.reserve(n * (n - 1) / 2);
   for (size_t a = 0; a < n; ++a) {
     for (size_t b = a + 1; b < n; ++b) {
-      counts.joint_true.push_back(out_true[a].AndCount(out_true[b]));
-      counts.joint_false.push_back(out_false[a].AndCount(out_false[b]));
+      counts.joint_true.push_back(static_cast<size_t>(
+          simd::AndCountWords(columns[a], columns[b], tw)));
+      counts.joint_false.push_back(static_cast<size_t>(
+          simd::AndCountWords(columns[a] + tw, columns[b] + tw, fw)));
     }
   }
   return counts;
@@ -186,34 +177,15 @@ Status MergePairwiseCounts(PairwiseCounts* into, const PairwiseCounts& from) {
 
 StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
     const PairwiseCounts& counts, const JointStatsOptions& options) {
-  // Rebuild a PairwiseMarginals (minus the bitsets, which
-  // MakePairwiseCorrelation never reads) with the exact arithmetic of
-  // ComputePairwiseMarginals, then run the shared pair assembly.
-  PairwiseMarginals marginals;
-  marginals.sources = counts.sources;
-  marginals.total_true = static_cast<double>(counts.total_true);
-  marginals.alpha_odds = options.alpha / (1.0 - options.alpha);
-  marginals.smoothing = options.smoothing;
-  const double s = options.smoothing;
   const size_t n = counts.sources.size();
   if (counts.true_count.size() != n || counts.false_count.size() != n ||
       counts.joint_true.size() != n * (n - 1) / 2 ||
       counts.joint_false.size() != n * (n - 1) / 2) {
     return Status::InvalidArgument("pairwise counts are inconsistent");
   }
-  marginals.r.resize(n);
-  marginals.q.resize(n);
-  marginals.labeled_count.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    double nt = static_cast<double>(counts.true_count[i]);
-    double nf = static_cast<double>(counts.false_count[i]);
-    double den = marginals.total_true + 2.0 * s;
-    marginals.r[i] = den > 0.0 ? (nt + s) / den : 0.0;
-    marginals.q[i] =
-        den > 0.0 ? std::min(marginals.alpha_odds * (nf + s) / den, 1.0) : 0.0;
-    marginals.labeled_count[i] =
-        static_cast<size_t>(nt) + static_cast<size_t>(nf);
-  }
+  const PairwiseMarginals marginals =
+      MarginalsFromCounts(counts.sources, counts.total_true,
+                          counts.true_count, counts.false_count, options);
   std::vector<PairwiseCorrelation> result;
   result.reserve(n * (n - 1) / 2);
   size_t pair = 0;
@@ -230,22 +202,11 @@ StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
     const std::vector<SourceId>& sources, const JointStatsOptions& options) {
-  FUSER_ASSIGN_OR_RETURN(
-      PairwiseMarginals marginals,
-      ComputePairwiseMarginals(dataset, train_mask, sources, options));
-  std::vector<PairwiseCorrelation> result;
-  result.reserve(sources.size() * (sources.size() - 1) / 2);
-  for (size_t a = 0; a < sources.size(); ++a) {
-    for (size_t b = a + 1; b < sources.size(); ++b) {
-      double joint_true = static_cast<double>(
-          marginals.out_true[a].AndCount(marginals.out_true[b]));
-      double joint_false = static_cast<double>(
-          marginals.out_false[a].AndCount(marginals.out_false[b]));
-      result.push_back(
-          MakePairwiseCorrelation(marginals, a, b, joint_true, joint_false));
-    }
-  }
-  return result;
+  FUSER_ASSIGN_OR_RETURN(TrainingView view,
+                         BuildTrainingView(dataset, train_mask));
+  FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,
+                         ComputePairwiseCounts(view, sources));
+  return PairwiseCorrelationsFromCounts(counts, options);
 }
 
 }  // namespace fuser

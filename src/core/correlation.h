@@ -17,6 +17,7 @@
 #include "common/bitset.h"
 #include "common/status.h"
 #include "core/joint_stats.h"
+#include "core/quality.h"
 #include "model/dataset.h"
 
 namespace fuser {
@@ -59,45 +60,37 @@ struct PairwiseCorrelation {
   bool estimated = false;
 };
 
-/// All pairwise correlations among `sources` (global ids). The returned
-/// vector has one entry per unordered pair. O(|sources|^2) full bitset
-/// passes over the training triples; for large source counts see the
-/// sketch estimator in stats/correlation_sketch.h.
+/// All pairwise correlations among `sources` (global ids): one entry per
+/// unordered pair, from ComputePairwiseCounts over the training view and
+/// PairwiseCorrelationsFromCounts. For large source counts see the sketch
+/// estimator in stats/correlation_sketch.h.
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
     const std::vector<SourceId>& sources, const JointStatsOptions& options);
 
-/// The per-source (linear-cost) half of pairwise discovery, shared by the
-/// exact path and the sketch estimator: class masks over the training
-/// triples, per-source class intersections, and the exact marginal rates
-/// r_i (recall) and q_i (Theorem 3.5 count-form fpr). Only the O(S^2)
-/// joint counts differ between the exact and approximate paths.
+/// The per-source (linear-cost) half of pairwise discovery: the marginal
+/// rates r_i (recall) and q_i (Theorem 3.5 count-form fpr) every pair's
+/// factors divide by. The exact path derives them from PairwiseCounts; the
+/// sketch estimator from the dataset (ComputePairwiseMarginals), keeping
+/// the class masks its few exact rescores AND-count against.
 struct PairwiseMarginals {
   /// The sources the marginals were computed for (global ids; indices
   /// below are positions in this vector).
   std::vector<SourceId> sources;
-  DynamicBitset train_true;   // true ∩ train
-  DynamicBitset train_false;  // labeled ∩ train ∩ ~true
-  double total_true = 0.0;    // |train_true|
+  DynamicBitset train_true;   // true ∩ train (sketch path only)
+  DynamicBitset train_false;  // labeled ∩ train ∩ ~true (sketch path only)
+  double total_true = 0.0;    // |true ∩ train|
   double alpha_odds = 1.0;    // alpha / (1 - alpha)
   double smoothing = 0.0;
-  /// Per-source output ∩ class-mask bitsets (the exact joint counts are
-  /// AndCounts of these). Empty when the marginals were computed with
-  /// `materialize_outputs = false` — the sketch path counts its few
-  /// oracle rescores with the three-way AND+popcount kernel instead of
-  /// paying 2S bitset copies up front.
-  std::vector<DynamicBitset> out_true;
-  std::vector<DynamicBitset> out_false;
   std::vector<double> r;  // marginal recall per source
   std::vector<double> q;  // marginal fpr per source
-  /// |out_true[i]| + |out_false[i]|: the source's labeled output size.
+  /// The source's labeled training output size.
   std::vector<size_t> labeled_count;
 };
 
 StatusOr<PairwiseMarginals> ComputePairwiseMarginals(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options,
-    bool materialize_outputs = true);
+    const std::vector<SourceId>& sources, const JointStatsOptions& options);
 
 /// Assembles one PairwiseCorrelation from marginals and joint counts
 /// (exact or sketch-estimated) for the pair at positions (a, b) of
@@ -123,15 +116,15 @@ struct PairwiseCounts {
   std::vector<size_t> joint_false;
 };
 
+/// Counts `sources` (ids of the view's sources) over the view: popcounts
+/// and AND-counts of the packed columns, one class section at a time.
 StatusOr<PairwiseCounts> ComputePairwiseCounts(
-    const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources);
+    const TrainingView& view, const std::vector<SourceId>& sources);
 
 /// Element-wise sum of `from` into `into` (same source list required).
 Status MergePairwiseCounts(PairwiseCounts* into, const PairwiseCounts& from);
 
-/// Builds the same pairwise correlations ComputePairwiseCorrelations would
-/// return, but from (merged) integer counts instead of dataset bitsets.
+/// The pairwise correlations of (merged) integer counts.
 StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
     const PairwiseCounts& counts, const JointStatsOptions& options);
 

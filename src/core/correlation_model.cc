@@ -1,42 +1,58 @@
 #include "core/correlation_model.h"
 
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace fuser {
 
-StatusOr<CorrelationModel> BuildCorrelationModel(const Dataset& dataset,
-                                                 const DynamicBitset& train,
-                                                 const ModelOptions& options) {
+StatusOr<CorrelationModel> BuildCorrelationModel(
+    const Dataset& dataset, const DynamicBitset& train,
+    std::vector<SourceQuality> quality, const ModelOptions& options,
+    size_t num_threads, ThreadPool* pool) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }
+  if (quality.size() != dataset.num_sources()) {
+    return Status::InvalidArgument(
+        "quality does not match the dataset's sources");
+  }
+  FUSER_ASSIGN_OR_RETURN(TrainingView view,
+                         BuildTrainingView(dataset, train, num_threads, pool));
   CorrelationModel model;
   model.alpha = options.alpha;
   model.use_scopes = options.use_scopes;
+  model.source_quality = std::move(quality);
 
-  FUSER_ASSIGN_OR_RETURN(
-      model.source_quality,
-      EstimateSourceQuality(dataset, train, options.ToQualityOptions()));
-
-  if (options.enable_clustering) {
+  const JointStatsOptions stats_options = options.ToJointStatsOptions();
+  if (!options.enable_clustering) {
+    FUSER_ASSIGN_OR_RETURN(model.clustering, SingleCluster(dataset));
+  } else if (options.clustering.use_sketch) {
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
-        ClusterSourcesByCorrelation(dataset, train,
-                                    options.ToJointStatsOptions(),
+        ClusterSourcesByCorrelation(dataset, train, stats_options,
                                     options.clustering));
   } else {
-    FUSER_ASSIGN_OR_RETURN(model.clustering, SingleCluster(dataset));
+    std::vector<SourceId> all(dataset.num_sources());
+    std::iota(all.begin(), all.end(), SourceId{0});
+    FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,
+                           ComputePairwiseCounts(view, all));
+    FUSER_ASSIGN_OR_RETURN(
+        model.clustering,
+        ClusterSourcesFromCounts(dataset.num_sources(), counts, stats_options,
+                                 options.clustering));
   }
 
-  model.cluster_stats.reserve(model.clustering.clusters.size());
-  for (const std::vector<SourceId>& cluster : model.clustering.clusters) {
-    FUSER_ASSIGN_OR_RETURN(
-        std::unique_ptr<EmpiricalJointStats> stats,
-        EmpiricalJointStats::Create(dataset, train, cluster,
-                                    options.ToJointStatsOptions()));
+  FUSER_ASSIGN_OR_RETURN(
+      std::vector<EmpiricalJointStatsState> states,
+      CountClusterPatterns(view, model.clustering.clusters, stats_options,
+                           num_threads, pool));
+  model.cluster_stats.reserve(states.size());
+  for (const EmpiricalJointStatsState& state : states) {
+    FUSER_ASSIGN_OR_RETURN(std::unique_ptr<EmpiricalJointStats> stats,
+                           EmpiricalJointStats::FromState(state));
     model.cluster_stats.push_back(std::move(stats));
   }
   return model;

@@ -55,11 +55,18 @@ struct CorrelationModel {
   bool use_scopes = false;
 };
 
-/// Estimates quality, clusters sources, and builds per-cluster joint
-/// statistics from the training triples.
-StatusOr<CorrelationModel> BuildCorrelationModel(const Dataset& dataset,
-                                                 const DynamicBitset& train,
-                                                 const ModelOptions& options);
+/// Builds the model of the training triples `train` selects around the
+/// source quality already estimated over them (EstimateSourceQuality(
+/// dataset, train, ...)), which the model keeps. Everything else is counted
+/// from one view of those triples (BuildTrainingView), built on
+/// `num_threads` workers (on `pool` when given): sources are clustered by
+/// pairwise counts over the view (the sketch pre-screen reads `dataset` and
+/// `train` instead), and every cluster's joint statistics are counted from
+/// it, the clusters spread across the same workers.
+StatusOr<CorrelationModel> BuildCorrelationModel(
+    const Dataset& dataset, const DynamicBitset& train,
+    std::vector<SourceQuality> quality, const ModelOptions& options,
+    size_t num_threads = 1, ThreadPool* pool = nullptr);
 
 /// Deep copy of a model: quality/clustering/alpha are copied and every
 /// cluster's statistics cloned via JointStatsProvider::Clone, so mutating

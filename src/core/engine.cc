@@ -525,9 +525,14 @@ Status FusionEngine::EnsureModel() {
         "model is router-managed; the sharded engine must adopt parameters "
         "before scoring");
   }
+  // The model takes the source quality the engine already holds (Prepare
+  // and Update keep it current) and counts everything else from one view
+  // of the training triples.
   FUSER_ASSIGN_OR_RETURN(
       CorrelationModel model,
-      BuildCorrelationModel(*dataset_, train_mask_, options_.model));
+      BuildCorrelationModel(*dataset_, train_mask_, quality_, options_.model,
+                            ResolveNumThreads(options_.num_threads),
+                            WorkerPool()));
   model_ = std::make_shared<const CorrelationModel>(std::move(model));
   RepublishKeepServing();
   return Status::OK();

@@ -4,7 +4,8 @@
 #include <tuple>
 
 #include "common/logging.h"
-#include "common/math_util.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 
 namespace fuser {
 
@@ -37,71 +38,111 @@ Status JointStatsProvider::ScoreAllPatterns(
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::Create(
-    const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& cluster_sources,
-    const JointStatsOptions& options) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
+namespace {
+
+using PatternCountMap =
+    std::unordered_map<std::pair<Mask, Mask>, uint32_t, MaskPairHash>;
+
+/// Counts one class section of the view (`num_positions` positions from
+/// column word `first_word`, domains from `first_position`) for one
+/// cluster and appends its patterns to `out` in the map's iteration order,
+/// which follows from inserting the distinct patterns in first-seen order.
+void CountSection(const TrainingView& view,
+                  const std::vector<SourceId>& cluster,
+                  const std::vector<Mask>& scope_of_domain, bool use_scopes,
+                  size_t first_word, size_t first_position,
+                  size_t num_positions,
+                  std::vector<EmpiricalJointStatsState::PatternCount>* out,
+                  uint64_t* total) {
+  const size_t k = cluster.size();
+  const Mask full = FullMask(static_cast<int>(k));
+  PatternCountMap agg;
+  uint64_t rows[64];
+  uint64_t providers[64];
+  for (size_t wi = 0; wi * 64 < num_positions; ++wi) {
+    for (size_t i = 0; i < k; ++i) {
+      rows[i] = view.column(cluster[i])[first_word + wi];
+    }
+    simd::TransposeBitColumns(rows, k, providers);
+    const size_t base = wi * 64;
+    const size_t len = std::min<size_t>(64, num_positions - base);
+    const DomainId* domains = view.domains.data() + first_position + base;
+    for (size_t j = 0; j < len; ++j) {
+      const Mask scope = use_scopes ? scope_of_domain[domains[j]] : full;
+      ++agg[{providers[j], scope}];
+    }
   }
-  if (cluster_sources.empty() || cluster_sources.size() > 64) {
-    return Status::InvalidArgument("cluster must have 1..64 sources");
+  out->reserve(agg.size());
+  for (const auto& [key, count] : agg) {
+    out->push_back({key.first, key.second, count});
+    *total += count;
   }
+}
+
+}  // namespace
+
+StatusOr<std::vector<EmpiricalJointStatsState>> CountClusterPatterns(
+    const TrainingView& view,
+    const std::vector<std::vector<SourceId>>& clusters,
+    const JointStatsOptions& options, size_t num_threads, ThreadPool* pool) {
   if (options.alpha <= 0.0 || options.alpha >= 1.0) {
     return Status::InvalidArgument("alpha must be in (0,1)");
   }
   if (options.smoothing < 0.0) {
     return Status::InvalidArgument("smoothing must be >= 0");
   }
-
-  auto stats = std::unique_ptr<EmpiricalJointStats>(new EmpiricalJointStats());
-  stats->k_ = static_cast<int>(cluster_sources.size());
-  stats->options_ = options;
-
-  // Map each training triple to its cluster-local (providers, scope) masks
-  // and aggregate identical patterns.
-  std::unordered_map<std::pair<Mask, Mask>, uint32_t, MaskPairHash> agg_true;
-  std::unordered_map<std::pair<Mask, Mask>, uint32_t, MaskPairHash> agg_false;
-  const Mask full = FullMask(stats->k_);
-  DynamicBitset train_labeled = dataset.labeled_mask();
-  train_labeled.AndWith(train_mask);
-  train_labeled.ForEach([&](size_t t) {
-    TripleId triple = static_cast<TripleId>(t);
-    Mask prov = 0;
-    Mask scope = options.use_scopes ? Mask{0} : full;
-    for (int i = 0; i < stats->k_; ++i) {
-      SourceId s = cluster_sources[static_cast<size_t>(i)];
-      if (dataset.provides(s, triple)) prov = WithBit(prov, i);
-      if (options.use_scopes && dataset.in_scope(s, triple)) {
-        scope = WithBit(scope, i);
+  for (const std::vector<SourceId>& cluster : clusters) {
+    if (cluster.empty() || cluster.size() > 64) {
+      return Status::InvalidArgument("cluster must have 1..64 sources");
+    }
+    for (SourceId s : cluster) {
+      if (s >= view.num_sources) {
+        return Status::InvalidArgument("cluster source id out of range");
       }
     }
-    auto& agg = dataset.label(triple) == Label::kTrue ? agg_true : agg_false;
-    ++agg[{prov, scope}];
-  });
-
-  auto flatten =
-      [](const std::unordered_map<std::pair<Mask, Mask>, uint32_t,
-                                  MaskPairHash>& agg,
-         std::vector<Pattern>* out,
-         std::unordered_map<std::pair<Mask, Mask>, size_t, MaskPairHash>*
-             index,
-         size_t* total) {
-        out->reserve(agg.size());
-        index->reserve(agg.size());
-        for (const auto& [key, count] : agg) {
-          index->emplace(key, out->size());
-          out->push_back({key.first, key.second, count});
-          *total += count;
+  }
+  std::vector<EmpiricalJointStatsState> states(clusters.size());
+  auto count = [&](size_t c) {
+    const std::vector<SourceId>& cluster = clusters[c];
+    EmpiricalJointStatsState& state = states[c];
+    state.k = static_cast<int>(cluster.size());
+    state.options = options;
+    // The cluster-local scope of each domain.
+    std::vector<Mask> scope_of_domain;
+    if (options.use_scopes) {
+      scope_of_domain.assign(view.num_domains, 0);
+      for (DomainId d = 0; d < scope_of_domain.size(); ++d) {
+        for (size_t i = 0; i < cluster.size(); ++i) {
+          if (view.covers[cluster[i]].Test(d)) {
+            scope_of_domain[d] = WithBit(scope_of_domain[d],
+                                         static_cast<int>(i));
+          }
         }
-      };
-  flatten(agg_true, &stats->true_patterns_, &stats->true_index_,
-          &stats->total_true_);
-  flatten(agg_false, &stats->false_patterns_, &stats->false_index_,
-          &stats->total_false_);
+      }
+    }
+    CountSection(view, cluster, scope_of_domain, options.use_scopes, 0, 0,
+                 view.num_true, &state.true_patterns, &state.total_true);
+    CountSection(view, cluster, scope_of_domain, options.use_scopes,
+                 view.true_words, view.num_true, view.num_false,
+                 &state.false_patterns, &state.total_false);
+  };
+  const size_t workers = std::max<size_t>(
+      1, std::min(ResolveNumThreads(num_threads), clusters.size()));
+  ParallelFor(clusters.size(), workers, count,
+              ParallelForOptions{pool, nullptr});
+  return states;
+}
 
-  stats->BuildTables();
-  return stats;
+StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::Create(
+    const Dataset& dataset, const DynamicBitset& train_mask,
+    const std::vector<SourceId>& cluster_sources,
+    const JointStatsOptions& options) {
+  FUSER_ASSIGN_OR_RETURN(TrainingView view,
+                         BuildTrainingView(dataset, train_mask));
+  FUSER_ASSIGN_OR_RETURN(
+      std::vector<EmpiricalJointStatsState> states,
+      CountClusterPatterns(view, {cluster_sources}, options));
+  return FromState(states[0]);
 }
 
 void EmpiricalJointStats::BuildTables() {
@@ -300,11 +341,6 @@ StatusOr<EmpiricalJointStatsState> MergeJointStatsStates(
   merged.k = states[0].k;
   merged.options = states[0].options;
 
-  struct MaskPairHash {
-    size_t operator()(const std::pair<Mask, Mask>& p) const {
-      return static_cast<size_t>(MixMaskPair(p.first, p.second));
-    }
-  };
   using Index =
       std::unordered_map<std::pair<Mask, Mask>, size_t, MaskPairHash>;
   Index true_index;
@@ -381,14 +417,6 @@ JointQuality EmpiricalJointStats::Get(Mask subset) const {
   quality.recall = (den + 2.0 * s) > 0.0 ? (nt + s) / (den + 2.0 * s) : 0.0;
   quality.fpr = FprFromCounts(nf, den, s, options_.alpha);
   return quality;
-}
-
-size_t EmpiricalJointStats::CountTrueSuperset(Mask subset) const {
-  return ComputeCounts(subset).num_true;
-}
-
-size_t EmpiricalJointStats::CountFalseSuperset(Mask subset) const {
-  return ComputeCounts(subset).num_false;
 }
 
 Status EmpiricalJointStats::CheckDirectQuery(bool calibrated) const {

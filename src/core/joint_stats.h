@@ -12,7 +12,8 @@
 // represented as bit masks over cluster-local indices.
 //
 // Two implementations:
-//  * EmpiricalJointStats - counts from training data. Every statistic is a
+//  * EmpiricalJointStats - counts from training data (CountClusterPatterns
+//    counts every cluster from one TrainingView). Every statistic is a
 //    ratio of integer pattern counts, so a provider is a pure function of
 //    its pattern lists and options and caches nothing: subset lookups read
 //    a sum-over-supersets table on clusters of at most kSosTableMaxBits
@@ -179,6 +180,26 @@ struct EmpiricalJointStatsState {
   std::vector<PatternCount> false_patterns;
 };
 
+/// Hash of a (providers, scope) pattern key.
+struct MaskPairHash {
+  size_t operator()(const std::pair<Mask, Mask>& p) const {
+    return static_cast<size_t>(MixMaskPair(p.first, p.second));
+  }
+};
+
+/// Counts the (providers, scope) training patterns of every cluster in
+/// `clusters` (each 1..64 of the view's source ids) from one training view,
+/// with the clusters spread across `num_threads` workers (on `pool` when
+/// given). states[c] is the ExportState of an EmpiricalJointStats over
+/// clusters[c], pattern order included: each cluster's distinct keys enter
+/// the same unordered_map type in first-seen position order, class by
+/// class, so the map iterates them in the order snapshot bytes pin.
+StatusOr<std::vector<EmpiricalJointStatsState>> CountClusterPatterns(
+    const TrainingView& view,
+    const std::vector<std::vector<SourceId>>& clusters,
+    const JointStatsOptions& options, size_t num_threads = 1,
+    ThreadPool* pool = nullptr);
+
 /// Merges per-partition states into one: counts of identical
 /// (providers, scope) patterns sum per class, totals sum, and the result is
 /// the state a single pass over the union of the partitions' training
@@ -191,7 +212,8 @@ StatusOr<EmpiricalJointStatsState> MergeJointStatsStates(
 class EmpiricalJointStats : public JointStatsProvider {
  public:
   /// `cluster_sources` lists the global source ids of the cluster (size
-  /// <= 64); `train_mask` selects the labeled training triples.
+  /// <= 64); `train_mask` selects the labeled training triples. The
+  /// one-cluster case of CountClusterPatterns, over a view it builds.
   static StatusOr<std::unique_ptr<EmpiricalJointStats>> Create(
       const Dataset& dataset, const DynamicBitset& train_mask,
       const std::vector<SourceId>& cluster_sources,
@@ -229,9 +251,6 @@ class EmpiricalJointStats : public JointStatsProvider {
   static StatusOr<std::unique_ptr<EmpiricalJointStats>> FromState(
       const EmpiricalJointStatsState& state);
 
-  /// Raw superset counts (diagnostics and tests).
-  size_t CountTrueSuperset(Mask subset) const;
-  size_t CountFalseSuperset(Mask subset) const;
   size_t total_true() const { return total_true_; }
   size_t total_false() const { return total_false_; }
 
@@ -254,12 +273,6 @@ class EmpiricalJointStats : public JointStatsProvider {
     size_t cnt_false = 0;
     size_t den_true = 0;
     size_t den_false = 0;
-  };
-
-  struct MaskPairHash {
-    size_t operator()(const std::pair<Mask, Mask>& p) const {
-      return static_cast<size_t>(MixMaskPair(p.first, p.second));
-    }
   };
 
   EmpiricalJointStats() = default;

@@ -20,6 +20,8 @@
 
 namespace fuser {
 
+class ThreadPool;
+
 /// Quality of one source (or of a set of sources, for joint quality).
 struct SourceQuality {
   double precision = 0.0;
@@ -48,17 +50,50 @@ struct QualityOptions {
   bool use_scopes = false;
 };
 
-/// Derives q from p and r per Theorem 3.5, clamping into [0, 1].
-double DeriveFalsePositiveRate(double precision, double recall, double alpha);
+/// The training triples (train ∩ labeled) in one compact layout that the
+/// model-building steps read instead of the full-corpus bitsets: pairwise
+/// counts and per-cluster joint statistics. Training triples get
+/// positions, true ones first: positions [0, num_true) are the true
+/// training triples and [num_true, num_true + num_false) the false ones,
+/// each class in ascending triple order. Each source's provider bits are
+/// packed down to these positions in one column: true_words words over the
+/// true positions, then false_words words over the false ones (tail bits
+/// zero), so a class count is a popcount over its section alone. Any
+/// number of sources.
+struct TrainingView {
+  size_t num_sources = 0;
+  size_t num_true = 0;
+  size_t num_false = 0;
+  size_t true_words = 0;   // (num_true + 63) / 64
+  size_t false_words = 0;  // (num_false + 63) / 64
+  /// num_sources columns of stride() words each.
+  AlignedWordVector provides;
+  /// Domain of each position (num_true + num_false entries).
+  std::vector<DomainId> domains;
+  /// The dataset's scope relation: covers[s] holds the domains source s
+  /// covers (num_domains bits).
+  size_t num_domains = 0;
+  std::vector<DynamicBitset> covers;
 
-/// Theorem 3.5 validity condition: alpha <= p / (p + r - p*r). Outside this
-/// range the derived q would exceed 1 (it is clamped).
-bool FprDerivationValid(double precision, double recall, double alpha);
+  size_t stride() const { return true_words + false_words; }
+  const uint64_t* column(SourceId s) const {
+    return provides.data() + s * stride();
+  }
+};
+
+/// Builds the view of `dataset`'s training triples; sources are packed 64
+/// at a time, one group per task across `num_threads` workers (on `pool`
+/// when given).
+StatusOr<TrainingView> BuildTrainingView(const Dataset& dataset,
+                                         const DynamicBitset& train_mask,
+                                         size_t num_threads = 1,
+                                         ThreadPool* pool = nullptr);
 
 /// Estimates quality for every source from the training triples
-/// (`train_mask` must select labeled triples). Follows Section 3.2: the
-/// truth set is the set of true training triples provided by at least one
-/// source.
+/// (`train_mask` selects them; unlabeled ones are ignored). Follows
+/// Section 3.2: the truth set is the set of true training triples provided
+/// by at least one source. With scopes, scope_true sums per-domain counts
+/// of true training triples over the domains the source covers.
 StatusOr<std::vector<SourceQuality>> EstimateSourceQuality(
     const Dataset& dataset, const DynamicBitset& train_mask,
     const QualityOptions& options);

@@ -210,6 +210,17 @@ Status ShardedFusionEngine::EnsureGlobalModel() {
   const size_t num_sources = corpus_.num_sources();
   const size_t num_shards = engines_.size();
 
+  // Every count below sums exactly over the shards' disjoint training
+  // triples, so each shard contributes the counts of its own view.
+  std::vector<TrainingView> views;
+  views.reserve(num_shards);
+  for (size_t k = 0; k < num_shards; ++k) {
+    FUSER_ASSIGN_OR_RETURN(
+        TrainingView view,
+        BuildTrainingView(corpus_.shard(k), engines_[k]->train_mask()));
+    views.push_back(std::move(view));
+  }
+
   SourceClustering clustering;
   if (!mo.enable_clustering) {
     FUSER_ASSIGN_OR_RETURN(clustering, SingleClusterOf(num_sources));
@@ -222,10 +233,8 @@ Status ShardedFusionEngine::EnsureGlobalModel() {
     std::iota(sources.begin(), sources.end(), SourceId{0});
     PairwiseCounts merged;
     for (size_t k = 0; k < num_shards; ++k) {
-      FUSER_ASSIGN_OR_RETURN(
-          PairwiseCounts counts,
-          ComputePairwiseCounts(corpus_.shard(k), engines_[k]->train_mask(),
-                                sources));
+      FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,
+                             ComputePairwiseCounts(views[k], sources));
       if (k == 0) {
         merged = std::move(counts);
       } else {
@@ -233,10 +242,20 @@ Status ShardedFusionEngine::EnsureGlobalModel() {
       }
     }
     FUSER_ASSIGN_OR_RETURN(
-        std::vector<PairwiseCorrelation> pairs,
-        PairwiseCorrelationsFromCounts(merged, mo.ToJointStatsOptions()));
+        clustering,
+        ClusterSourcesFromCounts(num_sources, merged, mo.ToJointStatsOptions(),
+                                 mo.clustering));
+  }
+
+  const size_t num_clusters = clustering.clusters.size();
+  std::vector<std::vector<EmpiricalJointStatsState>> shard_states;
+  shard_states.reserve(num_shards);
+  for (size_t k = 0; k < num_shards; ++k) {
     FUSER_ASSIGN_OR_RETURN(
-        clustering, ClusterSourcesFromPairs(num_sources, pairs, mo.clustering));
+        std::vector<EmpiricalJointStatsState> states,
+        CountClusterPatterns(views[k], clustering.clusters,
+                             mo.ToJointStatsOptions()));
+    shard_states.push_back(std::move(states));
   }
 
   CorrelationModel model;
@@ -244,17 +263,12 @@ Status ShardedFusionEngine::EnsureGlobalModel() {
   model.clustering = std::move(clustering);
   model.alpha = mo.alpha;
   model.use_scopes = mo.use_scopes;
-  model.cluster_stats.reserve(model.clustering.clusters.size());
-  for (const std::vector<SourceId>& cluster : model.clustering.clusters) {
+  model.cluster_stats.reserve(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
     std::vector<EmpiricalJointStatsState> states;
     states.reserve(num_shards);
     for (size_t k = 0; k < num_shards; ++k) {
-      FUSER_ASSIGN_OR_RETURN(
-          std::unique_ptr<EmpiricalJointStats> stats,
-          EmpiricalJointStats::Create(corpus_.shard(k),
-                                      engines_[k]->train_mask(), cluster,
-                                      mo.ToJointStatsOptions()));
-      states.push_back(stats->ExportState());
+      states.push_back(std::move(shard_states[k][c]));
     }
     FUSER_ASSIGN_OR_RETURN(EmpiricalJointStatsState merged_state,
                            MergeJointStatsStates(states));

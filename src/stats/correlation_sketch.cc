@@ -126,14 +126,12 @@ StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelationsApprox(
   if (approx.sketch_size == 0) {
     return Status::InvalidArgument("sketch_size must be > 0");
   }
-  // Exact linear-cost marginals — without materializing the 2S per-source
-  // class bitsets the exact path amortizes over its O(S^2) AndCounts; the
-  // few oracle rescores below use the three-way AND+popcount kernel over
-  // the raw outputs instead. Then the sketch for the O(S^2) joint counts.
+  // Exact linear-cost marginals (the few oracle rescores below AND-count
+  // the raw outputs against their class masks with the three-way kernel),
+  // then the sketch for the O(S^2) joint counts.
   FUSER_ASSIGN_OR_RETURN(
       PairwiseMarginals marginals,
-      ComputePairwiseMarginals(dataset, train_mask, sources, options,
-                               /*materialize_outputs=*/false));
+      ComputePairwiseMarginals(dataset, train_mask, sources, options));
   FUSER_ASSIGN_OR_RETURN(
       CorrelationSketch sketch,
       CorrelationSketch::Build(dataset, train_mask, sources,

@@ -14,6 +14,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "support/paper_math.h"
 
 namespace fuser {
 namespace {

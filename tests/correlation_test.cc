@@ -5,6 +5,7 @@
 #include "core/clustering.h"
 #include "gtest/gtest.h"
 #include "support/correlation_factors.h"
+#include "support/model_reference.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
@@ -94,6 +95,57 @@ TEST(PairwiseCorrelationTest, DetectsAntiCorrelation) {
     if (pc.a == 0 && pc.b == 1) {
       EXPECT_NEAR(pc.factors.on_true, 0.0, 0.05)
           << "complementary sources never overlap on true triples";
+    }
+  }
+}
+
+TEST(PairwiseCorrelationTest, CountsPathIsBitIdenticalToBitsetReference) {
+  // ComputePairwiseCorrelations runs ComputePairwiseCounts over the
+  // training view and PairwiseCorrelationsFromCounts; the reference
+  // AND-counts copied per-source class bitsets of the whole corpus.
+  for (uint64_t seed : {3, 19, 77}) {
+    SyntheticConfig config =
+        MakeIndependentConfig(9, 1500, 0.4, 0.7, 0.4, seed);
+    config.groups_true = {{{0, 1, 2}, 0.85}};
+    config.groups_false = {{{3, 4}, 0.8}};
+    config.labeled_true = 400;
+    config.labeled_false = 600;
+    auto d = GenerateSynthetic(config);
+    ASSERT_TRUE(d.ok()) << d.status();
+    DynamicBitset subset(d->num_triples());
+    for (TripleId t = 0; t < d->num_triples(); t += 2) subset.Set(t);
+    JointStatsOptions smoothed;
+    smoothed.alpha = 0.3;
+    smoothed.smoothing = 0.5;
+    for (const DynamicBitset& train :
+         std::vector<DynamicBitset>{d->labeled_mask(), subset}) {
+      for (const std::vector<SourceId>& sources :
+           {AllSources(*d), std::vector<SourceId>{7, 2, 5}}) {
+        for (const JointStatsOptions& options :
+             {JointStatsOptions{}, smoothed}) {
+          auto got =
+              ComputePairwiseCorrelations(*d, train, sources, options);
+          auto want =
+              ReferencePairwiseCorrelations(*d, train, sources, options);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_TRUE(want.ok()) << want.status();
+          ASSERT_EQ(got->size(), want->size());
+          for (size_t i = 0; i < got->size(); ++i) {
+            const PairwiseCorrelation& g = (*got)[i];
+            const PairwiseCorrelation& w = (*want)[i];
+            EXPECT_EQ(g.a, w.a);
+            EXPECT_EQ(g.b, w.b);
+            EXPECT_EQ(g.factors.on_true, w.factors.on_true);
+            EXPECT_EQ(g.factors.on_false, w.factors.on_false);
+            EXPECT_EQ(g.support, w.support);
+            EXPECT_EQ(g.joint_true_count, w.joint_true_count);
+            EXPECT_EQ(g.joint_false_count, w.joint_false_count);
+            EXPECT_EQ(g.indep_true_count, w.indep_true_count);
+            EXPECT_EQ(g.indep_false_count, w.indep_false_count);
+            EXPECT_EQ(g.estimated, w.estimated);
+          }
+        }
+      }
     }
   }
 }

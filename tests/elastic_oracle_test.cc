@@ -17,6 +17,7 @@
 #include "core/pattern_pipeline.h"
 #include "gtest/gtest.h"
 #include "support/elastic_oracle.h"
+#include "support/model_reference.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
@@ -136,8 +137,8 @@ TEST(ElasticOracleTest, SeededClustersEveryPattern) {
     options.use_scopes = tc.use_scopes;
     options.enable_clustering = tc.enable_clustering;
     options.smoothing = tc.smoothing;
-    auto model = BuildCorrelationModel(*dataset, dataset->labeled_mask(),
-                                       options);
+    auto model = BuildCorrelationModelOf(*dataset, dataset->labeled_mask(),
+                                         options);
     ASSERT_TRUE(model.ok()) << model.status();
     auto grouping = BuildPatternGrouping(*dataset, *model);
     ASSERT_TRUE(grouping.ok()) << grouping.status();

@@ -20,6 +20,7 @@
 #include "core/precrec_corr.h"
 #include "gtest/gtest.h"
 #include "support/likelihood_oracle.h"
+#include "support/paper_math.h"
 #include "synth/generator.h"
 #include "synth/motivating_example.h"
 
@@ -228,7 +229,7 @@ TEST(LikelihoodOracleTest, TermSummationMatchesLiteralFormOnSmallClusters) {
     bool clamped = false;
     for (SourceId s = 0; s < cluster.size(); ++s) {
       clamped |= odds * static_cast<double>(
-                            (*stats)->CountFalseSuperset(Mask{1} << s)) >
+                            CountFalseSuperset(**stats, Mask{1} << s)) >
                  static_cast<double>((*stats)->total_true());
     }
     if (clamped) continue;

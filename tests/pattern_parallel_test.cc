@@ -25,6 +25,7 @@
 #include "core/precrec_corr.h"
 #include "core/quality.h"
 #include "gtest/gtest.h"
+#include "support/model_reference.h"
 #include "support/pattern_oracles.h"
 #include "synth/generator.h"
 #include "synth/stream_replay.h"
@@ -179,7 +180,7 @@ TEST(WordParallelGroupingTest, ByteIdenticalToScalarReference) {
         options.use_scopes = use_scopes;
         options.enable_clustering = clustering;
         auto model =
-            BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+            BuildCorrelationModelOf(dataset, dataset.labeled_mask(), options);
         ASSERT_TRUE(model.ok()) << model.status();
         SCOPED_TRACE(::testing::Message()
                      << "m=" << dataset.num_triples()
@@ -304,7 +305,7 @@ TEST(WordParallelGroupingTest, OneSourceDatasetMatchesScalar) {
       ModelOptions options;
       options.use_scopes = use_scopes;
       auto model =
-          BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+          BuildCorrelationModelOf(dataset, dataset.labeled_mask(), options);
       ASSERT_TRUE(model.ok()) << model.status();
       ASSERT_EQ(model->clustering.clusters.size(), 1u);
       SCOPED_TRACE(::testing::Message()
@@ -372,7 +373,7 @@ TEST(WordParallelGroupingTest, DomainsSharingScopeMasksMatchScalar) {
       options.use_scopes = true;
       options.enable_clustering = clustering;
       auto model =
-          BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+          BuildCorrelationModelOf(dataset, dataset.labeled_mask(), options);
       ASSERT_TRUE(model.ok()) << model.status();
       SCOPED_TRACE(::testing::Message() << "m=" << num_triples
                                         << " clustering=" << clustering);
@@ -456,8 +457,8 @@ TEST(IndependentSourceScoresTest, PrecRecAndAggressiveMatchReferenceLoop) {
         ModelOptions model_options;
         model_options.use_scopes = use_scopes;
         model_options.enable_clustering = true;
-        auto model = BuildCorrelationModel(dataset, dataset.labeled_mask(),
-                                           model_options);
+        auto model = BuildCorrelationModelOf(dataset, dataset.labeled_mask(),
+                                             model_options);
         ASSERT_TRUE(model.ok()) << model.status();
 
         PrecRecOptions options;
@@ -652,7 +653,8 @@ TEST(EndToEndByteIdentityTest, WideClusterScanPathIsThreadCountInvariant) {
 TEST(EndToEndByteIdentityTest, ScorePatternsPropagatesFirstError) {
   Dataset dataset = MakeDataset(4, 200, 0, 43);
   ModelOptions options;
-  auto model = BuildCorrelationModel(dataset, dataset.labeled_mask(), options);
+  auto model =
+      BuildCorrelationModelOf(dataset, dataset.labeled_mask(), options);
   ASSERT_TRUE(model.ok());
   auto grouping = BuildPatternGrouping(dataset, *model);
   ASSERT_TRUE(grouping.ok());

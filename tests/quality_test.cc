@@ -2,6 +2,7 @@
 // 3.5 false-positive-rate derivation.
 #include "core/quality.h"
 #include "gtest/gtest.h"
+#include "support/paper_math.h"
 #include "synth/motivating_example.h"
 
 namespace fuser {
