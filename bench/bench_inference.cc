@@ -310,8 +310,8 @@ int Main(int argc, char** argv) {
     reference_model = ReferenceCorrelationModel(dataset, train, model_options);
   });
   FUSER_CHECK(reference_model.ok()) << reference_model.status();
-  auto model_built = BuildCorrelationModel(dataset, train, *quality,
-                                           model_options, num_threads, &pool);
+  auto model_built = BuildCorrelationModel(
+      {{&dataset, &train}}, *quality, model_options, num_threads, &pool);
   FUSER_CHECK(model_built.ok()) << model_built.status();
   bool model_identical =
       model_built->clustering.clusters ==

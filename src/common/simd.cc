@@ -200,15 +200,6 @@ bool Avx2Disabled() {
   return !(env[0] == '0' && env[1] == '\0');
 }
 
-Level DetectLevel() {
-#if FUSER_SIMD_X86
-  if (!Avx2Disabled() && __builtin_cpu_supports("avx2")) {
-    return Level::kAvx2;
-  }
-#endif
-  return Level::kScalar;
-}
-
 }  // namespace
 
 const char* LevelName(Level level) {
@@ -238,7 +229,8 @@ bool LevelSupported(Level level) {
 Level ActiveLevel() {
   // Resolved once per process; the magic static makes first-call races
   // safe. Set FUSER_DISABLE_AVX2 before the first kernel call.
-  static const Level level = DetectLevel();
+  static const Level level =
+      LevelSupported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
   return level;
 }
 
@@ -251,7 +243,11 @@ const Kernels& KernelsFor(Level level) {
   return kScalarKernels;
 }
 
-const Kernels& ActiveKernels() { return KernelsFor(ActiveLevel()); }
+const Kernels& ActiveKernels() {
+  // Cached with the level: the hot paths call this once per word.
+  static const Kernels& kernels = KernelsFor(ActiveLevel());
+  return kernels;
+}
 
 }  // namespace simd
 }  // namespace fuser

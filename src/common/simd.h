@@ -77,7 +77,8 @@ struct Kernels {
 /// Tests use this to run every supported level against the scalar oracle.
 const Kernels& KernelsFor(Level level);
 
-/// Kernel table of ActiveLevel(); the hot paths call through this.
+/// Kernel table of ActiveLevel(), resolved once with it; the hot paths call
+/// through this.
 const Kernels& ActiveKernels();
 
 // ---- Dispatched conveniences (what call sites actually use). ----

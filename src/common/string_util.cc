@@ -8,18 +8,6 @@
 
 namespace fuser {
 
-std::vector<std::string> StrSplit(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      parts.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
-
 std::string_view StrTrim(std::string_view text) {
   size_t begin = 0;
   while (begin < text.size() &&
@@ -32,16 +20,6 @@ std::string_view StrTrim(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
-}
-
-std::string StrJoin(const std::vector<std::string>& pieces,
-                    std::string_view sep) {
-  std::string result;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) result.append(sep);
-    result.append(pieces[i]);
-  }
-  return result;
 }
 
 std::string StrFormat(const char* fmt, ...) {

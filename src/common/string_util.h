@@ -1,23 +1,14 @@
-// Small string helpers (split/trim/join/format) used across the project.
+// Small string helpers (trim/format/parse) used across the project.
 #ifndef FUSER_COMMON_STRING_UTIL_H_
 #define FUSER_COMMON_STRING_UTIL_H_
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace fuser {
 
-/// Splits on every occurrence of `sep`; adjacent separators yield empty
-/// fields (CSV-style, not whitespace-style).
-std::vector<std::string> StrSplit(std::string_view text, char sep);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StrTrim(std::string_view text);
-
-/// Joins the pieces with `sep` between them.
-std::string StrJoin(const std::vector<std::string>& pieces,
-                    std::string_view sep);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

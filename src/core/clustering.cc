@@ -173,10 +173,6 @@ StatusOr<SourceClustering> ClusterSourcesFromPairs(
   return PartitionFromSets(n, &sets);
 }
 
-StatusOr<SourceClustering> SingleCluster(const Dataset& dataset) {
-  return SingleClusterOf(dataset.num_sources());
-}
-
 StatusOr<SourceClustering> SingleClusterOf(size_t num_sources) {
   const size_t n = num_sources;
   if (n > 64) {

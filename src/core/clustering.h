@@ -71,11 +71,8 @@ StatusOr<SourceClustering> ClusterSourcesFromCounts(
     size_t num_sources, const PairwiseCounts& counts,
     const JointStatsOptions& stats_options, const ClusteringOptions& options);
 
-/// A single cluster holding every source (requires <= 64 sources); used
-/// when clustering is disabled.
-StatusOr<SourceClustering> SingleCluster(const Dataset& dataset);
-
-/// Same, from a bare source count (no dataset needed).
+/// A single cluster holding every one of `num_sources` sources (requires
+/// <= 64 sources); used when clustering is disabled.
 StatusOr<SourceClustering> SingleClusterOf(size_t num_sources);
 
 /// Builds a SourceClustering from an explicit partition (validated).

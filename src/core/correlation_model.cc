@@ -9,18 +9,37 @@
 namespace fuser {
 
 StatusOr<CorrelationModel> BuildCorrelationModel(
-    const Dataset& dataset, const DynamicBitset& train,
+    const std::vector<TrainingPart>& parts,
     std::vector<SourceQuality> quality, const ModelOptions& options,
     size_t num_threads, ThreadPool* pool) {
-  if (!dataset.finalized()) {
-    return Status::FailedPrecondition("dataset not finalized");
+  if (parts.empty()) {
+    return Status::InvalidArgument("no training parts to build a model from");
   }
-  if (quality.size() != dataset.num_sources()) {
-    return Status::InvalidArgument(
-        "quality does not match the dataset's sources");
+  for (const TrainingPart& part : parts) {
+    if (!part.dataset->finalized()) {
+      return Status::FailedPrecondition("dataset not finalized");
+    }
+    if (quality.size() != part.dataset->num_sources()) {
+      return Status::InvalidArgument(
+          "quality does not match the dataset's sources");
+    }
   }
-  FUSER_ASSIGN_OR_RETURN(TrainingView view,
-                         BuildTrainingView(dataset, train, num_threads, pool));
+  const bool sketch =
+      options.enable_clustering && options.clustering.use_sketch;
+  if (sketch && parts.size() > 1) {
+    return Status::Unimplemented(
+        "sketch-based clustering is not supported with sharding (merged "
+        "exact pairwise counts are required for byte-identical clusters)");
+  }
+  std::vector<TrainingView> views;
+  views.reserve(parts.size());
+  for (const TrainingPart& part : parts) {
+    FUSER_ASSIGN_OR_RETURN(
+        TrainingView view,
+        BuildTrainingView(*part.dataset, *part.train, num_threads, pool));
+    views.push_back(std::move(view));
+  }
+  const size_t num_sources = quality.size();
   CorrelationModel model;
   model.alpha = options.alpha;
   model.use_scopes = options.use_scopes;
@@ -28,31 +47,50 @@ StatusOr<CorrelationModel> BuildCorrelationModel(
 
   const JointStatsOptions stats_options = options.ToJointStatsOptions();
   if (!options.enable_clustering) {
-    FUSER_ASSIGN_OR_RETURN(model.clustering, SingleCluster(dataset));
-  } else if (options.clustering.use_sketch) {
+    FUSER_ASSIGN_OR_RETURN(model.clustering, SingleClusterOf(num_sources));
+  } else if (sketch) {
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
-        ClusterSourcesByCorrelation(dataset, train, stats_options,
-                                    options.clustering));
+        ClusterSourcesByCorrelation(*parts[0].dataset, *parts[0].train,
+                                    stats_options, options.clustering));
   } else {
-    std::vector<SourceId> all(dataset.num_sources());
+    std::vector<SourceId> all(num_sources);
     std::iota(all.begin(), all.end(), SourceId{0});
     FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,
-                           ComputePairwiseCounts(view, all));
+                           ComputePairwiseCounts(views[0], all));
+    for (size_t k = 1; k < views.size(); ++k) {
+      FUSER_ASSIGN_OR_RETURN(PairwiseCounts part_counts,
+                             ComputePairwiseCounts(views[k], all));
+      FUSER_RETURN_IF_ERROR(MergePairwiseCounts(&counts, part_counts));
+    }
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
-        ClusterSourcesFromCounts(dataset.num_sources(), counts, stats_options,
+        ClusterSourcesFromCounts(num_sources, counts, stats_options,
                                  options.clustering));
   }
 
-  FUSER_ASSIGN_OR_RETURN(
-      std::vector<EmpiricalJointStatsState> states,
-      CountClusterPatterns(view, model.clustering.clusters, stats_options,
-                           num_threads, pool));
-  model.cluster_stats.reserve(states.size());
-  for (const EmpiricalJointStatsState& state : states) {
+  // part_states[k][c]: cluster c's pattern counts over part k.
+  std::vector<std::vector<EmpiricalJointStatsState>> part_states;
+  part_states.reserve(views.size());
+  for (const TrainingView& view : views) {
+    FUSER_ASSIGN_OR_RETURN(
+        std::vector<EmpiricalJointStatsState> states,
+        CountClusterPatterns(view, model.clustering.clusters, stats_options,
+                             num_threads, pool));
+    part_states.push_back(std::move(states));
+  }
+  const size_t num_clusters = model.clustering.clusters.size();
+  model.cluster_stats.reserve(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    std::vector<EmpiricalJointStatsState> states;
+    states.reserve(part_states.size());
+    for (auto& part : part_states) states.push_back(std::move(part[c]));
+    // One part's state is the model's as it stands; more are merged.
+    if (states.size() > 1) {
+      FUSER_ASSIGN_OR_RETURN(states[0], MergeJointStatsStates(states));
+    }
     FUSER_ASSIGN_OR_RETURN(std::unique_ptr<EmpiricalJointStats> stats,
-                           EmpiricalJointStats::FromState(state));
+                           EmpiricalJointStats::FromState(states[0]));
     model.cluster_stats.push_back(std::move(stats));
   }
   return model;

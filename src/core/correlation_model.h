@@ -6,9 +6,10 @@
 // (e.g., with ExplicitJointStats) when the parameters are known, as in the
 // paper's worked examples. An empirical cluster's statistics are a pure
 // function of its training pattern counts and the one ModelOptions the
-// engine runs under (ToJointStatsOptions): the model builder, the sharded
-// router and the snapshot decoder all take alpha, smoothing and scopes
-// from there, so no cluster carries options of its own.
+// engine runs under (ToJointStatsOptions): the model builder (for the
+// engine and the sharded router alike) and the snapshot decoder take
+// alpha, smoothing and scopes from there, so no cluster carries options of
+// its own.
 #ifndef FUSER_CORE_CORRELATION_MODEL_H_
 #define FUSER_CORE_CORRELATION_MODEL_H_
 
@@ -55,16 +56,27 @@ struct CorrelationModel {
   bool use_scopes = false;
 };
 
-/// Builds the model of the training triples `train` selects around the
-/// source quality already estimated over them (EstimateSourceQuality(
-/// dataset, train, ...)), which the model keeps. Everything else is counted
-/// from one view of those triples (BuildTrainingView), built on
-/// `num_threads` workers (on `pool` when given): sources are clustered by
-/// pairwise counts over the view (the sketch pre-screen reads `dataset` and
-/// `train` instead), and every cluster's joint statistics are counted from
-/// it, the clusters spread across the same workers.
+/// One part of the training triples: the triples of `dataset` that `train`
+/// selects. The sharded router passes one part per shard, whose datasets
+/// share the global source ids.
+struct TrainingPart {
+  const Dataset* dataset = nullptr;
+  const DynamicBitset* train = nullptr;
+};
+
+/// Builds the model of the training triples `parts` hold, one part for an
+/// engine's dataset or one per shard, around the source quality already
+/// estimated over all of them (EstimateSourceQuality, or the shards'
+/// merged counts), which the model keeps. Everything else is an integer
+/// count over each part's view of its triples (BuildTrainingView), summed
+/// in part order, so K parts build the model one part of their union
+/// would: pairwise counts are summed (MergePairwiseCounts) and clustered
+/// once, and each cluster's pattern counts are merged
+/// (MergeJointStatsStates). Views and pattern counts run on `num_threads`
+/// workers (on `pool` when given). The sketch pre-screen reads one part's
+/// dataset instead of its view; with more parts it is Unimplemented.
 StatusOr<CorrelationModel> BuildCorrelationModel(
-    const Dataset& dataset, const DynamicBitset& train,
+    const std::vector<TrainingPart>& parts,
     std::vector<SourceQuality> quality, const ModelOptions& options,
     size_t num_threads = 1, ThreadPool* pool = nullptr);
 

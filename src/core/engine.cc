@@ -530,7 +530,8 @@ Status FusionEngine::EnsureModel() {
   // of the training triples.
   FUSER_ASSIGN_OR_RETURN(
       CorrelationModel model,
-      BuildCorrelationModel(*dataset_, train_mask_, quality_, options_.model,
+      BuildCorrelationModel({{dataset_, &train_mask_}}, quality_,
+                            options_.model,
                             ResolveNumThreads(options_.num_threads),
                             WorkerPool()));
   model_ = std::make_shared<const CorrelationModel>(std::move(model));

@@ -10,19 +10,28 @@ const MethodServing* FusionSnapshot::FindServing(
   return it != serving.end() ? it->second.get() : nullptr;
 }
 
+StatusOr<ScoredPatterns> ScorePatternTable(
+    const MethodContext& context, const MethodSpec& spec,
+    const std::vector<std::vector<PatternKey>>& keys) {
+  ScoredPatterns scored;
+  FUSER_ASSIGN_OR_RETURN(scored.plan, MakeScoringPlan(context, spec));
+  FUSER_ASSIGN_OR_RETURN(
+      std::vector<std::vector<PatternLikelihood>> likelihood,
+      ScorePatterns(keys, context.num_threads, scored.plan.scorer,
+                    scored.plan.batch, context.pool));
+  scored.table = BuildPatternPosteriorTable(likelihood, scored.plan.alpha);
+  return scored;
+}
+
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
     const MethodContext& context, const MethodSpec& spec) {
   const MethodInfo* method = FindMethod(spec.kind);
   if (method != nullptr && method->pattern_based) {
-    FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
-                           MakeScoringPlan(context, spec));
     FUSER_ASSIGN_OR_RETURN(
-        std::vector<std::vector<PatternLikelihood>> likelihood,
-        ScorePatterns(context.grouping->distinct, context.num_threads,
-                      plan.scorer, plan.batch, context.pool));
-    PatternPosteriorTable table =
-        BuildPatternPosteriorTable(likelihood, plan.alpha);
-    return MakePatternServing(spec, std::move(plan), std::move(table));
+        ScoredPatterns scored,
+        ScorePatternTable(context, spec, context.grouping->distinct));
+    return MakePatternServing(spec, std::move(scored.plan),
+                              std::move(scored.table));
   }
   auto serving = std::make_shared<MethodServing>();
   serving->spec = spec;

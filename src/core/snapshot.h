@@ -81,14 +81,23 @@ struct FusionSnapshot {
   const MethodServing* FindServing(const std::string& name) const;
 };
 
+/// Pattern-based `spec`'s plan over context's model (MakeScoringPlan) and
+/// the posterior table of the per-cluster `keys` it scores: ScorePatterns
+/// on context's workers, then BuildPatternPosteriorTable.
+struct ScoredPatterns {
+  PatternScoringPlan plan;
+  PatternPosteriorTable table;
+};
+StatusOr<ScoredPatterns> ScorePatternTable(
+    const MethodContext& context, const MethodSpec& spec,
+    const std::vector<std::vector<PatternKey>>& keys);
+
 /// Builds the serving state of `spec` from a fully prepared context:
-/// pattern-based methods score every distinct pattern of context.grouping
-/// (which must be set) through their plan — ScorePatterns over the
-/// grouping's lists — and keep the BuildPatternPosteriorTable of the
-/// result; others run ScoreMethod and keep the dense vector. Deterministic —
-/// repeated builds over the same inputs are byte-identical at every thread
-/// count — which is what makes FusionService answers equal to
-/// FusionEngine::Run.
+/// pattern-based methods keep the ScorePatternTable of context.grouping's
+/// distinct lists (the grouping must be set); others run ScoreMethod and
+/// keep the dense vector. Deterministic — repeated builds over the same
+/// inputs are byte-identical at every thread count — which is what makes
+/// FusionService answers equal to FusionEngine::Run.
 StatusOr<std::shared_ptr<const MethodServing>> BuildMethodServing(
     const MethodContext& context, const MethodSpec& spec);
 

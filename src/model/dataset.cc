@@ -285,15 +285,6 @@ uint64_t Dataset::ContentFingerprint() const {
   return h;
 }
 
-StatusOr<SourceId> Dataset::FindSource(std::string_view name) const {
-  EnsureLookups();
-  auto it = source_index_.find(name);
-  if (it == source_index_.end()) {
-    return Status::NotFound("unknown source: " + std::string(name));
-  }
-  return it->second;
-}
-
 void Dataset::EnsureLookups() const {
   if (lookups_ready_) return;
   const StringArena& arena = strings_->arena();

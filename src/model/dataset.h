@@ -267,9 +267,6 @@ class Dataset {
     return strings_->arena().View(source_names_[s]);
   }
 
-  /// Id of the source named `name`, or an error if unknown.
-  StatusOr<SourceId> FindSource(std::string_view name) const;
-
   /// The output set Oi of a source, as a bitset over triple ids.
   const DynamicBitset& output(SourceId s) const { return outputs_[s]; }
 

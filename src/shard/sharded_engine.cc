@@ -1,13 +1,9 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_map>
 #include <utility>
 
-#include "core/clustering.h"
-#include "core/correlation.h"
-#include "core/joint_stats.h"
 #include "core/quality.h"
 #include "shard/sharded_persist.h"
 
@@ -206,77 +202,19 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
 
 Status ShardedFusionEngine::EnsureGlobalModel() {
   if (model_ != nullptr) return Status::OK();
-  const ModelOptions& mo = options_.model;
-  const size_t num_sources = corpus_.num_sources();
   const size_t num_shards = engines_.size();
-
-  // Every count below sums exactly over the shards' disjoint training
-  // triples, so each shard contributes the counts of its own view.
-  std::vector<TrainingView> views;
-  views.reserve(num_shards);
+  // Every count sums exactly over the shards' disjoint training triples,
+  // so the model is built over one part per shard.
+  std::vector<TrainingPart> parts;
+  parts.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
-    FUSER_ASSIGN_OR_RETURN(
-        TrainingView view,
-        BuildTrainingView(corpus_.shard(k), engines_[k]->train_mask()));
-    views.push_back(std::move(view));
+    parts.push_back({&corpus_.shard(k), &engines_[k]->train_mask()});
   }
-
-  SourceClustering clustering;
-  if (!mo.enable_clustering) {
-    FUSER_ASSIGN_OR_RETURN(clustering, SingleClusterOf(num_sources));
-  } else if (mo.clustering.use_sketch) {
-    return Status::Unimplemented(
-        "sketch-based clustering is not supported with sharding (merged "
-        "exact pairwise counts are required for byte-identical clusters)");
-  } else {
-    std::vector<SourceId> sources(num_sources);
-    std::iota(sources.begin(), sources.end(), SourceId{0});
-    PairwiseCounts merged;
-    for (size_t k = 0; k < num_shards; ++k) {
-      FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,
-                             ComputePairwiseCounts(views[k], sources));
-      if (k == 0) {
-        merged = std::move(counts);
-      } else {
-        FUSER_RETURN_IF_ERROR(MergePairwiseCounts(&merged, counts));
-      }
-    }
-    FUSER_ASSIGN_OR_RETURN(
-        clustering,
-        ClusterSourcesFromCounts(num_sources, merged, mo.ToJointStatsOptions(),
-                                 mo.clustering));
-  }
-
-  const size_t num_clusters = clustering.clusters.size();
-  std::vector<std::vector<EmpiricalJointStatsState>> shard_states;
-  shard_states.reserve(num_shards);
-  for (size_t k = 0; k < num_shards; ++k) {
-    FUSER_ASSIGN_OR_RETURN(
-        std::vector<EmpiricalJointStatsState> states,
-        CountClusterPatterns(views[k], clustering.clusters,
-                             mo.ToJointStatsOptions()));
-    shard_states.push_back(std::move(states));
-  }
-
-  CorrelationModel model;
-  model.source_quality = quality_;
-  model.clustering = std::move(clustering);
-  model.alpha = mo.alpha;
-  model.use_scopes = mo.use_scopes;
-  model.cluster_stats.reserve(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    std::vector<EmpiricalJointStatsState> states;
-    states.reserve(num_shards);
-    for (size_t k = 0; k < num_shards; ++k) {
-      states.push_back(std::move(shard_states[k][c]));
-    }
-    FUSER_ASSIGN_OR_RETURN(EmpiricalJointStatsState merged_state,
-                           MergeJointStatsStates(states));
-    FUSER_ASSIGN_OR_RETURN(std::unique_ptr<EmpiricalJointStats> provider,
-                           EmpiricalJointStats::FromState(merged_state));
-    model.cluster_stats.push_back(std::move(provider));
-  }
-
+  FUSER_ASSIGN_OR_RETURN(
+      CorrelationModel model,
+      BuildCorrelationModel(parts, quality_, options_.model,
+                            ResolveNumThreads(options_.num_threads),
+                            router_pool_.get()));
   model_ = std::make_shared<const CorrelationModel>(std::move(model));
   for (size_t k = 0; k < num_shards; ++k) {
     FUSER_RETURN_IF_ERROR(
@@ -303,12 +241,6 @@ Status ShardedFusionEngine::CheckSpecs(const std::vector<MethodSpec>& specs,
     if (method->needs_model) {
       *needs_model = true;
     }
-  }
-  if (*needs_model && options_.model.enable_clustering &&
-      options_.model.clustering.use_sketch) {
-    return Status::Unimplemented(
-        "sketch-based clustering is not supported with sharding (merged "
-        "exact pairwise counts are required for byte-identical clusters)");
   }
   return Status::OK();
 }
@@ -482,17 +414,12 @@ Status ShardedFusionEngine::BuildUnionTables(
   context.num_threads = ResolveNumThreads(options_.num_threads);
   context.pool = router_pool_.get();
   for (const MethodSpec* spec : to_build) {
-    FUSER_ASSIGN_OR_RETURN(PatternScoringPlan plan,
-                           MakeScoringPlan(context, *spec));
-    StatusOr<std::vector<std::vector<PatternLikelihood>>> likelihood =
-        ScorePatterns(keys, context.num_threads, plan.scorer, plan.batch,
-                      context.pool);
-    if (!likelihood.ok()) {
-      return Status(likelihood.status().code(),
-                    spec->Name() + ": " + likelihood.status().message());
+    StatusOr<ScoredPatterns> scored = ScorePatternTable(context, *spec, keys);
+    if (!scored.ok()) {
+      return Status(scored.status().code(),
+                    spec->Name() + ": " + scored.status().message());
     }
-    (*tables)[spec->Name()] =
-        BuildPatternPosteriorTable(*likelihood, plan.alpha);
+    (*tables)[spec->Name()] = std::move(scored->table);
   }
   return Status::OK();
 }

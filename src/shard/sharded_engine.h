@@ -11,11 +11,13 @@
 //   1. partitions triples by domain hash (shard/partition.h; scopes never
 //      cross domains, so each shard's scope relation is the global one
 //      restricted to its triples),
-//   2. lets every shard count its own partition (quality counts, pairwise
-//      correlation counts, joint-stats pattern counts),
-//   3. merges the integer counts and finalizes them with the *same*
-//      arithmetic the unsharded estimators use (FinalizeQualityFromCounts,
-//      PairwiseCorrelationsFromCounts, MergeJointStatsStates), and
+//   2. lets every shard count its own partition's quality, merges the
+//      counts and finalizes them with the *same* arithmetic the unsharded
+//      estimator uses (FinalizeQualityFromCounts),
+//   3. builds the model through the one BuildCorrelationModel the
+//      unsharded engine uses, over one training part per shard: pairwise
+//      correlation and pattern counts of each part are summed in shard
+//      order, so every statistic is the one a single pass would count, and
 //   4. pushes the merged parameters back into every shard
 //      (FusionEngine::AdoptParameters), which then scores its own triples
 //      with the stock method implementations.
@@ -175,8 +177,9 @@ class ShardedFusionEngine {
   /// K=1: mirrors the shard engine's quality and train mask after it
   /// changed, and publishes.
   void SyncSingle();
-  /// Builds the global model from merged per-shard counts and adopts it
-  /// (with the merged quality) into every shard. No-op when already built.
+  /// Builds the global model over one training part per shard, on the
+  /// router's pool, and adopts it (with the merged quality) into every
+  /// shard. No-op when already built.
   Status EnsureGlobalModel();
   /// K>1 publish: for the pattern-based `specs` some shard must rebuild,
   /// scores the union of every shard's distinct patterns once per spec and

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/string_util.h"
 
 namespace fuser {
 
@@ -30,11 +29,6 @@ double ConfusionCounts::Accuracy() const {
   size_t n = total();
   if (n == 0) return 1.0;
   return static_cast<double>(tp + tn) / static_cast<double>(n);
-}
-
-std::string ConfusionCounts::ToString() const {
-  return StrFormat("tp=%zu fp=%zu fn=%zu tn=%zu P=%.3f R=%.3f F1=%.3f", tp, fp,
-                   fn, tn, Precision(), Recall(), F1());
 }
 
 ConfusionCounts EvaluateDecisions(const Dataset& dataset,

@@ -6,7 +6,6 @@
 #define FUSER_STATS_METRICS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/bitset.h"
@@ -31,8 +30,6 @@ struct ConfusionCounts {
   double FalsePositiveRate() const;
   double F1() const;
   double Accuracy() const;
-
-  std::string ToString() const;
 };
 
 /// Compares thresholded `scores` against gold labels on the triples in

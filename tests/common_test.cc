@@ -66,23 +66,13 @@ TEST(StatusOrTest, AssignOrReturnMacroPropagates) {
 
 // ---------- Strings ----------
 
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  auto parts = StrSplit("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
 TEST(StringUtilTest, TrimRemovesWhitespace) {
   EXPECT_EQ(StrTrim("  hi\t\n"), "hi");
   EXPECT_EQ(StrTrim(""), "");
   EXPECT_EQ(StrTrim("   "), "");
 }
 
-TEST(StringUtilTest, JoinAndFormat) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
+TEST(StringUtilTest, Format) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
 }
 

@@ -292,7 +292,7 @@ TEST(ClusteringTest, SingleClusterRejectsOver64Sources) {
   TripleId t = d.AddTriple({"e", "a", "v"});
   d.Provide(0, t);
   ASSERT_TRUE(d.Finalize().ok());
-  EXPECT_FALSE(SingleCluster(d).ok());
+  EXPECT_FALSE(SingleClusterOf(d.num_sources()).ok());
 }
 
 TEST(ClusteringTest, FromPartitionValidates) {

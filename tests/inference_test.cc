@@ -58,7 +58,7 @@ CorrelationModel MakeEmpiricalModel(const Dataset& d, double smoothing = 0.0,
   auto quality = EstimateSourceQuality(d, d.labeled_mask(),
                                        {0.5, smoothing, use_scopes});
   model.source_quality = std::move(*quality);
-  auto clustering = SingleCluster(d);
+  auto clustering = SingleClusterOf(d.num_sources());
   model.clustering = std::move(*clustering);
   JointStatsOptions options;
   options.smoothing = smoothing;
@@ -192,7 +192,7 @@ TEST(PrecRecCorrTest, Corollary43IndependentEqualsPrecRec) {
   CorrelationModel model;
   model.alpha = 0.5;
   model.source_quality = quality;
-  model.clustering = *SingleCluster(d);
+  model.clustering = *SingleClusterOf(d.num_sources());
   // ExplicitJointStats falls back to products for unset subsets ==
   // independence everywhere.
   model.cluster_stats.push_back(
@@ -333,7 +333,7 @@ TEST(AggressiveTest, Corollary46IndependentEqualsPrecRec) {
   CorrelationModel model;
   model.alpha = 0.5;
   model.source_quality = quality;
-  model.clustering = *SingleCluster(d);
+  model.clustering = *SingleClusterOf(d.num_sources());
   model.cluster_stats.push_back(
       std::make_unique<ExplicitJointStats>(singles, 0.5));
 

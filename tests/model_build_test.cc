@@ -1,6 +1,6 @@
 // Byte-identity of the model build over the training view (TrainingView,
 // ComputePairwiseCounts, CountClusterPatterns, BuildCorrelationModel and
-// the sharded router's EnsureGlobalModel) against the full-corpus
+// the sharded router's K-part build through it) against the full-corpus
 // references in tests/support/model_reference.h: source quality, pairwise
 // counts, clustering and every cluster's exported pattern lists, pattern
 // order included, since snapshot bytes depend on that order.
@@ -149,8 +149,8 @@ void ExpectBuildMatchesReference(const Dataset& d, const DynamicBitset& train,
     auto counts = ComputePairwiseCounts(*view, AllSources(d));
     ASSERT_TRUE(counts.ok()) << at << counts.status();
     ExpectSameCounts(*counts, want_counts, at + " pairwise");
-    auto model = BuildCorrelationModel(d, train, *quality, options, threads,
-                                       pool.get());
+    auto model = BuildCorrelationModel({{&d, &train}}, *quality, options,
+                                       threads, pool.get());
     ASSERT_TRUE(model.ok()) << at << model.status();
     ExpectSameModel(*model, *want_model, at);
   }
@@ -263,70 +263,97 @@ TEST(ModelBuildTest, EngineModelMatchesReference) {
   }
 }
 
+TEST(ModelBuildTest, SketchClusteringOverTwoPartsIsRejected) {
+  const Dataset d = Corpus(9, 600, 4, 9);
+  const DynamicBitset& train = d.labeled_mask();
+  ModelOptions options;
+  options.enable_clustering = true;
+  options.clustering.use_sketch = true;
+  auto quality = EstimateSourceQuality(d, train, options.ToQualityOptions());
+  ASSERT_TRUE(quality.ok()) << quality.status();
+  auto model =
+      BuildCorrelationModel({{&d, &train}, {&d, &train}}, *quality, options);
+  EXPECT_EQ(model.status().code(), StatusCode::kUnimplemented);
+}
+
+/// The router's model at K shards and `threads` workers against a
+/// reference that merges what each shard's reference scan counts, in shard
+/// order, as the router did before the view.
+void ExpectRouterModelMatchesReference(const Dataset& d,
+                                       const DynamicBitset& train,
+                                       bool clustering, uint32_t num_shards,
+                                       size_t threads) {
+  const std::string what = "K=" + std::to_string(num_shards) +
+                           " clustering=" + std::to_string(clustering) +
+                           " threads=" + std::to_string(threads);
+  EngineOptions options;
+  options.num_threads = threads;
+  options.model.use_scopes = true;
+  options.model.enable_clustering = clustering;
+  options.model.clustering.correlation_threshold = 0.1;
+  auto engine =
+      ShardedFusionEngine::Create(d, ShardingOptions{num_shards}, options);
+  ASSERT_TRUE(engine.ok()) << what << engine.status();
+  ASSERT_TRUE((*engine)->Prepare(train).ok()) << what;
+  const MethodSpec spec{MethodKind::kPrecRecCorr};
+  ASSERT_TRUE((*engine)->PublishSnapshot({spec}).ok()) << what;
+  std::shared_ptr<const CorrelationModel> model =
+      (*engine)->shard_engine(0)->CurrentSnapshot()->model;
+  ASSERT_NE(model, nullptr) << what;
+
+  const ShardedCorpus& corpus = (*engine)->corpus();
+  auto want = ReferenceCorrelationModel(d, train, options.model);
+  ASSERT_TRUE(want.ok()) << what << want.status();
+  if (num_shards > 1) {
+    std::vector<SourceId> all = AllSources(d);
+    PairwiseCounts merged;
+    for (size_t k = 0; k < num_shards; ++k) {
+      PairwiseCounts counts = ReferencePairwiseCounts(
+          corpus.shard(k), (*engine)->shard_engine(k)->train_mask(), all);
+      if (k == 0) {
+        merged = counts;
+      } else {
+        ASSERT_TRUE(MergePairwiseCounts(&merged, counts).ok());
+      }
+    }
+    if (clustering) {
+      auto pairs = PairwiseCorrelationsFromCounts(
+          merged, options.model.ToJointStatsOptions());
+      ASSERT_TRUE(pairs.ok());
+      auto partition = ClusterSourcesFromPairs(d.num_sources(), *pairs,
+                                               options.model.clustering);
+      ASSERT_TRUE(partition.ok());
+      want->clustering = *partition;
+    }
+    want->cluster_stats.clear();
+    for (const auto& cluster : want->clustering.clusters) {
+      std::vector<EmpiricalJointStatsState> states;
+      for (size_t k = 0; k < num_shards; ++k) {
+        states.push_back(ReferenceJointStatsState(
+            corpus.shard(k), (*engine)->shard_engine(k)->train_mask(),
+            cluster, options.model.ToJointStatsOptions()));
+      }
+      auto merged_state = MergeJointStatsStates(states);
+      ASSERT_TRUE(merged_state.ok());
+      auto stats = EmpiricalJointStats::FromState(*merged_state);
+      ASSERT_TRUE(stats.ok());
+      want->cluster_stats.push_back(std::move(stats).value());
+    }
+  }
+  ExpectSameModel(*model, *want, what);
+}
+
+// At one thread the router has no pool; at 2 and 4 the K-part build runs
+// its views and pattern counts on the router's pool.
 TEST(ModelBuildTest, ShardedRouterModelMatchesReference) {
   const Dataset d = Corpus(9, 2000, 12, 8);
   for (const DynamicBitset& train : TrainMasks(d)) {
     for (bool clustering : {false, true}) {
       for (uint32_t num_shards : {1u, 2u, 4u}) {
-        const std::string what = "K=" + std::to_string(num_shards) +
-                                 " clustering=" + std::to_string(clustering);
-        EngineOptions options;
-        options.num_threads = 2;
-        options.model.use_scopes = true;
-        options.model.enable_clustering = clustering;
-        options.model.clustering.correlation_threshold = 0.1;
-        auto engine = ShardedFusionEngine::Create(
-            d, ShardingOptions{num_shards}, options);
-        ASSERT_TRUE(engine.ok()) << what << engine.status();
-        ASSERT_TRUE((*engine)->Prepare(train).ok()) << what;
-        const MethodSpec spec{MethodKind::kPrecRecCorr};
-        ASSERT_TRUE((*engine)->PublishSnapshot({spec}).ok()) << what;
-        std::shared_ptr<const CorrelationModel> model =
-            (*engine)->shard_engine(0)->CurrentSnapshot()->model;
-        ASSERT_NE(model, nullptr) << what;
-
-        // The reference merges what each shard's reference scan counts,
-        // in shard order, as the router did before the view.
-        const ShardedCorpus& corpus = (*engine)->corpus();
-        auto want = ReferenceCorrelationModel(d, train, options.model);
-        ASSERT_TRUE(want.ok()) << what << want.status();
-        if (num_shards > 1) {
-          std::vector<SourceId> all = AllSources(d);
-          PairwiseCounts merged;
-          for (size_t k = 0; k < num_shards; ++k) {
-            PairwiseCounts counts = ReferencePairwiseCounts(
-                corpus.shard(k), (*engine)->shard_engine(k)->train_mask(), all);
-            if (k == 0) {
-              merged = counts;
-            } else {
-              ASSERT_TRUE(MergePairwiseCounts(&merged, counts).ok());
-            }
-          }
-          if (clustering) {
-            auto pairs = PairwiseCorrelationsFromCounts(
-                merged, options.model.ToJointStatsOptions());
-            ASSERT_TRUE(pairs.ok());
-            auto partition = ClusterSourcesFromPairs(
-                d.num_sources(), *pairs, options.model.clustering);
-            ASSERT_TRUE(partition.ok());
-            want->clustering = *partition;
-          }
-          want->cluster_stats.clear();
-          for (const auto& cluster : want->clustering.clusters) {
-            std::vector<EmpiricalJointStatsState> states;
-            for (size_t k = 0; k < num_shards; ++k) {
-              states.push_back(ReferenceJointStatsState(
-                  corpus.shard(k), (*engine)->shard_engine(k)->train_mask(),
-                  cluster, options.model.ToJointStatsOptions()));
-            }
-            auto merged_state = MergeJointStatsStates(states);
-            ASSERT_TRUE(merged_state.ok());
-            auto stats = EmpiricalJointStats::FromState(*merged_state);
-            ASSERT_TRUE(stats.ok());
-            want->cluster_stats.push_back(std::move(stats).value());
-          }
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          ExpectRouterModelMatchesReference(d, train, clustering, num_shards,
+                                            threads);
         }
-        ExpectSameModel(*model, *want, what);
       }
     }
   }

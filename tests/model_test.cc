@@ -359,14 +359,6 @@ TEST(DatasetTest, FinalizeTwiceFails) {
   EXPECT_EQ(d.Finalize().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(DatasetTest, FindSource) {
-  Dataset d = MakeTinyDataset();
-  auto s = d.FindSource("beta");
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(*s, 1u);
-  EXPECT_EQ(d.FindSource("gamma").status().code(), StatusCode::kNotFound);
-}
-
 TEST(DatasetIoTest, RoundTrip) {
   Dataset d = MakeTinyDataset();
   std::string obs_path = testing::TempDir() + "/fuser_obs.tsv";

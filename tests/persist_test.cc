@@ -870,7 +870,7 @@ TEST_F(PersistCorruptionTest, WarmStartAgainstDifferentDatasetFails) {
 
 TEST_F(PersistCorruptionTest, ExplicitStatsAreUnimplemented) {
   // Caller-supplied (non-empirical) statistics have no persistent form.
-  auto clustering = SingleCluster(ds_);
+  auto clustering = SingleClusterOf(ds_.num_sources());
   ASSERT_TRUE(clustering.ok());
   auto model = std::make_shared<CorrelationModel>();
   model->clustering = std::move(*clustering);

@@ -102,7 +102,7 @@ TEST_P(ElasticConvergenceTest, FullLevelEqualsTermSummation) {
   auto quality = EstimateSourceQuality(*d, d->labeled_mask(), {});
   ASSERT_TRUE(quality.ok());
   model.source_quality = std::move(*quality);
-  model.clustering = *SingleCluster(*d);
+  model.clustering = *SingleClusterOf(d->num_sources());
   std::vector<SourceId> all(d->num_sources());
   for (SourceId s = 0; s < d->num_sources(); ++s) all[s] = s;
   auto stats = EmpiricalJointStats::Create(*d, d->labeled_mask(), all, {});

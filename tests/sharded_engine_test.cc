@@ -810,6 +810,8 @@ TEST(ShardedEngineTest, SketchClusteringIsRejected) {
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ((*engine)->Run(*spec).status().code(),
             StatusCode::kUnimplemented);
+  EXPECT_EQ((*engine)->PublishSnapshot({*spec}).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 TEST(ShardedEngineTest, ValidatesShardingOptions) {

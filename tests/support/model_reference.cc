@@ -178,7 +178,8 @@ StatusOr<CorrelationModel> ReferenceCorrelationModel(
         ClusterSourcesFromPairs(dataset.num_sources(), pairs,
                                 options.clustering));
   } else {
-    FUSER_ASSIGN_OR_RETURN(model.clustering, SingleCluster(dataset));
+    FUSER_ASSIGN_OR_RETURN(model.clustering,
+                           SingleClusterOf(dataset.num_sources()));
   }
   for (const std::vector<SourceId>& cluster : model.clustering.clusters) {
     FUSER_ASSIGN_OR_RETURN(
@@ -196,7 +197,7 @@ StatusOr<CorrelationModel> BuildCorrelationModelOf(
   FUSER_ASSIGN_OR_RETURN(
       std::vector<SourceQuality> quality,
       EstimateSourceQuality(dataset, train_mask, options.ToQualityOptions()));
-  return BuildCorrelationModel(dataset, train_mask, std::move(quality),
+  return BuildCorrelationModel({{&dataset, &train_mask}}, std::move(quality),
                                options, num_threads, pool);
 }
 
