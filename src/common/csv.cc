@@ -95,14 +95,6 @@ void ScanQuoteState(const std::string& text, char sep, bool* in_quotes,
 
 }  // namespace
 
-StatusOr<CsvRow> ParseCsvLine(const std::string& line, char sep) {
-  CsvRow row;
-  if (!ParseCsvInto(line, sep, &row)) {
-    return Status::InvalidArgument("unterminated quote in CSV line: " + line);
-  }
-  return row;
-}
-
 std::string FormatCsvLine(const CsvRow& row, char sep) {
   std::string out;
   for (size_t i = 0; i < row.size(); ++i) {

@@ -15,10 +15,6 @@ namespace fuser {
 /// One parsed row (vector of unescaped fields).
 using CsvRow = std::vector<std::string>;
 
-/// Parses one CSV line with separator `sep`, honoring double-quote escaping.
-/// Returns InvalidArgument on unterminated quotes.
-StatusOr<CsvRow> ParseCsvLine(const std::string& line, char sep = ',');
-
 /// Escapes and joins a row for writing. Quotes fields containing the
 /// separator, quotes, or newlines, and a leading '#' on the first field
 /// (so written rows survive ReadCsvFile's comment skipping).

@@ -3,15 +3,14 @@
 namespace fuser {
 
 double PosteriorFromLogMu(double log_mu, double alpha) {
-  alpha = ClampProb(alpha);
   // Pr = 1 / (1 + (1-a)/a * exp(-log_mu)) computed stably via log-odds:
   // log_odds = log(a/(1-a)) + log_mu.
-  double log_odds = std::log(alpha / (1.0 - alpha)) + log_mu;
-  if (log_odds > 0) {
-    return 1.0 / (1.0 + std::exp(-log_odds));
-  }
-  double e = std::exp(log_odds);
-  return e / (1.0 + e);
+  return PosteriorFromLogOdds(PriorLogOdds(alpha) + log_mu);
+}
+
+double PriorLogOdds(double alpha) {
+  alpha = ClampProb(alpha);
+  return std::log(alpha / (1.0 - alpha));
 }
 
 double Mean(const std::vector<double>& v) {

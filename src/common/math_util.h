@@ -35,7 +35,21 @@ inline double LogAddExp(double a, double b) {
 
 /// Posterior from log-odds contribution: given mu = Pr(O|t)/Pr(O|~t) in log
 /// space and prior alpha, returns 1 / (1 + (1-alpha)/alpha * exp(-log_mu)).
+/// Equal, bit for bit, to PosteriorFromLogOdds(PriorLogOdds(alpha) +
+/// log_mu), the form per-triple loops use to take the log once.
 double PosteriorFromLogMu(double log_mu, double alpha);
+
+/// log(alpha / (1 - alpha)) of the clamped prior.
+double PriorLogOdds(double alpha);
+
+/// 1 / (1 + exp(-log_odds)), computed on the side that cannot overflow.
+inline double PosteriorFromLogOdds(double log_odds) {
+  if (log_odds > 0) {
+    return 1.0 / (1.0 + std::exp(-log_odds));
+  }
+  const double e = std::exp(log_odds);
+  return e / (1.0 + e);
+}
 
 /// Harmonic mean of precision and recall; 0 when both are 0.
 inline double F1Score(double precision, double recall) {

@@ -33,11 +33,6 @@ void ThreadPool::Schedule(std::function<void()> task) {
   task_available_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -48,16 +43,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) {
-        all_done_.notify_all();
-      }
-    }
   }
 }
 
@@ -65,11 +52,6 @@ size_t ResolveNumThreads(size_t num_threads) {
   if (num_threads != 0) return num_threads;
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  ParallelFor(count, num_threads, fn, ParallelForOptions{});
 }
 
 namespace {

@@ -24,6 +24,7 @@ class ThreadPool {
  public:
   /// Creates `num_threads` workers (0 = one per hardware thread).
   explicit ThreadPool(size_t num_threads);
+  /// Runs every task already scheduled, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -32,9 +33,6 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Schedule(std::function<void()> task);
 
-  /// Blocks until every scheduled task has finished.
-  void Wait();
-
   size_t num_threads() const { return threads_.size(); }
 
  private:
@@ -42,9 +40,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
   std::queue<std::function<void()>> tasks_;
-  size_t active_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
@@ -77,10 +73,8 @@ struct ParallelForOptions {
 /// per worker) from one atomic counter, not one index at a time, so cheap
 /// per-item bodies are not dominated by contended fetch_adds.
 void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t)>& fn);
-void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t)>& fn,
-                 const ParallelForOptions& options);
+                 const ParallelForOptions& options = {});
 
 }  // namespace fuser
 

@@ -171,20 +171,30 @@ void AssignDirectIds(const Dataset& dataset, const ClusterMaskContext& ctx,
 /// triple range [begin, end): `in_scope` (null without scopes) from the
 /// source's per-domain coverage, `provided` from its provider bitset.
 /// Intersecting the two mirrors the scalar path (providers are in scope by
-/// construction).
+/// construction). A source with one scope mask for every domain covers
+/// every triple or none, so its scope words need no domain lookups.
 void FillSingletonWords(const Dataset& dataset, const ClusterMaskContext& ctx,
                         size_t begin, size_t end, uint64_t* provided,
                         uint64_t* in_scope) {
+  const bool one_scope = ctx.scopes.size() == 1;
+  const uint64_t one_scope_word = (ctx.scopes[0] & 1) ? ~uint64_t{0} : 0;
   for (size_t wi = begin >> 6; (wi << 6) < end; ++wi) {
     uint64_t scope_word = ~uint64_t{0};
     if (in_scope != nullptr) {
       const size_t first = wi << 6;
       const size_t last = std::min(first + 64, end);
-      scope_word = 0;
-      for (size_t t = first; t < last; ++t) {
-        const Mask scope = ctx.scopes[ctx.scope_of_domain[dataset.domain(
-            static_cast<TripleId>(t))]];
-        scope_word |= (scope & 1) << (t - first);
+      if (one_scope) {
+        const uint64_t valid = last - first == 64
+                                   ? ~uint64_t{0}
+                                   : (uint64_t{1} << (last - first)) - 1;
+        scope_word = one_scope_word & valid;
+      } else {
+        scope_word = 0;
+        for (size_t t = first; t < last; ++t) {
+          const Mask scope = ctx.scopes[ctx.scope_of_domain[dataset.domain(
+              static_cast<TripleId>(t))]];
+          scope_word |= (scope & 1) << (t - first);
+        }
       }
       in_scope[wi] = scope_word;
     }
@@ -207,19 +217,6 @@ uint32_t InternPattern(
 constexpr size_t kSubBlockTriples = 4096;
 
 }  // namespace
-
-const uint32_t* PatternGrouping::pattern_ids(size_t c, size_t begin,
-                                             size_t len,
-                                             uint32_t* scratch) const {
-  const PatternColumn& column = columns[c];
-  if (!column.singleton) return column.ids.data() + begin;
-  const uint64_t* provided = column.provided.words();
-  const uint64_t* in_scope = column.ScopeWords();
-  for (size_t j = 0; j < len; ++j) {
-    scratch[j] = column.BitId(provided, in_scope, begin + j);
-  }
-  return scratch;
-}
 
 std::array<size_t, 4> PatternColumn::FirstTripleOfEachCode(
     size_t num_triples) const {
@@ -580,15 +577,6 @@ PatternLogEntry MakePatternLogEntry(double given_true, double given_false) {
   return entry;
 }
 
-double PatternLogAccumulator::Posterior(double alpha) const {
-  if (num_zero_ && den_zero_) {
-    return alpha;  // observation impossible either way
-  }
-  if (num_zero_) return 0.0;
-  if (den_zero_) return 1.0;
-  return PosteriorFromLogMu(log_num_ - log_den_, alpha);
-}
-
 PatternPosteriorTable BuildPatternPosteriorTable(
     const std::vector<std::vector<PatternLikelihood>>& likelihood,
     double alpha) {
@@ -656,9 +644,10 @@ PatternPosteriorTable SelectPatternRows(
 
 namespace {
 
-/// The per-triple combine body of point queries. The dense gather sums the
-/// same per-pattern logs in the same cluster order through the same
-/// accumulator, so their results are byte-identical.
+/// The per-triple combine body of point queries. The dense gather adds the
+/// same per-pattern logs and flags in the same cluster order and ends in
+/// the same PatternLogAccumulator::Combine, so their results are
+/// byte-identical.
 inline double CombineClusterEntries(const PatternPosteriorTable& table,
                                     const PatternGrouping& grouping,
                                     size_t t) {
@@ -687,39 +676,123 @@ std::vector<double> GatherPatternScores(const PatternGrouping& grouping,
                                         size_t num_threads, ThreadPool* pool) {
   std::vector<double> scores(grouping.num_triples);
   if (grouping.num_triples == 0) return scores;
-  // The triples are gathered in blocks, one cluster's ids at a time. With
-  // one cluster the combine collapses to scores[t] =
-  // posterior[pattern_id(0, t)] (exactly what CombineClusterEntries
-  // reads), so the dispatched gather kernel runs over the block's ids: an
-  // exact copy at every dispatch level. With many, each triple still adds
-  // its entries in cluster order through one PatternLogAccumulator, as
-  // CombineClusterEntries does: the same sums, byte for byte, at every
-  // thread count.
+  // The triples are gathered in blocks of whole words. With one cluster
+  // the combine collapses to scores[t] = posterior[pattern_id(0, t)]
+  // (exactly what CombineClusterEntries reads), so an id column runs the
+  // dispatched gather kernel: an exact copy at every dispatch level. With
+  // many, each triple's lane adds its entries in cluster order, as
+  // PatternLogAccumulator::Add does: the same sums, byte for byte, at
+  // every thread count.
   constexpr size_t kBlock = 1024;
   const size_t num_blocks = (grouping.num_triples + kBlock - 1) / kBlock;
+  const size_t num_clusters = table.logs.size();
+  // A one-source cluster's entries, two lanes at a time: row
+  // (scope bits << 2) | provided bits holds, for lane k, the entry of code
+  // (bit k of the scope bits << 1) | bit k of the provided bits. Codes no
+  // pattern has never occur, and read as zeros.
+  struct PairEntries {
+    double log_true[16][2];
+    double log_false[16][2];
+    unsigned char flag[16][2];
+  };
+  std::vector<PairEntries> pairs;
+  std::vector<size_t> pair_of(num_clusters, 0);
+  // Whether any entry of a cluster has a flag: a cluster without one skips
+  // the flag lanes (or-ing 0 is a no-op).
+  std::vector<char> any_flag(num_clusters, 0);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    const PatternColumn& column = grouping.columns[c];
+    const PatternPosteriorTable::ClusterLogs& logs = table.logs[c];
+    for (unsigned char flag : logs.flags) any_flag[c] |= flag != 0;
+    if (!column.singleton) continue;
+    PatternLogEntry of_code[4];
+    for (unsigned code = 0; code < 4; ++code) {
+      const uint32_t i = column.id_of_code[code];
+      if (i == PatternColumn::kNoPattern) continue;
+      of_code[code] = {logs.flags[i], logs.log_true[i], logs.log_false[i]};
+    }
+    pair_of[c] = pairs.size();
+    PairEntries& pair = pairs.emplace_back();
+    for (unsigned row = 0; row < 16; ++row) {
+      for (unsigned k = 0; k < 2; ++k) {
+        const unsigned code = (((row >> (2 + k)) & 1) << 1) | ((row >> k) & 1);
+        pair.log_true[row][k] = of_code[code].log_true;
+        pair.log_false[row][k] = of_code[code].log_false;
+        pair.flag[row][k] = of_code[code].flag;
+      }
+    }
+  }
   ParallelFor(
       num_blocks, num_threads,
       [&](size_t bi) {
         const size_t begin = bi * kBlock;
         const size_t len = std::min(kBlock, grouping.num_triples - begin);
-        uint32_t scratch[kBlock];
+        double* out = scores.data() + begin;
         if (!table.posterior.empty()) {
-          simd::GatherDoubles(table.posterior.data(),
-                              grouping.pattern_ids(0, begin, len, scratch),
-                              len, scores.data() + begin);
+          const PatternColumn& column = grouping.columns[0];
+          if (!column.singleton) {
+            simd::GatherDoubles(table.posterior.data(),
+                                column.ids.data() + begin, len, out);
+            return;
+          }
+          for (size_t j = 0; j < len; ++j) {
+            out[j] = table.posterior[column.id(begin + j)];
+          }
           return;
         }
-        PatternLogAccumulator acc[kBlock];
-        for (size_t c = 0; c < table.logs.size(); ++c) {
+        // One-source clusters fill whole words; the lanes past len are
+        // padding that is never read.
+        const size_t words = (len + 63) / 64;
+        double log_num[kBlock];
+        double log_den[kBlock];
+        unsigned char flags[kBlock];
+        std::fill_n(log_num, words * 64, 0.0);
+        std::fill_n(log_den, words * 64, 0.0);
+        std::fill_n(flags, words * 64, static_cast<unsigned char>(0));
+        for (size_t c = 0; c < num_clusters; ++c) {
+          const PatternColumn& column = grouping.columns[c];
+          if (column.singleton) {
+            const PairEntries& pair = pairs[pair_of[c]];
+            const uint64_t* provided = column.provided.words() + begin / 64;
+            const uint64_t* in_scope = column.ScopeWords();
+            for (size_t w = 0; w < words; ++w) {
+              const uint64_t p = provided[w];
+              const uint64_t s = in_scope == nullptr
+                                     ? ~uint64_t{0}
+                                     : in_scope[begin / 64 + w];
+              double* num = log_num + w * 64;
+              double* den = log_den + w * 64;
+              for (size_t j = 0; j < 64; j += 2) {
+                const size_t row = (((s >> j) & 3) << 2) | ((p >> j) & 3);
+                num[j] += pair.log_true[row][0];
+                num[j + 1] += pair.log_true[row][1];
+                den[j] += pair.log_false[row][0];
+                den[j + 1] += pair.log_false[row][1];
+              }
+              if (!any_flag[c]) continue;
+              unsigned char* flag = flags + w * 64;
+              for (size_t j = 0; j < 64; j += 2) {
+                const size_t row = (((s >> j) & 3) << 2) | ((p >> j) & 3);
+                flag[j] |= pair.flag[row][0];
+                flag[j + 1] |= pair.flag[row][1];
+              }
+            }
+            continue;
+          }
           const PatternPosteriorTable::ClusterLogs& logs = table.logs[c];
-          const uint32_t* ids = grouping.pattern_ids(c, begin, len, scratch);
+          const uint32_t* ids = column.ids.data() + begin;
           for (size_t j = 0; j < len; ++j) {
             const uint32_t i = ids[j];
-            acc[j].Add({logs.flags[i], logs.log_true[i], logs.log_false[i]});
+            log_num[j] += logs.log_true[i];
+            log_den[j] += logs.log_false[i];
           }
+          if (!any_flag[c]) continue;
+          for (size_t j = 0; j < len; ++j) flags[j] |= logs.flags[ids[j]];
         }
+        const double prior_log_odds = PriorLogOdds(table.alpha);
         for (size_t j = 0; j < len; ++j) {
-          scores[begin + j] = acc[j].Posterior(table.alpha);
+          out[j] = PatternLogAccumulator::Combine(
+              log_num[j], log_den[j], flags[j], table.alpha, prior_log_odds);
         }
       },
       ParallelForOptions{pool, nullptr});

@@ -27,6 +27,7 @@
 
 #include "common/bit_util.h"
 #include "common/bitset.h"
+#include "common/math_util.h"
 #include "common/status.h"
 #include "core/correlation_model.h"
 #include "model/dataset.h"
@@ -94,17 +95,10 @@ struct PatternColumn {
   /// Triple t's pattern id: its index into the cluster's distinct list.
   uint32_t id(size_t t) const {
     if (!singleton) return ids[t];
-    return BitId(provided.words(), ScopeWords(), t);
-  }
-
-  /// A one-source column's id of triple t, read from its provided words
-  /// and its in-scope words (ScopeWords()).
-  uint32_t BitId(const uint64_t* provided_words,
-                 const uint64_t* in_scope_words, size_t t) const {
     const uint64_t bit = uint64_t{1} << (t & 63);
     const bool covered =
-        in_scope_words == nullptr || (in_scope_words[t >> 6] & bit) != 0;
-    return id_of_code[CodeOf(covered, (provided_words[t >> 6] & bit) != 0)];
+        in_scope.size() == 0 || (in_scope.word(t >> 6) & bit) != 0;
+    return id_of_code[CodeOf(covered, (provided.word(t >> 6) & bit) != 0)];
   }
 
   /// The in-scope words, or null without scopes.
@@ -130,7 +124,7 @@ struct PatternGrouping {
   /// distinct[c] lists every pattern of cluster c exactly once.
   std::vector<std::vector<PatternKey>> distinct;
   /// columns[c] maps each triple to its pattern within distinct[c]; read
-  /// it through pattern_id or pattern_ids.
+  /// it through pattern_id (GatherPatternScores reads the columns whole).
   std::vector<PatternColumn> columns;
   /// index[c] maps a pattern key to its position in distinct[c]; kept after
   /// the build so UpdatePatternGrouping can assign streamed triples to
@@ -139,15 +133,8 @@ struct PatternGrouping {
 
   size_t num_clusters() const { return distinct.size(); }
 
-  /// Index of triple t's cluster-c pattern within distinct[c]. Every
-  /// reader of pattern ids goes through here or through pattern_ids.
+  /// Index of triple t's cluster-c pattern within distinct[c].
   uint32_t pattern_id(size_t c, size_t t) const { return columns[c].id(t); }
-
-  /// pattern_id of triples [begin, begin + len): a pointer into the
-  /// column when it stores ids, else `scratch` (len entries) filled from
-  /// the column's bits.
-  const uint32_t* pattern_ids(size_t c, size_t begin, size_t len,
-                              uint32_t* scratch) const;
 
   /// Total number of distinct (cluster, pattern) pairs — the unit of
   /// scoring work.
@@ -318,28 +305,40 @@ PatternLogEntry MakePatternLogEntry(double given_true, double given_false);
 /// prior when impossible under both hypotheses). This is THE combine rule
 /// — the dense gather, point queries, and ad-hoc observations all run
 /// their entries through it, which is what makes them byte-identical.
+///
+/// Add is branch-free: every entry's logs are added and its flags or-ed,
+/// also the log of a flagged side (0 as MakePatternLogEntry leaves it).
+/// That is exact, because Posterior never reads the log sum of a side
+/// whose flag is set: it returns 0, 1 or the prior first. Without any flag
+/// every add is an add of a real log, in cluster order. GatherPatternScores
+/// keeps the same sums and flags per triple in arrays, a block of triples
+/// at a time, and ends in the same Combine.
 class PatternLogAccumulator {
  public:
   void Add(const PatternLogEntry& entry) {
-    if (entry.flag & 1) {
-      num_zero_ = true;
-    } else {
-      log_num_ += entry.log_true;
-    }
-    if (entry.flag & 2) {
-      den_zero_ = true;
-    } else {
-      log_den_ += entry.log_false;
-    }
+    log_num_ += entry.log_true;
+    log_den_ += entry.log_false;
+    flags_ |= entry.flag;
   }
 
-  double Posterior(double alpha) const;
+  double Posterior(double alpha) const {
+    return Combine(log_num_, log_den_, flags_, alpha, PriorLogOdds(alpha));
+  }
+
+  /// The posterior of summed logs and or-ed flags; `prior_log_odds` is
+  /// PriorLogOdds(alpha), which a loop over many triples takes once.
+  static double Combine(double log_num, double log_den, unsigned flags,
+                        double alpha, double prior_log_odds) {
+    if (flags == 3) return alpha;  // observation impossible either way
+    if (flags & 1) return 0.0;
+    if (flags & 2) return 1.0;
+    return PosteriorFromLogOdds(prior_log_odds + (log_num - log_den));
+  }
 
  private:
   double log_num_ = 0.0;
   double log_den_ = 0.0;
-  bool num_zero_ = false;
-  bool den_zero_ = false;
+  unsigned flags_ = 0;
 };
 
 /// Posterior of triple `t`: gathers t's per-cluster pattern ids from
@@ -352,6 +351,17 @@ double ScoreTripleFromTable(const PatternGrouping& grouping,
 /// Dense form: posterior of every triple of the grouping, parallelized
 /// across `num_threads` workers. scores[t] == ScoreTripleFromTable(t) for
 /// every t, at every thread count.
+///
+/// Lane-parallel: each 1024-triple block keeps one log_num, log_den and
+/// flag lane per triple and walks the clusters in order, adding each
+/// lane's entry. A multi-source cluster's entry is read through its id
+/// column. A one-source cluster's is picked straight from its bit
+/// columns, with no id decode: a triple's code is (in_scope << 1) |
+/// provided, and a per-cluster table indexed by two lanes' bits of the
+/// in-scope and provided words holds those two lanes' entries. A cluster
+/// none of whose entries has a flag skips the flag lanes. Each lane adds
+/// exactly what PatternLogAccumulator::Add would, in cluster order, so the
+/// sums are the point query's, byte for byte.
 std::vector<double> GatherPatternScores(const PatternGrouping& grouping,
                                         const PatternPosteriorTable& table,
                                         size_t num_threads = 1,

@@ -41,12 +41,16 @@ StatusOr<std::vector<double>> PrecRecScores(
 ///
 /// Threaded: blocks of triples run across `num_threads` workers (0 = one
 /// per hardware thread), optionally on `pool`. Without scopes a triple's
-/// sum walks providers(t). With scopes each 64-triple word of every
-/// source's provider bitset is transposed (64 sources at a time) into
-/// per-triple provider masks, so an in-scope source's bit is a register
-/// test; that reads n/64 words per triple for n sources whatever the
-/// triple's scope. Each triple's sum runs in a fixed order — the all-silent
-/// total plus the providers ascending, or the sources of
+/// sum walks providers(t). With scopes, domains whose in_scope_sources
+/// rows are equal share a row class, computed once per call. A 64-triple
+/// word whose triples share one class sums lane-parallel: for each source
+/// of the row, in row order, every lane adds that source's provides or
+/// silent contribution, picked four lanes at a time by a nibble of the
+/// source's provider word. A word of mixed rows transposes each 64-source
+/// group's provider words into per-triple masks and walks each triple's
+/// in_scope_sources(t); that reads n/64 words per triple for n sources
+/// whatever the triple's scope. Each triple's sum runs in a fixed order —
+/// the all-silent total plus the providers ascending, or the sources of
 /// in_scope_sources(t) in order — so scores are byte-identical at every
 /// thread count to the per-triple loop over providers(t) /
 /// in_scope_sources(t) (tests/support/pattern_oracles.h).

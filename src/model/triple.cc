@@ -17,28 +17,19 @@ size_t HashCombine(size_t h, std::string_view s) {
   h *= kPrime;
   return h;
 }
-
-std::string ToStringImpl(std::string_view s, std::string_view p,
-                         std::string_view o) {
-  std::string out;
-  out.reserve(s.size() + p.size() + o.size() + 6);
-  out.append("{");
-  out.append(s);
-  out.append(", ");
-  out.append(p);
-  out.append(", ");
-  out.append(o);
-  out.append("}");
-  return out;
-}
 }  // namespace
 
-std::string Triple::ToString() const {
-  return ToStringImpl(subject, predicate, object);
-}
-
 std::string TripleView::ToString() const {
-  return ToStringImpl(subject, predicate, object);
+  std::string out;
+  out.reserve(subject.size() + predicate.size() + object.size() + 6);
+  out.append("{");
+  out.append(subject);
+  out.append(", ");
+  out.append(predicate);
+  out.append(", ");
+  out.append(object);
+  out.append("}");
+  return out;
 }
 
 size_t TripleHash::operator()(const Triple& t) const {

@@ -42,9 +42,6 @@ struct Triple {
     return subject == other.subject && predicate == other.predicate &&
            object == other.object;
   }
-
-  /// "{subject, predicate, object}" for messages and debugging.
-  std::string ToString() const;
 };
 
 /// A non-owning triple: three views into interned (or caller-owned)
@@ -74,6 +71,7 @@ struct TripleView {
   }
   bool operator!=(const TripleView& o) const { return !(*this == o); }
 
+  /// "{subject, predicate, object}" for messages and debugging.
   std::string ToString() const;
 };
 

@@ -202,20 +202,6 @@ StatusOr<ScoreBatchReply> FusionClient::ScoreBatch(
                                     request.request_id);
 }
 
-StatusOr<ScoreReply> FusionClient::ScoreObservation(
-    const std::string& method, const std::vector<SourceId>& providers,
-    const std::vector<SourceId>& in_scope) {
-  ScoreObservationRequest request;
-  request.request_id = next_request_id_++;
-  request.method = method;
-  request.providers = providers;
-  request.in_scope = in_scope;
-  FUSER_RETURN_IF_ERROR(WriteAll(
-      EncodeFrame(MessageType::kScoreObservation, request.Encode())));
-  return ReadReply<ScoreReply>(MessageType::kScoreObservationReply,
-                               request.request_id);
-}
-
 StatusOr<StatsReply> FusionClient::Stats() {
   StatsRequest request;
   request.request_id = next_request_id_++;

@@ -62,11 +62,6 @@ class FusionClient {
   StatusOr<ScoreBatchReply> ScoreBatch(const std::string& method,
                                        const std::vector<TripleId>& triples);
 
-  /// Ad-hoc observation scoring (pattern-serving methods only).
-  StatusOr<ScoreReply> ScoreObservation(
-      const std::string& method, const std::vector<SourceId>& providers,
-      const std::vector<SourceId>& in_scope);
-
   StatusOr<StatsReply> Stats();
 
   /// Pipelined load: writes all `batches` as kScoreBatch requests, then

@@ -17,19 +17,7 @@ double ConfusionCounts::Recall() const {
   return static_cast<double>(tp) / static_cast<double>(positives);
 }
 
-double ConfusionCounts::FalsePositiveRate() const {
-  size_t negatives = fp + tn;
-  if (negatives == 0) return 0.0;
-  return static_cast<double>(fp) / static_cast<double>(negatives);
-}
-
 double ConfusionCounts::F1() const { return F1Score(Precision(), Recall()); }
-
-double ConfusionCounts::Accuracy() const {
-  size_t n = total();
-  if (n == 0) return 1.0;
-  return static_cast<double>(tp + tn) / static_cast<double>(n);
-}
 
 ConfusionCounts EvaluateDecisions(const Dataset& dataset,
                                   const std::vector<double>& scores,

@@ -26,10 +26,7 @@ struct ConfusionCounts {
   double Precision() const;
   /// tp / (tp + fn); 1 when there are no positives.
   double Recall() const;
-  /// False positive rate fp / (fp + tn); 0 when there are no negatives.
-  double FalsePositiveRate() const;
   double F1() const;
-  double Accuracy() const;
 };
 
 /// Compares thresholded `scores` against gold labels on the triples in

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <set>
 
 #include "common/bit_util.h"
@@ -102,25 +103,39 @@ TEST(StringUtilTest, ParseSizeT) {
 
 // ---------- CSV ----------
 
+/// Parses `line` as the one record of a file, through ReadCsvFile.
+StatusOr<CsvRow> ParseOneRecord(const std::string& line) {
+  const std::string path = testing::TempDir() + "/fuser_csv_line.csv";
+  FILE* f = fopen(path.c_str(), "w");
+  if (f == nullptr) return Status::IoError("cannot write " + path);
+  fputs((line + "\n").c_str(), f);
+  fclose(f);
+  auto rows = ReadCsvFile(path);
+  std::remove(path.c_str());
+  if (!rows.ok()) return rows.status();
+  if (rows->size() != 1) return Status::Internal("not one record");
+  return (*rows)[0];
+}
+
 TEST(CsvTest, ParsesPlainFields) {
-  auto row = ParseCsvLine("a,b,c");
+  auto row = ParseOneRecord("a,b,c");
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(*row, (CsvRow{"a", "b", "c"}));
 }
 
 TEST(CsvTest, ParsesQuotedFieldsWithSeparatorAndQuotes) {
-  auto row = ParseCsvLine(R"("a,b","say ""hi""",c)");
+  auto row = ParseOneRecord(R"("a,b","say ""hi""",c)");
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(*row, (CsvRow{"a,b", "say \"hi\"", "c"}));
 }
 
 TEST(CsvTest, RejectsUnterminatedQuote) {
-  EXPECT_FALSE(ParseCsvLine("\"abc").ok());
+  EXPECT_FALSE(ParseOneRecord("\"abc").ok());
 }
 
 TEST(CsvTest, RoundTripsThroughFormat) {
   CsvRow row = {"plain", "with,comma", "with\"quote", ""};
-  auto parsed = ParseCsvLine(FormatCsvLine(row));
+  auto parsed = ParseOneRecord(FormatCsvLine(row));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, row);
 }
@@ -445,25 +460,25 @@ TEST(BitsetTest, ResizePreservesAndExtends) {
 
 // ---------- Thread pool ----------
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
+TEST(ThreadPoolTest, DestructorRunsAllScheduledTasks) {
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Schedule([&] { counter.fetch_add(1); });
+    }
   }
-  pool.Wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
+TEST(ThreadPoolTest, WorkersStayAvailableAfterEachTask) {
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Schedule([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+  for (int i = 0; i < 3; ++i) {
+    std::promise<int> done;
+    std::future<int> result = done.get_future();
+    pool.Schedule([&done, i] { done.set_value(i); });
+    EXPECT_EQ(result.get(), i);
+  }
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {

@@ -25,7 +25,7 @@ TEST(TripleTest, EqualityAndToString) {
   Triple c{"s", "p", "x"};
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
-  EXPECT_EQ(a.ToString(), "{s, p, o}");
+  EXPECT_EQ(TripleView(a).ToString(), "{s, p, o}");
 }
 
 TEST(TripleTest, HashSeparatesFields) {
@@ -148,14 +148,14 @@ TEST(TripleDictionaryTest, MatchesAReferenceMapAcrossGrowthAndRebuild) {
     // Ids are dense, in first-occurrence order.
     auto [it, fresh] = reference.emplace(
         distinct[i], static_cast<TripleId>(reference.size()));
-    ASSERT_EQ(id, it->second) << distinct[i].ToString();
+    ASSERT_EQ(id, it->second) << TripleView(distinct[i]).ToString();
     if (!fresh) continue;
     ASSERT_EQ(dict.Get(id), distinct[i]);
   }
   ASSERT_EQ(dict.size(), distinct.size());
   const Triple absent{"s1", "p1", "o-absent"};
   for (const auto& [triple, id] : reference) {
-    ASSERT_EQ(dict.Lookup(triple), id) << triple.ToString();
+    ASSERT_EQ(dict.Lookup(triple), id) << TripleView(triple).ToString();
   }
   EXPECT_EQ(dict.Lookup(absent), kInvalidTriple);
   // Every field exists, but not in this combination.
@@ -176,7 +176,7 @@ TEST(TripleDictionaryTest, MatchesAReferenceMapAcrossGrowthAndRebuild) {
   attached.BuildIndex();
   EXPECT_EQ(attached_strings.size(), strings.size());
   for (const auto& [triple, id] : reference) {
-    ASSERT_EQ(attached.Lookup(triple), id) << triple.ToString();
+    ASSERT_EQ(attached.Lookup(triple), id) << TripleView(triple).ToString();
   }
   EXPECT_EQ(attached.Lookup(absent), kInvalidTriple);
   attached.EnsureOwned();
@@ -378,7 +378,7 @@ TEST(DatasetIoTest, RoundTrip) {
     const Triple& triple = d.triple(t);
     TripleId lt = loaded->FindTriple(triple);
     ASSERT_NE(lt, kInvalidTriple);
-    EXPECT_EQ(loaded->label(lt), d.label(t)) << triple.ToString();
+    EXPECT_EQ(loaded->label(lt), d.label(t)) << TripleView(triple).ToString();
     EXPECT_EQ(loaded->providers(lt).size(), d.providers(t).size());
   }
   std::remove(obs_path.c_str());
@@ -425,13 +425,13 @@ TEST(DatasetIoTest, AdversarialStringsRoundTrip) {
   for (TripleId t = 0; t < d.num_triples(); ++t) {
     const Triple& triple = d.triple(t);
     TripleId lt = loaded->FindTriple(triple);
-    ASSERT_NE(lt, kInvalidTriple) << triple.ToString();
-    EXPECT_EQ(loaded->label(lt), d.label(t)) << triple.ToString();
+    ASSERT_NE(lt, kInvalidTriple) << TripleView(triple).ToString();
+    EXPECT_EQ(loaded->label(lt), d.label(t)) << TripleView(triple).ToString();
     EXPECT_EQ(loaded->domain_name(loaded->domain(lt)),
               d.domain_name(d.domain(t)))
-        << triple.ToString();
+        << TripleView(triple).ToString();
     ASSERT_EQ(loaded->providers(lt).size(), d.providers(t).size())
-        << triple.ToString();
+        << TripleView(triple).ToString();
     for (size_t i = 0; i < d.providers(t).size(); ++i) {
       EXPECT_EQ(loaded->source_name(loaded->providers(lt)[i]),
                 d.source_name(d.providers(t)[i]));

@@ -172,6 +172,32 @@ bool WaitForEof(int fd) {
   return false;
 }
 
+/// One ScoreObservation round trip on the raw connection `fd`: the score,
+/// or the Status of the server's error reply. FusionClient sends only the
+/// requests the shipped binaries make, and none of them sends observations.
+StatusOr<double> RawScoreObservation(int fd, const std::string& method,
+                                     const std::vector<SourceId>& providers) {
+  ScoreObservationRequest request;
+  request.request_id = 1;
+  request.method = method;
+  request.providers = providers;
+  RawWriteAll(fd, EncodeFrame(MessageType::kScoreObservation,
+                              request.Encode()));
+  FrameReader reader;
+  FUSER_ASSIGN_OR_RETURN(WireFrame frame, RawReadFrame(fd, &reader));
+  if (frame.type == MessageType::kError) {
+    ErrorReply error;
+    FUSER_RETURN_IF_ERROR(error.Decode(frame.payload));
+    return error.ToStatus();
+  }
+  if (frame.type != MessageType::kScoreObservationReply) {
+    return Status::Internal("unexpected reply type");
+  }
+  ScoreReply reply;
+  FUSER_RETURN_IF_ERROR(reply.Decode(frame.payload));
+  return reply.score;
+}
+
 /// The shared identity check: every networked answer equals the local
 /// service's answer on the pinned snapshot and the unsharded reference
 /// service's answer, byte for byte.
@@ -204,20 +230,6 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
       EXPECT_EQ(one->score, (*local)[t]) << spec.Name() << " triple " << t;
     }
   }
-  // Ad-hoc observations route through the same snapshot tables.
-  AdHocObservation observation;
-  observation.providers = {0, 3};
-  auto local = harness.service->ScoreObservation(*harness.snapshot, specs[0],
-                                                 observation);
-  ASSERT_TRUE(local.ok()) << local.status();
-  auto unsharded = harness.reference_service->ScoreObservation(
-      **reference, specs[0], observation);
-  ASSERT_TRUE(unsharded.ok()) << unsharded.status();
-  EXPECT_EQ(*local, *unsharded);
-  auto remote = client->ScoreObservation(specs[0].Name(),
-                                         observation.providers, {});
-  ASSERT_TRUE(remote.ok()) << remote.status();
-  EXPECT_EQ(remote->score, *local);
 }
 
 /// The serving behaviours that must hold for every topology, run at K=1
@@ -245,6 +257,28 @@ TEST_P(FusionServerTopologyTest, NetworkedScoresAreByteIdenticalToLocal) {
   EXPECT_EQ(counters.connections_accepted, 1u);
   EXPECT_GT(counters.requests_served, 0u);
   EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+TEST_P(FusionServerTopologyTest, NetworkedObservationsAreByteIdenticalToLocal) {
+  // Ad-hoc observations route through the same snapshot tables.
+  ServerHarness harness(num_shards());
+  auto reference = harness.reference_service->Acquire();
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const MethodSpec spec = ServingLineup()[0];
+  AdHocObservation observation;
+  observation.providers = {0, 3};
+  auto local =
+      harness.service->ScoreObservation(*harness.snapshot, spec, observation);
+  ASSERT_TRUE(local.ok()) << local.status();
+  auto unsharded = harness.reference_service->ScoreObservation(
+      **reference, spec, observation);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status();
+  EXPECT_EQ(*local, *unsharded);
+  const int fd = RawConnect(harness.server->port());
+  auto remote = RawScoreObservation(fd, spec.Name(), observation.providers);
+  close(fd);
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_EQ(*remote, *local);
 }
 
 TEST_P(FusionServerTopologyTest, PipelinedBatchesComeBackInOrderAndIdentical) {
@@ -289,10 +323,12 @@ TEST(FusionServerTest, RequestLevelErrorsKeepTheConnectionServing) {
   EXPECT_FALSE(out_of_range.ok());
   EXPECT_TRUE(client.connected());
 
-  // Observation scoring on a method without pattern serving.
-  auto unservable = client.ScoreObservation("precrec", {0, 1}, {});
-  EXPECT_FALSE(unservable.ok());
-  EXPECT_TRUE(client.connected());
+  // Observation scoring on a method without pattern serving; the same
+  // connection then scores one on a method with it.
+  const int fd = RawConnect(harness.server->port());
+  EXPECT_FALSE(RawScoreObservation(fd, "precrec", {0, 1}).ok());
+  EXPECT_TRUE(RawScoreObservation(fd, "precrec-corr", {0, 1}).ok());
+  close(fd);
 
   // The connection still answers correctly after every error above.
   auto good = client.Score("precrec", 0);

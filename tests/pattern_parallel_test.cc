@@ -3,14 +3,17 @@
 // pool execution), byte-identity of the word-parallel BuildPatternGrouping
 // against the retained scalar reference across ragged triple counts,
 // scopes, clustering, thread counts and both numbering paths (direct map
-// and hash), byte-identity of the threaded independent-source scorer
-// (precrec, aggressive) against the per-triple reference loop,
+// and hash), byte-identity of the lane-parallel dense gather against the
+// per-triple reference combine and point queries, byte-identity of the
+// threaded independent-source scorer (precrec, aggressive; one-row words
+// and mixed-row words) against the per-triple reference loop,
 // byte-identity of the batched ScoreAllPatterns path against per-query
 // likelihood calls, byte-identity of end-to-end RunAll scores against
 // the legacy (per-pattern scorer + reference combine) pipeline, and
 // thread-count invariance of the table-less wide-cluster lookups.
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -434,54 +437,213 @@ TEST(WordParallelGroupingTest, UpdatedGroupingMatchesScalarOnGrownDataset) {
   }
 }
 
+// ---------- Lane-parallel gather vs the per-triple combine ----------
+
+/// True when `got` and `want` hold the same doubles, bit for bit.
+::testing::AssertionResult SameBytes(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "sizes " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (size_t t = 0; t < got.size(); ++t) {
+    if (std::memcmp(&got[t], &want[t], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "triple " << t << ": " << got[t] << " vs " << want[t];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Likelihoods for `grouping` whose flags follow `scheme`: 0 none; 1, 2 and
+/// 3 give one pattern per cluster a zero given_true, given_false or both;
+/// 4 mixes the three across clusters (cluster c's kind is c % 3 + 1). Every
+/// other pattern gets distinct positive values, so a triple may meet no
+/// flag, one kind, or both kinds from two clusters.
+std::vector<std::vector<PatternLikelihood>> FlaggedLikelihoods(
+    const PatternGrouping& grouping, int scheme) {
+  std::vector<std::vector<PatternLikelihood>> likelihood(
+      grouping.num_clusters());
+  for (size_t c = 0; c < grouping.num_clusters(); ++c) {
+    const size_t num_patterns = grouping.distinct[c].size();
+    const int kind = scheme == 4 ? static_cast<int>(c % 3) + 1 : scheme;
+    for (size_t i = 0; i < num_patterns; ++i) {
+      PatternLikelihood like{0.05 + 0.9 * static_cast<double>(i + 1) /
+                                        static_cast<double>(num_patterns + 1),
+                             0.9 - 0.07 * static_cast<double>(c % 5 + i % 3)};
+      if (i == c % num_patterns) {
+        if (kind & 1) like.given_true = 0.0;
+        if (kind & 2) like.given_false = 0.0;
+      }
+      likelihood[c].push_back(like);
+    }
+  }
+  return likelihood;
+}
+
+TEST(GatherPatternScoresTest, LanePathsMatchReferenceAndPointQueries) {
+  // Two multi-source clusters (id columns) among three one-source ones
+  // (bit columns), scopes on and off, m % 64 != 0 and m % 1024 != 0, and
+  // every flag combination. The dense gather must equal the per-triple
+  // reference combine and each triple's point query, byte for byte.
+  ThreadPool pool(4);
+  for (bool use_scopes : {false, true}) {
+    for (size_t num_triples : {size_t{1000}, size_t{3001}}) {
+      Dataset dataset = MakeDataset(/*num_sources=*/7, num_triples,
+                                    /*num_domains=*/use_scopes ? 5 : 0,
+                                    /*seed=*/num_triples + use_scopes);
+      const CorrelationModel model = MakeClusteredModel(
+          7, {{0, 1}, {2}, {3}, {4, 5}, {6}}, use_scopes);
+      auto grouping = BuildPatternGrouping(dataset, model);
+      ASSERT_TRUE(grouping.ok()) << grouping.status();
+      ASSERT_NE(grouping->num_triples % 64, 0u);
+      ASSERT_TRUE(grouping->columns[1].singleton);
+      ASSERT_FALSE(grouping->columns[3].singleton);
+      for (int scheme = 0; scheme <= 4; ++scheme) {
+        SCOPED_TRACE(::testing::Message() << "scopes=" << use_scopes
+                                          << " m=" << num_triples
+                                          << " scheme=" << scheme);
+        const auto likelihood = FlaggedLikelihoods(*grouping, scheme);
+        const std::vector<double> want =
+            CombinePatternScoresReference(*grouping, likelihood, 0.3);
+        const PatternPosteriorTable table =
+            BuildPatternPosteriorTable(likelihood, 0.3);
+        std::vector<double> point(grouping->num_triples);
+        for (size_t t = 0; t < point.size(); ++t) {
+          point[t] = ScoreTripleFromTable(*grouping, table,
+                                          static_cast<TripleId>(t));
+        }
+        ASSERT_TRUE(SameBytes(point, want));
+        for (size_t num_threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          SCOPED_TRACE(::testing::Message() << "threads=" << num_threads);
+          ASSERT_TRUE(SameBytes(
+              GatherPatternScores(*grouping, table, num_threads, nullptr),
+              want));
+          ASSERT_TRUE(SameBytes(
+              GatherPatternScores(*grouping, table, num_threads, &pool),
+              want));
+        }
+      }
+    }
+  }
+}
+
 // ---------- Independent-source scorer vs the per-triple loop ----------
 
-TEST(IndependentSourceScoresTest, PrecRecAndAggressiveMatchReferenceLoop) {
+/// Asserts PrecRecScores and AggressiveScores match their per-triple
+/// references at 1, 2, 4 and 8 threads, with and without a pool.
+void ExpectIndependentScoresMatchReference(const Dataset& dataset,
+                                           bool use_scopes) {
   ThreadPool pool(8);
+  QualityOptions quality_options;
+  quality_options.use_scopes = use_scopes;
+  auto quality = EstimateSourceQuality(dataset, dataset.labeled_mask(),
+                                       quality_options);
+  ASSERT_TRUE(quality.ok()) << quality.status();
+  ModelOptions model_options;
+  model_options.use_scopes = use_scopes;
+  model_options.enable_clustering = true;
+  auto model = BuildCorrelationModelOf(dataset, dataset.labeled_mask(),
+                                       model_options);
+  ASSERT_TRUE(model.ok()) << model.status();
+  PrecRecOptions options;
+  options.use_scopes = use_scopes;
+  auto want_precrec = PrecRecScoresReference(dataset, *quality, options);
+  ASSERT_TRUE(want_precrec.ok()) << want_precrec.status();
+  auto want_aggressive = AggressiveScoresReference(dataset, *model);
+  ASSERT_TRUE(want_aggressive.ok()) << want_aggressive.status();
+  for (size_t num_threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << num_threads
+                                        << " pool=" << (p != nullptr));
+      auto precrec = PrecRecScores(dataset, *quality, options, num_threads, p);
+      ASSERT_TRUE(precrec.ok()) << precrec.status();
+      ASSERT_TRUE(SameBytes(*precrec, *want_precrec));
+      auto aggressive = AggressiveScores(dataset, *model, num_threads, p);
+      ASSERT_TRUE(aggressive.ok()) << aggressive.status();
+      ASSERT_TRUE(SameBytes(*aggressive, *want_aggressive));
+    }
+  }
+}
+
+/// Eight sources over four domains in runs of `run` triples; domains 0 and
+/// 2 share one scope row, 1 and 3 another. A word inside a run has one row
+/// (the lane path), a word across a run boundary two (the transposed path).
+Dataset MakeDomainRunDataset(size_t num_triples, size_t run, uint64_t seed) {
+  const std::vector<std::vector<SourceId>> scopes = {{0, 1, 2, 5, 7},
+                                                    {1, 3, 4, 5, 6}};
+  Dataset dataset;
+  for (int s = 0; s < 8; ++s) dataset.AddSource("s" + std::to_string(s));
+  Rng rng(seed);
+  for (size_t i = 0; i < num_triples; ++i) {
+    const size_t domain = (i / run) % 4;
+    const std::vector<SourceId>& scope = scopes[domain % 2];
+    const TripleId t = dataset.AddTriple({"e" + std::to_string(i), "p", "o"},
+                                         "d" + std::to_string(domain));
+    // Each domain's first run has every scope source provide a triple, so
+    // every domain's row is its whole scope.
+    bool provided = false;
+    for (SourceId s : scope) {
+      if (i < 4 * run || rng.NextBounded(3) == 0) {
+        dataset.Provide(s, t);
+        provided = true;
+      }
+    }
+    if (!provided) dataset.Provide(scope[0], t);
+    if (i % 3 == 0) dataset.SetLabel(t, rng.NextBounded(2) == 0);
+  }
+  EXPECT_TRUE(dataset.Finalize().ok());
+  return dataset;
+}
+
+TEST(IndependentSourceScoresTest, RowClassLanesMatchReferenceLoop) {
+  // One row for every domain, and a ragged final word.
+  {
+    SCOPED_TRACE("one row");
+    Dataset dataset = MakeDataset(/*num_sources=*/9, /*num_triples=*/5000,
+                                  /*num_domains=*/13, /*seed=*/23);
+    ASSERT_NE(dataset.num_triples() % 64, 0u);
+    const auto& rows = dataset.domain_sources_table();
+    for (DomainId d = 0; d < dataset.num_domains(); ++d) {
+      ASSERT_EQ(rows.row(d), rows.row(0)) << "domain " << d;
+    }
+    ExpectIndependentScoresMatchReference(dataset, /*use_scopes=*/true);
+  }
+  // Rows differ inside every word: the period-3 shared-scope domains
+  // interleave triple by triple.
+  for (size_t num_triples : {size_t{100}, size_t{5000}}) {
+    SCOPED_TRACE(::testing::Message() << "interleaved m=" << num_triples);
+    ExpectIndependentScoresMatchReference(
+        MakeSharedScopeDataset(num_triples, /*seed=*/9), /*use_scopes=*/true);
+  }
+  // Runs of one row with mixed words at the run boundaries, and a ragged
+  // final word (4100 % 64 == 4).
+  for (size_t run : {size_t{64}, size_t{150}}) {
+    SCOPED_TRACE(::testing::Message() << "runs of " << run);
+    const Dataset dataset = MakeDomainRunDataset(4100, run, /*seed=*/31);
+    ASSERT_EQ(dataset.num_domains(), 4u);
+    ASSERT_EQ(dataset.domain_sources_table().row(0),
+              dataset.domain_sources_table().row(2));
+    ASSERT_NE(dataset.domain_sources_table().row(0),
+              dataset.domain_sources_table().row(1));
+    ExpectIndependentScoresMatchReference(dataset, /*use_scopes=*/true);
+  }
+}
+
+TEST(IndependentSourceScoresTest, PrecRecAndAggressiveMatchReferenceLoop) {
   // 70 sources use a second 64-source group; no triple count is a multiple
   // of 64, and 5000 spans more than one scoring block.
   for (size_t num_sources : {size_t{9}, size_t{70}}) {
     for (size_t num_triples : {size_t{130}, size_t{5000}}) {
       for (bool use_scopes : {false, true}) {
-        Dataset dataset = MakeDataset(num_sources, num_triples,
-                                      /*num_domains=*/use_scopes ? 13 : 0,
-                                      /*seed=*/num_sources + num_triples);
         SCOPED_TRACE(::testing::Message()
                      << "n=" << num_sources << " m=" << num_triples
                      << " scopes=" << use_scopes);
-        QualityOptions quality_options;
-        quality_options.use_scopes = use_scopes;
-        auto quality = EstimateSourceQuality(dataset, dataset.labeled_mask(),
-                                             quality_options);
-        ASSERT_TRUE(quality.ok()) << quality.status();
-        ModelOptions model_options;
-        model_options.use_scopes = use_scopes;
-        model_options.enable_clustering = true;
-        auto model = BuildCorrelationModelOf(dataset, dataset.labeled_mask(),
-                                             model_options);
-        ASSERT_TRUE(model.ok()) << model.status();
-
-        PrecRecOptions options;
-        options.use_scopes = use_scopes;
-        auto want_precrec = PrecRecScoresReference(dataset, *quality, options);
-        ASSERT_TRUE(want_precrec.ok()) << want_precrec.status();
-        auto want_aggressive = AggressiveScoresReference(dataset, *model);
-        ASSERT_TRUE(want_aggressive.ok()) << want_aggressive.status();
-
-        for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-            SCOPED_TRACE(::testing::Message() << "threads=" << num_threads
-                                              << " pool=" << (p != nullptr));
-            auto precrec =
-                PrecRecScores(dataset, *quality, options, num_threads, p);
-            ASSERT_TRUE(precrec.ok()) << precrec.status();
-            ASSERT_EQ(*precrec, *want_precrec);
-            auto aggressive =
-                AggressiveScores(dataset, *model, num_threads, p);
-            ASSERT_TRUE(aggressive.ok()) << aggressive.status();
-            ASSERT_EQ(*aggressive, *want_aggressive);
-          }
-        }
+        ExpectIndependentScoresMatchReference(
+            MakeDataset(num_sources, num_triples,
+                        /*num_domains=*/use_scopes ? 13 : 0,
+                        /*seed=*/num_sources + num_triples),
+            use_scopes);
       }
     }
   }
