@@ -5,7 +5,8 @@
 //   make_synth_tsv <observations.tsv> <gold.tsv> [num_triples] [num_sources] [seed]
 //
 // The generated corpus includes one positively correlated source group, so
-// precrec-corr has correlations to exploit. Prints one JSON summary line.
+// precrec-corr has correlations to exploit, and spans 8 domains, written as
+// the observations' fifth column. Prints one JSON summary line.
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -36,6 +37,9 @@ int main(int argc, char** argv) {
       num_sources, num_triples, /*fraction_true=*/0.4, /*precision=*/0.7,
       /*recall=*/0.4, seed);
   if (num_sources >= 3) config.groups_true = {{{0, 1, 2}, 0.8}};
+  // Domains give the observations their fifth column, so a --shards=K
+  // run on these files spreads the triples over several shards.
+  config.num_domains = 8;
   auto dataset = GenerateSynthetic(config);
   if (!dataset.ok()) {
     std::fprintf(stderr, "generate failed: %s\n",

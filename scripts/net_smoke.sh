@@ -3,10 +3,10 @@
 # the real binaries — synthesize TSVs, train and --save a snapshot, start
 # `fuser_cli --serve` as a background process on an ephemeral port, probe
 # it with `fuser_cli --client` (Stats + ScoreBatch + Score cross-check),
-# re-probe the same data trained and saved across --shards=2, verify the
-# CLI's flag-misuse exit codes, then SIGTERM the servers and assert they
-# drain to exit 0 with the JSON-last-line contract intact — including a
-# SIGTERM sent the instant the port line appears.
+# re-probe the same data trained and saved across --shards=2 (both shards
+# non-empty), verify the CLI's flag-misuse exit codes, then SIGTERM the
+# servers and assert they drain to exit 0 with the JSON-last-line contract
+# intact — including a SIGTERM sent the instant the port line appears.
 #
 #   scripts/net_smoke.sh [build_dir] [out_dir]
 #
@@ -74,6 +74,15 @@ echo "== synthesize TSVs and train a snapshot"
   --save="$OUT_DIR/snap.fsn" | tee "$OUT_DIR/train.log"
 "$BUILD_DIR/fuser_cli" "$OUT_DIR/obs.tsv" "$OUT_DIR/gold.tsv" precrec-corr \
   --shards=2 --save="$OUT_DIR/snap2" | tee "$OUT_DIR/train2.log"
+# Both shards must hold triples, or the sharded-vs-unsharded score check
+# below would never merge two shards' counts.
+shard_triples=$(tail -n 1 "$OUT_DIR/train2.log" \
+  | sed -n 's/.*"shard_triples": \[\([^]]*\)\].*/\1/p')
+if [ -z "$shard_triples" ] ||
+   echo "$shard_triples" | tr ',' '\n' | grep -qx ' *0 *'; then
+  echo "--shards=2 left a shard empty: shard_triples [$shard_triples]" >&2
+  exit 1
+fi
 
 echo "== serve the snapshot and probe it"
 "$BUILD_DIR/fuser_cli" --load="$OUT_DIR/snap.fsn" --serve=0 \

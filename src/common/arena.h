@@ -109,13 +109,6 @@ class StringArena {
     return ref;
   }
 
-  /// Copies `text` into the arena and returns a view of the copy (stable
-  /// for the arena's lifetime). Compatibility shim for callers that key
-  /// maps by view (shard/sharded_dataset).
-  std::string_view Intern(std::string_view text) {
-    return View(InternRef(text));
-  }
-
   /// Resolves a ref. Bounds-checked: a ref pointing past the interned
   /// region fails the CHECK instead of reading foreign memory.
   std::string_view View(StringRef ref) const {

@@ -35,19 +35,6 @@ std::shared_ptr<const ShardMap> ShardMapBuilder::Snapshot() const {
   return map;
 }
 
-// ---- Key encoding --------------------------------------------------------
-
-void EncodeTripleKey(const TripleView& triple, std::string* key) {
-  key->clear();
-  key->reserve(triple.subject.size() + triple.predicate.size() +
-               triple.object.size() + 2);
-  key->append(triple.subject);
-  key->push_back('\x1f');
-  key->append(triple.predicate);
-  key->push_back('\x1f');
-  key->append(triple.object);
-}
-
 // ---- ShardedCorpus -------------------------------------------------------
 
 ShardedCorpus::ShardedCorpus(const ShardingOptions& options)
@@ -67,27 +54,39 @@ StatusOr<ShardedCorpus> ShardedCorpus::Partition(
   if (!full.finalized()) {
     return Status::FailedPrecondition("Partition requires a finalized dataset");
   }
+  if (full.num_sources() == 0) {
+    return Status::InvalidArgument("dataset has no sources");
+  }
+  if (full.num_triples() == 0) {
+    return Status::InvalidArgument("dataset has no triples");
+  }
   ShardedCorpus corpus(options);
-  for (SourceId s = 0; s < full.num_sources(); ++s) {
-    corpus.AddSource(full.source_name(s));
+  for (auto& shard : corpus.shards_) {
+    for (SourceId s = 0; s < full.num_sources(); ++s) {
+      shard->AddSource(full.source_name(s));
+    }
   }
+  corpus.IndexSources();
+  // `full`'s triples are unique, so each goes straight to its domain's
+  // shard as that shard's next local id.
   for (TripleId t = 0; t < full.num_triples(); ++t) {
-    const TripleId global =
-        corpus.AddTriple(full.triple(t), full.domain_name(full.domain(t)));
-    if (global != t) {
-      return Status::InvalidArgument(
-          "dataset contains duplicate triples; cannot partition");
-    }
+    const std::string_view domain = full.domain_name(full.domain(t));
+    const uint32_t k = ShardOfDomain(domain, options);
+    Dataset& shard = *corpus.shards_[k];
+    const TripleId local = shard.AddTriple(full.triple(t), domain);
+    if (!corpus.single()) corpus.AppendGlobal(k, local);
     const Label label = full.label(t);
-    if (label != Label::kUnknown) {
-      corpus.SetLabel(t, label == Label::kTrue);
-    }
+    if (label != Label::kUnknown) shard.SetLabel(local, label == Label::kTrue);
   }
   for (SourceId s = 0; s < full.num_sources(); ++s) {
-    full.output(s).ForEach(
-        [&](size_t t) { corpus.Provide(s, static_cast<TripleId>(t)); });
+    full.output(s).ForEach([&](size_t t) {
+      const ShardLocation loc = corpus.Locate(static_cast<TripleId>(t));
+      corpus.shards_[loc.shard]->Provide(s, loc.local);
+    });
   }
-  FUSER_RETURN_IF_ERROR(corpus.Finalize());
+  for (auto& shard : corpus.shards_) {
+    FUSER_RETURN_IF_ERROR(shard->Finalize(/*allow_empty=*/true));
+  }
   return corpus;
 }
 
@@ -178,14 +177,20 @@ StatusOr<ShardedCorpus> ShardedCorpus::FromShards(
       locations[global] = ShardLocation{static_cast<uint32_t>(k), local};
     }
   }
-  corpus.index_.reserve(total);
-  std::string key;
-  for (size_t global = 0; global < total; ++global) {
-    const ShardLocation loc = locations[global];
-    EncodeTripleKey(corpus.shards_[loc.shard]->triple(loc.local), &key);
-    if (corpus.InternGlobal(key, loc.shard, loc.local) !=
-        static_cast<TripleId>(global)) {
-      return Status::InvalidArgument("shards contain duplicate triples");
+  for (const ShardLocation& loc : locations) {
+    corpus.AppendGlobal(loc.shard, loc.local);
+  }
+  // Each shard's Dataset holds its triples once; the file could still put
+  // one triple in two shards, so probe each in the shards after its own.
+  for (size_t k = 0; k + 1 < corpus.shards_.size(); ++k) {
+    const Dataset& shard = *corpus.shards_[k];
+    for (TripleId local = 0; local < shard.num_triples(); ++local) {
+      const TripleView triple = shard.triple(local);
+      for (size_t j = k + 1; j < corpus.shards_.size(); ++j) {
+        if (corpus.shards_[j]->FindTriple(triple) != kInvalidTriple) {
+          return Status::InvalidArgument("shards contain duplicate triples");
+        }
+      }
     }
   }
   return corpus;
@@ -198,68 +203,10 @@ void ShardedCorpus::IndexSources() {
   }
 }
 
-SourceId ShardedCorpus::AddSource(std::string_view name) {
-  const SourceId id = static_cast<SourceId>(source_index_.size());
-  for (auto& shard : shards_) {
-    const SourceId local = shard->AddSource(name);
-    FUSER_CHECK_EQ(local, id);
-  }
-  source_index_.emplace(std::string(name), id);
-  return id;
-}
-
-TripleId ShardedCorpus::InternGlobal(std::string_view key, uint32_t shard,
-                                     TripleId local) {
-  const TripleId global = static_cast<TripleId>(map_.size());
-  auto [it, inserted] = index_.emplace(arena_.Intern(key), global);
-  if (!inserted) return it->second;
-  map_.Append(ShardLocation{shard, local});
+void ShardedCorpus::AppendGlobal(uint32_t shard, TripleId local) {
   FUSER_CHECK_EQ(local_to_global_[shard].size(), local);
-  local_to_global_[shard].push_back(global);
-  return global;
-}
-
-TripleId ShardedCorpus::AddTriple(const TripleView& triple,
-                                  std::string_view domain) {
-  if (single()) return shards_[0]->AddTriple(triple, domain);
-  std::string key;
-  EncodeTripleKey(triple, &key);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  const uint32_t shard = ShardOfDomain(domain, options_);
-  const TripleId local = shards_[shard]->AddTriple(triple, domain);
-  return InternGlobal(key, shard, local);
-}
-
-void ShardedCorpus::Provide(SourceId source, TripleId global) {
-  const ShardLocation loc = Locate(global);
-  shards_[loc.shard]->Provide(source, loc.local);
-}
-
-void ShardedCorpus::SetLabel(TripleId global, bool is_true) {
-  const ShardLocation loc = Locate(global);
-  shards_[loc.shard]->SetLabel(loc.local, is_true);
-}
-
-Status ShardedCorpus::Finalize() {
-  if (source_index_.empty()) {
-    return Status::InvalidArgument("dataset has no sources");
-  }
-  if (num_triples() == 0) {
-    return Status::InvalidArgument("dataset has no triples");
-  }
-  for (auto& shard : shards_) {
-    FUSER_RETURN_IF_ERROR(shard->Finalize(/*allow_empty=*/true));
-  }
-  return Status::OK();
-}
-
-TripleId ShardedCorpus::Find(const TripleView& triple) const {
-  if (single()) return shards_[0]->FindTriple(triple);
-  std::string key;
-  EncodeTripleKey(triple, &key);
-  auto it = index_.find(key);
-  return it == index_.end() ? kInvalidTriple : it->second;
+  local_to_global_[shard].push_back(static_cast<TripleId>(map_.size()));
+  map_.Append(ShardLocation{shard, local});
 }
 
 StatusOr<RoutedBatch> ShardedCorpus::RouteBatch(
@@ -284,41 +231,39 @@ StatusOr<RoutedBatch> ShardedCorpus::RouteBatch(
   };
   for (const std::string& name : batch.register_sources) note_source(name);
 
-  // Triples the batch itself introduces, keyed by encoded text; the value
-  // is their index in routed.new_triples (global id = num_triples + index).
-  std::unordered_map<std::string, size_t> pending_triples;
-  std::string key;
-  auto shard_of_triple = [&](const Triple& triple,
-                             const std::string& domain,
+  // Triples the batch itself introduces -> their shard. A triple is new
+  // when no shard holds it; its first mention's domain decides the shard,
+  // exactly as ApplyBatch's first mention decides the interned domain.
+  std::unordered_map<Triple, uint32_t, TripleHash> pending_triples;
+  auto shard_of_triple = [&](const Triple& triple, uint32_t home,
                              bool create) -> int {
-    EncodeTripleKey(triple, &key);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      return static_cast<int>(map_.Get(it->second).shard);
-    }
-    auto pending = pending_triples.find(key);
+    auto pending = pending_triples.find(triple);
     if (pending != pending_triples.end()) {
-      return static_cast<int>(routed.new_triples[pending->second].shard);
+      return static_cast<int>(pending->second);
+    }
+    for (size_t i = 0; i < num_shards; ++i) {
+      const size_t k = (home + i) % num_shards;
+      if (shards_[k]->FindTriple(triple) != kInvalidTriple) {
+        return static_cast<int>(k);
+      }
     }
     if (!create) return -1;
-    // First mention: its domain decides the shard, exactly as ApplyBatch's
-    // first mention decides the interned domain.
-    const uint32_t shard = ShardOfDomain(domain, options_);
-    pending_triples.emplace(key, routed.new_triples.size());
-    routed.new_triples.push_back(RoutedBatch::NewTriple{key, shard});
-    ++routed.shard_new_counts[shard];
-    return static_cast<int>(shard);
+    pending_triples.emplace(triple, home);
+    routed.new_triple_shards.push_back(home);
+    ++routed.shard_new_counts[home];
+    return static_cast<int>(home);
   };
 
   for (const Observation& obs : batch.observations) {
     note_source(obs.source);
-    const int shard = shard_of_triple(obs.triple, obs.domain, /*create=*/true);
+    const int shard = shard_of_triple(
+        obs.triple, ShardOfDomain(obs.domain, options_), /*create=*/true);
     routed.per_shard[shard].observations.push_back(obs);
     routed.dirty[shard] = true;
   }
   for (const LabelUpdate& label : batch.labels) {
-    const int shard =
-        shard_of_triple(label.triple, /*domain=*/"", /*create=*/false);
+    // Labels carry no domain: probe every shard.
+    const int shard = shard_of_triple(label.triple, 0, /*create=*/false);
     if (shard < 0) continue;  // unknown triple: ApplyBatch would skip it
     routed.per_shard[shard].labels.push_back(label);
     routed.dirty[shard] = true;
@@ -360,12 +305,8 @@ Status ShardedCorpus::CommitRoute(const RoutedBatch& routed,
       }
     }
   }
-  for (const RoutedBatch::NewTriple& nt : routed.new_triples) {
-    const TripleId local = next_local[nt.shard]++;
-    const TripleId global = InternGlobal(nt.key, nt.shard, local);
-    if (global + 1 != map_.size()) {
-      return Status::Internal("new triple was already present in the index");
-    }
+  for (uint32_t shard : routed.new_triple_shards) {
+    AppendGlobal(shard, next_local[shard]++);
   }
   for (const std::string& name : routed.new_sources) {
     source_index_.emplace(name, static_cast<SourceId>(source_index_.size()));

@@ -6,9 +6,6 @@
 // assigned in first-mention order exactly as an unsharded Dataset would
 // assign them. The corpus maintains:
 //
-//   * a global triple index (encoded triple text -> global id), keyed by
-//     arena-interned strings so 10-100M keys cost one bump allocation each
-//     instead of a std::string node;
 //   * the global -> (shard, local id) map, stored in fixed-size chunks so a
 //     published read-side ShardMap is a cheap copy of chunk pointers, not
 //     an O(M) array copy (see ShardMap below for the concurrency story);
@@ -16,27 +13,30 @@
 //     in the same order, so shard-local SourceIds equal global ones and
 //     per-shard quality/correlation statistics merge by plain index.
 //
+// There is no global triple index: each triple lives in exactly one shard,
+// whose own Dataset::FindTriple finds it. A streamed observation probes the
+// shard its domain hashes to first (a triple's first mention picks its
+// shard, so that is almost always where it lives), then the others; a
+// label carries no domain and probes them all in order.
+//
 // Streaming follows a route/commit split: RouteBatch (const) partitions an
-// ObservationBatch into per-shard batches and predicts the ids every new
-// triple will get; after the shards applied their slices, CommitRoute
-// extends the index and the map and validates the predictions against the
-// per-shard deltas.
+// ObservationBatch into per-shard batches and predicts which shard every
+// new triple lands on; after the shards applied their slices, CommitRoute
+// extends the map and validates the predictions against the per-shard
+// deltas.
 //
 // K=1 is the identity partition: the one shard *is* the corpus, global ids
-// equal its local ids, and none of the global bookkeeping above exists —
-// no key index, no id map (lookups go straight to Dataset::FindTriple).
-// The single-shard engine streams through FusionEngine::Update directly,
-// so RouteBatch/CommitRoute are never needed there.
+// equal its local ids, and no id map exists. The single-shard engine
+// streams through FusionEngine::Update directly, so RouteBatch/CommitRoute
+// are never needed there.
 #ifndef FUSER_SHARD_SHARDED_DATASET_H_
 #define FUSER_SHARD_SHARDED_DATASET_H_
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "model/dataset.h"
 #include "shard/partition.h"
@@ -94,11 +94,6 @@ class ShardMapBuilder {
 /// CommitRoute needs to extend the global bookkeeping once the shards have
 /// applied their slices.
 struct RoutedBatch {
-  struct NewTriple {
-    std::string key;   // encoded triple text (see EncodeTripleKey)
-    uint32_t shard = 0;
-  };
-
   /// One (possibly empty) slice per shard.
   std::vector<ObservationBatch> per_shard;
   /// Shards whose slice is non-empty. New sources dirty every shard: each
@@ -107,16 +102,13 @@ struct RoutedBatch {
   /// Source names the batch introduces, in global first-mention order
   /// (broadcast to every shard via ObservationBatch::register_sources).
   std::vector<std::string> new_sources;
-  /// Triples the batch introduces, in batch scan order — which is global
-  /// id order: new_triples[i] becomes global id (num_triples() + i).
-  std::vector<NewTriple> new_triples;
+  /// Shards of the triples the batch introduces, in batch scan order —
+  /// which is global id order: the triple of new_triple_shards[i] becomes
+  /// global id (num_triples() + i).
+  std::vector<uint32_t> new_triple_shards;
   /// Predicted |delta.new_triples| per shard, validated by CommitRoute.
   std::vector<size_t> shard_new_counts;
 };
-
-/// Encodes a triple as a single index key (fields joined by 0x1f, which
-/// cannot appear in a field without also changing the triple's text).
-void EncodeTripleKey(const TripleView& triple, std::string* key);
 
 class ShardedCorpus {
  public:
@@ -124,17 +116,15 @@ class ShardedCorpus {
   /// move-assignment target.
   ShardedCorpus() = default;
 
-  /// `options` must be valid (ValidateShardingOptions).
-  explicit ShardedCorpus(const ShardingOptions& options);
-
   ShardedCorpus(const ShardedCorpus&) = delete;
   ShardedCorpus& operator=(const ShardedCorpus&) = delete;
   ShardedCorpus(ShardedCorpus&&) = default;
   ShardedCorpus& operator=(ShardedCorpus&&) = default;
 
-  /// Partitions a finalized dataset: replays sources in id order and
-  /// triples/labels/observations in global id order, so the corpus's
-  /// global ids equal `full`'s TripleIds.
+  /// Partitions a finalized dataset: registers its sources in every shard
+  /// in id order and sends each triple (with its label and providers) to
+  /// the shard of its domain in global id order, so the corpus's global
+  /// ids equal `full`'s TripleIds.
   static StatusOr<ShardedCorpus> Partition(const Dataset& full,
                                            const ShardingOptions& options);
 
@@ -145,20 +135,13 @@ class ShardedCorpus {
 
   /// Reassembles a corpus from already-built shard datasets plus their
   /// local -> global id maps (warm start from a manifest). Validates that
-  /// the maps form a bijection onto [0, total) and that every shard's
-  /// source table matches shard 0's.
+  /// the maps form a bijection onto [0, total), increasing per shard, that
+  /// every shard's source table matches shard 0's, and that no triple is
+  /// held by two shards.
   static StatusOr<ShardedCorpus> FromShards(
       std::vector<std::unique_ptr<Dataset>> shards,
       const std::vector<std::vector<TripleId>>& local_to_global,
       const ShardingOptions& options);
-
-  // ---- Construction (before Finalize), mirroring Dataset ----
-
-  SourceId AddSource(std::string_view name);
-  TripleId AddTriple(const TripleView& triple, std::string_view domain = {});
-  void Provide(SourceId source, TripleId global);
-  void SetLabel(TripleId global, bool is_true);
-  Status Finalize();
 
   // ---- Topology ----
 
@@ -180,9 +163,6 @@ class ShardedCorpus {
     return single() ? local : local_to_global_[k][local];
   }
 
-  /// Global id of `triple`, or kInvalidTriple.
-  TripleId Find(const TripleView& triple) const;
-
   /// Immutable map view for a published snapshot; null at K=1 (identity).
   std::shared_ptr<const ShardMap> SnapshotMap() const {
     return single() ? nullptr : map_.Snapshot();
@@ -201,24 +181,25 @@ class ShardedCorpus {
   /// the batch itself introduces follow the triple to its shard.
   StatusOr<RoutedBatch> RouteBatch(const ObservationBatch& batch) const;
 
-  /// Extends the global index, the shard map, and the source table for a
-  /// routed batch the shards have applied. `deltas[k]` is shard k's
-  /// ApplyBatch delta (null for clean shards); the predicted new-triple
-  /// counts must match exactly or the corpus state is declared corrupt.
+  /// Extends the shard map and the source table for a routed batch the
+  /// shards have applied. `deltas[k]` is shard k's ApplyBatch delta (null
+  /// for clean shards); the predicted new-triple counts must match exactly
+  /// or the corpus state is declared corrupt.
   Status CommitRoute(const RoutedBatch& routed,
                      const std::vector<const DatasetDelta*>& deltas);
 
  private:
+  /// K empty shards; `options` must be valid (ValidateShardingOptions).
+  explicit ShardedCorpus(const ShardingOptions& options);
+
   bool single() const { return shards_.size() == 1; }
-  TripleId InternGlobal(std::string_view key, uint32_t shard, TripleId local);
+  /// Assigns the next global id to shard `shard`'s triple `local` (K>1).
+  void AppendGlobal(uint32_t shard, TripleId local);
   /// Registers shard 0's sources in source_index_.
   void IndexSources();
 
   ShardingOptions options_;
   std::vector<std::unique_ptr<Dataset>> shards_;
-  StringArena arena_;
-  /// Encoded triple key (arena-backed) -> global id. Empty at K=1.
-  std::unordered_map<std::string_view, TripleId> index_;
   ShardMapBuilder map_;  // empty at K=1
   /// Inverse of map_: local_to_global_[k][local] = global id. Empty at K=1.
   std::vector<std::vector<TripleId>> local_to_global_;

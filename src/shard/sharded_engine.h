@@ -34,7 +34,7 @@
 //
 // K=1 is the unsharded engine, not a special case of the router: the one
 // shard engine owns the whole corpus (ShardedCorpus adopts its Dataset
-// with no copy and no global index, so global ids are its ids), and
+// with no copy and no id map, so global ids are its ids), and
 // Prepare/Update/Run/PublishSnapshot go straight to it with no projection,
 // merge or gather. Every method runs, exact by construction,
 // and SaveSnapshot/WarmStart use the plain single-file snapshot format.

@@ -824,6 +824,164 @@ TEST(ShardedEngineTest, ValidatesShardingOptions) {
           .ok());
 }
 
+// Two distinct triples whose fields, joined by 0x1f, read the same bytes.
+// Each shard finds a triple through its own dictionary, which compares
+// field by field, so the router must keep them apart.
+const Triple kJoinedLeft{"a\x1f" "b", "c", "d"};
+const Triple kJoinedRight{"a", "b\x1f" "c", "d"};
+
+/// Two domain names that hash to different shards at `num_shards`, the
+/// first not to shard 0 (so a label, which probes the shards in order,
+/// finds its triples only past shard 0).
+std::pair<std::string, std::string> DomainsOnTwoShards(uint32_t num_shards) {
+  const ShardingOptions sharding{num_shards};
+  std::string first;
+  for (int i = 0;; ++i) {
+    std::string name = "collide-" + std::to_string(i);
+    const uint32_t shard = ShardOfDomain(name, sharding);
+    if (first.empty()) {
+      if (shard != 0) first = name;
+    } else if (shard != ShardOfDomain(first, sharding)) {
+      return {first, name};
+    }
+  }
+}
+
+/// Observations of `triple` in `domain` by two sources, plus its label.
+void AddObservedTriple(const Triple& triple, const std::string& domain,
+                       const char* source_a, const char* source_b,
+                       bool is_true, ObservationBatch* batch) {
+  batch->observations.push_back({source_a, triple, domain});
+  batch->observations.push_back({source_b, triple, domain});
+  batch->labels.push_back({triple, is_true});
+}
+
+TEST(ShardedCollisionTest, PartitionKeepsJoinedFieldCollisionsApart) {
+  for (uint32_t num_shards : {2u, 4u}) {
+    SCOPED_TRACE(num_shards);
+    Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/2301 + num_shards);
+    const auto [left_domain, right_domain] = DomainsOnTwoShards(num_shards);
+    ObservationBatch batch;
+    AddObservedTriple(kJoinedLeft, left_domain, "source-0", "source-1",
+                      /*is_true=*/true, &batch);
+    AddObservedTriple(kJoinedRight, right_domain, "source-1", "source-2",
+                      /*is_true=*/false, &batch);
+    DatasetDelta delta;
+    ASSERT_TRUE(ds.ApplyBatch(batch, &delta).ok());
+    ASSERT_EQ(delta.new_triples.size(), 2u);
+
+    const EngineOptions options = MakeOptions(Variant::kScoped);
+    FusionEngine reference(static_cast<const Dataset*>(&ds), options);
+    ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
+    auto expected = reference.RunAll(ShardableLineup());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+
+    auto engine = ShardedFusionEngine::Create(
+        ds, ShardingOptions{num_shards}, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+    auto runs = (*engine)->RunAll(ShardableLineup());
+    ASSERT_TRUE(runs.ok()) << runs.status();
+    ExpectRunsIdentical(*runs, *expected);
+
+    // The saved shards hold both triples, and warm start accepts them.
+    const std::string path =
+        TempPath("collision_k" + std::to_string(num_shards) + ".manifest");
+    ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+    auto warm = ShardedFusionEngine::WarmStart(path, options);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_EQ((*warm)->num_triples(), ds.num_triples());
+  }
+}
+
+TEST(ShardedCollisionTest, StreamedCollisionOnAnotherShardIsANewTriple) {
+  for (uint32_t num_shards : {2u, 4u}) {
+    SCOPED_TRACE(num_shards);
+    Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/2401 + num_shards);
+    const auto [left_domain, right_domain] = DomainsOnTwoShards(num_shards);
+    ObservationBatch first;
+    AddObservedTriple(kJoinedLeft, left_domain, "source-0", "source-1",
+                      /*is_true=*/true, &first);
+    DatasetDelta delta;
+    ASSERT_TRUE(ds.ApplyBatch(first, &delta).ok());
+
+    const EngineOptions options = MakeOptions(Variant::kScoped);
+    auto sharded =
+        ShardedFusionEngine::Create(ds, ShardingOptions{num_shards}, options);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    ASSERT_TRUE((*sharded)->Prepare(ds.labeled_mask()).ok());
+    FusionEngine unsharded(&ds, options);
+    ASSERT_TRUE(unsharded.Prepare(ds.labeled_mask()).ok());
+
+    ObservationBatch second;
+    AddObservedTriple(kJoinedRight, right_domain, "source-1", "source-2",
+                      /*is_true=*/false, &second);
+    // An existing triple observed under another shard's domain is found on
+    // its own shard (its first mention fixed the domain), and so is its
+    // relabel.
+    second.observations.push_back({"source-2", kJoinedLeft, right_domain});
+    second.labels.push_back({kJoinedLeft, false});
+    ASSERT_TRUE(unsharded.Update(second).ok());
+    Status updated = (*sharded)->Update(second);
+    ASSERT_TRUE(updated.ok()) << updated;
+    ExpectSameUpdatePolicy(**sharded, unsharded);
+    EXPECT_EQ((*sharded)->num_triples(), ds.num_triples());
+
+    auto streamed = (*sharded)->RunAll(ShardableLineup());
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    auto expected = unsharded.RunAll(ShardableLineup());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectRunsIdentical(*streamed, *expected);
+  }
+}
+
+/// A finalized one-source shard dataset providing `triples` in order.
+std::unique_ptr<Dataset> ShardOf(const std::vector<Triple>& triples) {
+  auto ds = std::make_unique<Dataset>();
+  ds->AddSource("s");
+  for (const Triple& triple : triples) ds->Provide(0, ds->AddTriple(triple));
+  EXPECT_TRUE(ds->Finalize(/*allow_empty=*/true).ok());
+  return ds;
+}
+
+StatusOr<ShardedCorpus> TwoShards(
+    const std::vector<Triple>& shard0, const std::vector<Triple>& shard1,
+    const std::vector<std::vector<TripleId>>& local_to_global) {
+  std::vector<std::unique_ptr<Dataset>> shards;
+  shards.push_back(ShardOf(shard0));
+  shards.push_back(ShardOf(shard1));
+  return ShardedCorpus::FromShards(std::move(shards), local_to_global,
+                                   ShardingOptions{2});
+}
+
+TEST(ShardedCorpusTest, FromShardsRejectsInconsistentShards) {
+  const Triple x{"x", "p", "o"};
+  const Triple y{"y", "p", "o"};
+  const Triple z{"z", "p", "o"};
+
+  auto valid = TwoShards({x, z}, {y}, {{0, 2}, {1}});
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  EXPECT_EQ(valid->num_triples(), 3u);
+  EXPECT_EQ(valid->Locate(1).shard, 1u);
+  EXPECT_EQ(valid->Locate(2).local, 1u);
+  EXPECT_EQ(valid->GlobalOf(0, 1), 2u);
+
+  // Triples that only collide once their fields are joined are distinct.
+  EXPECT_TRUE(TwoShards({kJoinedLeft}, {kJoinedRight}, {{0}, {1}}).ok());
+
+  // One triple held by two shards.
+  EXPECT_EQ(TwoShards({x, y}, {z, x}, {{0, 1}, {2, 3}}).status().code(),
+            StatusCode::kInvalidArgument);
+  // A map that is not a bijection onto [0, 3): id 1 twice, or out of range.
+  EXPECT_EQ(TwoShards({x, z}, {y}, {{0, 1}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TwoShards({x, z}, {y}, {{0, 3}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
+  // A bijection, but shard 0's map is not increasing.
+  EXPECT_EQ(TwoShards({x, z}, {y}, {{2, 0}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ShardMapTest, SnapshotSharesChunksAndRoutesExactly) {
   ShardMapBuilder builder;
   for (size_t i = 0; i < 3 * ShardMap::kChunkSize / 2; ++i) {
