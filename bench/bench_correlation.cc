@@ -107,7 +107,7 @@ ScaleResult RunScale(size_t num_sources, size_t universe, size_t sketch_size,
   Dataset ds = std::move(*dataset_or);
   std::vector<SourceId> all(ds.num_sources());
   for (SourceId s = 0; s < ds.num_sources(); ++s) all[s] = s;
-  const JointStatsOptions stats_options;
+  const QualityOptions stats_options;
 
   ScaleResult result;
   result.num_sources = ds.num_sources();

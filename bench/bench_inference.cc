@@ -276,7 +276,6 @@ int Main(int argc, char** argv) {
   ModelOptions model_options;
   model_options.use_scopes = true;
   model_options.enable_clustering = true;
-  const JointStatsOptions stats_options = model_options.ToJointStatsOptions();
   std::vector<SourceId> all_sources(dataset.num_sources());
   for (SourceId s = 0; s < dataset.num_sources(); ++s) all_sources[s] = s;
   const DynamicBitset& train = dataset.labeled_mask();
@@ -287,8 +286,7 @@ int Main(int argc, char** argv) {
       Status::Internal("unset");
   StatusOr<CorrelationModel> reference_model = Status::Internal("unset");
   const double model_quality_seconds = time_min([&] {
-    quality = EstimateSourceQuality(dataset, train,
-                                    model_options.ToQualityOptions());
+    quality = EstimateSourceQuality(dataset, train, model_options);
   });
   FUSER_CHECK(quality.ok()) << quality.status();
   const double model_pairwise_seconds = time_min([&] {
@@ -297,12 +295,12 @@ int Main(int argc, char** argv) {
     auto counts = ComputePairwiseCounts(*view, all_sources);
     FUSER_CHECK(counts.ok()) << counts.status();
     clustering = ClusterSourcesFromCounts(dataset.num_sources(), *counts,
-                                          stats_options,
+                                          model_options,
                                           model_options.clustering);
   });
   FUSER_CHECK(clustering.ok()) << clustering.status();
   const double model_joint_seconds = time_min([&] {
-    states = CountClusterPatterns(*view, clustering->clusters, stats_options,
+    states = CountClusterPatterns(*view, clustering->clusters, model_options,
                                   num_threads, &pool);
   });
   FUSER_CHECK(states.ok()) << states.status();

@@ -52,11 +52,6 @@ constexpr size_t kRounds = 7;
 /// A round repeats the whole workload until it has lasted this long.
 constexpr double kMinRoundSeconds = 0.2;
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 double PercentileUs(std::vector<double>* seconds, double p) {
   if (seconds->empty()) return 0.0;
   std::sort(seconds->begin(), seconds->end());
@@ -209,9 +204,9 @@ int Main(int argc, char** argv) {
     ratios.push_back(network_rounds.back() / inprocess_rounds.back());
   }
   clients.clear();
-  const double inprocess_qps = Median(inprocess_rounds);
-  const double network_qps = Median(network_rounds);
-  const double qps_ratio = Median(ratios);
+  const double inprocess_qps = bench::Median(inprocess_rounds);
+  const double network_qps = bench::Median(network_rounds);
+  const double qps_ratio = bench::Median(ratios);
 
   int total_mismatches = 0;
   for (int m : mismatches) total_mismatches += m;

@@ -9,13 +9,21 @@
 #ifndef FUSER_BENCH_BENCH_UTIL_H_
 #define FUSER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace fuser {
 namespace bench {
+
+/// The middle element of `values` (the upper one of an even count).
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 /// Builds one JSON object in insertion order; Print() writes it as one
 /// line to stdout. Nested objects open with Object(key) and end with

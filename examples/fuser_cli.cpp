@@ -511,9 +511,7 @@ int main(int argc, char** argv) {
                 dataset->num_labeled(), dataset->num_true());
     std::vector<SourceId> all(dataset->num_sources());
     std::iota(all.begin(), all.end(), 0);
-    JointStatsOptions stats;
-    stats.alpha = options.model.alpha;
-    stats.use_scopes = options.model.use_scopes;
+    const QualityOptions& stats = options.model;
 
     ApproxDiscoveryReport report;
     auto started = std::chrono::steady_clock::now();

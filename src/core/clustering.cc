@@ -66,7 +66,7 @@ SourceClustering PartitionFromSets(size_t n, DisjointSets* sets) {
 
 StatusOr<SourceClustering> ClusterSourcesByCorrelation(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const JointStatsOptions& stats_options, const ClusteringOptions& options) {
+    const QualityOptions& stats_options, const ClusteringOptions& options) {
   if (options.max_cluster_size == 0 || options.max_cluster_size > 64) {
     return Status::InvalidArgument("max_cluster_size must be in [1, 64]");
   }
@@ -86,7 +86,7 @@ StatusOr<SourceClustering> ClusterSourcesByCorrelation(
 
 StatusOr<SourceClustering> ClusterSourcesFromCounts(
     size_t num_sources, const PairwiseCounts& counts,
-    const JointStatsOptions& stats_options, const ClusteringOptions& options) {
+    const QualityOptions& stats_options, const ClusteringOptions& options) {
   FUSER_ASSIGN_OR_RETURN(std::vector<PairwiseCorrelation> pairs,
                          PairwiseCorrelationsFromCounts(counts, stats_options));
   return ClusterSourcesFromPairs(num_sources, pairs, options);

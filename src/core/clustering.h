@@ -54,7 +54,7 @@ struct SourceClustering {
 /// Clusters sources by pairwise correlation strength.
 StatusOr<SourceClustering> ClusterSourcesByCorrelation(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const JointStatsOptions& stats_options, const ClusteringOptions& options);
+    const QualityOptions& stats_options, const ClusteringOptions& options);
 
 /// The edge-building + union-find half of ClusterSourcesByCorrelation,
 /// operating on already-computed pairwise correlations (exact or merged
@@ -69,7 +69,7 @@ StatusOr<SourceClustering> ClusterSourcesFromPairs(
 /// counts (one view's, or merged from shard-local views).
 StatusOr<SourceClustering> ClusterSourcesFromCounts(
     size_t num_sources, const PairwiseCounts& counts,
-    const JointStatsOptions& stats_options, const ClusteringOptions& options);
+    const QualityOptions& stats_options, const ClusteringOptions& options);
 
 /// A single cluster holding every one of `num_sources` sources (requires
 /// <= 64 sources); used when clustering is disabled.

@@ -33,34 +33,31 @@ AggressiveFactors ComputeAggressiveFactors(const JointStatsProvider& stats) {
 
 namespace {
 
-/// Marginals from per-source class counts: the one copy of the r_i / q_i
-/// arithmetic, shared by the exact and sketch paths.
+/// Marginals from per-source class counts, shared by the exact and sketch
+/// paths.
 PairwiseMarginals MarginalsFromCounts(const std::vector<SourceId>& sources,
                                       size_t total_true,
                                       const std::vector<size_t>& true_count,
                                       const std::vector<size_t>& false_count,
-                                      const JointStatsOptions& options) {
-  // r_X = |O_X ∩ true ∩ train| / |true ∩ train| and the count-level
-  // Theorem 3.5 form for q. Scope-restricted denominators are deliberately
-  // not used here (pairwise factors are a screening heuristic); the
-  // per-cluster joint statistics built afterwards honor scopes.
+                                      const QualityOptions& options) {
+  // r_X and q_X over every true training triple. Scope-restricted
+  // denominators are deliberately not used here (pairwise factors are a
+  // screening heuristic); the per-cluster joint statistics built afterwards
+  // honor scopes.
   PairwiseMarginals marginals;
   marginals.sources = sources;
   marginals.total_true = static_cast<double>(total_true);
-  marginals.alpha_odds = options.alpha / (1.0 - options.alpha);
-  marginals.smoothing = options.smoothing;
-  const double s = options.smoothing;
+  marginals.options = options;
   const size_t n = sources.size();
   marginals.r.resize(n);
   marginals.q.resize(n);
   marginals.labeled_count.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    double nt = static_cast<double>(true_count[i]);
-    double nf = static_cast<double>(false_count[i]);
-    double den = marginals.total_true + 2.0 * s;
-    marginals.r[i] = den > 0.0 ? (nt + s) / den : 0.0;
-    marginals.q[i] =
-        den > 0.0 ? std::min(marginals.alpha_odds * (nf + s) / den, 1.0) : 0.0;
+    const JointQuality quality = QualityFromCounts(
+        static_cast<double>(true_count[i]),
+        static_cast<double>(false_count[i]), marginals.total_true, options);
+    marginals.r[i] = quality.recall;
+    marginals.q[i] = quality.fpr;
     marginals.labeled_count[i] = true_count[i] + false_count[i];
   }
   return marginals;
@@ -70,10 +67,11 @@ PairwiseMarginals MarginalsFromCounts(const std::vector<SourceId>& sources,
 
 StatusOr<PairwiseMarginals> ComputePairwiseMarginals(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options) {
+    const std::vector<SourceId>& sources, const QualityOptions& options) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options));
   DynamicBitset train_true = dataset.true_mask();
   train_true.AndWith(train_mask);
   DynamicBitset train_false = dataset.labeled_mask();
@@ -97,19 +95,15 @@ PairwiseCorrelation MakePairwiseCorrelation(const PairwiseMarginals& marginals,
                                             double joint_true,
                                             double joint_false) {
   const double total_true = marginals.total_true;
-  const double alpha_odds = marginals.alpha_odds;
-  const double s = marginals.smoothing;
   const std::vector<double>& r = marginals.r;
   const std::vector<double>& q = marginals.q;
-  double den = total_true + 2.0 * s;
-  double r_ab = den > 0.0 ? (joint_true + s) / den : 0.0;
-  double q_ab =
-      den > 0.0 ? std::min(alpha_odds * (joint_false + s) / den, 1.0) : 0.0;
+  const JointQuality joint =
+      QualityFromCounts(joint_true, joint_false, total_true, marginals.options);
   PairwiseCorrelation corr;
   corr.a = marginals.sources[a];
   corr.b = marginals.sources[b];
-  corr.factors.on_true = r[a] * r[b] > 0.0 ? r_ab / (r[a] * r[b]) : 1.0;
-  corr.factors.on_false = q[a] * q[b] > 0.0 ? q_ab / (q[a] * q[b]) : 1.0;
+  corr.factors.on_true = r[a] * r[b] > 0.0 ? joint.recall / (r[a] * r[b]) : 1.0;
+  corr.factors.on_false = q[a] * q[b] > 0.0 ? joint.fpr / (q[a] * q[b]) : 1.0;
   // Evidence strength: the smaller side's labeled output bounds how
   // much overlap could have been observed (anti-correlated pairs have
   // zero joint count by construction, so joint size is unusable here).
@@ -118,6 +112,8 @@ PairwiseCorrelation MakePairwiseCorrelation(const PairwiseMarginals& marginals,
   corr.joint_true_count = static_cast<size_t>(joint_true);
   corr.joint_false_count = static_cast<size_t>(joint_false);
   corr.indep_true_count = r[a] * r[b] * total_true;
+  const double alpha_odds =
+      marginals.options.alpha / (1.0 - marginals.options.alpha);
   corr.indep_false_count =
       total_true > 0.0 ? q[a] * q[b] * total_true / alpha_odds : 0.0;
   return corr;
@@ -176,7 +172,8 @@ Status MergePairwiseCounts(PairwiseCounts* into, const PairwiseCounts& from) {
 }
 
 StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
-    const PairwiseCounts& counts, const JointStatsOptions& options) {
+    const PairwiseCounts& counts, const QualityOptions& options) {
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options));
   const size_t n = counts.sources.size();
   if (counts.true_count.size() != n || counts.false_count.size() != n ||
       counts.joint_true.size() != n * (n - 1) / 2 ||
@@ -201,7 +198,7 @@ StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
 
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options) {
+    const std::vector<SourceId>& sources, const QualityOptions& options) {
   FUSER_ASSIGN_OR_RETURN(TrainingView view,
                          BuildTrainingView(dataset, train_mask));
   FUSER_ASSIGN_OR_RETURN(PairwiseCounts counts,

@@ -66,13 +66,14 @@ struct PairwiseCorrelation {
 /// estimator in stats/correlation_sketch.h.
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options);
+    const std::vector<SourceId>& sources, const QualityOptions& options);
 
 /// The per-source (linear-cost) half of pairwise discovery: the marginal
-/// rates r_i (recall) and q_i (Theorem 3.5 count-form fpr) every pair's
-/// factors divide by. The exact path derives them from PairwiseCounts; the
-/// sketch estimator from the dataset (ComputePairwiseMarginals), keeping
-/// the class masks its few exact rescores AND-count against.
+/// rates r_i (recall) and q_i (fpr) every pair's factors divide by, from
+/// QualityFromCounts over all true training triples (no scopes). The exact
+/// path derives them from PairwiseCounts; the sketch estimator from the
+/// dataset (ComputePairwiseMarginals), keeping the class masks its few
+/// exact rescores AND-count against.
 struct PairwiseMarginals {
   /// The sources the marginals were computed for (global ids; indices
   /// below are positions in this vector).
@@ -80,8 +81,8 @@ struct PairwiseMarginals {
   DynamicBitset train_true;   // true ∩ train (sketch path only)
   DynamicBitset train_false;  // labeled ∩ train ∩ ~true (sketch path only)
   double total_true = 0.0;    // |true ∩ train|
-  double alpha_odds = 1.0;    // alpha / (1 - alpha)
-  double smoothing = 0.0;
+  /// Alpha and smoothing of every rate (use_scopes is not consulted).
+  QualityOptions options;
   std::vector<double> r;  // marginal recall per source
   std::vector<double> q;  // marginal fpr per source
   /// The source's labeled training output size.
@@ -90,7 +91,7 @@ struct PairwiseMarginals {
 
 StatusOr<PairwiseMarginals> ComputePairwiseMarginals(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options);
+    const std::vector<SourceId>& sources, const QualityOptions& options);
 
 /// Assembles one PairwiseCorrelation from marginals and joint counts
 /// (exact or sketch-estimated) for the pair at positions (a, b) of
@@ -126,7 +127,7 @@ Status MergePairwiseCounts(PairwiseCounts* into, const PairwiseCounts& from);
 
 /// The pairwise correlations of (merged) integer counts.
 StatusOr<std::vector<PairwiseCorrelation>> PairwiseCorrelationsFromCounts(
-    const PairwiseCounts& counts, const JointStatsOptions& options);
+    const PairwiseCounts& counts, const QualityOptions& options);
 
 }  // namespace fuser
 

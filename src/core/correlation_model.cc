@@ -45,14 +45,13 @@ StatusOr<CorrelationModel> BuildCorrelationModel(
   model.use_scopes = options.use_scopes;
   model.source_quality = std::move(quality);
 
-  const JointStatsOptions stats_options = options.ToJointStatsOptions();
   if (!options.enable_clustering) {
     FUSER_ASSIGN_OR_RETURN(model.clustering, SingleClusterOf(num_sources));
   } else if (sketch) {
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
-        ClusterSourcesByCorrelation(*parts[0].dataset, *parts[0].train,
-                                    stats_options, options.clustering));
+        ClusterSourcesByCorrelation(*parts[0].dataset, *parts[0].train, options,
+                                    options.clustering));
   } else {
     std::vector<SourceId> all(num_sources);
     std::iota(all.begin(), all.end(), SourceId{0});
@@ -65,7 +64,7 @@ StatusOr<CorrelationModel> BuildCorrelationModel(
     }
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
-        ClusterSourcesFromCounts(num_sources, counts, stats_options,
+        ClusterSourcesFromCounts(num_sources, counts, options,
                                  options.clustering));
   }
 
@@ -75,7 +74,7 @@ StatusOr<CorrelationModel> BuildCorrelationModel(
   for (const TrainingView& view : views) {
     FUSER_ASSIGN_OR_RETURN(
         std::vector<EmpiricalJointStatsState> states,
-        CountClusterPatterns(view, model.clustering.clusters, stats_options,
+        CountClusterPatterns(view, model.clustering.clusters, options,
                              num_threads, pool));
     part_states.push_back(std::move(states));
   }

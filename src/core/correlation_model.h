@@ -5,8 +5,8 @@
 // Built from training data by BuildCorrelationModel, or assembled manually
 // (e.g., with ExplicitJointStats) when the parameters are known, as in the
 // paper's worked examples. An empirical cluster's statistics are a pure
-// function of its training pattern counts and the one ModelOptions the
-// engine runs under (ToJointStatsOptions): the model builder (for the
+// function of its training pattern counts and the QualityOptions part of
+// the one ModelOptions the engine runs under: the model builder (for the
 // engine and the sharded router alike) and the snapshot decoder take
 // alpha, smoothing and scopes from there, so no cluster carries options of
 // its own.
@@ -26,25 +26,13 @@
 
 namespace fuser {
 
-struct ModelOptions {
-  /// A priori probability Pr(t) = alpha (Section 3.1).
-  double alpha = 0.5;
-  /// Laplace smoothing for all count-based estimates.
-  double smoothing = 0.0;
-  /// Count a source's silence about t only when t's domain is in the
-  /// source's scope (Section 2.1/2.2).
-  bool use_scopes = false;
+/// Alpha, smoothing and scopes (the QualityOptions every estimate of the
+/// model runs under), plus the clustering switches.
+struct ModelOptions : QualityOptions {
   /// Partition sources into correlation clusters; mandatory when there are
   /// more than 64 sources. With false, all sources form one cluster.
   bool enable_clustering = false;
   ClusteringOptions clustering;
-
-  QualityOptions ToQualityOptions() const {
-    return {alpha, smoothing, use_scopes};
-  }
-  JointStatsOptions ToJointStatsOptions() const {
-    return {alpha, smoothing, use_scopes};
-  }
 };
 
 struct CorrelationModel {

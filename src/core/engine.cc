@@ -66,8 +66,7 @@ Status FusionEngine::Prepare(const DynamicBitset& train_mask) {
   FUSER_RETURN_IF_ERROR(ValidateEngineOptions(options_));
   train_mask_ = train_mask;
   FUSER_ASSIGN_OR_RETURN(
-      quality_, EstimateSourceQuality(*dataset_, train_mask_,
-                                      options_.model.ToQualityOptions()));
+      quality_, EstimateSourceQuality(*dataset_, train_mask_, options_.model));
   // Unreference (not destroy): snapshots pinned by readers keep the old
   // model/grouping alive and consistent; the engine rebuilds lazily.
   model_ = nullptr;
@@ -438,8 +437,7 @@ StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
   // Source quality is one cheap bitset pass; recomputing it is exact.
   FUSER_ASSIGN_OR_RETURN(
       result.shard_quality,
-      EstimateSourceQuality(*dataset_, train_mask_,
-                            options_.model.ToQualityOptions()));
+      EstimateSourceQuality(*dataset_, train_mask_, options_.model));
 
   result.training_changed = !delta.label_changes.empty();
   if (!result.training_changed) {

@@ -1,6 +1,5 @@
 #include "core/fusion_method.h"
 
-#include <cmath>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -46,13 +45,12 @@ const MethodInfo* FindMethod(MethodKind kind) {
 }
 
 Status ValidateEngineOptions(const EngineOptions& options) {
-  const double alpha = options.model.alpha;
-  if (!(alpha > 0.0 && alpha < 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0,1)");
-  }
-  const double smoothing = options.model.smoothing;
-  if (!std::isfinite(smoothing) || smoothing < 0.0) {
-    return Status::InvalidArgument("smoothing must be finite and >= 0");
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options.model));
+  const bool scopes = options.model.use_scopes;
+  if (options.three_estimates.use_scopes != scopes ||
+      options.cosine.use_scopes != scopes || options.ltm.use_scopes != scopes) {
+    return Status::InvalidArgument(
+        "baseline use_scopes must equal model.use_scopes");
   }
   const double threshold = options.decision_threshold;
   if (!(threshold >= 0.0 && threshold <= 1.0)) {
@@ -152,13 +150,9 @@ StatusOr<std::vector<double>> ScoreMethod(const MethodContext& context,
       return CosineScores(dataset, options.cosine);
     case MethodKind::kLtm:
       return LtmScores(dataset, options.ltm);
-    case MethodKind::kPrecRec: {
-      PrecRecOptions precrec_options;
-      precrec_options.alpha = options.model.alpha;
-      precrec_options.use_scopes = options.model.use_scopes;
-      return PrecRecScores(dataset, *context.quality, precrec_options,
+    case MethodKind::kPrecRec:
+      return PrecRecScores(dataset, *context.quality, options.model,
                            context.num_threads, context.pool);
-    }
     case MethodKind::kAggressive:
       return AggressiveScores(dataset, *context.model, context.num_threads,
                               context.pool);

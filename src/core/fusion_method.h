@@ -74,10 +74,12 @@ struct EngineOptions {
   PrecRecCorrOptions corr;
 };
 
-/// Rejects options no engine may run under: alpha outside (0, 1), a
-/// negative or non-finite smoothing, or a decision threshold outside
-/// [0, 1]. FusionEngine::Prepare and the snapshot decoder both apply it,
-/// so an engine never saves a file it cannot load.
+/// Rejects options no engine may run under: model options that fail
+/// ValidateQualityOptions, a baseline whose use_scopes differs from the
+/// model's (FusionEngine's constructor makes them agree), or a decision
+/// threshold outside [0, 1]. FusionEngine::Prepare and the snapshot
+/// decoder both apply it, so an engine never saves a file it cannot load
+/// and never loads one it could not have saved.
 Status ValidateEngineOptions(const EngineOptions& options);
 
 /// Everything a method may need to score a dataset. The engine populates

@@ -9,21 +9,6 @@
 
 namespace fuser {
 
-namespace {
-
-/// q = alpha/(1-alpha) * (num_false + s) / (den_true + 2s), the count-level
-/// form of Theorem 3.5 (identical to deriving from smoothed p and r, but
-/// well-defined when no provided triple is true).
-double FprFromCounts(double num_false, double den_true, double smoothing,
-                     double alpha) {
-  double denom = den_true + 2.0 * smoothing;
-  if (denom <= 0.0) return 0.0;
-  double q = alpha / (1.0 - alpha) * (num_false + smoothing) / denom;
-  return std::clamp(q, 0.0, 1.0);
-}
-
-}  // namespace
-
 Status JointStatsProvider::ScoreAllPatterns(
     const std::vector<PatternQuery>& queries, bool calibrated,
     std::vector<std::pair<double, double>>* out) const {
@@ -84,13 +69,8 @@ void CountSection(const TrainingView& view,
 StatusOr<std::vector<EmpiricalJointStatsState>> CountClusterPatterns(
     const TrainingView& view,
     const std::vector<std::vector<SourceId>>& clusters,
-    const JointStatsOptions& options, size_t num_threads, ThreadPool* pool) {
-  if (options.alpha <= 0.0 || options.alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in (0,1)");
-  }
-  if (options.smoothing < 0.0) {
-    return Status::InvalidArgument("smoothing must be >= 0");
-  }
+    const QualityOptions& options, size_t num_threads, ThreadPool* pool) {
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options));
   for (const std::vector<SourceId>& cluster : clusters) {
     if (cluster.empty() || cluster.size() > 64) {
       return Status::InvalidArgument("cluster must have 1..64 sources");
@@ -136,7 +116,7 @@ StatusOr<std::vector<EmpiricalJointStatsState>> CountClusterPatterns(
 StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::Create(
     const Dataset& dataset, const DynamicBitset& train_mask,
     const std::vector<SourceId>& cluster_sources,
-    const JointStatsOptions& options) {
+    const QualityOptions& options) {
   FUSER_ASSIGN_OR_RETURN(TrainingView view,
                          BuildTrainingView(dataset, train_mask));
   FUSER_ASSIGN_OR_RETURN(
@@ -277,12 +257,7 @@ StatusOr<std::unique_ptr<EmpiricalJointStats>> EmpiricalJointStats::FromState(
   if (state.k < 1 || state.k > 64) {
     return Status::InvalidArgument("joint stats state: k must be in [1, 64]");
   }
-  if (state.options.alpha <= 0.0 || state.options.alpha >= 1.0) {
-    return Status::InvalidArgument("joint stats state: alpha not in (0,1)");
-  }
-  if (state.options.smoothing < 0.0) {
-    return Status::InvalidArgument("joint stats state: negative smoothing");
-  }
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(state.options));
   auto stats = std::unique_ptr<EmpiricalJointStats>(new EmpiricalJointStats());
   stats->k_ = state.k;
   stats->options_ = state.options;
@@ -403,20 +378,9 @@ JointQuality EmpiricalJointStats::Get(Mask subset) const {
     return {options_.alpha, 1.0, 1.0};
   }
   const Counts counts = ComputeCounts(subset);
-  const double s = options_.smoothing;
-  const double nt = static_cast<double>(counts.num_true);
-  const double nf = static_cast<double>(counts.num_false);
-  const double den = static_cast<double>(counts.den_true);
-
-  JointQuality quality;
-  if (nt + nf == 0.0 && s == 0.0) {
-    quality.precision = options_.alpha;  // no evidence: fall back to prior
-  } else {
-    quality.precision = (nt + s) / (nt + nf + 2.0 * s);
-  }
-  quality.recall = (den + 2.0 * s) > 0.0 ? (nt + s) / (den + 2.0 * s) : 0.0;
-  quality.fpr = FprFromCounts(nf, den, s, options_.alpha);
-  return quality;
+  return QualityFromCounts(static_cast<double>(counts.num_true),
+                           static_cast<double>(counts.num_false),
+                           static_cast<double>(counts.den_true), options_);
 }
 
 Status EmpiricalJointStats::CheckDirectQuery(bool calibrated) const {

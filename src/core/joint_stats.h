@@ -7,6 +7,8 @@
 // Theorem 3.5, which for empirical counts reduces to
 //   q_{S*} = alpha/(1-alpha) * |false triples provided by all of S*| /
 //            |true triples|.
+// EmpiricalJointStats computes all three with QualityFromCounts
+// (core/quality.h), the arithmetic of a single source's quality.
 //
 // Subsets live inside a correlation *cluster* of at most 64 sources and are
 // represented as bit masks over cluster-local indices.
@@ -38,13 +40,6 @@
 #include "model/dataset.h"
 
 namespace fuser {
-
-/// Joint quality of a subset of sources.
-struct JointQuality {
-  double precision = 0.0;
-  double recall = 0.0;
-  double fpr = 0.0;
-};
 
 /// One streamed change to the empirical pattern counts of a cluster: the
 /// cluster-local (providers, scope) observation pattern of a training
@@ -146,12 +141,6 @@ class JointStatsProvider {
   }
 };
 
-struct JointStatsOptions {
-  double alpha = 0.5;
-  double smoothing = 0.0;
-  bool use_scopes = false;
-};
-
 /// An EmpiricalJointStats provider over at most this many sources keeps
 /// sum-over-supersets tables (3 x 2^k uint32 entries, at most 12 MiB) for
 /// O(1) subset lookups; a wider one scans its pattern lists per lookup.
@@ -173,7 +162,7 @@ struct EmpiricalJointStatsState {
     uint32_t count = 0;
   };
   int k = 0;
-  JointStatsOptions options;
+  QualityOptions options;
   uint64_t total_true = 0;
   uint64_t total_false = 0;
   std::vector<PatternCount> true_patterns;
@@ -197,7 +186,7 @@ struct MaskPairHash {
 StatusOr<std::vector<EmpiricalJointStatsState>> CountClusterPatterns(
     const TrainingView& view,
     const std::vector<std::vector<SourceId>>& clusters,
-    const JointStatsOptions& options, size_t num_threads = 1,
+    const QualityOptions& options, size_t num_threads = 1,
     ThreadPool* pool = nullptr);
 
 /// Merges per-partition states into one: counts of identical
@@ -217,7 +206,7 @@ class EmpiricalJointStats : public JointStatsProvider {
   static StatusOr<std::unique_ptr<EmpiricalJointStats>> Create(
       const Dataset& dataset, const DynamicBitset& train_mask,
       const std::vector<SourceId>& cluster_sources,
-      const JointStatsOptions& options);
+      const QualityOptions& options);
 
   int num_sources() const override { return k_; }
   double alpha() const override { return options_.alpha; }
@@ -295,7 +284,7 @@ class EmpiricalJointStats : public JointStatsProvider {
   void AddToTables(const Pattern& pattern, bool is_true, int count_delta);
 
   int k_ = 0;
-  JointStatsOptions options_;
+  QualityOptions options_;
   std::vector<Pattern> true_patterns_;
   std::vector<Pattern> false_patterns_;
   size_t total_true_ = 0;

@@ -172,16 +172,14 @@ std::vector<double> IndependentSourceScores(
 
 StatusOr<std::vector<double>> PrecRecScores(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options, size_t num_threads, ThreadPool* pool) {
+    const QualityOptions& options, size_t num_threads, ThreadPool* pool) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }
   if (quality.size() != dataset.num_sources()) {
     return Status::InvalidArgument("quality size != num_sources");
   }
-  if (options.alpha <= 0.0 || options.alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in (0,1)");
-  }
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options));
 
   const size_t n = dataset.num_sources();
   std::vector<double> log_provide(n);

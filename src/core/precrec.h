@@ -18,18 +18,14 @@ namespace fuser {
 
 class ThreadPool;
 
-struct PrecRecOptions {
-  double alpha = 0.5;
-  bool use_scopes = false;
-};
-
 /// Scores every triple of `dataset` with its correctness probability under
-/// the independence assumption. `quality` is indexed by SourceId. Triples
+/// the independence assumption, with `options`' alpha and scopes (its
+/// smoothing went into `quality`). `quality` is indexed by SourceId. Triples
 /// are scored across `num_threads` workers (0 = one per hardware thread),
 /// optionally on `pool` (IndependentSourceScores).
 StatusOr<std::vector<double>> PrecRecScores(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options, size_t num_threads = 1,
+    const QualityOptions& options, size_t num_threads = 1,
     ThreadPool* pool = nullptr);
 
 /// The independent-sources product shared by PrecRec and the aggressive

@@ -1,6 +1,7 @@
 #include "core/quality.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -146,39 +147,27 @@ StatusOr<std::vector<SourceQuality>> EstimateSourceQuality(
   return result;
 }
 
-Status FinalizeQualityFromCounts(const QualityOptions& options,
-                                 std::vector<SourceQuality>* quality) {
-  if (options.alpha <= 0.0 || options.alpha >= 1.0) {
+Status ValidateQualityOptions(const QualityOptions& options) {
+  if (!(options.alpha > 0.0 && options.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must be in (0,1)");
   }
-  if (options.smoothing < 0.0) {
-    return Status::InvalidArgument("smoothing must be >= 0");
+  if (!std::isfinite(options.smoothing) || options.smoothing < 0.0) {
+    return Status::InvalidArgument("smoothing must be finite and >= 0");
   }
-  const double s = options.smoothing;
+  return Status::OK();
+}
+
+Status FinalizeQualityFromCounts(const QualityOptions& options,
+                                 std::vector<SourceQuality>* quality) {
+  FUSER_RETURN_IF_ERROR(ValidateQualityOptions(options));
   for (SourceQuality& sq : *quality) {
-    sq.precision = (static_cast<double>(sq.provided_true) + s) /
-                   (static_cast<double>(sq.provided_labeled) + 2.0 * s);
-    sq.recall = (static_cast<double>(sq.provided_true) + s) /
-                (static_cast<double>(sq.scope_true) + 2.0 * s);
-    if (sq.provided_labeled == 0 && s == 0.0) {
-      // Source provides no labeled triple: quality unknown; fall back to an
-      // uninformative prior so downstream ratios are neutral.
-      sq.precision = options.alpha;
-      sq.recall = 0.0;
-    }
-    if (sq.scope_true == 0 && s == 0.0) {
-      sq.recall = 0.0;
-    }
-    // Count-level form of Theorem 3.5: q = a/(1-a) * (1-p)/p * r =
-    // a/(1-a) * num_false / den_true. Equivalent to deriving from p and r
-    // but well-defined when the source provides no true triple.
-    double num_false =
-        static_cast<double>(sq.provided_labeled - sq.provided_true);
-    double den = static_cast<double>(sq.scope_true) + 2.0 * s;
-    sq.fpr = den > 0.0 ? std::clamp(options.alpha / (1.0 - options.alpha) *
-                                        (num_false + s) / den,
-                                    0.0, 1.0)
-                       : 0.0;
+    const JointQuality q = QualityFromCounts(
+        static_cast<double>(sq.provided_true),
+        static_cast<double>(sq.provided_labeled - sq.provided_true),
+        static_cast<double>(sq.scope_true), options);
+    sq.precision = q.precision;
+    sq.recall = q.recall;
+    sq.fpr = q.fpr;
   }
   return Status::OK();
 }

@@ -8,10 +8,16 @@
 //   q = alpha/(1-alpha) * (1-p)/p * r
 //
 // rather than counted directly, so that the estimate is not biased by the
-// quality of the other sources (Example 3.4).
+// quality of the other sources (Example 3.4). The joint quality of a set
+// of sources (Section 4) is the same estimate over the triples they all
+// provide. QualityFromCounts is the one copy of that arithmetic: the
+// per-source estimate, the joint statistics of a cluster and the pairwise
+// correlation screen all call it, under the one QualityOptions record
+// that ValidateQualityOptions checks.
 #ifndef FUSER_CORE_QUALITY_H_
 #define FUSER_CORE_QUALITY_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bitset.h"
@@ -39,6 +45,15 @@ struct SourceQuality {
   bool IsGood() const { return recall > fpr; }
 };
 
+/// Joint quality of a subset of sources (one source: its own quality).
+struct JointQuality {
+  double precision = 0.0;
+  double recall = 0.0;
+  double fpr = 0.0;
+};
+
+/// The parameters of every count-based estimate. ModelOptions extends this
+/// record, so the engine's model options are these.
 struct QualityOptions {
   /// A priori probability that a triple is true (Pr(t) = alpha).
   double alpha = 0.5;
@@ -46,9 +61,40 @@ struct QualityOptions {
   /// the paper's direct ratios.
   double smoothing = 0.0;
   /// When true, a source's recall denominator counts only true triples in
-  /// domains the source covers ("scope" of its input, Section 2.2).
+  /// domains the source covers ("scope" of its input, Section 2.2), and its
+  /// silence about t counts only when t's domain is in its scope.
   bool use_scopes = false;
 };
+
+/// Rejects options no estimate may run under: alpha outside (0, 1) or a
+/// negative or non-finite smoothing (NaN fails both).
+Status ValidateQualityOptions(const QualityOptions& options);
+
+/// Theorem 3.5 over training counts: `num_true` and `num_false` true and
+/// false training triples provided (by the source, or by every source of a
+/// set), `scope_true` true training triples in scope. Precision and recall
+/// are (smoothed) ratios; fpr is the count-level form
+///   q = alpha/(1-alpha) * (num_false + s) / (scope_true + 2s),
+/// equal to deriving it from p and r but defined when no provided triple
+/// is true, and clamped to [0, 1]. Without smoothing, no provided triple
+/// gives precision alpha (an uninformative prior) and no true triple in
+/// scope gives recall and fpr 0.
+inline JointQuality QualityFromCounts(double num_true, double num_false,
+                                      double scope_true,
+                                      const QualityOptions& options) {
+  const double s = options.smoothing;
+  const double den = scope_true + 2.0 * s;
+  JointQuality quality;
+  quality.precision = num_true + num_false == 0.0 && s == 0.0
+                          ? options.alpha
+                          : (num_true + s) / (num_true + num_false + 2.0 * s);
+  quality.recall = den > 0.0 ? (num_true + s) / den : 0.0;
+  quality.fpr = den > 0.0 ? std::clamp(options.alpha / (1.0 - options.alpha) *
+                                           (num_false + s) / den,
+                                       0.0, 1.0)
+                          : 0.0;
+  return quality;
+}
 
 /// The training triples (train ∩ labeled) in one compact layout that the
 /// model-building steps read instead of the full-corpus bitsets: pairwise

@@ -446,7 +446,7 @@ StatusOr<std::shared_ptr<const CorrelationModel>> DecodeModelSection(
     if (state.k != static_cast<int>(cluster.size())) {
       return Corrupt("cluster stats width disagrees with cluster size");
     }
-    state.options = options.ToJointStatsOptions();
+    state.options = options;
     StatusOr<std::unique_ptr<EmpiricalJointStats>> stats =
         EmpiricalJointStats::FromState(state);
     if (!stats.ok()) {

@@ -73,8 +73,7 @@ Status ShardedFusionEngine::MergeQuality() {
   for (size_t k = 1; k < shard_quality_.size(); ++k) {
     FUSER_RETURN_IF_ERROR(MergeQualityCounts(&merged, shard_quality_[k]));
   }
-  FUSER_RETURN_IF_ERROR(
-      FinalizeQualityFromCounts(options_.model.ToQualityOptions(), &merged));
+  FUSER_RETURN_IF_ERROR(FinalizeQualityFromCounts(options_.model, &merged));
   quality_ = std::move(merged);
   return Status::OK();
 }
@@ -548,7 +547,7 @@ StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
           engine->shard_quality_[k],
           EstimateSourceQuality(engine->corpus_.shard(k),
                                 engine->engines_[k]->train_mask(),
-                                engine->options_.model.ToQualityOptions()));
+                                engine->options_.model));
     }
     FUSER_RETURN_IF_ERROR(engine->MergeQuality());
 

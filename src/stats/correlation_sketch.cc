@@ -121,7 +121,7 @@ size_t CorrelationSketch::JointCount(const AlignedWordVector& bits,
 
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelationsApprox(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options,
+    const std::vector<SourceId>& sources, const QualityOptions& options,
     const ApproxOptions& approx, ApproxDiscoveryReport* report) {
   if (approx.sketch_size == 0) {
     return Status::InvalidArgument("sketch_size must be > 0");

@@ -164,7 +164,7 @@ struct ApproxDiscoveryReport {
 /// sizes and the effective error bound.
 StatusOr<std::vector<PairwiseCorrelation>> ComputePairwiseCorrelationsApprox(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options,
+    const std::vector<SourceId>& sources, const QualityOptions& options,
     const ApproxOptions& approx, ApproxDiscoveryReport* report = nullptr);
 
 /// Discovery report: the pairs with the most extreme factors, ranked for

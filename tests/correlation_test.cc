@@ -114,15 +114,14 @@ TEST(PairwiseCorrelationTest, CountsPathIsBitIdenticalToBitsetReference) {
     ASSERT_TRUE(d.ok()) << d.status();
     DynamicBitset subset(d->num_triples());
     for (TripleId t = 0; t < d->num_triples(); t += 2) subset.Set(t);
-    JointStatsOptions smoothed;
+    QualityOptions smoothed;
     smoothed.alpha = 0.3;
     smoothed.smoothing = 0.5;
     for (const DynamicBitset& train :
          std::vector<DynamicBitset>{d->labeled_mask(), subset}) {
       for (const std::vector<SourceId>& sources :
            {AllSources(*d), std::vector<SourceId>{7, 2, 5}}) {
-        for (const JointStatsOptions& options :
-             {JointStatsOptions{}, smoothed}) {
+        for (const QualityOptions& options : {QualityOptions{}, smoothed}) {
           auto got =
               ComputePairwiseCorrelations(*d, train, sources, options);
           auto want =
@@ -217,7 +216,7 @@ TEST(PairwiseCorrelationTest, ZeroRecallSourceGetsNeutralTrueFactor) {
   config.sources[2].recall = 0.0;
   auto d = GenerateSynthetic(config);
   ASSERT_TRUE(d.ok());
-  JointStatsOptions no_smoothing;
+  QualityOptions no_smoothing;
   no_smoothing.smoothing = 0.0;
   auto pairs = ComputePairwiseCorrelations(*d, d->labeled_mask(),
                                            AllSources(*d), no_smoothing);

@@ -55,14 +55,11 @@ CorrelationModel MakeEmpiricalModel(const Dataset& d, double smoothing = 0.0,
   CorrelationModel model;
   model.alpha = 0.5;
   model.use_scopes = use_scopes;
-  auto quality = EstimateSourceQuality(d, d.labeled_mask(),
-                                       {0.5, smoothing, use_scopes});
+  const QualityOptions options{0.5, smoothing, use_scopes};
+  auto quality = EstimateSourceQuality(d, d.labeled_mask(), options);
   model.source_quality = std::move(*quality);
   auto clustering = SingleClusterOf(d.num_sources());
   model.clustering = std::move(*clustering);
-  JointStatsOptions options;
-  options.smoothing = smoothing;
-  options.use_scopes = use_scopes;
   auto stats = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                            AllSources(d), options);
   model.cluster_stats.push_back(std::move(*stats));
@@ -125,8 +122,8 @@ TEST(PrecRecTest, ScoresAreValidProbabilities) {
 TEST(PrecRecTest, AlphaShiftsScoresMonotonically) {
   Dataset d = MakeMotivatingExample();
   std::vector<SourceQuality> quality = MakeExampleSourceQuality();
-  PrecRecOptions low{0.2, false};
-  PrecRecOptions high{0.8, false};
+  QualityOptions low{0.2, 0.0, false};
+  QualityOptions high{0.8, 0.0, false};
   auto lo = PrecRecScores(d, quality, low);
   auto hi = PrecRecScores(d, quality, high);
   ASSERT_TRUE(lo.ok());
@@ -140,7 +137,7 @@ TEST(PrecRecTest, RejectsBadInput) {
   Dataset d = MakeMotivatingExample();
   std::vector<SourceQuality> too_few(2);
   EXPECT_FALSE(PrecRecScores(d, too_few, {}).ok());
-  PrecRecOptions bad_alpha{1.0, false};
+  QualityOptions bad_alpha{1.0, 0.0, false};
   EXPECT_FALSE(
       PrecRecScores(d, MakeExampleSourceQuality(), bad_alpha).ok());
 }

@@ -73,7 +73,7 @@ TEST(EmpiricalJointStatsTest, SupersetCountsAreMonotone) {
 void ExpectSupersetCountsMatch(const EmpiricalJointStats& stats,
                                const Dataset& d,
                                const DynamicBitset& train_mask,
-                               const JointStatsOptions& options,
+                               const QualityOptions& options,
                                const std::vector<Mask>& subsets,
                                const std::string& what) {
   const BruteForceLikelihood oracle(d, train_mask, AllSources(d), options);
@@ -130,7 +130,7 @@ TEST(EmpiricalJointStatsTest, SupersetCountsMatchBruteForceOnBothPaths) {
     for (bool use_scopes : {false, true}) {
       const std::string what =
           "k=" + std::to_string(k) + " scopes=" + std::to_string(use_scopes);
-      JointStatsOptions options;
+      QualityOptions options;
       options.use_scopes = use_scopes;
       auto stats =
           EmpiricalJointStats::Create(*d, before, AllSources(*d), options);
@@ -178,7 +178,7 @@ TEST(EmpiricalJointStatsTest, ExactLikelihoodMatchesManualCount) {
 
 TEST(EmpiricalJointStatsTest, ExactLikelihoodRequiresNoSmoothing) {
   Dataset d = MakeMotivatingExample();
-  JointStatsOptions smooth;
+  QualityOptions smooth;
   smooth.smoothing = 1.0;
   auto stats = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                            AllSources(d), smooth);
@@ -211,7 +211,7 @@ TEST(EmpiricalJointStatsTest, RejectsBadArguments) {
   Dataset d = MakeMotivatingExample();
   EXPECT_FALSE(
       EmpiricalJointStats::Create(d, d.labeled_mask(), {}, {}).ok());
-  JointStatsOptions bad;
+  QualityOptions bad;
   bad.alpha = 1.5;
   EXPECT_FALSE(EmpiricalJointStats::Create(d, d.labeled_mask(),
                                            AllSources(d), bad)
@@ -220,7 +220,7 @@ TEST(EmpiricalJointStatsTest, RejectsBadArguments) {
 
 TEST(EmpiricalJointStatsTest, SmoothingKeepsRatesPositive) {
   Dataset d = MakeMotivatingExample();
-  JointStatsOptions smooth;
+  QualityOptions smooth;
   smooth.smoothing = 0.5;
   auto stats = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                            AllSources(d), smooth);
@@ -248,7 +248,7 @@ TEST(EmpiricalJointStatsTest, ScopeRestrictedDenominator) {
   d.Provide(narrow, b);
   ASSERT_TRUE(d.Finalize().ok());
 
-  JointStatsOptions scoped;
+  QualityOptions scoped;
   scoped.use_scopes = true;
   auto stats =
       EmpiricalJointStats::Create(d, d.labeled_mask(), {wide, narrow},
@@ -258,7 +258,7 @@ TEST(EmpiricalJointStatsTest, ScopeRestrictedDenominator) {
   JointQuality pair = (*stats)->Get(0b11);
   EXPECT_NEAR(pair.recall, 0.5, 1e-12);
 
-  JointStatsOptions unscoped;
+  QualityOptions unscoped;
   auto stats2 = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                             {wide, narrow}, unscoped);
   ASSERT_TRUE(stats2.ok());

@@ -56,7 +56,7 @@ void ExpectDirectMatchesOracle(const EmpiricalJointStats& stats,
                                const Dataset& d,
                                const DynamicBitset& train_mask,
                                const std::vector<SourceId>& cluster,
-                               const JointStatsOptions& options,
+                               const QualityOptions& options,
                                const std::string& what) {
   const std::vector<PatternQuery> queries =
       AllQueries(static_cast<int>(cluster.size()));
@@ -121,7 +121,7 @@ TEST(LikelihoodOracleTest, Figure1ExampleMatchesOracle) {
   Dataset d = MakeMotivatingExample();
   const std::vector<SourceId> cluster = AllSources(d);
   for (bool use_scopes : {false, true}) {
-    JointStatsOptions options;
+    QualityOptions options;
     options.use_scopes = use_scopes;
     auto stats =
         EmpiricalJointStats::Create(d, d.labeled_mask(), cluster, options);
@@ -140,7 +140,7 @@ TEST(LikelihoodOracleTest, Figure6DatasetsMatchOracle) {
         Dataset d = MakeFig6Dataset(point, rep, num_domains);
         const std::vector<SourceId> cluster = AllSources(d);
         for (bool use_scopes : {false, true}) {
-          JointStatsOptions options;
+          QualityOptions options;
           options.use_scopes = use_scopes;
           auto stats = EmpiricalJointStats::Create(d, d.labeled_mask(),
                                                    cluster, options);
@@ -171,7 +171,7 @@ TEST(LikelihoodOracleTest, MatchesOracleAfterPatternDeltas) {
       if (t % 3 != 0) after.Set(t);
     }
     for (bool use_scopes : {false, true}) {
-      JointStatsOptions options;
+      QualityOptions options;
       options.use_scopes = use_scopes;
       auto stats = EmpiricalJointStats::Create(d, before, cluster, options);
       ASSERT_TRUE(stats.ok()) << stats.status();
@@ -221,7 +221,7 @@ TEST(LikelihoodOracleTest, TermSummationMatchesLiteralFormOnSmallClusters) {
   for (const Dataset& d : datasets) {
     const std::vector<SourceId> cluster = AllSources(d);
     ASSERT_LE(cluster.size(), 10u);
-    JointStatsOptions options;
+    QualityOptions options;
     auto stats =
         EmpiricalJointStats::Create(d, d.labeled_mask(), cluster, options);
     ASSERT_TRUE(stats.ok()) << stats.status();

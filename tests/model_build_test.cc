@@ -143,7 +143,7 @@ void ExpectBuildMatchesReference(const Dataset& d, const DynamicBitset& train,
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     auto view = BuildTrainingView(d, train, threads, pool.get());
     ASSERT_TRUE(view.ok()) << at << view.status();
-    auto quality = EstimateSourceQuality(d, train, options.ToQualityOptions());
+    auto quality = EstimateSourceQuality(d, train, options);
     ASSERT_TRUE(quality.ok()) << at << quality.status();
     ExpectSameQuality(*quality, want_model->source_quality, at + " quality ");
     auto counts = ComputePairwiseCounts(*view, AllSources(d));
@@ -269,7 +269,7 @@ TEST(ModelBuildTest, SketchClusteringOverTwoPartsIsRejected) {
   ModelOptions options;
   options.enable_clustering = true;
   options.clustering.use_sketch = true;
-  auto quality = EstimateSourceQuality(d, train, options.ToQualityOptions());
+  auto quality = EstimateSourceQuality(d, train, options);
   ASSERT_TRUE(quality.ok()) << quality.status();
   auto model =
       BuildCorrelationModel({{&d, &train}, {&d, &train}}, *quality, options);
@@ -317,8 +317,7 @@ void ExpectRouterModelMatchesReference(const Dataset& d,
       }
     }
     if (clustering) {
-      auto pairs = PairwiseCorrelationsFromCounts(
-          merged, options.model.ToJointStatsOptions());
+      auto pairs = PairwiseCorrelationsFromCounts(merged, options.model);
       ASSERT_TRUE(pairs.ok());
       auto partition = ClusterSourcesFromPairs(d.num_sources(), *pairs,
                                                options.model.clustering);
@@ -331,7 +330,7 @@ void ExpectRouterModelMatchesReference(const Dataset& d,
       for (size_t k = 0; k < num_shards; ++k) {
         states.push_back(ReferenceJointStatsState(
             corpus.shard(k), (*engine)->shard_engine(k)->train_mask(),
-            cluster, options.model.ToJointStatsOptions()));
+            cluster, options.model));
       }
       auto merged_state = MergeJointStatsStates(states);
       ASSERT_TRUE(merged_state.ok());

@@ -535,10 +535,10 @@ TEST(GatherPatternScoresTest, LanePathsMatchReferenceAndPointQueries) {
 void ExpectIndependentScoresMatchReference(const Dataset& dataset,
                                            bool use_scopes) {
   ThreadPool pool(8);
-  QualityOptions quality_options;
-  quality_options.use_scopes = use_scopes;
-  auto quality = EstimateSourceQuality(dataset, dataset.labeled_mask(),
-                                       quality_options);
+  QualityOptions options;
+  options.use_scopes = use_scopes;
+  auto quality =
+      EstimateSourceQuality(dataset, dataset.labeled_mask(), options);
   ASSERT_TRUE(quality.ok()) << quality.status();
   ModelOptions model_options;
   model_options.use_scopes = use_scopes;
@@ -546,8 +546,6 @@ void ExpectIndependentScoresMatchReference(const Dataset& dataset,
   auto model = BuildCorrelationModelOf(dataset, dataset.labeled_mask(),
                                        model_options);
   ASSERT_TRUE(model.ok()) << model.status();
-  PrecRecOptions options;
-  options.use_scopes = use_scopes;
   auto want_precrec = PrecRecScoresReference(dataset, *quality, options);
   ASSERT_TRUE(want_precrec.ok()) << want_precrec.status();
   auto want_aggressive = AggressiveScoresReference(dataset, *model);
@@ -684,7 +682,7 @@ TEST(ScoreAllPatternsTest, ByteIdenticalToPerQueryLikelihoods) {
                                   /*seed=*/17 + use_scopes);
     std::vector<SourceId> all(dataset.num_sources());
     for (SourceId s = 0; s < dataset.num_sources(); ++s) all[s] = s;
-    JointStatsOptions options;
+    QualityOptions options;
     options.use_scopes = use_scopes;
     auto stats = EmpiricalJointStats::Create(dataset, dataset.labeled_mask(),
                                              all, options);

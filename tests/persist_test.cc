@@ -497,6 +497,13 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
   const size_t kSmoothing = engine_fields.Of(&section.options.model.smoothing);
   const size_t kThreshold =
       engine_fields.Of(&section.options.decision_threshold);
+  // The fixture saves model.use_scopes = true, which the engine copies
+  // into every baseline.
+  const size_t kBaselineScopes[] = {
+      engine_fields.Of(&section.options.three_estimates.use_scopes),
+      engine_fields.Of(&section.options.cosine.use_scopes),
+      engine_fields.Of(&section.options.ltm.use_scopes),
+  };
   auto write = [&](size_t field, auto value) {
     return WriteVariant(RewriteSectionField(bytes_, kEngineSectionId, field,
                                             &value, sizeof(value)));
@@ -512,6 +519,9 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
   ASSERT_TRUE(loads(write(kAlpha, 0.5)).ok());
   ASSERT_TRUE(loads(write(kSmoothing, 0.0)).ok());
   ASSERT_TRUE(loads(write(kThreshold, 0.5)).ok());
+  for (size_t field : kBaselineScopes) {
+    ASSERT_TRUE(loads(write(field, true)).ok());
+  }
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -522,6 +532,9 @@ TEST_F(PersistCorruptionTest, OutOfRangeEngineOptionsAreInvalidArgument) {
       {"smoothing inf", write(kSmoothing, inf)},
       {"threshold 2", write(kThreshold, 2.0)},
       {"threshold nan", write(kThreshold, nan)},
+      {"3estimates unscoped", write(kBaselineScopes[0], false)},
+      {"cosine unscoped", write(kBaselineScopes[1], false)},
+      {"ltm unscoped", write(kBaselineScopes[2], false)},
   };
   for (const auto& [what, path] : bad) {
     EXPECT_EQ(loads(path).code(), StatusCode::kInvalidArgument) << what;

@@ -1,8 +1,18 @@
 // Unit tests for source-quality estimation (Section 3.2) and the Theorem
 // 3.5 false-positive-rate derivation.
 #include "core/quality.h"
+
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
+
+#include "core/correlation.h"
+#include "core/joint_stats.h"
 #include "gtest/gtest.h"
+#include "stats/correlation_sketch.h"
 #include "support/paper_math.h"
+#include "synth/generator.h"
 #include "synth/motivating_example.h"
 
 namespace fuser {
@@ -132,6 +142,109 @@ TEST(EstimateQualityTest, RejectsBadArguments) {
       EstimateSourceQuality(d, d.labeled_mask(), bad_smoothing).ok());
   DynamicBitset wrong_size(3);
   EXPECT_FALSE(EstimateSourceQuality(d, wrong_size, {}).ok());
+}
+
+TEST(ValidateQualityOptionsTest, EveryEstimateRejectsTheSameOptions) {
+  Dataset d = MakeMotivatingExample();
+  const DynamicBitset& train = d.labeled_mask();
+  std::vector<SourceId> all(d.num_sources());
+  std::iota(all.begin(), all.end(), SourceId{0});
+  auto view = BuildTrainingView(d, train);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto counts = ComputePairwiseCounts(*view, all);
+  ASSERT_TRUE(counts.ok()) << counts.status();
+  auto good = EstimateSourceQuality(d, train, {});
+  ASSERT_TRUE(good.ok()) << good.status();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, QualityOptions> bad[] = {
+      {"alpha nan", {nan, 0.0, false}},   {"alpha 1", {1.0, 0.0, false}},
+      {"smoothing -1", {0.5, -1.0, true}}, {"smoothing nan", {0.5, nan, false}},
+      {"smoothing inf", {0.5, inf, true}},
+  };
+  for (const auto& [what, options] : bad) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(ValidateQualityOptions(options).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(EstimateSourceQuality(d, train, options).status().code(),
+              StatusCode::kInvalidArgument);
+    std::vector<SourceQuality> quality = *good;
+    EXPECT_EQ(FinalizeQualityFromCounts(options, &quality).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(CountClusterPatterns(*view, {all}, options).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        EmpiricalJointStats::Create(d, train, all, options).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(ComputePairwiseCorrelations(d, train, all, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ComputePairwiseCorrelationsApprox(d, train, all, options, {})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(PairwiseCorrelationsFromCounts(*counts, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+/// The bits of a double, so equal rates compare bit for bit.
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(EstimateQualityTest, EqualsSingletonJointAndPairwiseMarginals) {
+  // Many small domains, so some sources miss some of them and scopes move
+  // the recall denominators.
+  SyntheticConfig config = MakeIndependentConfig(
+      /*num_sources=*/8, /*num_triples=*/900, /*fraction_true=*/0.4,
+      /*precision=*/0.7, /*recall=*/0.3, /*seed=*/31);
+  config.num_domains = 120;
+  auto dataset = GenerateSynthetic(config);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const Dataset& d = *dataset;
+  DynamicBitset train(d.num_triples());
+  for (TripleId t = 0; t < d.num_triples(); t += 3) train.Set(t);
+  train.AndWith(d.labeled_mask());
+  std::vector<SourceId> all(d.num_sources());
+  std::iota(all.begin(), all.end(), SourceId{0});
+
+  bool scopes_matter = false;
+  for (bool use_scopes : {false, true}) {
+    for (double smoothing : {0.0, 0.5}) {
+      SCOPED_TRACE("scopes=" + std::to_string(use_scopes) +
+                   " smoothing=" + std::to_string(smoothing));
+      QualityOptions options;
+      options.use_scopes = use_scopes;
+      options.smoothing = smoothing;
+      auto quality = EstimateSourceQuality(d, train, options);
+      ASSERT_TRUE(quality.ok()) << quality.status();
+      auto marginals = ComputePairwiseMarginals(d, train, all, options);
+      ASSERT_TRUE(marginals.ok()) << marginals.status();
+      for (SourceId s = 0; s < d.num_sources(); ++s) {
+        SCOPED_TRACE("source " + std::to_string(s));
+        const SourceQuality& want = (*quality)[s];
+        scopes_matter |=
+            use_scopes && want.scope_true < static_cast<size_t>(
+                                                marginals->total_true);
+        auto single = EmpiricalJointStats::Create(d, train, {s}, options);
+        ASSERT_TRUE(single.ok()) << single.status();
+        const JointQuality got = (*single)->Get(1);
+        EXPECT_EQ(Bits(got.precision), Bits(want.precision));
+        EXPECT_EQ(Bits(got.recall), Bits(want.recall));
+        EXPECT_EQ(Bits(got.fpr), Bits(want.fpr));
+        if (!use_scopes) {
+          EXPECT_EQ(Bits(marginals->r[s]), Bits(want.recall));
+          EXPECT_EQ(Bits(marginals->q[s]), Bits(want.fpr));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(scopes_matter) << "no source misses a domain";
 }
 
 // Property sweep: derived q stays in [0,1] and the validity condition

@@ -17,7 +17,7 @@ TripleObservation ObserveTriple(const Dataset& dataset,
 BruteForceLikelihood::BruteForceLikelihood(
     const Dataset& dataset, const DynamicBitset& train_mask,
     const std::vector<SourceId>& cluster_sources,
-    const JointStatsOptions& options)
+    const QualityOptions& options)
     : alpha_(options.alpha) {
   for (TripleId t = 0; t < dataset.num_triples(); ++t) {
     if (!train_mask.Test(t) || dataset.label(t) == Label::kUnknown) continue;

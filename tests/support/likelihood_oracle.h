@@ -41,7 +41,7 @@ class BruteForceLikelihood {
   /// `train_mask` (scopes and alpha from `options`).
   BruteForceLikelihood(const Dataset& dataset, const DynamicBitset& train_mask,
                        const std::vector<SourceId>& cluster_sources,
-                       const JointStatsOptions& options);
+                       const QualityOptions& options);
 
   /// The likelihood pair {Pr(O | true), Pr(O | false)} of observation
   /// "every source of `providers` provides, none of `nonproviders` does".

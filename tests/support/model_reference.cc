@@ -97,7 +97,7 @@ PairwiseCounts ReferencePairwiseCounts(const Dataset& dataset,
 
 StatusOr<std::vector<PairwiseCorrelation>> ReferencePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options) {
+    const std::vector<SourceId>& sources, const QualityOptions& options) {
   FUSER_ASSIGN_OR_RETURN(
       PairwiseMarginals marginals,
       ComputePairwiseMarginals(dataset, train_mask, sources, options));
@@ -119,7 +119,7 @@ StatusOr<std::vector<PairwiseCorrelation>> ReferencePairwiseCorrelations(
 
 EmpiricalJointStatsState ReferenceJointStatsState(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& cluster, const JointStatsOptions& options) {
+    const std::vector<SourceId>& cluster, const QualityOptions& options) {
   EmpiricalJointStatsState state;
   state.k = static_cast<int>(cluster.size());
   state.options = options;
@@ -165,14 +165,13 @@ StatusOr<CorrelationModel> ReferenceCorrelationModel(
   model.use_scopes = options.use_scopes;
   FUSER_ASSIGN_OR_RETURN(
       model.source_quality,
-      ReferenceSourceQuality(dataset, train_mask, options.ToQualityOptions()));
+      ReferenceSourceQuality(dataset, train_mask, options));
   if (options.enable_clustering) {
     std::vector<SourceId> all(dataset.num_sources());
     std::iota(all.begin(), all.end(), SourceId{0});
     FUSER_ASSIGN_OR_RETURN(
         std::vector<PairwiseCorrelation> pairs,
-        ReferencePairwiseCorrelations(dataset, train_mask, all,
-                                      options.ToJointStatsOptions()));
+        ReferencePairwiseCorrelations(dataset, train_mask, all, options));
     FUSER_ASSIGN_OR_RETURN(
         model.clustering,
         ClusterSourcesFromPairs(dataset.num_sources(), pairs,
@@ -185,7 +184,7 @@ StatusOr<CorrelationModel> ReferenceCorrelationModel(
     FUSER_ASSIGN_OR_RETURN(
         std::unique_ptr<EmpiricalJointStats> stats,
         EmpiricalJointStats::FromState(ReferenceJointStatsState(
-            dataset, train_mask, cluster, options.ToJointStatsOptions())));
+            dataset, train_mask, cluster, options)));
     model.cluster_stats.push_back(std::move(stats));
   }
   return model;
@@ -196,7 +195,7 @@ StatusOr<CorrelationModel> BuildCorrelationModelOf(
     const ModelOptions& options, size_t num_threads, ThreadPool* pool) {
   FUSER_ASSIGN_OR_RETURN(
       std::vector<SourceQuality> quality,
-      EstimateSourceQuality(dataset, train_mask, options.ToQualityOptions()));
+      EstimateSourceQuality(dataset, train_mask, options));
   return BuildCorrelationModel({{&dataset, &train_mask}}, std::move(quality),
                                options, num_threads, pool);
 }

@@ -37,12 +37,12 @@ PairwiseCounts ReferencePairwiseCounts(const Dataset& dataset,
 /// per-source class bitsets.
 StatusOr<std::vector<PairwiseCorrelation>> ReferencePairwiseCorrelations(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& sources, const JointStatsOptions& options);
+    const std::vector<SourceId>& sources, const QualityOptions& options);
 
 /// One cluster's exported joint statistics from the per-triple scan.
 EmpiricalJointStatsState ReferenceJointStatsState(
     const Dataset& dataset, const DynamicBitset& train_mask,
-    const std::vector<SourceId>& cluster, const JointStatsOptions& options);
+    const std::vector<SourceId>& cluster, const QualityOptions& options);
 
 /// The whole model: reference quality, clustering from the reference
 /// pairwise correlations (exact path only), and one reference scan per

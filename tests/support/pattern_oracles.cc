@@ -127,7 +127,7 @@ std::vector<double> IndependentScoresLoop(const Dataset& dataset,
 
 StatusOr<std::vector<double>> PrecRecScoresReference(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options) {
+    const QualityOptions& options) {
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset not finalized");
   }

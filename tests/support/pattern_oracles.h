@@ -43,7 +43,7 @@ std::vector<double> CombinePatternScoresReference(
 /// one provides(s, t) bit test per source of in_scope_sources(t).
 StatusOr<std::vector<double>> PrecRecScoresReference(
     const Dataset& dataset, const std::vector<SourceQuality>& quality,
-    const PrecRecOptions& options);
+    const QualityOptions& options);
 StatusOr<std::vector<double>> AggressiveScoresReference(
     const Dataset& dataset, const CorrelationModel& model);
 
